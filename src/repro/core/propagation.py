@@ -318,6 +318,11 @@ class Propagator:
         self._c_dirty = metrics.counter("propagation.dirty_arcs")
         self._c_reused = metrics.counter("propagation.reused_arcs")
         self._c_waves = metrics.counter("propagation.coupling_waves")
+        # Columnar level look-ahead (batch engine, exact tier): keys it
+        # solved ahead of their wave, and keys the waves still had to
+        # solve in levels where it ran (its misses).
+        self._c_lookahead = metrics.counter("propagation.lookahead_solves")
+        self._c_catchup = metrics.counter("propagation.catchup_solves")
         self._h_waves = metrics.histogram(
             "propagation.waves_per_level", boundaries=SMALL_COUNT_BUCKETS
         )
@@ -1086,6 +1091,12 @@ class ColumnarPropagator(Propagator):
     line by line, so the exact tier is ``float.hex()``-identical to the
     object core in all five modes; only the bookkeeping around the
     numbers changed representation.
+
+    On the batch engine's exact tier it also looks ahead across each
+    level's coupling waves: the coupled final keys the waves will
+    probably need are solved in one batch before wave 0 instead of one
+    batch per wave.  The waves still decide and merge alone, so this
+    changes when keys are solved, never what they resolve to.
     """
 
     def __init__(
@@ -1221,6 +1232,86 @@ class ColumnarPropagator(Propagator):
             self._tokens[a] = token
         return token
 
+    def _decide(self, a, ts, best, worst, state, win_prev, prev_windows):
+        """The coupling decision of one windowed arc (paper §5.1):
+        ``(n_active, active_sum, passive_sum)`` over its aggressors.
+
+        An aggressor may couple when its window can overlap the victim's
+        guarded activity window.  Its window is this pass's once its net
+        is calculated (``state.processed_mask``), else the previous
+        pass's, else unknown (always switching).  Reads ``state`` only,
+        so the level look-ahead and the wave loop share it.
+        """
+        cp = self.compiled
+        guard = self.config.guard
+        clock_always = self.config.clock_model is ClockAggressorModel.ALWAYS
+        tb_g = (ts + best.t_early) - guard
+        tvl_g = (ts + worst.t_late) + guard if worst is not None else float("inf")
+        agg_d = self._s_indir[a]
+        out = self._s_out[a]
+        active_sum = 0.0
+        passive_sum = 0.0
+        n_active = 0
+        for j in range(self._coup_indptr[out], self._coup_indptr[out + 1]):
+            other = self._coup_net[j]
+            cap = self._coup_cap[j]
+            if other >= 0 and (clock_always and self._net_is_clock[other]):
+                te, tq = float("-inf"), float("inf")
+            elif other >= 0 and state.processed_mask[other]:
+                if state.valid[agg_d, other]:
+                    te = state.ev_te[agg_d, other]
+                    tq = state.ev_tl[agg_d, other]
+                else:
+                    te, tq = float("inf"), float("-inf")
+            elif win_prev is not None:
+                if (
+                    other >= 0
+                    and win_prev.present[other]
+                    and win_prev.valid[agg_d, other]
+                ):
+                    te = win_prev.ev_te[agg_d, other]
+                    tq = win_prev.ev_tl[agg_d, other]
+                else:
+                    te, tq = float("inf"), float("-inf")
+            elif prev_windows is not None:
+                te, tq = prev_windows.get(
+                    (cp.coup_name[j], DIRECTIONS[agg_d]),
+                    (float("inf"), float("-inf")),
+                )
+            else:
+                te, tq = float("-inf"), float("inf")
+            may_couple = tq > tb_g
+            if may_couple and te >= tvl_g:
+                may_couple = False
+            if may_couple:
+                active_sum += cap
+                n_active += 1
+            else:
+                passive_sum += cap
+        return n_active, active_sum, passive_sum
+
+    def _final_key(self, a, attached, qtt, cg, active_sum, passive_sum):
+        """The cache key of arc ``a``'s coupled final solve under a
+        decided load, or None when its memo already holds that load's
+        result.  Shared by the look-ahead and the wave loop, so a right
+        prediction is exactly the key the wave resolves."""
+        if (
+            attached
+            and self._m_cg[a] == cg
+            and self._m_ca[a] == active_sum
+            and self._m_cp[a] == passive_sum
+        ):
+            return None
+        q_cap = self.calculator._q_cap
+        return (
+            self._token(a),
+            self._s_dir[a],
+            qtt,
+            q_cap(cg + passive_sum),
+            q_cap(active_sum),
+            False,
+        )
+
     # -- session reuse -------------------------------------------------------
 
     @property
@@ -1326,8 +1417,6 @@ class ColumnarPropagator(Propagator):
         batch = config.engine is Engine.BATCH
         screened_tier = self._screened
         mode = config.mode
-        guard = config.guard
-        clock_always = config.clock_model is ClockAggressorModel.ALWAYS
         k_slew = config.slew_degradation_factor
         tgrid = calc.transition_grid
 
@@ -1582,6 +1671,62 @@ class ColumnarPropagator(Propagator):
                     self._c_waves.inc(len(waves))
                     self._h_waves.observe(len(waves))
                     level_span.set(tasks=n_live, waves=len(waves))
+                    # Look-ahead: decide every windowed arc of the level
+                    # against the pre-wave state and solve the coupled
+                    # keys in one batch instead of one batch per wave.
+                    # Wave 0's decisions are exact; later waves' are
+                    # predictions (an earlier wave's aggressor still
+                    # counts as not calculated).  The wave loop below
+                    # still decides and merges alone, so a right guess
+                    # is a cache hit and a wrong one a catch-up solve.
+                    # Only levels where some windowed arc missed its memo
+                    # (warm what-ifs mostly skip it), and only on the
+                    # exact tier: a speculative screened solve would grow
+                    # the response surface and move later bounds.
+                    lookahead = (
+                        batch
+                        and not screened_tier
+                        and len(waves) >= 2
+                        and bool((w & ~reuse_w).any())
+                    )
+                    if lookahead:
+                        t0 = time.perf_counter()
+                        w_arcs = (np.nonzero(w)[0] + lo).tolist()
+                        with tracer.span(
+                            "phase.coupling_decisions",
+                            lookahead=True,
+                            tasks=len(w_arcs),
+                        ):
+                            keys = []
+                            for a in w_arcs:
+                                n_active, active_sum, passive_sum = self._decide(
+                                    a,
+                                    ts_l[a],
+                                    a_best[a],
+                                    a_worst[a],
+                                    state,
+                                    win_prev,
+                                    prev_windows,
+                                )
+                                if not n_active:
+                                    continue
+                                key = self._final_key(
+                                    a,
+                                    a_attach[a],
+                                    qtt_l[a],
+                                    self._s_cfix[self._s_out[a]],
+                                    active_sum,
+                                    passive_sum,
+                                )
+                                if key is not None:
+                                    keys.append(key)
+                        timers["coupling_decisions"] += time.perf_counter() - t0
+                        t0 = time.perf_counter()
+                        with tracer.span(
+                            "phase.final_waveforms", lookahead=True, keys=len(keys)
+                        ):
+                            self._c_lookahead.inc(calc.prefetch_keys(keys))
+                        timers["final_waveforms"] += time.perf_counter() - t0
                     for wave_index, wave in enumerate(waves):
                         wave_arcs = [
                             a
@@ -1599,67 +1744,20 @@ class ColumnarPropagator(Propagator):
                                 if not self._s_windowed_l[a]:
                                     continue
                                 best = a_best[a]
-                                ts = ts_l[a]
-                                tb_g = (ts + best.t_early) - guard
-                                worst = a_worst[a]
-                                tvl_g = (
-                                    (ts + worst.t_late) + guard
-                                    if worst is not None
-                                    else float("inf")
+                                n_active, active_sum, passive_sum = self._decide(
+                                    a,
+                                    ts_l[a],
+                                    best,
+                                    a_worst[a],
+                                    state,
+                                    win_prev,
+                                    prev_windows,
                                 )
-                                agg_d = self._s_indir[a]
-                                out = self._s_out[a]
-                                c_lo = self._coup_indptr[out]
-                                c_hi = self._coup_indptr[out + 1]
-                                active_sum = 0.0
-                                passive_sum = 0.0
-                                n_active = 0
-                                for j in range(c_lo, c_hi):
-                                    other = self._coup_net[j]
-                                    cap = self._coup_cap[j]
-                                    if other >= 0 and (
-                                        clock_always and self._net_is_clock[other]
-                                    ):
-                                        te, tq = float("-inf"), float("inf")
-                                    elif other >= 0 and state.processed_mask[other]:
-                                        if state.valid[agg_d, other]:
-                                            te = state.ev_te[agg_d, other]
-                                            tq = state.ev_tl[agg_d, other]
-                                        else:
-                                            te, tq = float("inf"), float("-inf")
-                                    elif win_prev is not None:
-                                        if (
-                                            other >= 0
-                                            and win_prev.present[other]
-                                            and win_prev.valid[agg_d, other]
-                                        ):
-                                            te = win_prev.ev_te[agg_d, other]
-                                            tq = win_prev.ev_tl[agg_d, other]
-                                        else:
-                                            te, tq = float("inf"), float("-inf")
-                                    elif prev_windows is not None:
-                                        te, tq = prev_windows.get(
-                                            (
-                                                cp.coup_name[j],
-                                                DIRECTIONS[agg_d],
-                                            ),
-                                            (float("inf"), float("-inf")),
-                                        )
-                                    else:
-                                        te, tq = float("-inf"), float("inf")
-                                    may_couple = tq > tb_g
-                                    if may_couple and te >= tvl_g:
-                                        may_couple = False
-                                    if may_couple:
-                                        active_sum += cap
-                                        n_active += 1
-                                    else:
-                                        passive_sum += cap
                                 self._a_kind[a] = "overlap" if n_active else "quiet"
                                 self._a_agga[a] = n_active
                                 if n_active:
                                     a_flhas[a] = True
-                                    a_flcg[a] = self._s_cfix[out]
+                                    a_flcg[a] = self._s_cfix[self._s_out[a]]
                                     a_flca[a] = active_sum
                                     a_flcp[a] = passive_sum
                                 else:
@@ -1670,16 +1768,20 @@ class ColumnarPropagator(Propagator):
                         t0 = time.perf_counter()
                         with tracer.span("phase.final_waveforms", wave=wave_index):
                             pending: list[int] = []
+                            entries = []
                             for a in wave_arcs:
                                 if not a_flhas[a]:
                                     continue
                                 result.coupled_arcs += 1
-                                if (
-                                    a_attach[a]
-                                    and self._m_cg[a] == a_flcg[a]
-                                    and self._m_ca[a] == a_flca[a]
-                                    and self._m_cp[a] == a_flcp[a]
-                                ):
+                                key = self._final_key(
+                                    a,
+                                    a_attach[a],
+                                    qtt_l[a],
+                                    a_flcg[a],
+                                    a_flca[a],
+                                    a_flcp[a],
+                                )
+                                if key is None:
                                     a_final[a] = self._m_final[a]
                                     a_coupled[a] = True
                                     if not self._m_exact[a]:
@@ -1687,22 +1789,14 @@ class ColumnarPropagator(Propagator):
                                     if prov_on:
                                         a_prov[a] = _memo_dict_prov(self._m_prov[a])
                                     continue
+                                a_key[a] = key
                                 pending.append(a)
+                                entries.append((key, fx_l[a]))
                             if pending:
-                                entries = []
-                                for a in pending:
-                                    key = (
-                                        self._token(a),
-                                        self._s_dir[a],
-                                        qtt_l[a],
-                                        calc._q_cap(a_flcg[a] + a_flcp[a]),
-                                        calc._q_cap(a_flca[a]),
-                                        False,
-                                    )
-                                    a_key[a] = key
-                                    entries.append((key, fx_l[a]))
                                 if batch:
-                                    calc.prime_keys(entries)
+                                    solved = calc.prime_keys(entries)
+                                    if lookahead:
+                                        self._c_catchup.inc(solved)
                                 for a in pending:
                                     result.waveform_evaluations += 1
                                     a_eval[a] = True

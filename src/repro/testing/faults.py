@@ -27,34 +27,37 @@ from repro.waveform.stage import StageSolver, StageSolverError
 def newton_failures(rate: float = 1.0, seed: int = 0):
     """Make a deterministic fraction of stage solves fail.
 
-    Both the scalar and the batch solver entry points are patched: each
-    call draws from one seeded stream and raises
+    The scalar solver and both batch entry points (``solve_many`` and
+    the ``solve_many_compact`` the calculator's batched path calls) are
+    patched: each call draws from one seeded stream and raises
     :class:`StageSolverError` (the taxonomy's ``SolverError``) with
     probability ``rate``.  Because the analysis evaluates arcs in a
     deterministic order, a given ``(rate, seed)`` always fails the same
     arcs.
     """
     rng = random.Random(seed)
-    original_solve = StageSolver.solve
-    original_solve_many = BatchStageSolver.solve_many
+    messages = {
+        (StageSolver, "solve"): "injected Newton failure",
+        (BatchStageSolver, "solve_many"): "injected Newton failure (batch)",
+        (BatchStageSolver, "solve_many_compact"): "injected Newton failure (batch)",
+    }
+    saved = {target: getattr(*target) for target in messages}
 
-    def failing_solve(self, *args, **kwargs):
-        if rng.random() < rate:
-            raise StageSolverError("injected Newton failure")
-        return original_solve(self, *args, **kwargs)
+    def failing(original, message):
+        def call(self, *args, **kwargs):
+            if rng.random() < rate:
+                raise StageSolverError(message)
+            return original(self, *args, **kwargs)
 
-    def failing_solve_many(self, *args, **kwargs):
-        if rng.random() < rate:
-            raise StageSolverError("injected Newton failure (batch)")
-        return original_solve_many(self, *args, **kwargs)
+        return call
 
-    StageSolver.solve = failing_solve
-    BatchStageSolver.solve_many = failing_solve_many
+    for (owner, name), message in messages.items():
+        setattr(owner, name, failing(saved[owner, name], message))
     try:
         yield
     finally:
-        StageSolver.solve = original_solve
-        BatchStageSolver.solve_many = original_solve_many
+        for (owner, name), original in saved.items():
+            setattr(owner, name, original)
 
 
 @contextmanager

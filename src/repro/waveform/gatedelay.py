@@ -425,6 +425,8 @@ class GateDelayCalculator:
         self._degraded_keys: set[tuple] = set()
         self._key_escalation: dict[tuple, str] = {}
         self._screen_cache: dict[tuple, tuple[ArcResult, str]] = {}
+        # Set while prefetch_keys primes predicted keys (see there).
+        self._speculative = False
         self._screen: ArcScreen | None = None
         if solver_tier == "screened":
             self._screen = ArcScreen(
@@ -992,12 +994,42 @@ class GateDelayCalculator:
             misses.append(key)
         return self._solve_misses(misses)
 
+    def prefetch_keys(self, keys: Sequence[tuple]) -> int:
+        """Speculatively solve exact-tier keys a caller only predicts it
+        will resolve: :meth:`prime_keys` under another failure policy.
+
+        A key's batched result does not depend on the rest of its batch,
+        so a right prediction is a plain cache hit later and a wrong one
+        a wasted solve.  If the batch raises, nothing is cached, degraded
+        or counted as a fallback; the keys' real consumers solve them as
+        usual.  Batches below ``MIN_BATCH`` are left to the consumers.
+        Returns the number of keys solved.
+        """
+        self._speculative = True
+        try:
+            return self.prime_keys([(key, False) for key in keys])
+        finally:
+            self._speculative = False
+
     def _solve_misses(self, misses: list[tuple]) -> int:
         """Solve the deduplicated cache misses (shared prime tail)."""
         if not misses:
             return 0
         t0 = time.perf_counter()
-        if self.engine != "batch" or len(misses) < MIN_BATCH:
+        if self._speculative:
+            if len(misses) < MIN_BATCH:
+                return 0
+            try:
+                self._batch_solve(misses)
+            except SolverError as exc:
+                logger.debug(
+                    "speculative batch of %d arcs failed (%s); leaving them "
+                    "to their consumers",
+                    len(misses),
+                    exc,
+                )
+                return 0
+        elif self.engine != "batch" or len(misses) < MIN_BATCH:
             for key in misses:
                 self._arc_cache[key] = self._solve_key(key)
         elif self.workers >= 2 and len(misses) >= 2 * MIN_BATCH:
@@ -1012,6 +1044,24 @@ class GateDelayCalculator:
 
     def _solve_keys_batched(self, misses: list[tuple]) -> None:
         """One vectorized integration over all missing situations."""
+        try:
+            self._batch_solve(misses)
+        except SolverError as exc:
+            if self.strict:
+                raise
+            self._c_batch_fallbacks.inc()
+            logger.warning(
+                "batched solve of %d arcs failed (%s); falling back to "
+                "per-arc scalar solves",
+                len(misses),
+                exc,
+            )
+            for key in misses:
+                self._arc_cache[key] = self._solve_key(key)
+
+    def _batch_solve(self, misses: list[tuple]) -> None:
+        """Solve ``misses`` in one lockstep integration and cache them;
+        raises :class:`SolverError` with nothing cached."""
         # Materialise tables first so the bank covers every signature.
         for key in misses:
             self._solver_for_token(key[0])
@@ -1027,21 +1077,7 @@ class GateDelayCalculator:
             )
             for (token, direction, tt, c_passive, c_active, aiding) in misses
         ]
-        try:
-            results = solver.solve_many_compact(specs)
-        except SolverError as exc:
-            if self.strict:
-                raise
-            self._c_batch_fallbacks.inc()
-            logger.warning(
-                "batched solve of %d arcs failed (%s); falling back to "
-                "per-arc scalar solves",
-                len(misses),
-                exc,
-            )
-            for key in misses:
-                self._arc_cache[key] = self._solve_key(key)
-            return
+        results = solver.solve_many_compact(specs)
         directions = results.directions
         t_cross = results.t_cross
         transition = results.transition

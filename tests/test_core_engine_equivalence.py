@@ -11,7 +11,14 @@ import pytest
 
 from repro.circuit import s27
 from repro.core.analyzer import CrosstalkSTA
-from repro.core.modes import AnalysisMode, Core, Engine, SolverTier, StaConfig
+from repro.core.modes import (
+    AnalysisMode,
+    Core,
+    Engine,
+    SolverTier,
+    StaConfig,
+    WindowCheck,
+)
 from repro.flow import prepare_design
 from repro.testing import newton_failures
 
@@ -387,6 +394,77 @@ class TestColumnarCoreEquivalence:
                 == cold[target][1].longest_delay.hex()
             )
             assert warm.history[0].reused_arcs > 0
+
+
+def _lookahead_solves(result) -> tuple[int, int]:
+    """(look-ahead solves, wave-time catch-up solves) of one run."""
+    counters = result.telemetry.metrics["counters"]
+    return (
+        counters.get("propagation.lookahead_solves", 0),
+        counters.get("propagation.catchup_solves", 0),
+    )
+
+
+class TestLookaheadExactness:
+    """The columnar core's level look-ahead, on a fixture with real wave
+    structure (8 levels, up to 7 coupling waves in one level; s27 has at
+    most 2).  With the batch engine the core solves each level's
+    predicted coupled keys in one batch ahead of its waves; the scalar
+    engine never primes.  Both must agree ``float.hex()``-exactly on
+    every endpoint arrival and every pass."""
+
+    CONFIGS = {
+        **{mode.value: {"mode": mode} for mode in AnalysisMode},
+        "one_step-overlap": {
+            "mode": AnalysisMode.ONE_STEP,
+            "window_check": WindowCheck.OVERLAP,
+        },
+        "iterative-overlap": {
+            "mode": AnalysisMode.ITERATIVE,
+            "window_check": WindowCheck.OVERLAP,
+        },
+        "iterative-no-incremental": {
+            "mode": AnalysisMode.ITERATIVE,
+            "incremental": False,
+        },
+    }
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_batch_matches_scalar(self, small_design, name):
+        runs = {}
+        for engine in (Engine.SCALAR, Engine.BATCH):
+            config = StaConfig(engine=engine, **self.CONFIGS[name])
+            runs[engine] = CrosstalkSTA(small_design, config).run()
+        scalar, batch = runs[Engine.SCALAR], runs[Engine.BATCH]
+        scalar_a, batch_a = scalar.arrival_map(), batch.arrival_map()
+        assert set(scalar_a) == set(batch_a)
+        for key in scalar_a:
+            assert scalar_a[key].hex() == batch_a[key].hex(), key
+        assert len(scalar.history) == len(batch.history)
+        for rs, rb in zip(scalar.history, batch.history):
+            assert rs.longest_delay.hex() == rb.longest_delay.hex()
+            assert rs.waveform_evaluations == rb.waveform_evaluations
+            assert rs.dirty_arcs == rb.dirty_arcs
+            assert rs.reused_arcs == rb.reused_arcs
+        assert _lookahead_solves(scalar) == (0, 0)
+        ahead, catchup = _lookahead_solves(batch)
+        if config.mode.is_window_based:
+            histograms = batch.telemetry.metrics["histograms"]
+            assert histograms["propagation.waves_per_level"]["max"] == 7
+            # Most coupled keys are predicted right (here 95% or more): a
+            # key drifting apart between look-ahead and waves shows here.
+            assert ahead > 0
+            assert catchup < ahead / 4
+        else:
+            assert (ahead, catchup) == (0, 0)
+
+    @pytest.mark.parametrize("mode", [AnalysisMode.ONE_STEP, AnalysisMode.ITERATIVE])
+    def test_screened_tier_never_looks_ahead(self, small_design, mode):
+        config = StaConfig(
+            mode=mode, engine=Engine.BATCH, solver_tier=SolverTier.SCREENED
+        )
+        result = CrosstalkSTA(small_design, config).run()
+        assert _lookahead_solves(result) == (0, 0)
 
 
 class TestCompiledDesignInterning:

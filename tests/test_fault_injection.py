@@ -32,8 +32,10 @@ from repro.testing import (
     newton_failures,
     worker_faults,
 )
+from repro.waveform.batchstage import BatchStageSolver
 from repro.waveform.coupling import CouplingLoad
 from repro.waveform.gatedelay import ArcRequest, GateDelayCalculator
+from repro.waveform.stage import StageSolverError
 
 
 def _run(design, mode=AnalysisMode.ONE_STEP, **config_kwargs):
@@ -107,6 +109,8 @@ class TestBatchEngineFallback:
         clean = _run(s27_design, engine="batch")
         with newton_failures(rate=1.0, seed=0):
             degraded = _run(s27_design, engine="batch")
+        counters = degraded.telemetry.metrics["counters"]
+        assert counters.get("engine.batch_fallbacks", 0) >= 1
         assert degraded.cache_stats["degraded_arcs"] > 0
         assert degraded.longest_delay >= clean.longest_delay
 
@@ -114,6 +118,47 @@ class TestBatchEngineFallback:
         with newton_failures(rate=1.0, seed=0):
             with pytest.raises(SolverError):
                 _run(s27_design, engine="batch", strict=True)
+
+
+class TestLookaheadFailure:
+    """The columnar core's level look-ahead solves predicted keys; a
+    failure of that speculative batch is nobody's failure: the waves
+    solve the keys as if it had never run."""
+
+    @pytest.mark.parametrize("mode", [AnalysisMode.ONE_STEP, AnalysisMode.ITERATIVE])
+    def test_failed_lookahead_is_invisible(self, small_design, monkeypatch, mode):
+        clean = _run(small_design, mode=mode, engine="batch")
+        failed = []
+        speculating = []
+        prefetch = GateDelayCalculator.prefetch_keys
+        solve_compact = BatchStageSolver.solve_many_compact
+
+        def tracked_prefetch(self, keys):
+            speculating.append(True)
+            try:
+                return prefetch(self, keys)
+            finally:
+                speculating.pop()
+
+        def failing_compact(self, specs):
+            if speculating:
+                failed.append(len(specs))
+                raise StageSolverError("injected look-ahead failure")
+            return solve_compact(self, specs)
+
+        monkeypatch.setattr(GateDelayCalculator, "prefetch_keys", tracked_prefetch)
+        monkeypatch.setattr(BatchStageSolver, "solve_many_compact", failing_compact)
+        result = _run(small_design, mode=mode, engine="batch", max_degraded=0)
+        assert failed, "no look-ahead batch ran"
+        assert result.degraded_arcs == []
+        counters = result.telemetry.metrics["counters"]
+        assert counters.get("propagation.lookahead_solves", 0) == 0
+        assert counters.get("engine.batch_fallbacks", 0) == 0
+        assert result.longest_delay.hex() == clean.longest_delay.hex()
+        arrivals, reference = result.arrival_map(), clean.arrival_map()
+        assert set(arrivals) == set(reference)
+        for key in reference:
+            assert arrivals[key].hex() == reference[key].hex(), key
 
 
 def _pool_requests(library):

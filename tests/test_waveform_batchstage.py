@@ -87,6 +87,32 @@ class TestBatchVsScalar:
             for marker in MARKERS:
                 assert getattr(got, marker) == getattr(ref, marker), (spec, marker)
 
+    def test_compact_results_ignore_batch_mates(self, harness):
+        """A spec's compact result is bitwise the same whatever else
+        shares its batch, and equals the scalar solve: what lets the
+        columnar core solve predicted keys ahead of their wave."""
+        solvers, batch = harness
+        specs = _random_specs(40, seed=11)
+        full = batch.solve_many_compact(specs)
+        subset = list(range(1, len(specs), 2))[::-1]
+        part = batch.solve_many_compact([specs[i] for i in subset])
+        for j, i in enumerate(subset):
+            spec = specs[i]
+            ref = solvers[spec.table_index].solve(
+                InputRamp(
+                    direction=spec.input_direction,
+                    t_start=spec.t_start,
+                    transition=spec.transition,
+                ),
+                spec.load,
+                aiding=spec.aiding,
+            )
+            assert full.directions[i] == part.directions[j] == ref.direction
+            for marker in MARKERS:
+                value = getattr(ref, marker)
+                assert getattr(full, marker)[i] == value, (spec, marker)
+                assert getattr(part, marker)[j] == value, (spec, marker)
+
     def test_batch_of_one(self, harness):
         solvers, batch = harness
         spec = BatchArcSpec(
