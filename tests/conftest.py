@@ -41,16 +41,8 @@ def s27_design(s27_circuit):
 
 @pytest.fixture(scope="session")
 def small_design():
-    """A generated ~120-cell design with real coupling, shared read-only."""
-    from repro.circuit.generators import GeneratorSpec, generate_circuit
+    """A generated ~120-cell design with real coupling, shared read-only
+    (the golden digests' ``small`` design)."""
+    from tests.golden.make_golden import build_design
 
-    spec = GeneratorSpec(
-        name="tiny",
-        seed=42,
-        n_inputs=4,
-        n_outputs=4,
-        n_ff=8,
-        n_gates=90,
-        depth=7,
-    )
-    return prepare_design(generate_circuit(spec))
+    return build_design("small")
