@@ -297,7 +297,7 @@ def provenance_comparison(record_result):
     record_result("provenance_overhead", "\n".join(lines))
 
     # Graft the rows into the machine-readable baseline (the base payload
-    # is written by bench_perf_baseline's engine_comparison fixture).
+    # is written by bench_perf_baseline's mode_runs fixture).
     if BENCH_JSON.exists():
         payload = json.loads(BENCH_JSON.read_text())
         payload["provenance_overhead"] = {

@@ -1,19 +1,18 @@
-"""Scalar-vs-batch engine and columnar-vs-object core baselines.
+"""Per-mode runtime baseline of the propagation path, plus a scale sweep.
 
-Runs every analysis mode on the s35932-like circuit with both
-waveform-evaluation engines and records wall-clock, arcs/second and the
-speedup, plus the engine-agreement check (longest-path delays must match
-within the quantization guard band -- in practice they agree bitwise).
+Runs every analysis mode on the s35932-like circuit and records
+wall-clock, arcs/second and the per-pass work series (how the
+delta-driven engine's work decays over the iterative passes).  A second
+section compares the screened solver tier with the exact one.  A third
+sweeps the circuit scale (0.05 / 0.2 / 1.0 -- the last is the paper's
+full-size s35932) and times the one-step analysis, recording compile
+time and peak RSS per run.  ``REPRO_SWEEP_MAX=<float>`` caps the sweep's
+largest scale for quick local runs.
 
-A second section sweeps the circuit scale (0.05 / 0.2 / 1.0 -- the last
-is the paper's full-size s35932) and times the one-step analysis under
-both propagation cores (``Core.OBJECT`` vs ``Core.COLUMNAR``), recording
-compile time and peak RSS per run.  ``REPRO_SWEEP_MAX=<float>`` caps the
-sweep's largest scale for quick local runs.
-
-Besides the human-readable results block, the numbers are written
+Besides the human-readable results blocks, the numbers are written
 machine-readable to ``BENCH_sta_runtime.json`` at the repo root so CI and
-future sessions can track regressions.
+future sessions can track regressions
+(``benchmarks/check_perf_trajectory.py`` diffs against it).
 """
 
 from __future__ import annotations
@@ -29,23 +28,23 @@ import pytest
 
 from repro.circuit import s35932_like
 from repro.core.analyzer import CrosstalkSTA
-from repro.core.modes import AnalysisMode, Core, Engine, SolverTier, StaConfig
+from repro.core.modes import AnalysisMode, SolverTier, StaConfig
 from repro.flow import prepare_design
 
 BENCH_JSON = Path(__file__).parent.parent / "BENCH_sta_runtime.json"
 
 SCREEN_TOLERANCE = 100e-12
 
-# The core sweep's scales; 1.0 is the paper's full-size s35932 (the
-# tentpole target), the smaller points keep the curve's shape visible.
+# The scale sweep's points; 1.0 is the paper's full-size s35932, the
+# smaller points keep the curve's shape visible.
 SWEEP_SCALES = (0.05, 0.2, 1.0)
 SWEEP_MODE = AnalysisMode.ONE_STEP
 
-# The committed batch-engine baseline the columnar core is measured
-# against (BENCH_sta_runtime.json @ 49e0456: one_step/batch, object
-# core): the acceptance target is >= 5x this throughput at scale 1.0.
+# The throughput floor at scale 1.0 is 5x the one-step arcs/s the
+# object-graph core reached with the batch engine before the columnar
+# core replaced it (BENCH_sta_runtime.json @ 49e0456).
 OBJECT_BASELINE_APS = 1385.0
-COLUMNAR_TARGET_SPEEDUP = 5.0
+FULL_SCALE_TARGET_SPEEDUP = 5.0
 
 
 def _peak_rss_mb() -> float:
@@ -56,25 +55,25 @@ def _peak_rss_mb() -> float:
 
 
 @pytest.fixture(scope="module")
-def engine_comparison(scale, record_result):
+def mode_runs(scale, record_result):
     design = prepare_design(s35932_like(scale=scale))
-    guard = StaConfig().guard
     rows = []
     for mode in AnalysisMode:
-        per_engine = {}
-        for engine in (Engine.SCALAR, Engine.BATCH):
-            # A fresh analyzer per run: no cross-engine cache sharing.
-            sta = CrosstalkSTA(design, StaConfig(mode=mode, engine=engine))
-            t0 = time.perf_counter()
-            result = sta.run()
-            seconds = time.perf_counter() - t0
-            per_engine[engine.value] = {
+        # A fresh analyzer per mode: no cache sharing between rows.
+        sta = CrosstalkSTA(design, StaConfig(mode=mode))
+        t0 = time.perf_counter()
+        result = sta.run()
+        seconds = time.perf_counter() - t0
+        rows.append(
+            {
+                "mode": mode.value,
                 "seconds": seconds,
                 "longest_delay": result.longest_delay,
                 "arcs_processed": result.arcs_processed,
                 "waveform_evaluations": result.waveform_evaluations,
                 "arcs_per_second": result.arcs_processed / seconds,
                 "passes": result.passes,
+                "batched_solves": result.cache_stats["batched_solves"],
                 # Per-pass series: how the delta-driven engine's work
                 # decays over the iterative passes (pass 1 pays in full,
                 # later passes only re-solve dirty arcs).
@@ -95,30 +94,20 @@ def engine_comparison(scale, record_result):
                 # can track solver behaviour, not just wall-clock.
                 "metrics": result.telemetry.metrics if result.telemetry else {},
             }
-        scalar = per_engine["scalar"]
-        batch = per_engine["batch"]
-        rows.append(
-            {
-                "mode": mode.value,
-                "engines": per_engine,
-                "speedup": scalar["seconds"] / batch["seconds"],
-                "delay_diff": abs(scalar["longest_delay"] - batch["longest_delay"]),
-            }
         )
 
     lines = [
-        f"Scalar vs batch engine (s35932-like at scale {scale})",
+        f"Per-mode runtime (s35932-like at scale {scale})",
         "",
-        f"{'mode':<16} {'scalar s':>9} {'batch s':>9} {'speedup':>8} "
-        f"{'arcs/s (batch)':>15} {'delay diff':>11}",
-        "-" * 74,
+        f"{'mode':<16} {'seconds':>8} {'arcs/s':>8} {'evals':>7} "
+        f"{'batched':>8} {'passes':>7}",
+        "-" * 59,
     ]
     for row in rows:
         lines.append(
-            f"{row['mode']:<16} {row['engines']['scalar']['seconds']:>9.2f} "
-            f"{row['engines']['batch']['seconds']:>9.2f} {row['speedup']:>7.2f}x "
-            f"{row['engines']['batch']['arcs_per_second']:>15.0f} "
-            f"{row['delay_diff']:>11.2e}"
+            f"{row['mode']:<16} {row['seconds']:>8.2f} "
+            f"{row['arcs_per_second']:>8.0f} {row['waveform_evaluations']:>7} "
+            f"{row['batched_solves']:>8} {row['passes']:>7}"
         )
     record_result("perf_baseline", "\n".join(lines))
 
@@ -128,8 +117,6 @@ def engine_comparison(scale, record_result):
                 "benchmark": "sta_runtime",
                 "circuit": "s35932_like",
                 "scale": scale,
-                "guard": guard,
-                "core": StaConfig().core.value,
                 "python": platform.python_version(),
                 "modes": rows,
             },
@@ -137,7 +124,7 @@ def engine_comparison(scale, record_result):
         )
         + "\n"
     )
-    return {"rows": rows, "guard": guard}
+    return rows
 
 
 def _timed_run(design, config):
@@ -148,7 +135,7 @@ def _timed_run(design, config):
 
 
 @pytest.fixture(scope="module")
-def screened_comparison(scale, record_result, engine_comparison):
+def screened_comparison(scale, record_result, mode_runs):
     """Two-tier solver vs exact Newton, per analysis mode.
 
     Three runs per mode: exact, screened with refinement disabled (the
@@ -247,7 +234,7 @@ def screened_comparison(scale, record_result, engine_comparison):
         )
     record_result("perf_screened", "\n".join(lines))
 
-    # engine_comparison already wrote the base payload; graft the
+    # mode_runs already wrote the base payload; graft the
     # screened section on so both live in one machine-readable file.
     payload = json.loads(BENCH_JSON.read_text())
     payload["screened"] = {"tolerance": SCREEN_TOLERANCE, "modes": rows}
@@ -255,45 +242,18 @@ def screened_comparison(scale, record_result, engine_comparison):
     return rows
 
 
-def test_engines_agree_within_guard_band(engine_comparison, benchmark):
-    for row in engine_comparison["rows"]:
-        assert row["delay_diff"] <= engine_comparison["guard"], row["mode"]
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
-
-def test_batch_speedup_on_one_step(engine_comparison, benchmark):
-    """The headline claim: the batch engine accelerates the paper's
-    one-step analysis substantially at the default benchmark scale.
-
-    The floor is 2x, not the historical 3.4x: signature canonicalization
-    removed most of the scalar engine's fixed cost (it now builds ~9
-    stage tables instead of 75 and dedups aliased pins' solves), so the
-    batch engine's *relative* advantage shrank while both absolute times
-    improved."""
-    row = next(
-        r for r in engine_comparison["rows"] if r["mode"] == AnalysisMode.ONE_STEP.value
-    )
-    assert row["speedup"] >= 2.0, f"one-step speedup only {row['speedup']:.2f}x"
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
-
-def test_iterative_pass_work_decays(engine_comparison, benchmark):
+def test_iterative_pass_work_decays(mode_runs, benchmark):
     """Delta-driven reuse: from the second pass on, at most 30% of the
-    first pass's waveform evaluations are issued (both engines)."""
-    row = next(
-        r
-        for r in engine_comparison["rows"]
-        if r["mode"] == AnalysisMode.ITERATIVE.value
-    )
-    for engine, entry in row["engines"].items():
-        series = entry["pass_series"]
-        assert len(series) >= 2, f"{engine}: iterative converged in one pass"
-        first = series[0]["waveform_evaluations"]
-        for later in series[1:]:
-            assert later["waveform_evaluations"] <= 0.30 * first, (
-                f"{engine}: pass {later['index']} issued "
-                f"{later['waveform_evaluations']} of {first} evaluations"
-            )
+    first pass's waveform evaluations are issued."""
+    row = next(r for r in mode_runs if r["mode"] == AnalysisMode.ITERATIVE.value)
+    series = row["pass_series"]
+    assert len(series) >= 2, "iterative converged in one pass"
+    first = series[0]["waveform_evaluations"]
+    for later in series[1:]:
+        assert later["waveform_evaluations"] <= 0.30 * first, (
+            f"pass {later['index']} issued "
+            f"{later['waveform_evaluations']} of {first} evaluations"
+        )
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
@@ -323,14 +283,11 @@ def test_screened_conservative_in_every_mode(screened_comparison, benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
-def test_batch_never_changes_the_bound_semantics(engine_comparison, benchmark):
-    """Mode ordering (best <= one-step <= worst) holds for the batch
-    engine's reported delays just as for the scalar reference."""
-    delays = {
-        row["mode"]: row["engines"]["batch"]["longest_delay"]
-        for row in engine_comparison["rows"]
-    }
-    guard = engine_comparison["guard"]
+def test_mode_ordering_holds(mode_runs, benchmark):
+    """Mode ordering (best <= one-step <= worst, iterative <= one-step)
+    holds for the reported delays."""
+    delays = {row["mode"]: row["longest_delay"] for row in mode_runs}
+    guard = StaConfig().guard
     assert delays["best_case"] <= delays["one_step"] + guard
     assert delays["one_step"] <= delays["worst_case"] + guard
     assert delays["iterative"] <= delays["one_step"] + guard
@@ -338,8 +295,8 @@ def test_batch_never_changes_the_bound_semantics(engine_comparison, benchmark):
 
 
 @pytest.fixture(scope="module")
-def core_sweep(record_result, screened_comparison):
-    """Columnar vs object core across circuit scales, one-step mode.
+def scale_sweep(record_result, screened_comparison):
+    """One-step analysis across circuit scales.
 
     Ordered smallest scale first so the peak-RSS column (a process-wide
     high-water mark) is dominated by each row's own run.  Depends on
@@ -350,16 +307,14 @@ def core_sweep(record_result, screened_comparison):
         if sweep_scale > sweep_max:
             continue
         design = prepare_design(s35932_like(scale=sweep_scale))
-        per_core = {}
-        for core in (Core.OBJECT, Core.COLUMNAR):
-            sta = CrosstalkSTA(
-                design,
-                StaConfig(mode=SWEEP_MODE, engine=Engine.BATCH, core=core),
-            )
-            t0 = time.perf_counter()
-            result = sta.run()
-            seconds = time.perf_counter() - t0
-            per_core[core.value] = {
+        sta = CrosstalkSTA(design, StaConfig(mode=SWEEP_MODE))
+        t0 = time.perf_counter()
+        result = sta.run()
+        seconds = time.perf_counter() - t0
+        rows.append(
+            {
+                "scale": sweep_scale,
+                "mode": SWEEP_MODE.value,
                 "seconds": seconds,
                 "compile_seconds": result.compile_seconds,
                 "arcs_processed": result.arcs_processed,
@@ -367,41 +322,26 @@ def core_sweep(record_result, screened_comparison):
                 "longest_delay": result.longest_delay,
                 "peak_rss_mb": _peak_rss_mb(),
             }
-        obj = per_core[Core.OBJECT.value]
-        col = per_core[Core.COLUMNAR.value]
-        rows.append(
-            {
-                "scale": sweep_scale,
-                "mode": SWEEP_MODE.value,
-                "engine": Engine.BATCH.value,
-                "cores": per_core,
-                "speedup": obj["seconds"] / col["seconds"],
-                "delay_diff": abs(obj["longest_delay"] - col["longest_delay"]),
-            }
         )
 
     lines = [
-        "Columnar vs object core (s35932-like, one-step, batch engine)",
+        "Scale sweep (s35932-like, one-step)",
         "",
-        f"{'scale':>6} {'arcs':>7} {'object s':>9} {'columnar s':>11} "
-        f"{'speedup':>8} {'col arcs/s':>11} {'compile s':>10} {'rss MB':>8}",
-        "-" * 78,
+        f"{'scale':>6} {'arcs':>7} {'seconds':>8} {'arcs/s':>8} "
+        f"{'compile s':>10} {'rss MB':>8}",
+        "-" * 52,
     ]
     for row in rows:
-        obj = row["cores"]["object"]
-        col = row["cores"]["columnar"]
         lines.append(
-            f"{row['scale']:>6.2f} {col['arcs_processed']:>7} "
-            f"{obj['seconds']:>9.2f} {col['seconds']:>11.2f} "
-            f"{row['speedup']:>7.2f}x {col['arcs_per_second']:>11.0f} "
-            f"{col['compile_seconds']:>10.3f} {col['peak_rss_mb']:>8.0f}"
+            f"{row['scale']:>6.2f} {row['arcs_processed']:>7} "
+            f"{row['seconds']:>8.2f} {row['arcs_per_second']:>8.0f} "
+            f"{row['compile_seconds']:>10.3f} {row['peak_rss_mb']:>8.0f}"
         )
-    record_result("perf_core_sweep", "\n".join(lines))
+    record_result("perf_scale_sweep", "\n".join(lines))
 
     payload = json.loads(BENCH_JSON.read_text())
-    payload["core_sweep"] = {
+    payload["scale_sweep"] = {
         "mode": SWEEP_MODE.value,
-        "engine": Engine.BATCH.value,
         "object_baseline_arcs_per_second": OBJECT_BASELINE_APS,
         "scales": rows,
     }
@@ -409,37 +349,28 @@ def core_sweep(record_result, screened_comparison):
     return rows
 
 
-def test_cores_agree_bitwise_at_every_scale(core_sweep, benchmark):
-    """The columnar core is strictly a layout change: same delays."""
-    for row in core_sweep:
-        assert row["delay_diff"] == 0.0, row["scale"]
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
-
-def test_columnar_meets_issue_target_at_full_scale(core_sweep, benchmark):
-    """Acceptance criterion: full-size s35932 (scale 1.0) one-step
-    completes under the columnar core at >= 5x the committed
-    batch-engine baseline's arcs/s."""
-    full = [row for row in core_sweep if row["scale"] >= 1.0]
+def test_full_scale_throughput_floor(scale_sweep, benchmark):
+    """Full-size s35932 (scale 1.0) one-step completes at >= 5x the
+    committed object-core baseline's arcs/s."""
+    full = [row for row in scale_sweep if row["scale"] >= 1.0]
     if not full:
         pytest.skip("sweep capped below scale 1.0 (REPRO_SWEEP_MAX)")
-    aps = full[0]["cores"]["columnar"]["arcs_per_second"]
-    floor = COLUMNAR_TARGET_SPEEDUP * OBJECT_BASELINE_APS
+    aps = full[0]["arcs_per_second"]
+    floor = FULL_SCALE_TARGET_SPEEDUP * OBJECT_BASELINE_APS
     assert aps >= floor, (
-        f"columnar scale-1.0 throughput {aps:,.0f} arcs/s is below the "
-        f"{COLUMNAR_TARGET_SPEEDUP:.0f}x target over the committed "
+        f"scale-1.0 throughput {aps:,.0f} arcs/s is below the "
+        f"{FULL_SCALE_TARGET_SPEEDUP:.0f}x target over the committed "
         f"{OBJECT_BASELINE_APS:,.0f} arcs/s baseline"
     )
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
-def test_compile_amortizes_at_bench_scale(core_sweep, benchmark):
-    """The one-time columnar compile must stay a small fraction of even
+def test_compile_amortizes_at_bench_scale(scale_sweep, benchmark):
+    """The one-time design compile must stay a small fraction of even
     the smallest sweep point's solve time (<= 10% at scale 0.05)."""
-    row = core_sweep[0]
-    col = row["cores"]["columnar"]
-    assert col["compile_seconds"] <= 0.10 * col["seconds"], (
-        f"compile {col['compile_seconds']:.3f}s exceeds 10% of the "
-        f"{col['seconds']:.3f}s solve at scale {row['scale']}"
+    row = scale_sweep[0]
+    assert row["compile_seconds"] <= 0.10 * row["seconds"], (
+        f"compile {row['compile_seconds']:.3f}s exceeds 10% of the "
+        f"{row['seconds']:.3f}s solve at scale {row['scale']}"
     )
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

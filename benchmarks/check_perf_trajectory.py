@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Perf-trajectory guard: fresh bench vs the committed baseline.
 
-Runs one fresh tiny-scale analysis (the same circuit, scale, mode and
-engine as the committed ``BENCH_sta_runtime.json`` headline row) and
-diffs two numbers that should survive machine changes:
+Runs one fresh tiny-scale analysis (the same circuit, scale and mode as
+a committed ``BENCH_sta_runtime.json`` per-mode row) and diffs two
+numbers that should survive machine changes:
 
 * ``arcs_per_second`` -- absolute throughput varies wildly between
   runners, so the guard only insists the fresh figure stays above a
@@ -36,10 +36,10 @@ DEFAULT_APS_FLOOR = 0.2
 DEFAULT_REUSE_TOLERANCE = 0.15
 
 
-def _pass2_reuse(engine_row: dict) -> float | None:
+def _pass2_reuse(row: dict) -> float | None:
     """Reused-arc fraction of the second pass, None when the run
     converged in a single pass or recorded no arcs."""
-    series = engine_row.get("pass_series", [])
+    series = row.get("pass_series", [])
     if len(series) < 2:
         return None
     p2 = series[1]
@@ -49,14 +49,14 @@ def _pass2_reuse(engine_row: dict) -> float | None:
     return p2["reused_arcs"] / total
 
 
-def _fresh_measurement(scale: float, mode: str, engine: str, core: str) -> dict:
+def _fresh_measurement(scale: float, mode: str) -> dict:
     from repro.circuit import s35932_like
     from repro.core.analyzer import CrosstalkSTA
-    from repro.core.modes import AnalysisMode, Core, Engine, StaConfig
+    from repro.core.modes import AnalysisMode, StaConfig
     from repro.flow import prepare_design
 
     design = prepare_design(s35932_like(scale=scale))
-    config = StaConfig(mode=AnalysisMode(mode), engine=Engine(engine), core=Core(core))
+    config = StaConfig(mode=AnalysisMode(mode))
     sta = CrosstalkSTA(design, config)
     t0 = time.perf_counter()
     result = sta.run()
@@ -81,13 +81,6 @@ def main(argv: list[str] | None = None) -> int:
         help="committed BENCH_sta_runtime.json to diff against",
     )
     parser.add_argument("--mode", default="iterative")
-    parser.add_argument("--engine", default="scalar")
-    parser.add_argument(
-        "--core",
-        default=None,
-        help="propagation core for the fresh run (default: the "
-        "baseline's recorded core, falling back to columnar)",
-    )
     parser.add_argument(
         "--aps-floor",
         type=float,
@@ -106,25 +99,24 @@ def main(argv: list[str] | None = None) -> int:
         print(f"baseline {args.baseline} not found", file=sys.stderr)
         return 1
     baseline = json.loads(args.baseline.read_text())
-    try:
-        committed = next(
-            row for row in baseline["modes"] if row["mode"] == args.mode
-        )["engines"][args.engine]
-    except (KeyError, StopIteration):
+    committed = next(
+        (row for row in baseline.get("modes", []) if row.get("mode") == args.mode),
+        None,
+    )
+    if committed is None or "arcs_per_second" not in committed:
         print(
-            f"baseline has no {args.mode}/{args.engine} row; re-run "
+            f"baseline has no {args.mode} row; re-run "
             "benchmarks/bench_perf_baseline.py to regenerate it",
             file=sys.stderr,
         )
         return 1
 
     scale = baseline.get("scale", 0.05)
-    core = args.core or baseline.get("core", "columnar")
     print(
         f"fresh run: {baseline.get('circuit', 's35932_like')} at scale "
-        f"{scale}, mode={args.mode}, engine={args.engine}, core={core} ..."
+        f"{scale}, mode={args.mode} ..."
     )
-    fresh = _fresh_measurement(scale, args.mode, args.engine, core)
+    fresh = _fresh_measurement(scale, args.mode)
 
     committed_aps = committed["arcs_per_second"]
     fresh_aps = fresh["arcs_per_second"]

@@ -1,80 +1,58 @@
 """Table-lookup (NLDM) delay calculator.
 
-Implements the same arc interface as the transistor-level
-:class:`~repro.waveform.gatedelay.GateDelayCalculator`, but answers from
-characterized slew x load tables.  Coupling capacitances are handled the
-only way a capacitance-only table model can: folded into the load, at 1x
-(ignore) or 2x (the classical "static doubled" approach).  The active
-coupling model of the paper fundamentally cannot be expressed here --
-which is exactly the comparison the ablation bench quantifies.
+A :class:`~repro.waveform.gatedelay.GateDelayCalculator` that answers
+every canonical arc key from characterized slew x load tables instead of
+integrating the stage, so the analyzer and the propagator run on it
+unchanged (cache, priming, counters).  Coupling capacitances are handled
+the only way a capacitance-only table model can: folded into the load,
+at 1x (ignore) or 2x (the classical "static doubled" approach).  The
+active coupling model of the paper fundamentally cannot be expressed
+here -- which is exactly the comparison the ablation bench quantifies.
 """
 
 from __future__ import annotations
 
+import hashlib
+from typing import Iterable
+
 from repro.characterize.characterize import LibraryCharacterization
 from repro.circuit.library import CellType
-from repro.waveform.coupling import CouplingLoad
-from repro.waveform.gatedelay import ArcResult
+from repro.waveform.gatedelay import ArcResult, GateDelayCalculator
 from repro.waveform.pwl import opposite
-from repro.waveform.ramp import RampEvent
 
 
-class NldmDelayCalculator:
-    """Drop-in arc calculator backed by NLDM tables.
+class NldmDelayCalculator(GateDelayCalculator):
+    """Arc calculator backed by NLDM tables.
 
     ``coupling_factor`` scales coupling capacitance into the lumped load:
     1.0 reproduces the best-case treatment, 2.0 the static-doubled one.
-    Any *active* coupling requested by the caller is folded at
-    ``coupling_factor`` as well -- the table model's only option.
+    Any *active* coupling in a key is folded at ``coupling_factor`` as
+    well -- the table model's only option.  A key's stage-signature token
+    maps back to the first (cell, pin) that interned it; pins sharing a
+    signature integrate the same stage, so their tables agree.
     """
 
     def __init__(
         self,
         characterization: LibraryCharacterization,
         coupling_factor: float = 2.0,
+        **kwargs,
     ):
         if coupling_factor < 0:
             raise ValueError("coupling factor must be non-negative")
+        super().__init__(**kwargs)
         self.characterization = characterization
         self.coupling_factor = coupling_factor
-        self.evaluations = 0
-        self.cache_hits = 0  # interface parity; lookups are always cheap
 
-    # -- GateDelayCalculator-compatible interface ---------------------------
-
-    def compute_arc(
-        self,
-        ctype: CellType,
-        pin: str,
-        input_event: RampEvent,
-        load: CouplingLoad,
-        aiding: bool = False,
-    ) -> RampEvent:
-        result = self.compute_arc_relative(
-            ctype, pin, input_event.direction, input_event.transition, load, aiding
-        )
-        t_start = input_event.t_cross - 0.5 * input_event.transition
-        return result.to_event(t_start)
-
-    def compute_arc_relative(
-        self,
-        ctype: CellType,
-        pin: str,
-        input_direction: str,
-        input_transition: float,
-        load: CouplingLoad,
-        aiding: bool = False,
-        quantize_down: bool = False,
-    ) -> ArcResult:
-        self.evaluations += 1
+    def _solve_key(self, key: tuple) -> ArcResult:
+        token, input_direction, tt, c_passive, c_active, _aiding = key
+        self._c_evaluations.inc()
+        ctype, pin = self._sig_rep[token]
         arc_table = self.characterization.cell(ctype.name).arc(pin, input_direction)
-        c_eff = (
-            load.c_ground
-            + load.c_couple_passive
-            + self.coupling_factor * load.c_couple_active
+        delay, transition = arc_table.lookup(
+            tt, c_passive + self.coupling_factor * c_active
         )
-        delay, transition = arc_table.lookup(input_transition, c_eff)
-        t_cross = 0.5 * input_transition + delay
+        t_cross = 0.5 * tt + delay
         # Threshold markers approximated from the output ramp shape.
         half_swing = 0.5 * transition
         return ArcResult(
@@ -86,13 +64,21 @@ class NldmDelayCalculator:
             coupled=False,
         )
 
-    def cache_stats(self) -> dict[str, int]:
-        return {
-            "evaluations": self.evaluations,
-            "cache_hits": self.cache_hits,
-            "cached_arcs": 0,
-            "stage_tables": 0,
-        }
+    def _batch_solve(self, misses: list[tuple]) -> None:
+        # Table lookups need no vectorized integration.
+        for key in misses:
+            self._arc_cache[key] = self._solve_key(key)
 
-    def reset_counters(self) -> None:
-        self.evaluations = 0
+    def fingerprint(self, cell_types: Iterable[CellType]) -> str:
+        """The transistor-level fingerprint plus the tables and the
+        coupling factor, so a persisted cache never mixes the models."""
+        h = hashlib.sha256(super().fingerprint(cell_types).encode())
+        h.update(f"nldm|{self.coupling_factor!r}".encode())
+        for name in sorted(self.characterization.cells):
+            arcs = self.characterization.cells[name].arcs
+            for pin, direction in sorted(arcs):
+                table = arcs[(pin, direction)]
+                h.update(f"{name}|{pin}|{direction}|{table.slews}|{table.loads}".encode())
+                h.update(table.delay.tobytes())
+                h.update(table.transition.tobytes())
+        return h.hexdigest()

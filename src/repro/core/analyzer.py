@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.checkpoint import CheckpointManager
 from repro.core.graph import TimingState
 from repro.core.iterative import IterationRecord, esperance_recalc_cells, run_iterative
-from repro.core.modes import AnalysisMode, Core, SolverTier, StaConfig
+from repro.core.modes import AnalysisMode, SolverTier, StaConfig
 from repro.core.paths import CriticalPath, extract_critical_path
-from repro.core.propagation import ColumnarPropagator, PassResult, Propagator
+from repro.core.propagation import PassResult, Propagator
 from repro.core.provenance import ProvenanceLedger
 from repro.core.slack import SlackResult, compute_slack
 from repro.errors import DegradationBudgetError
@@ -56,8 +56,8 @@ class StaResult:
     # it).  None when config.provenance is off.
     ledger: ProvenanceLedger | None = None
     # Seconds spent compiling the design into the columnar id arrays,
-    # amortized once per analyzer (0.0 under the object core or when the
-    # compiled design was already cached).
+    # amortized once per analyzer (0.0 when the compiled design was
+    # already cached).
     compile_seconds: float = 0.0
     # Backward required-time pass over the final state: endpoint setup
     # checks plus per-net/per-arc slack (see repro.core.slack).  None
@@ -131,7 +131,6 @@ class CrosstalkSTA:
         else:
             self.calculator = GateDelayCalculator(
                 process=design.process,
-                engine=self.config.engine.value,
                 workers=self.config.workers,
                 metrics=self.obs.metrics,
                 strict=self.config.strict,
@@ -164,28 +163,14 @@ class CrosstalkSTA:
         propagator = self._propagators.get(config)
         if propagator is not None:
             return propagator
-        if config.core is Core.COLUMNAR:
-            propagator = ColumnarPropagator(
-                self.design,
-                config,
-                self.calculator,
-                obs=self.obs,
-                compiled=self._compiled_design(),
-            )
-        else:
-            propagator = Propagator(
-                self.design, config, self.calculator, obs=self.obs
-            )
+        propagator = Propagator(
+            self.design,
+            config,
+            self.calculator,
+            obs=self.obs,
+            compiled=self._compiled_design(),
+        )
         source = self._warm_sources.get(config)
-        if source is None:
-            # The memo is core-agnostic (export_memo is the exchange
-            # format), so a retained propagator warm-starts an analysis
-            # that differs only in its core layout.
-            for alt in Core:
-                if alt is not config.core:
-                    source = self._warm_sources.get(replace(config, core=alt))
-                    if source is not None:
-                        break
         if source is not None:
             propagator.warm_start_from(source)
         if self.keep_propagators:
@@ -194,7 +179,7 @@ class CrosstalkSTA:
 
     def _compiled_design(self):
         """The design's columnar compilation, built once per analyzer and
-        shared by every columnar propagator (all modes, all configs)."""
+        shared by every propagator (all modes, all configs)."""
         compiled = self._compiled
         if compiled is None:
             from repro.core.columnar import compile_design

@@ -1,50 +1,39 @@
 """Columnar structure-of-arrays timing core.
 
-The object core (:mod:`repro.core.propagation`) walks per-object Python
-structures: every pass re-creates ``_ArcTask`` dataclasses, shifts
-:class:`~repro.waveform.ramp.RampEvent` objects through frozen-dataclass
-``replace`` calls, and keys its memo and state by interned strings.  At
-full benchmark scale (s35932/s38417/s38584 at scale 1.0) that per-arc
-object traffic dominates the runtime: the batched Newton solver is
-amortized to ~0.1 ms per distinct situation while the pass spends
-several times that gathering and re-boxing objects per *arc*.
-
-This module compiles a prepared design once per session into dense
-int32/float64 id arrays (:class:`CompiledDesign`) and keeps the per-pass
-timing data in numpy columns indexed by those ids
-(:class:`ColumnTimingState`):
+The propagator (:mod:`repro.core.propagation`) never walks per-object
+Python structures during a pass.  This module compiles a prepared design
+once per analyzer into dense int32/float64 id arrays
+(:class:`CompiledDesign`) and keeps the per-pass timing data in numpy
+columns indexed by those ids (:class:`ColumnTimingState`):
 
 * **Id spaces.**  Nets, cells and timing arcs are interned into three
-  dense id ranges.  An *arc* is the static identity the object core
-  keys its delta-driven memo by -- ``(cell, input pin, input
-  direction)`` -- enumerated at compile time in exactly the order the
-  object core would create its ``_ArcTask`` list (levels in topological
-  order, cells name-sorted within a level, input pins in declaration
-  order, rising before falling; flip-flops enumerate by output
-  direction).  Ids are therefore stable across re-compiles of an
-  identical circuit.
+  dense id ranges.  An *arc* is the static identity ``(cell, input pin,
+  input direction)`` -- the key the delta-driven memo, warm starts and
+  the slack results use -- enumerated at compile time in a fixed order:
+  levels in topological order, cells name-sorted within a level, input
+  pins in declaration order, rising before falling; flip-flops enumerate
+  by output direction.  Ids are therefore stable across re-compiles of
+  an identical circuit.
 * **CSR level index.**  ``level_indptr`` slices the arc arrays into one
   contiguous slab per topological level, so a pass processes each level
-  with vectorized slab operations instead of gathered objects.  The
-  coupling neighbours of every net are a second CSR
-  (``coup_indptr``/``coup_net``/``coup_cap``) preserving the extraction
-  dict's order, which keeps the float accumulation order of
-  :func:`~repro.waveform.coupling.aggregate_load` bit-identical.
-* **Dirty masks.**  The incremental engine's per-arc memo becomes a set
-  of parallel columns (``memo_valid``/``memo_tt``/``memo_load``/...);
-  fingerprint comparison is one vectorized exact-equality compare over
-  the level slab, and the dirty set is the resulting boolean mask.
+  with vectorized slab operations.  The coupling neighbours of every net
+  are a second CSR (``coup_indptr``/``coup_net``/``coup_cap``)
+  preserving the extraction dict's order, which keeps the float
+  accumulation order of the decided coupling loads fixed.
+* **Memo columns.**  The incremental engine's per-arc memo is a set of
+  parallel columns held by the propagator; fingerprint comparison is one
+  vectorized exact-equality compare over the level slab, and the dirty
+  set is the resulting boolean mask.
 * **State columns.**  Arrival events live in ``(2, n_nets)`` float64
   columns (rising row 0, falling row 1) plus validity masks;
   ``quiet_snapshot()``/``window_snapshot()`` are O(1) views over these
   columns instead of per-pass dict rebuilds.
 
-The object API -- ``state.events`` / ``state.processed`` /
-``state.provenance`` / ``state.arc_prov`` and per-net
-:class:`RampEvent` access -- stays available as thin lazy views, so the
-service, explain, report and checkpoint layers run unchanged on either
-core.  The exact tier is ``float.hex()``-identical to the object core in
-all five analysis modes (pinned by ``tests/test_core_engine_equivalence``).
+The object API of :class:`~repro.core.graph.TimingState` --
+``state.events`` / ``state.processed`` / ``state.provenance`` /
+``state.arc_prov`` and per-net :class:`RampEvent` access -- stays
+available as thin lazy views, so the service, explain, report and
+checkpoint layers read a columnar state like a plain one.
 """
 
 from __future__ import annotations
@@ -69,7 +58,7 @@ class CompiledDesign:
     """Static structure-of-arrays view of a prepared design.
 
     Built once per analyzer session (``compile_seconds`` records the
-    cost) and shared by every columnar propagator over the same design;
+    cost) and shared by every propagator over the same design;
     holds no per-pass state.
     """
 
@@ -139,7 +128,7 @@ class CompiledDesign:
         self.cell_clk_to_q = np.zeros(n_cells, dtype=np.float64)
         self.cell_clk_terminal: list[str | None] = [None] * n_cells
 
-        # -- arc table (object-core task order) -----------------------------
+        # -- arc table --------------------------------------------------------
         arc_cell: list[int] = []
         arc_out_net: list[int] = []
         arc_in_net: list[int] = []
@@ -220,8 +209,8 @@ class CompiledDesign:
             self.coup_indptr[self.arc_out_net + 1]
             - self.coup_indptr[self.arc_out_net]
         )
-        # Memo-identity index: the object core's (cell, pin, direction)
-        # memo key of each arc id (warm-start migration across designs).
+        # Arc-identity index: the (cell, pin, direction) key of each arc
+        # id (warm-start migration across designs, slack results).
         self.arc_key_index: dict[tuple[str, str, str], int] = {}
         for a in range(self.n_arcs):
             cell = self.cells[self.arc_cell[a]]
@@ -507,7 +496,7 @@ class WindowSnapshotView(Mapping):
 
 
 class ColumnTimingState:
-    """Column-backed drop-in for :class:`repro.core.graph.TimingState`.
+    """Column-backed counterpart of :class:`repro.core.graph.TimingState`.
 
     Events are ``(2, n_nets)`` float64 columns (row 0 rising, row 1
     falling) plus boolean validity/presence masks; the object API
@@ -520,7 +509,7 @@ class ColumnTimingState:
     def __init__(self, compiled: CompiledDesign):
         self.compiled = compiled
         n = compiled.n_nets
-        # Slot exists (the object core's ``net in state.events``).
+        # Slot exists (``net in state.events``).
         self.present = np.zeros(n, dtype=bool)
         # Event per (direction, net); masked by ``valid``.
         self.valid = np.zeros((2, n), dtype=bool)
@@ -539,6 +528,17 @@ class ColumnTimingState:
         self.prov_overrides: dict[tuple[str, str], Provenance] = {}
         # Materialized-event memo (cleared per slot on write).
         self._ev_cache: dict[tuple[int, int], RampEvent] = {}
+
+    @classmethod
+    def from_state(
+        cls, compiled: CompiledDesign, state: object
+    ) -> "ColumnTimingState":
+        """Load a plain :class:`~repro.core.graph.TimingState` (a pass
+        restored from a checkpoint) into columns over ``compiled``."""
+        out = cls(compiled)
+        for name in state.events:
+            out.copy_net_from(state, compiled.net_id[name])
+        return out
 
     # -- object API -------------------------------------------------------
 

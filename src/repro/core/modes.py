@@ -55,22 +55,6 @@ class WindowCheck(Enum):
     OVERLAP = "overlap"
 
 
-class Engine(Enum):
-    """Waveform-evaluation backend.
-
-    ``SCALAR``: the reference implementation -- one arc at a time,
-    per-time-step scalar Newton.  ``BATCH``: the vectorized engine --
-    all distinct electrical situations of a topological level are
-    integrated simultaneously by the batch stage solver.  Both produce
-    the same delays to within the cache-quantization guard band (the
-    property suite pins the agreement); ``BATCH`` is strictly a
-    performance feature.
-    """
-
-    SCALAR = "scalar"
-    BATCH = "batch"
-
-
 class SolverTier(Enum):
     """Arc-solving policy.
 
@@ -90,23 +74,6 @@ class SolverTier(Enum):
 
     EXACT = "exact"
     SCREENED = "screened"
-
-
-class Core(Enum):
-    """Propagation-core data layout.
-
-    ``OBJECT``: the reference implementation -- per-net/per-arc Python
-    objects gathered each pass.  ``COLUMNAR``: the structure-of-arrays
-    core -- the design is compiled once into dense id arrays
-    (:class:`repro.core.columnar.CompiledDesign`) and each pass reads
-    and writes numpy columns by id.  Both cores share every decision and
-    every float operation, so the exact tier is ``float.hex()``-identical
-    between them in all five modes; ``COLUMNAR`` is strictly a
-    performance feature.
-    """
-
-    OBJECT = "object"
-    COLUMNAR = "columnar"
 
 
 class ClockAggressorModel(Enum):
@@ -160,12 +127,8 @@ class StaConfig:
         only *begin* after the victim has certainly completed is also
         grounded.  Costs one extra (all-active) waveform calculation per
         arc; still a guaranteed upper bound.
-    engine:
-        Waveform-evaluation backend (see :class:`Engine`).  ``BATCH``
-        solves the distinct electrical situations of each topological
-        level in one vectorized integration.
     workers:
-        Opt-in multi-core fan-out of the batch engine: ``>= 2`` spreads
+        Opt-in multi-core fan-out of the batched solves: ``>= 2`` spreads
         each level's distinct solves over that many worker processes.
         ``0``/``1`` keeps everything in-process.
     arc_cache:
@@ -234,11 +197,6 @@ class StaConfig:
         are bit-identical with the ledger on or off; disabling merely
         drops the bookkeeping (and with it ``repro explain``'s
         per-stage provenance).
-    core:
-        Propagation-core data layout (see :class:`Core`).  ``COLUMNAR``
-        compiles the design into dense id arrays once per analyzer and
-        runs each pass over numpy columns; ``OBJECT`` keeps the
-        reference per-object core.  Results are bit-identical.
     clock_period:
         Optional clock period (seconds).  When set, every run
         additionally performs the backward required-time pass
@@ -265,7 +223,6 @@ class StaConfig:
 
     slew_degradation_factor: float = 2.2
     window_check: "WindowCheck" = None  # type: ignore[assignment]
-    engine: Engine = Engine.SCALAR
     workers: int = 0
     arc_cache: str | None = None
     incremental: bool = True
@@ -278,7 +235,6 @@ class StaConfig:
     screen_tolerance: float = 100e-12
     screen_slack_margin: float = 0.15
     provenance: bool = True
-    core: Core = Core.COLUMNAR
     # Timing constraints.  Deliberately NOT part of the checkpoint
     # fingerprint: they only drive the backward slack pass and the
     # setup/hold verdicts, never the forward pass sequence, so a
@@ -290,12 +246,8 @@ class StaConfig:
     def __post_init__(self) -> None:
         if self.window_check is None:
             object.__setattr__(self, "window_check", WindowCheck.QUIET)
-        if isinstance(self.engine, str):
-            object.__setattr__(self, "engine", Engine(self.engine))
         if isinstance(self.solver_tier, str):
             object.__setattr__(self, "solver_tier", SolverTier(self.solver_tier))
-        if isinstance(self.core, str):
-            object.__setattr__(self, "core", Core(self.core))
         if self.screen_tolerance <= 0:
             raise InputError("screen_tolerance must be positive")
         if self.screen_slack_margin < 0:

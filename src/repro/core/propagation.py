@@ -1,81 +1,103 @@
 """Levelized worst-case waveform propagation (one STA pass).
 
 Implements the breadth-first propagation of Section 4 with the per-arc
-coupling decisions of Sections 2 and 5.  One :class:`Propagator` instance
-serves all five analysis modes; the window-based modes (one-step,
-iterative) perform the extra best-case calculation per arc described in
-the paper's pseudo-code and decide each neighbour's coupling treatment by
-comparing the aggressor's quiescent time with the victim's earliest
-possible activity.
+coupling decisions of Sections 2 and 5.  One :class:`Propagator` serves
+all five analysis modes; the window-based modes (one-step, iterative)
+perform the extra best-case calculation per arc described in the paper's
+pseudo-code and decide each neighbour's coupling treatment by comparing
+the aggressor's activity window with the victim's earliest possible
+activity.
 
-Between iterative passes the propagator is additionally *delta-driven*
-(``StaConfig.incremental``): it keeps a per-arc memo of the last pass's
-solve-relevant inputs -- the arrival's direction and transition, and the
-decided coupling load -- together with the *origin-free relative*
-results (:class:`~repro.waveform.gatedelay.ArcResult`).  An arc whose
-inputs are unchanged (compared with exact float equality, not a
-tolerance) re-anchors the memoized relative waveform at the current
-arrival's time origin instead of re-solving; because the full path would
-hit the identical quantized cache entry and shift it by the identical
-origin, the reused event is bit-for-bit what a fresh solve would return.
-Crucially the arrival's *crossing time* is not part of the fingerprint
--- it only chooses the origin -- so an arc whose arrival merely shifted
-stays clean, and dirtiness propagates only through genuine shape
-changes: an input transition that moved, or a coupling decision that
-flipped because an aggressor window shifted, forces a fresh solve, which
-in turn may dirty arcs downstream and across coupling edges.  The cheap
-parts of the pass (task gathering, window comparisons, merging) always
-run in full, so the coupling *decisions* are re-derived every pass from
-current windows; only the expensive waveform evaluations are skipped.
+The pass runs over the compiled design (:mod:`repro.core.columnar`):
+nets, cells and timing arcs are dense ids, every topological level is
+one contiguous slab of arcs, and arrival events live in numpy columns.
+Per level the pass
 
-The pass is *level-batched*: cells are processed one topological level
-at a time (:func:`repro.core.graph.evaluation_levels`).  All waveform
-calculations that do not depend on other nets' timing (the fixed loads
-of the non-window modes; the best-case and, under OVERLAP, the
-all-active calculation of the window-based modes) are gathered for the
-whole level up front; the window-based coupling decisions then run in
-*coupling waves* -- cells of a level only wait on earlier-ordered cells
-of the same level whose output nets couple to theirs, so a net's window
-is exactly as "calculated" as it was under the sequential walk, and
-mutually coupled neighbours keep their asymmetric one-sees-the-other
-treatment.  This makes the per-level arc work almost embarrassingly
-parallel, which the batch engine (``StaConfig.engine = Engine.BATCH``)
-exploits: each phase's distinct electrical situations are primed into
-the arc cache by one vectorized integration
-(:meth:`GateDelayCalculator.prime_arcs`) before the per-arc bookkeeping
-runs against a hot cache.  Both engines share every line of decision
-logic -- the scalar engine simply skips the priming -- so their delays
-agree to floating-point noise.
+1. gathers the live arcs' arrivals with one fancy-index over the slab
+   (Elmore wire delay and slew degradation applied in vector form);
+2. solves the *base* waveforms -- the fixed-treatment load of the
+   non-window modes, or the best-case (and, under OVERLAP, the
+   all-active) calculation of the window-based modes -- as
+   pre-quantized canonical cache keys, primed in one
+   :meth:`~repro.waveform.gatedelay.GateDelayCalculator.prime_keys`
+   call and then resolved key by key;
+3. decides coupling in *coupling waves*: cells of a level only wait on
+   earlier-ordered cells of the same level whose output nets couple to
+   theirs, so a net's window is exactly as "calculated" as under a
+   sequential walk and mutually coupled neighbours keep their asymmetric
+   one-sees-the-other treatment;
+4. solves each wave's decided final waveforms (one prime per wave) and
+   merges every arc's event into its output net (pointwise worst).
+
+How a batch of distinct keys is solved is the calculator's business
+alone: batches below ``MIN_BATCH`` go to the scalar stage solver, larger
+ones to one vectorized integration (or the opt-in worker pool).  A key's
+result does not depend on the batch it was solved in, so the size-based
+choice never moves a number.
+
+Between iterative passes the propagator is *delta-driven*
+(``StaConfig.incremental``): per-arc memo columns keep the last pass's
+solve-relevant inputs -- the arrival's transition and the decided
+coupling load -- together with the *origin-free relative* results
+(:class:`~repro.waveform.gatedelay.ArcResult`).  An arc whose inputs are
+unchanged (exact float equality, one vectorized compare per slab)
+re-anchors the memoized relative waveform at the current arrival's time
+origin instead of re-solving; the full path would hit the identical
+quantized cache entry and shift it by the identical origin, so the
+reused event is bit-for-bit what a fresh solve returns.  The arrival's
+crossing time is not part of the fingerprint -- it only chooses the
+origin -- so an arc whose arrival merely shifted stays clean, and
+dirtiness propagates only through genuine shape changes.  The cheap
+parts of the pass (gathering, window comparisons, merging) always run
+in full, so coupling decisions are re-derived every pass.
+
+On the exact tier the pass also looks ahead across each level's coupling
+waves: the coupled final keys the waves will probably need are solved in
+one batch before wave 0 instead of one batch per wave.  The waves still
+decide and merge alone, so this changes when keys are solved, never what
+they resolve to.
+
+The regression oracle is ``tests/golden/propagation.json``:
+``float.hex()`` digests of every endpoint arrival, pass and counter over
+a fixed set of designs and configurations, recorded while an object
+core and a scalar engine still existed beside this path and all four
+combinations agreed.  ``tests/test_golden.py`` compares against it;
+regenerate it with ``tests/golden/make_golden.py`` only for a change
+that is meant to move a number.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
-from repro.circuit.netlist import Cell, Circuit, Pin
-from repro.core.graph import Provenance, TimingState, evaluation_levels
-from repro.core.columnar import DIRECTIONS, DIR_INDEX, compile_design
+from repro.circuit.netlist import Cell, Pin
+from repro.core import columnar
+from repro.core.columnar import (
+    DIR_INDEX,
+    DIRECTIONS,
+    ColumnTimingState,
+    WindowSnapshotView,
+)
+from repro.core.graph import TimingState
 from repro.core.modes import (
     AnalysisMode,
     ClockAggressorModel,
-    Engine,
     SolverTier,
     StaConfig,
     WindowCheck,
 )
-from repro.flow.design import Design
 from repro.core.provenance import ProvenanceLedger
+from repro.errors import EngineError
+from repro.flow.design import Design
 from repro.obs.metrics import SMALL_COUNT_BUCKETS
 from repro.obs.telemetry import Observability
-from repro.errors import EngineError
-from repro.waveform.coupling import CouplingLoad, CouplingTreatment, aggregate_load
-from repro.waveform.gatedelay import ArcRequest, ArcResult, GateDelayCalculator
-from repro.waveform.pwl import FALLING, RISING, opposite
-from repro.waveform.ramp import RampEvent, merge_worst
+from repro.waveform.gatedelay import ArcResult, GateDelayCalculator
+from repro.waveform.pwl import FALLING, RISING
+from repro.waveform.ramp import RampEvent
 
 # The propagation phases, in execution order (timer and metric keys).
 PASS_PHASES = (
@@ -100,7 +122,7 @@ class EndpointArrival:
 class PassResult:
     """Outcome of one propagation pass."""
 
-    state: TimingState
+    state: TimingState | ColumnTimingState
     arrivals: list[EndpointArrival] = field(default_factory=list)
     longest_delay: float = 0.0
     critical_endpoint: str = ""
@@ -154,109 +176,16 @@ _FIXED_COUPLING_KIND = {
 }
 
 
-def _memo_prov(memo: "_ArcMemo") -> dict | None:
+def _memo_prov(prov: dict | None) -> dict | None:
     """Provenance of a memo reuse: the stored solve's record with the
     origin rewritten to "memo"."""
-    if memo.prov is None:
+    if prov is None:
         return None
-    return {**memo.prov, "origin": "memo"}
-
-
-def _arrival_fp(event: RampEvent) -> tuple[str, float]:
-    """The exact solve-relevant fingerprint of an arrival event.
-
-    The arc calculation consumes the input event only through its
-    direction and transition (the ramp the stage solver integrates) and
-    its crossing time -- and the latter enters *only* as the time origin
-    the origin-free relative result is shifted by
-    (:meth:`~repro.waveform.gatedelay.ArcResult.to_event`).  The window
-    markers ``t_early``/``t_late`` never enter at all; they only feed
-    *other* arcs' coupling decisions, which are re-derived every pass
-    anyway.  The memo therefore stores the *relative* results and
-    fingerprints only ``(direction, transition)`` with exact float
-    equality: an arc whose arrival merely shifted in time (the common
-    case between iterative passes, where windows tighten while ramp
-    shapes stabilize after the first pass) re-anchors the memoized
-    relative waveform at the new origin -- bit-identical to what a fresh
-    solve would return, because the unchanged quantized cache key maps to
-    the same cached :class:`ArcResult`.
-    """
-    return (event.direction, event.transition)
-
-
-@dataclass
-class _ArcMemo:
-    """Last-pass fingerprint and relative outputs of one timing arc.
-
-    ``arrival_fp`` and ``final_load`` are the arc's *inputs* (compared
-    with exact float equality); the :class:`ArcResult` values are the
-    origin-free outputs the next pass may re-anchor and reuse when the
-    inputs are unchanged.  ``final_load`` is the load the final result
-    was actually solved with -- the decided aggregate for coupled arcs,
-    the fixed/plain load for unwindowed ones, and ``None`` when the pass
-    short-circuited to the best-case waveform.
-    """
-
-    arrival_fp: tuple[str, float]
-    best: ArcResult | None
-    worst: ArcResult | None
-    final_load: CouplingLoad | None
-    final: ArcResult
-    coupled: bool
-    # Whether every component above came from the exact (Newton) tier.
-    # Screened-tier memos are refused when the arc's driver cell has
-    # since been forced exact (slack refinement), so the re-solve
-    # actually happens instead of replaying the screened bound.
-    exact: bool = True
-    # Calculator provenance of the final result (tier / origin /
-    # escalation / signature); a reuse reports it with origin "memo".
-    # None when the ledger was disabled when the memo was stored.
-    prov: dict | None = None
-
-
-@dataclass
-class _ArcTask:
-    """One timing arc of the current level, carried through the phases."""
-
-    cell: Cell
-    pin_name: str
-    arrival: RampEvent
-    out_net_name: str
-    prov_pin: str
-    prov_net: str
-    prov_direction: str
-    windowed: bool = False
-    plain_load: CouplingLoad | None = None
-    best_rel: ArcResult | None = None
-    worst_rel: ArcResult | None = None
-    best_event: RampEvent | None = None
-    worst_event: RampEvent | None = None
-    final_load: CouplingLoad | None = None
-    final_rel: ArcResult | None = None
-    final_event: RampEvent | None = None
-    coupled: bool = False
-    memo: _ArcMemo | None = None
-    evaluated: bool = False
-    # Screened solver tier: True when any component of this task's
-    # result came from a screened (non-Newton) bound, either freshly or
-    # through a reused non-exact memo.
-    screened: bool = False
-    # Provenance of the *final* result (see _ArcMemo.prov) and the
-    # decided coupling treatment; populated only when the ledger is on.
-    prov: dict | None = None
-    coupling_kind: str = "none"
-    aggressors_total: int = 0
-    aggressors_active: int = 0
-
-    @property
-    def t_start(self) -> float:
-        """Time origin the relative arc results are anchored at (the
-        start of the arriving input ramp)."""
-        return self.arrival.t_cross - 0.5 * self.arrival.transition
+    return {**prov, "origin": "memo"}
 
 
 class Propagator:
-    """Runs single STA passes over a prepared design."""
+    """Runs single STA passes over a compiled design."""
 
     def __init__(
         self,
@@ -264,6 +193,7 @@ class Propagator:
         config: StaConfig,
         calculator: GateDelayCalculator | None = None,
         obs: Observability | None = None,
+        compiled: columnar.CompiledDesign | None = None,
     ):
         self.design = design
         self.config = config
@@ -281,21 +211,15 @@ class Propagator:
             if calculator is not None
             else GateDelayCalculator(
                 process=design.process,
-                engine=config.engine.value,
                 workers=config.workers,
                 metrics=self.obs.metrics,
             )
         )
-        self.levels = evaluation_levels(design.circuit)
-        self.order = [cell for level in self.levels for cell in level]
-        self._clock_nets = {
-            name for name, net in design.circuit.nets.items() if net.is_clock
-        }
-        # Delta-driven pass-to-pass memo: arc identity -> last inputs and
-        # outputs (see _ArcMemo).  The identity triple is unique per arc
-        # task: gates key by (cell, input pin, input direction); flip-flop
-        # launch tasks share pin "A" but differ in arrival direction.
-        self._memo: dict[tuple[str, str, str], _ArcMemo] = {}
+        self.compiled = (
+            compiled if compiled is not None else columnar.compile_design(design)
+        )
+        self.levels = self.compiled.levels
+        self.order = self.compiled.cells
         # Screened solver tier: driver cells forced to the exact tier
         # (the analyzer grows this set during slack refinement until the
         # near-critical cone is fully exact).
@@ -318,803 +242,14 @@ class Propagator:
         self._c_dirty = metrics.counter("propagation.dirty_arcs")
         self._c_reused = metrics.counter("propagation.reused_arcs")
         self._c_waves = metrics.counter("propagation.coupling_waves")
-        # Columnar level look-ahead (batch engine, exact tier): keys it
-        # solved ahead of their wave, and keys the waves still had to
-        # solve in levels where it ran (its misses).
+        # Level look-ahead (exact tier): keys it solved ahead of their
+        # wave, and keys the waves still had to solve in levels where it
+        # ran (its misses).
         self._c_lookahead = metrics.counter("propagation.lookahead_solves")
         self._c_catchup = metrics.counter("propagation.catchup_solves")
         self._h_waves = metrics.histogram(
             "propagation.waves_per_level", boundaries=SMALL_COUNT_BUCKETS
         )
-
-    # -- session reuse -------------------------------------------------------
-
-    def export_memo(self) -> dict[tuple[str, str, str], _ArcMemo]:
-        """The delta-driven pass memo keyed by arc identity -- the
-        exchange format of :meth:`warm_start_from`, shared by both cores
-        (the columnar core materialises it from its memo columns)."""
-        return self._memo
-
-    @property
-    def memo_arcs(self) -> int:
-        """Number of arcs with a live delta-driven memo entry."""
-        return len(self._memo)
-
-    def warm_start_from(self, source: "Propagator") -> None:
-        """Adopt another propagator's delta-driven pass memo (the what-if
-        path of a persistent design session).
-
-        Within one design the memo fingerprints only what a solve consumes
-        beyond the arc's identity -- the arrival shape and the decided
-        load -- because a cell's type and its output net's electrical view
-        cannot change between passes.  Across designs they can, so an
-        entry migrates only when its arc still exists, the driving cell
-        kept its cell type, and the output net's :class:`NetLoad` (fixed
-        load, coupling neighbours, sink Elmore delays) is exactly equal.
-        Everything else starts dirty and is re-solved.  Changes upstream
-        of a surviving arc are caught by the arrival fingerprint itself
-        (a moved transition misses the memo), so migration preserves the
-        incremental engine's guarantee: a reused arc is bit-identical to
-        a fresh solve.
-        """
-        if not self.config.incremental:
-            return
-        cells = self.design.circuit.cells
-        old_cells = source.design.circuit.cells
-        loads = self.design.loads
-        old_loads = source.design.loads
-        adopted: dict[tuple[str, str, str], _ArcMemo] = {}
-        for key, memo in source.export_memo().items():
-            cell = cells.get(key[0])
-            old_cell = old_cells.get(key[0])
-            if cell is None or old_cell is None:
-                continue
-            if cell.ctype.name != old_cell.ctype.name:
-                continue
-            out_net = cell.output_pin.net
-            old_net = old_cell.output_pin.net
-            if out_net is None or old_net is None:
-                continue
-            if loads.get(out_net.name) != old_loads.get(old_net.name):
-                continue
-            adopted[key] = memo
-        self._memo = adopted
-
-    # -- pass driver ---------------------------------------------------------
-
-    def run_pass(
-        self,
-        prev_windows: dict[tuple[str, str], tuple[float, float]] | None = None,
-        recalc_cells: set[str] | None = None,
-        prev_state: TimingState | None = None,
-    ) -> PassResult:
-        """One full level-synchronous propagation.
-
-        ``prev_windows`` supplies stored per-net activity windows
-        (quiescent times and earliest activities) from the previous
-        iterative pass; ``recalc_cells`` (Esperance) restricts waveform
-        recalculation to the given cells, all others copy their previous
-        events from ``prev_state``.
-        """
-        state = TimingState()
-        result = PassResult(state=state)
-        eval_before = self.calculator.evaluations
-        hits_before = self.calculator.cache_hits
-        dedup_before = self.calculator.dedup_hits
-        persisted_before = self.calculator.persisted_hits
-        ledger_before = len(self.ledger)
-        self._pass_count += 1
-        timers = {phase: 0.0 for phase in PASS_PHASES}
-        tracer = self.obs.tracer
-
-        with tracer.span(
-            "sta.pass",
-            mode=self.config.mode.value,
-            engine=self.config.engine.value,
-            incremental=recalc_cells is not None,
-        ) as pass_span:
-            self._init_sources(state)
-            for level_index, level in enumerate(self.levels):
-                with tracer.span(
-                    "sta.level", index=level_index, cells=len(level)
-                ) as level_span:
-                    t0 = time.perf_counter()
-                    tasks: list[_ArcTask] = []
-                    tasks_of: dict[str, list[_ArcTask]] = {}
-                    computed_cells: list[Cell] = []
-                    for cell in level:
-                        out_net = cell.output_pin.net
-                        if out_net is None:
-                            continue
-                        if (
-                            recalc_cells is not None
-                            and cell.name not in recalc_cells
-                            and prev_state is not None
-                            and out_net.name in prev_state.processed
-                        ):
-                            state.events[out_net.name] = dict(
-                                prev_state.events[out_net.name]
-                            )
-                            for direction in (RISING, FALLING):
-                                prov = prev_state.provenance.get(
-                                    (out_net.name, direction)
-                                )
-                                if prov is not None:
-                                    state.provenance[(out_net.name, direction)] = prov
-                                row = prev_state.arc_prov.get(
-                                    (out_net.name, direction)
-                                )
-                                if row is not None:
-                                    state.arc_prov[(out_net.name, direction)] = row
-                            state.processed.add(out_net.name)
-                            continue
-                        state.ensure_net(out_net.name)
-                        if cell.is_sequential:
-                            cell_tasks = self._flip_flop_tasks(cell, state)
-                        else:
-                            cell_tasks = self._gate_tasks(cell, state)
-                        if not cell_tasks:
-                            # No launch events reach this cell: its output stays
-                            # quiet this pass, which downstream decisions may use.
-                            state.processed.add(out_net.name)
-                            continue
-                        computed_cells.append(cell)
-                        tasks_of[cell.name] = cell_tasks
-                        tasks.extend(cell_tasks)
-                    timers["gather"] += time.perf_counter() - t0
-
-                    if not tasks:
-                        continue
-
-                    t0 = time.perf_counter()
-                    with tracer.span("phase.base_waveforms", tasks=len(tasks)):
-                        self._phase_base_waveforms(tasks, result)
-                    timers["base_waveforms"] += time.perf_counter() - t0
-
-                    waves = self._coupling_waves(computed_cells)
-                    self._c_waves.inc(len(waves))
-                    self._h_waves.observe(len(waves))
-                    level_span.set(tasks=len(tasks), waves=len(waves))
-                    for wave_index, wave in enumerate(waves):
-                        wave_tasks = [
-                            task for cell in wave for task in tasks_of[cell.name]
-                        ]
-                        t0 = time.perf_counter()
-                        with tracer.span(
-                            "phase.coupling_decisions",
-                            wave=wave_index,
-                            tasks=len(wave_tasks),
-                        ):
-                            self._phase_decide_coupling(
-                                wave_tasks, state, prev_windows, result
-                            )
-                        timers["coupling_decisions"] += time.perf_counter() - t0
-
-                        t0 = time.perf_counter()
-                        with tracer.span("phase.final_waveforms", wave=wave_index):
-                            self._phase_final_waveforms(wave_tasks, result)
-                        timers["final_waveforms"] += time.perf_counter() - t0
-
-                        t0 = time.perf_counter()
-                        for task in wave_tasks:
-                            row_id = (
-                                self._ledger_row(task) if self._provenance else None
-                            )
-                            self._merge_output(
-                                state.events[task.out_net_name],
-                                task.final_event,
-                                state,
-                                task.out_net_name,
-                                Provenance(
-                                    cell=task.cell.name,
-                                    in_pin=task.prov_pin,
-                                    in_net=task.prov_net,
-                                    in_direction=task.prov_direction,
-                                    coupled=task.coupled,
-                                    c_active=0.0,
-                                ),
-                                row_id,
-                            )
-                            if task.evaluated:
-                                result.dirty_arcs += 1
-                            else:
-                                result.reused_arcs += 1
-                            if self.config.incremental:
-                                self._memo[self._memo_key(task)] = _ArcMemo(
-                                    arrival_fp=_arrival_fp(task.arrival),
-                                    best=task.best_rel,
-                                    worst=task.worst_rel,
-                                    final_load=(
-                                        task.final_load
-                                        if task.final_load is not None
-                                        else task.plain_load
-                                    ),
-                                    final=task.final_rel,
-                                    coupled=task.coupled,
-                                    exact=not task.screened,
-                                    prov=task.prov,
-                                )
-                        # Wave barrier: these events now count as calculated
-                        # for the later waves' and levels' decisions.
-                        for cell in wave:
-                            state.processed.add(cell.output_pin.net.name)
-                        timers["merge"] += time.perf_counter() - t0
-
-            self._collect_arrivals(state, result)
-            pass_span.set(
-                arcs=result.arcs_processed,
-                evaluations=result.waveform_evaluations,
-                coupled_arcs=result.coupled_arcs,
-                longest_delay_ns=result.longest_delay * 1e9,
-            )
-
-        result.cache_evaluations = self.calculator.evaluations - eval_before
-        result.cache_hits = self.calculator.cache_hits - hits_before
-        result.cache_dedup_hits = self.calculator.dedup_hits - dedup_before
-        result.cache_persisted_hits = self.calculator.persisted_hits - persisted_before
-        result.provenance_rows = len(self.ledger) - ledger_before
-        result.phase_seconds = timers
-        self._c_passes.inc()
-        self._c_arcs.inc(result.arcs_processed)
-        self._c_evals.inc(result.waveform_evaluations)
-        self._c_coupled.inc(result.coupled_arcs)
-        self._c_dirty.inc(result.dirty_arcs)
-        self._c_reused.inc(result.reused_arcs)
-        for phase, seconds in timers.items():
-            self._c_phase[phase].inc(seconds)
-        return result
-
-    # -- sources ---------------------------------------------------------------
-
-    def _init_sources(self, state: TimingState) -> None:
-        process = self.design.process
-        tt = self.config.input_transition
-        circuit = self.design.circuit
-        for port in circuit.inputs.values():
-            net = port.net
-            if net is None:
-                continue
-            slot = state.ensure_net(net.name)
-            if net.is_clock:
-                # Launch edge only: the clock rises at t = 0.
-                slot[RISING] = ideal_ramp_event(
-                    RISING, 0.0, tt, process.vdd, process.v_th_model
-                )
-            else:
-                # Data inputs may make either transition at t = 0.
-                for direction in (RISING, FALLING):
-                    slot[direction] = ideal_ramp_event(
-                        direction, 0.0, tt, process.vdd, process.v_th_model
-                    )
-            state.processed.add(net.name)
-
-    # -- coupling waves ----------------------------------------------------------
-
-    def _coupling_waves(self, cells: list[Cell]) -> list[list[Cell]]:
-        """Split one level's cells into decision waves.
-
-        A cell must wait for an earlier-ordered cell of the same level
-        only when that cell drives a net coupled to its own output --
-        otherwise the two share no timing information at all and can be
-        decided together.  Processing the waves in order reproduces the
-        sequential walk's asymmetric visibility (for every coupled pair
-        driven in one level, exactly one side sees the other's freshly
-        calculated window) while keeping each wave batchable.  The
-        non-window modes never read windows: everything is one wave.
-        """
-        if not self.config.mode.is_window_based or len(cells) <= 1:
-            return [cells] if cells else []
-        driver_wave: dict[str, int] = {}
-        waves: list[list[Cell]] = []
-        for cell in cells:
-            out_net = cell.output_pin.net
-            load = self.design.loads.get(out_net.name)
-            wave = 0
-            if load is not None:
-                for other in load.couplings:
-                    earlier = driver_wave.get(other)
-                    if earlier is not None:
-                        wave = max(wave, earlier + 1)
-            driver_wave[out_net.name] = wave
-            if wave == len(waves):
-                waves.append([])
-            waves[wave].append(cell)
-        return waves
-
-    # -- task gathering ---------------------------------------------------------
-
-    def _gate_tasks(self, cell: Cell, state: TimingState) -> list[_ArcTask]:
-        out_net = cell.output_pin.net
-        tasks: list[_ArcTask] = []
-        for pin in cell.input_pins:
-            in_net = pin.net
-            if in_net is None:
-                continue
-            for direction in (RISING, FALLING):
-                event = state.event(in_net.name, direction)
-                if event is None:
-                    continue
-                arrival = self._arrival_at_pin(event, in_net.name, pin.full_name)
-                tasks.append(
-                    _ArcTask(
-                        cell=cell,
-                        pin_name=pin.name,
-                        arrival=arrival,
-                        out_net_name=out_net.name,
-                        prov_pin=pin.name,
-                        prov_net=in_net.name,
-                        prov_direction=direction,
-                    )
-                )
-        return tasks
-
-    def _flip_flop_tasks(self, cell: Cell, state: TimingState) -> list[_ArcTask]:
-        """Launch both Q transitions off the clock arrival at this cell."""
-        process = self.design.process
-        out_net = cell.output_pin.net
-        clk_pin = cell.pins["CLK"]
-        clk_net = clk_pin.net
-
-        clk_event = None
-        if clk_net is not None:
-            clk_event = state.event(clk_net.name, RISING) or state.event(
-                clk_net.name, FALLING
-            )
-        if clk_event is not None and clk_net is not None:
-            clk_arrival = self._arrival_at_pin(
-                clk_event, clk_net.name, clk_pin.full_name
-            )
-        else:
-            clk_arrival = ideal_ramp_event(
-                RISING, 0.0, self.config.input_transition, process.vdd, process.v_th_model
-            )
-
-        launch_cross = clk_arrival.t_cross + cell.ctype.clk_to_q
-        tasks: list[_ArcTask] = []
-        for out_direction in (RISING, FALLING):
-            internal = ideal_ramp_event(
-                opposite(out_direction),
-                launch_cross - 0.5 * clk_arrival.transition,
-                clk_arrival.transition,
-                process.vdd,
-                process.v_th_model,
-            )
-            tasks.append(
-                _ArcTask(
-                    cell=cell,
-                    pin_name="A",
-                    arrival=internal,
-                    out_net_name=out_net.name,
-                    prov_pin="CLK",
-                    prov_net=clk_net.name if clk_net is not None else "",
-                    prov_direction=clk_arrival.direction,
-                )
-            )
-        return tasks
-
-    # -- phase A: state-independent base waveforms ------------------------------
-
-    @staticmethod
-    def _memo_key(task: _ArcTask) -> tuple[str, str, str]:
-        return (task.cell.name, task.pin_name, task.arrival.direction)
-
-    def _phase_base_waveforms(self, tasks: list[_ArcTask], result: PassResult) -> None:
-        """Compute every event that does not depend on other nets' timing:
-        the fixed-treatment loads of the non-window modes, and the
-        best-case (plus, under OVERLAP, the all-active) calculation of the
-        window-based modes.  With the batch engine all distinct situations
-        are primed in one vectorized solve first.
-
-        Delta-driven reuse: an arc whose arrival matches the previous
-        pass's fingerprint re-anchors the memoized relative best/worst
-        (and, for unwindowed arcs solved with the same load, final)
-        results at the current time origin -- those depend on nothing
-        else, so reuse is exact.
-        """
-        mode = self.config.mode
-        overlap = self.config.window_check is WindowCheck.OVERLAP
-        incremental = self.config.incremental
-        requests: list[ArcRequest] = []
-        for task in tasks:
-            result.arcs_processed += 1
-            load = self.design.loads[task.out_net_name]
-            if incremental:
-                memo = self._memo.get(self._memo_key(task))
-                if (
-                    memo is not None
-                    and memo.arrival_fp == _arrival_fp(task.arrival)
-                    # A screened memo must not satisfy a cell that the
-                    # slack refinement has since forced exact.
-                    and (memo.exact or task.cell.name not in self.exact_cells)
-                ):
-                    task.memo = memo
-            if not mode.is_window_based or not load.couplings:
-                if mode.is_window_based:
-                    # No neighbours: nothing to decide, plain grounded load.
-                    task.plain_load = CouplingLoad(c_ground=load.c_fixed)
-                else:
-                    task.plain_load = self._fixed_load(load, mode)
-                if self._provenance:
-                    task.coupling_kind = _FIXED_COUPLING_KIND.get(mode, "none")
-                    task.aggressors_total = len(load.couplings)
-                    if mode is AnalysisMode.WORST_CASE:
-                        task.aggressors_active = task.aggressors_total
-                if task.memo is not None and task.memo.final_load == task.plain_load:
-                    task.final_rel = task.memo.final
-                    task.final_event = task.final_rel.to_event(task.t_start)
-                    task.coupled = task.memo.coupled
-                    task.screened = not task.memo.exact
-                    if self._provenance:
-                        task.prov = _memo_prov(task.memo)
-                else:
-                    requests.append(self._request(task, task.plain_load))
-                continue
-            task.windowed = True
-            if task.memo is not None and task.memo.best is not None:
-                if not overlap or task.memo.worst is not None:
-                    task.best_rel = task.memo.best
-                    task.best_event = task.best_rel.to_event(task.t_start)
-                    if task.memo.worst is not None:
-                        task.worst_rel = task.memo.worst
-                        task.worst_event = task.worst_rel.to_event(task.t_start)
-                    task.screened = not task.memo.exact
-                    if self._provenance:
-                        # Tentative: overwritten if the coupling decision
-                        # forces a fresh final solve.
-                        task.prov = _memo_prov(task.memo)
-                    continue
-            # One-step / iterative: best-case calculation first ("w_bcs :=
-            # calculate waveform for best-case, i.e. all adjacent wires
-            # are quiet; t_bcs := time when w_bcs reaches V_th").
-            requests.append(
-                self._request(
-                    task,
-                    CouplingLoad(
-                        c_ground=load.c_fixed + load.c_coupling_total,
-                        c_couple_active=0.0,
-                    ),
-                )
-            )
-            if overlap:
-                requests.append(
-                    self._request(
-                        task,
-                        CouplingLoad(
-                            c_ground=load.c_fixed,
-                            c_couple_active=load.c_coupling_total,
-                        ),
-                    )
-                )
-        self._prime(requests)
-        for task in tasks:
-            load = self.design.loads[task.out_net_name]
-            if not task.windowed:
-                if task.final_event is not None:
-                    continue  # reused from the memo above
-                result.waveform_evaluations += 1
-                task.evaluated = True
-                task.final_rel = self._compute_rel(task, task.plain_load)
-                task.final_event = task.final_rel.to_event(task.t_start)
-                task.coupled = task.plain_load.has_active_coupling
-                if self._provenance:
-                    task.prov = self._last_prov()
-                continue
-            if task.best_event is not None:
-                continue  # reused from the memo above
-            best_load = CouplingLoad(
-                c_ground=load.c_fixed + load.c_coupling_total, c_couple_active=0.0
-            )
-            result.waveform_evaluations += 1
-            task.evaluated = True
-            task.best_rel = self._compute_rel(task, best_load)
-            task.best_event = task.best_rel.to_event(task.t_start)
-            if self._provenance:
-                # Tentative (the best-case solve): overwritten when the
-                # coupling decision forces a separate final solve.
-                task.prov = self._last_prov()
-            if overlap:
-                worst_load = CouplingLoad(
-                    c_ground=load.c_fixed, c_couple_active=load.c_coupling_total
-                )
-                result.waveform_evaluations += 1
-                task.worst_rel = self._compute_rel(task, worst_load)
-                task.worst_event = task.worst_rel.to_event(task.t_start)
-
-    # -- phase B: the coupling decision (Sections 2 and 5) ----------------------
-
-    def _phase_decide_coupling(
-        self,
-        tasks: list[_ArcTask],
-        state: TimingState,
-        prev_windows: dict[tuple[str, str], tuple[float, float]] | None,
-        result: PassResult,
-    ) -> None:
-        """Per arc, decide each neighbour's treatment by comparing its
-        activity window against the victim's best-case earliest activity
-        (and, under OVERLAP, its all-active latest completion)."""
-        guard = self.config.guard
-        for task in tasks:
-            if not task.windowed:
-                continue
-            load = self.design.loads[task.out_net_name]
-            t_bcs = task.best_event.t_early
-            aggressor_direction = opposite(task.best_event.direction)
-            # OVERLAP extension: bound the victim's latest possible
-            # completion with the all-active calculation (monotone in the
-            # active set, so valid for every subset chosen below).
-            t_victim_late = (
-                task.worst_event.t_late if task.worst_event is not None else float("inf")
-            )
-            treatments: list[tuple[float, CouplingTreatment]] = []
-            any_active = False
-            for other, cap in load.couplings.items():
-                t_agg_early, t_agg_quiet = self._aggressor_window(
-                    other, aggressor_direction, state, prev_windows
-                )
-                may_couple = t_agg_quiet > t_bcs - guard
-                if may_couple and t_agg_early >= t_victim_late + guard:
-                    # Aggressor can only fire after the victim has
-                    # certainly completed: no overlap.
-                    may_couple = False
-                if may_couple:
-                    treatments.append((cap, CouplingTreatment.ACTIVE))
-                    any_active = True
-                else:
-                    treatments.append((cap, CouplingTreatment.GROUNDED))
-            if self._provenance:
-                task.aggressors_total = len(load.couplings)
-                task.aggressors_active = sum(
-                    1 for _, t in treatments if t is CouplingTreatment.ACTIVE
-                )
-                task.coupling_kind = "overlap" if any_active else "quiet"
-            if any_active:
-                task.final_load = aggregate_load(load.c_fixed, treatments)
-            else:
-                task.final_rel = task.best_rel
-                task.final_event = task.best_event
-                task.coupled = False
-
-    # -- phase C: decided final waveforms ---------------------------------------
-
-    def _phase_final_waveforms(self, tasks: list[_ArcTask], result: PassResult) -> None:
-        pending: list[_ArcTask] = []
-        for task in tasks:
-            if task.final_load is None:
-                continue
-            result.coupled_arcs += 1
-            # Delta-driven reuse: same arrival shape (checked when the memo
-            # was attached) and same decided load -> same relative waveform,
-            # re-anchored at the current origin.
-            if task.memo is not None and task.memo.final_load == task.final_load:
-                task.final_rel = task.memo.final
-                task.final_event = task.final_rel.to_event(task.t_start)
-                task.coupled = True
-                if not task.memo.exact:
-                    task.screened = True
-                if self._provenance:
-                    task.prov = _memo_prov(task.memo)
-                continue
-            pending.append(task)
-        if not pending:
-            return
-        self._prime([self._request(task, task.final_load) for task in pending])
-        for task in pending:
-            result.waveform_evaluations += 1
-            task.evaluated = True
-            task.final_rel = self._compute_rel(task, task.final_load)
-            task.final_event = task.final_rel.to_event(task.t_start)
-            task.coupled = True
-            if self._provenance:
-                task.prov = self._last_prov()
-
-    # -- arc-engine helpers ------------------------------------------------------
-
-    def _request(self, task: _ArcTask, load: CouplingLoad) -> ArcRequest:
-        return ArcRequest(
-            ctype=task.cell.ctype,
-            pin=task.pin_name,
-            input_direction=task.arrival.direction,
-            input_transition=task.arrival.transition,
-            load=load,
-            force_exact=self._screened and task.cell.name in self.exact_cells,
-        )
-
-    def _prime(self, requests: list[ArcRequest]) -> None:
-        """Charge the arc cache for the upcoming lookups (a no-op for the
-        scalar engine, which solves lazily inside :meth:`_compute`)."""
-        if self.config.engine is Engine.BATCH:
-            self.calculator.prime_arcs(requests)
-
-    def _last_prov(self) -> dict:
-        """The calculator's provenance surfaces for the solve it just
-        answered (captured immediately after a :meth:`_compute_rel`)."""
-        calc = self.calculator
-        return {
-            "tier": calc.last_tier,
-            "origin": calc.last_origin,
-            "escalation": calc.last_escalation,
-            "signature": calc.last_signature,
-        }
-
-    def _ledger_row(self, task: _ArcTask) -> int:
-        """Append one merged arc's provenance row to the ledger."""
-        prov = task.prov or {}
-        if task.windowed:
-            if (
-                task.coupled
-                and task.best_rel is not None
-                and task.final_rel is not None
-            ):
-                delta = task.final_rel.t_cross - task.best_rel.t_cross
-            else:
-                delta = 0.0
-        elif self.config.mode is AnalysisMode.BEST_CASE:
-            delta = 0.0
-        else:
-            # static_doubled / worst_case solve no quiescent companion,
-            # so there is no delta to report without an extra solve.
-            delta = None
-        return self.ledger.append(
-            tier=prov.get("tier", "newton"),
-            origin=prov.get("origin", "fresh"),
-            escalation=prov.get("escalation"),
-            signature=prov.get("signature", ""),
-            coupling=task.coupling_kind,
-            aggressors_total=task.aggressors_total,
-            aggressors_active=task.aggressors_active,
-            pass_index=self._pass_count,
-            coupling_delta=delta,
-        )
-
-    def _compute_rel(self, task: _ArcTask, load: CouplingLoad) -> ArcResult:
-        """The origin-free arc solve; callers anchor it via
-        ``result.to_event(task.t_start)`` -- exactly what
-        :meth:`GateDelayCalculator.compute_arc` does internally."""
-        arc = self.calculator.compute_arc_relative(
-            task.cell.ctype,
-            task.pin_name,
-            task.arrival.direction,
-            task.arrival.transition,
-            load,
-            force_exact=self._screened and task.cell.name in self.exact_cells,
-        )
-        if self._screened and self.calculator.last_tier != "newton":
-            task.screened = True
-        return arc
-
-    def _fixed_load(self, load, mode: AnalysisMode) -> CouplingLoad:
-        c_c = load.c_coupling_total
-        if mode is AnalysisMode.BEST_CASE:
-            return CouplingLoad(c_ground=load.c_fixed + c_c)
-        if mode is AnalysisMode.STATIC_DOUBLED:
-            return CouplingLoad(c_ground=load.c_fixed + 2.0 * c_c)
-        if mode is AnalysisMode.WORST_CASE:
-            return CouplingLoad(c_ground=load.c_fixed, c_couple_active=c_c)
-        raise EngineError(f"mode {mode} has no fixed coupling treatment")
-
-    def _aggressor_window(
-        self,
-        net_name: str,
-        direction: str,
-        state: TimingState,
-        prev_windows: dict[tuple[str, str], tuple[float, float]] | None,
-    ) -> tuple[float, float]:
-        """The aggressor's possible activity window ``(t_early, t_quiet)``
-        for ``direction`` transitions.  ``(-inf, +inf)`` means "unknown --
-        must assume coupling"; ``(+inf, -inf)`` is the empty window (the
-        net never makes that transition)."""
-        if (
-            net_name in self._clock_nets
-            and self.config.clock_model is ClockAggressorModel.ALWAYS
-        ):
-            return float("-inf"), float("inf")
-        if net_name in state.processed:
-            event = state.event(net_name, direction)
-            if event is None:
-                return float("inf"), float("-inf")
-            return event.t_early, event.t_late
-        if prev_windows is not None:
-            return prev_windows.get(
-                (net_name, direction), (float("inf"), float("-inf"))
-            )
-        return float("-inf"), float("inf")
-
-    # -- helpers -------------------------------------------------------------------
-
-    def _arrival_at_pin(self, event: RampEvent, net_name: str, terminal: str) -> RampEvent:
-        """Shift a driver-output event to a sink terminal: Elmore wire
-        delay plus slew degradation.
-
-        The transition degrades by linear addition of the wire's own
-        transition scale (``k * T_elmore``), not the popular quadrature
-        (PERI) form: linear addition upper-bounds the RC-filtered sink
-        slew, which the worst-case analysis needs -- quadrature measurably
-        under-estimates the slow exponential tail on long stretched wires
-        and can let the simulation beat the bound.
-        """
-        elmore = self.design.loads[net_name].sink_elmore.get(terminal, 0.0)
-        if elmore <= 0.0:
-            return event
-        shifted = event.shifted(elmore)
-        k = self.config.slew_degradation_factor
-        degraded = event.transition + k * elmore
-        return shifted.with_transition(degraded)
-
-    def _merge_output(
-        self,
-        out_slot: dict[str, RampEvent | None],
-        out_event: RampEvent,
-        state: TimingState,
-        out_net_name: str,
-        provenance: Provenance,
-        ledger_row: int | None = None,
-    ) -> None:
-        direction = out_event.direction
-        current = out_slot[direction]
-        merged = merge_worst(current, out_event)
-        out_slot[direction] = merged
-        if current is None or out_event.t_cross > current.t_cross:
-            state.provenance[(out_net_name, direction)] = provenance
-            if ledger_row is not None:
-                state.arc_prov[(out_net_name, direction)] = ledger_row
-
-    def _collect_arrivals(self, state, result: PassResult) -> None:
-        for endpoint in self.design.circuit.timing_endpoints():
-            net = endpoint.net
-            if net is None:
-                continue
-            terminal = endpoint.full_name if isinstance(endpoint, Pin) else endpoint.name
-            for direction in (RISING, FALLING):
-                event = state.event(net.name, direction)
-                if event is None:
-                    continue
-                arrival = self._arrival_at_pin(event, net.name, terminal)
-                result.arrivals.append(
-                    EndpointArrival(endpoint=terminal, direction=direction, event=arrival)
-                )
-                if arrival.t_cross > result.longest_delay:
-                    result.longest_delay = arrival.t_cross
-                    result.critical_endpoint = terminal
-                    result.critical_direction = direction
-
-
-class ColumnarPropagator(Propagator):
-    """Column-backed propagation core (see :mod:`repro.core.columnar`).
-
-    Runs the identical pass algorithm over the compiled design's dense
-    id arrays: arrivals are gathered by one fancy-index per level slab,
-    the delta-driven memo fingerprint compare is one vectorized exact
-    equality over the slab, and the per-arc solves resolve pre-quantized
-    canonical keys (:meth:`GateDelayCalculator.resolve_key`) computed by
-    a bulk ceil instead of per-arc :class:`ArcRequest` objects.  Every
-    decision, counter and float operation mirrors :class:`Propagator`
-    line by line, so the exact tier is ``float.hex()``-identical to the
-    object core in all five modes; only the bookkeeping around the
-    numbers changed representation.
-
-    On the batch engine's exact tier it also looks ahead across each
-    level's coupling waves: the coupled final keys the waves will
-    probably need are solved in one batch before wave 0 instead of one
-    batch per wave.  The waves still decide and merge alone, so this
-    changes when keys are solved, never what they resolve to.
-    """
-
-    def __init__(
-        self,
-        design: Design,
-        config: StaConfig,
-        calculator: GateDelayCalculator | None = None,
-        obs: Observability | None = None,
-        compiled=None,
-    ):
-        from repro.core.columnar import compile_design
-
-        super().__init__(design, config, calculator, obs)
-        self.compiled = compiled if compiled is not None else compile_design(design)
-        # Both sides derive from evaluation_levels(), so the compiled arc
-        # table's level slabs line up with self.levels by construction.
-        self.levels = self.compiled.levels
-        self.order = self.compiled.cells
         self._init_columns()
 
     # -- static columns ------------------------------------------------------
@@ -1129,7 +264,8 @@ class ColumnarPropagator(Propagator):
         cc = cp.net_cc_total[cp.arc_out_net]
         # The plain (decision-free) load of each arc: the grounded load of
         # the window-based modes' no-neighbour arcs, or the mode's fixed
-        # treatment (_fixed_load) otherwise.
+        # treatment otherwise (coupling grounded at 1x or 2x, or all
+        # active).
         if wb or mode is AnalysisMode.BEST_CASE:
             plain_cg, plain_ca = cf + cc, np.zeros(n)
         elif mode is AnalysisMode.STATIC_DOUBLED:
@@ -1184,10 +320,13 @@ class ColumnarPropagator(Propagator):
             else [0] * n
         )
 
-        # Memo columns (the _ArcMemo dict of the object core).  Loads are
-        # (c_ground, c_couple_active, c_couple_passive) triples; NaN
-        # encodes "no load" (the windowed quiet short-circuit), which
-        # correctly never compares equal to a real load.
+        # Delta-driven memo columns: the last pass's arrival transition
+        # (``_m_tt``), decided final load and relative results per arc.
+        # Loads are (c_ground, c_couple_active, c_couple_passive) triples;
+        # NaN encodes "no load" (the windowed quiet short-circuit), which
+        # correctly never compares equal to a real load.  A screened memo
+        # (``_m_exact`` false) must not satisfy a cell the slack
+        # refinement has since forced exact.
         self._m_valid = np.zeros(n, dtype=bool)
         self._m_tt = np.zeros(n, dtype=np.float64)
         self._m_exact = np.zeros(n, dtype=bool)
@@ -1224,8 +363,7 @@ class ColumnarPropagator(Propagator):
 
     def _token(self, a: int) -> str:
         """The arc's interned stage-signature token, resolved lazily on
-        first use so signature/alias metrics track actual demand exactly
-        like the object core's per-request interning."""
+        first use so signature/alias metrics track actual demand."""
         token = self._tokens[a]
         if token is None:
             token = self.calculator.signature(self._s_cell[a].ctype, self._s_pin[a])
@@ -1316,86 +454,90 @@ class ColumnarPropagator(Propagator):
 
     @property
     def memo_arcs(self) -> int:
+        """Number of arcs with a live delta-driven memo entry."""
         return int(self._m_valid.sum())
 
-    def export_memo(self) -> dict[tuple[str, str, str], _ArcMemo]:
-        out: dict[tuple[str, str, str], _ArcMemo] = {}
-        for a in np.nonzero(self._m_valid)[0].tolist():
-            cg = float(self._m_cg[a])
-            final_load = (
-                None
-                if math.isnan(cg)
-                else CouplingLoad(cg, float(self._m_ca[a]), float(self._m_cp[a]))
-            )
-            out[(self._s_cell[a].name, self._s_pin[a], self._s_dir[a])] = _ArcMemo(
-                arrival_fp=(self._s_dir[a], float(self._m_tt[a])),
-                best=self._m_best[a],
-                worst=self._m_worst[a],
-                final_load=final_load,
-                final=self._m_final[a],
-                coupled=bool(self._m_coupled[a]),
-                exact=bool(self._m_exact[a]),
-                prov=self._m_prov[a],
-            )
-        return out
-
     def warm_start_from(self, source: "Propagator") -> None:
-        """Adopt another propagator's memo into the memo columns, under
-        the same electrical-identity checks as the object core."""
+        """Adopt another propagator's delta-driven memo columns (the
+        what-if path of a persistent design session).
+
+        Within one design the memo fingerprints only what a solve consumes
+        beyond the arc's identity -- the arrival shape and the decided
+        load -- because a cell's type and its output net's electrical view
+        cannot change between passes.  Across designs they can, so an
+        arc's entry is copied (matched by its ``(cell, pin, direction)``
+        key) only when the driving cell kept its cell type and the output
+        net's :class:`NetLoad` (fixed load, coupling neighbours, sink
+        Elmore delays) is exactly equal.  Everything else starts dirty and
+        is re-solved.  Changes upstream of a surviving arc are caught by
+        the arrival fingerprint itself (a moved transition misses the
+        memo), so migration preserves the incremental engine's guarantee:
+        a reused arc is bit-identical to a fresh solve.
+        """
         if not self.config.incremental:
             return
         cells = self.design.circuit.cells
-        old_cells = source.design.circuit.cells
         loads = self.design.loads
         old_loads = source.design.loads
         index = self.compiled.arc_key_index
-        for key, memo in source.export_memo().items():
-            cell = cells.get(key[0])
-            old_cell = old_cells.get(key[0])
-            if cell is None or old_cell is None:
+        kept: dict[str, bool] = {}
+        src: list[int] = []
+        dst: list[int] = []
+        for b in np.nonzero(source._m_valid)[0].tolist():
+            old_cell = source._s_cell[b]
+            ok = kept.get(old_cell.name)
+            if ok is None:
+                cell = cells.get(old_cell.name)
+                ok = (
+                    cell is not None
+                    and cell.ctype.name == old_cell.ctype.name
+                    and cell.output_pin.net is not None
+                    and old_cell.output_pin.net is not None
+                    and loads.get(cell.output_pin.net.name)
+                    == old_loads.get(old_cell.output_pin.net.name)
+                )
+                kept[old_cell.name] = ok
+            if not ok:
                 continue
-            if cell.ctype.name != old_cell.ctype.name:
-                continue
-            out_net = cell.output_pin.net
-            old_net = old_cell.output_pin.net
-            if out_net is None or old_net is None:
-                continue
-            if loads.get(out_net.name) != old_loads.get(old_net.name):
-                continue
-            a = index.get(key)
-            if a is None:
-                continue
-            self._m_valid[a] = True
-            self._m_tt[a] = memo.arrival_fp[1]
-            self._m_exact[a] = memo.exact
-            self._m_coupled[a] = memo.coupled
-            self._m_best[a] = memo.best
-            self._m_has_best[a] = memo.best is not None
-            self._m_worst[a] = memo.worst
-            self._m_has_worst[a] = memo.worst is not None
-            self._m_final[a] = memo.final
-            self._m_prov[a] = memo.prov
-            if memo.final_load is None:
-                self._m_cg[a] = self._m_ca[a] = self._m_cp[a] = np.nan
-            else:
-                self._m_cg[a] = memo.final_load.c_ground
-                self._m_ca[a] = memo.final_load.c_couple_active
-                self._m_cp[a] = memo.final_load.c_couple_passive
+            a = index.get((old_cell.name, source._s_pin[b], source._s_dir[b]))
+            if a is not None:
+                src.append(b)
+                dst.append(a)
+        for name in (
+            "_m_valid",
+            "_m_tt",
+            "_m_exact",
+            "_m_coupled",
+            "_m_has_best",
+            "_m_has_worst",
+            "_m_cg",
+            "_m_ca",
+            "_m_cp",
+        ):
+            getattr(self, name)[dst] = getattr(source, name)[src]
+        for name in ("_m_best", "_m_worst", "_m_final", "_m_prov"):
+            mine, theirs = getattr(self, name), getattr(source, name)
+            for a, b in zip(dst, src):
+                mine[a] = theirs[b]
 
     # -- pass driver ---------------------------------------------------------
 
     def run_pass(
         self,
-        prev_windows=None,
+        prev_windows: Mapping[tuple[str, str], tuple[float, float]] | None = None,
         recalc_cells: set[str] | None = None,
-        prev_state=None,
+        prev_state: TimingState | ColumnTimingState | None = None,
     ) -> PassResult:
-        from repro.core.columnar import (
-            ColumnTimingState,
-            DIR_INDEX,
-            WindowSnapshotView,
-        )
+        """One full level-synchronous propagation.
 
+        ``prev_windows`` supplies stored per-net activity windows
+        (earliest activity, quiescent time) from the previous iterative
+        pass; ``recalc_cells`` (Esperance) restricts waveform
+        recalculation to the given cells, all others copy their previous
+        events from ``prev_state``.  Both are read by id when they come
+        from this propagator's own passes and by name when they come from
+        a checkpoint's plain :class:`TimingState`.
+        """
         cp = self.compiled
         calc = self.calculator
         config = self.config
@@ -1414,7 +556,6 @@ class ColumnarPropagator(Propagator):
         overlap = config.window_check is WindowCheck.OVERLAP
         incremental = config.incremental
         prov_on = self._provenance
-        batch = config.engine is Engine.BATCH
         screened_tier = self._screened
         mode = config.mode
         k_slew = config.slew_degradation_factor
@@ -1470,7 +611,6 @@ class ColumnarPropagator(Propagator):
         with tracer.span(
             "sta.pass",
             mode=mode.value,
-            engine=config.engine.value,
             incremental=recalc_cells is not None,
         ) as pass_span:
             self._init_sources(state)
@@ -1577,7 +717,7 @@ class ColumnarPropagator(Propagator):
                         for a in idx.tolist():
                             a_final[a] = self._m_final[a]
                             if prov_on:
-                                a_prov[a] = _memo_dict_prov(self._m_prov[a])
+                                a_prov[a] = _memo_prov(self._m_prov[a])
                         w = live_slab & windowed
                         reuse_w = attach & w & self._m_has_best[sl]
                         if overlap:
@@ -1590,7 +730,7 @@ class ColumnarPropagator(Propagator):
                             if prov_on:
                                 # Tentative: overwritten if the coupling
                                 # decision forces a fresh final solve.
-                                a_prov[a] = _memo_dict_prov(self._m_prov[a])
+                                a_prov[a] = _memo_prov(self._m_prov[a])
                         miss = np.nonzero(
                             (uw & ~reuse_uw) | (w & ~reuse_w)
                         )[0] + lo
@@ -1633,8 +773,7 @@ class ColumnarPropagator(Propagator):
                                     )
                                     a_key[a] = key
                                     entries.append((key, fxa))
-                            if batch:
-                                calc.prime_keys(entries)
+                            calc.prime_keys(entries)
                             for a in miss_l:
                                 fxa = fx_l[a]
                                 if self._s_windowed_l[a]:
@@ -1684,8 +823,7 @@ class ColumnarPropagator(Propagator):
                     # exact tier: a speculative screened solve would grow
                     # the response surface and move later bounds.
                     lookahead = (
-                        batch
-                        and not screened_tier
+                        not screened_tier
                         and len(waves) >= 2
                         and bool((w & ~reuse_w).any())
                     )
@@ -1787,16 +925,15 @@ class ColumnarPropagator(Propagator):
                                     if not self._m_exact[a]:
                                         a_screened[a] = True
                                     if prov_on:
-                                        a_prov[a] = _memo_dict_prov(self._m_prov[a])
+                                        a_prov[a] = _memo_prov(self._m_prov[a])
                                     continue
                                 a_key[a] = key
                                 pending.append(a)
                                 entries.append((key, fx_l[a]))
                             if pending:
-                                if batch:
-                                    solved = calc.prime_keys(entries)
-                                    if lookahead:
-                                        self._c_catchup.inc(solved)
+                                solved = calc.prime_keys(entries)
+                                if lookahead:
+                                    self._c_catchup.inc(solved)
                                 for a in pending:
                                     result.waveform_evaluations += 1
                                     a_eval[a] = True
@@ -1943,10 +1080,7 @@ class ColumnarPropagator(Propagator):
     def _gather_flip_flop(
         self, record, state, a_live, a_tt, a_ts, a_prov_dir, ts_l
     ) -> None:
-        """Launch both Q transitions off the clock arrival (the columnar
-        equivalent of :meth:`_flip_flop_tasks`)."""
-        from repro.core.columnar import DIR_INDEX
-
+        """Launch both Q transitions off the clock arrival at this cell."""
         cell, oi, b, e, _ = record
         cp = self.compiled
         process = self.design.process
@@ -1973,8 +1107,8 @@ class ColumnarPropagator(Propagator):
         launch_cross = clk_arrival.t_cross + cell.ctype.clk_to_q
         tt = clk_arrival.transition
         # The internal arrival is an ideal ramp starting at
-        # launch_cross - tt/2; its t_start round-trips through t_cross
-        # exactly as the object core's _ArcTask.t_start does.
+        # launch_cross - tt/2; its origin is recovered from its crossing
+        # time like every gate arc's (t_cross - tt/2), rounding included.
         ts = ((launch_cross - 0.5 * tt) + 0.5 * tt) - 0.5 * tt
         a_live[b:e] = True
         a_tt[b:e] = tt
@@ -1983,10 +1117,110 @@ class ColumnarPropagator(Propagator):
         for a in range(b, e):
             ts_l[a] = ts
 
+    # -- sources ---------------------------------------------------------------
 
-def _memo_dict_prov(prov: dict | None) -> dict | None:
-    """Columnar counterpart of :func:`_memo_prov` (raw prov dict in,
-    memo-origin prov dict out)."""
-    if prov is None:
-        return None
-    return {**prov, "origin": "memo"}
+    def _init_sources(self, state: TimingState) -> None:
+        process = self.design.process
+        tt = self.config.input_transition
+        circuit = self.design.circuit
+        for port in circuit.inputs.values():
+            net = port.net
+            if net is None:
+                continue
+            slot = state.ensure_net(net.name)
+            if net.is_clock:
+                # Launch edge only: the clock rises at t = 0.
+                slot[RISING] = ideal_ramp_event(
+                    RISING, 0.0, tt, process.vdd, process.v_th_model
+                )
+            else:
+                # Data inputs may make either transition at t = 0.
+                for direction in (RISING, FALLING):
+                    slot[direction] = ideal_ramp_event(
+                        direction, 0.0, tt, process.vdd, process.v_th_model
+                    )
+            state.processed.add(net.name)
+
+    # -- coupling waves ----------------------------------------------------------
+
+    def _coupling_waves(self, cells: list[Cell]) -> list[list[Cell]]:
+        """Split one level's cells into decision waves.
+
+        A cell must wait for an earlier-ordered cell of the same level
+        only when that cell drives a net coupled to its own output --
+        otherwise the two share no timing information at all and can be
+        decided together.  Processing the waves in order reproduces the
+        sequential walk's asymmetric visibility (for every coupled pair
+        driven in one level, exactly one side sees the other's freshly
+        calculated window) while keeping each wave batchable.  The
+        non-window modes never read windows: everything is one wave.
+        """
+        if not self.config.mode.is_window_based or len(cells) <= 1:
+            return [cells] if cells else []
+        driver_wave: dict[str, int] = {}
+        waves: list[list[Cell]] = []
+        for cell in cells:
+            out_net = cell.output_pin.net
+            load = self.design.loads.get(out_net.name)
+            wave = 0
+            if load is not None:
+                for other in load.couplings:
+                    earlier = driver_wave.get(other)
+                    if earlier is not None:
+                        wave = max(wave, earlier + 1)
+            driver_wave[out_net.name] = wave
+            if wave == len(waves):
+                waves.append([])
+            waves[wave].append(cell)
+        return waves
+
+    # -- helpers -------------------------------------------------------------
+
+    def _last_prov(self) -> dict:
+        """The calculator's provenance surfaces for the key it just
+        resolved (captured immediately after a ``resolve_key``)."""
+        calc = self.calculator
+        return {
+            "tier": calc.last_tier,
+            "origin": calc.last_origin,
+            "escalation": calc.last_escalation,
+            "signature": calc.last_signature,
+        }
+
+    def _arrival_at_pin(self, event: RampEvent, net_name: str, terminal: str) -> RampEvent:
+        """Shift a driver-output event to a sink terminal: Elmore wire
+        delay plus slew degradation.
+
+        The transition degrades by linear addition of the wire's own
+        transition scale (``k * T_elmore``), not the popular quadrature
+        (PERI) form: linear addition upper-bounds the RC-filtered sink
+        slew, which the worst-case analysis needs -- quadrature measurably
+        under-estimates the slow exponential tail on long stretched wires
+        and can let the simulation beat the bound.
+        """
+        elmore = self.design.loads[net_name].sink_elmore.get(terminal, 0.0)
+        if elmore <= 0.0:
+            return event
+        shifted = event.shifted(elmore)
+        k = self.config.slew_degradation_factor
+        degraded = event.transition + k * elmore
+        return shifted.with_transition(degraded)
+
+    def _collect_arrivals(self, state, result: PassResult) -> None:
+        for endpoint in self.design.circuit.timing_endpoints():
+            net = endpoint.net
+            if net is None:
+                continue
+            terminal = endpoint.full_name if isinstance(endpoint, Pin) else endpoint.name
+            for direction in (RISING, FALLING):
+                event = state.event(net.name, direction)
+                if event is None:
+                    continue
+                arrival = self._arrival_at_pin(event, net.name, terminal)
+                result.arrivals.append(
+                    EndpointArrival(endpoint=terminal, direction=direction, event=arrival)
+                )
+                if arrival.t_cross > result.longest_delay:
+                    result.longest_delay = arrival.t_cross
+                    result.critical_endpoint = terminal
+                    result.critical_direction = direction

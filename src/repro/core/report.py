@@ -147,7 +147,7 @@ def format_timing_report(
             )
         if stats.get("batched_solves"):
             lines.append(
-                f"  batch engine: {stats['batched_solves']} vectorized solves"
+                f"  vectorized solves: {stats['batched_solves']}"
                 + (
                     f", {stats['pool_solves']} via worker pool"
                     if stats.get("pool_solves")

@@ -17,20 +17,14 @@ Because float subtraction is monotone and ``min`` is exact, the minimum
 of a net's fanout-arc slacks equals its net slack **bitwise** (the slack
 property suite pins this invariant).
 
-Two implementations share every float operation:
-
-* the **columnar sweep** consumes the compiled design's CSR level slabs
-  (:class:`repro.core.columnar.CompiledDesign`) and the column state's
-  ``ev_tc``/``valid`` arrays directly -- one vectorized gather/subtract/
-  scatter-min per level, in reverse level order;
-* the **object walker** iterates ``evaluation_levels`` in reverse with
-  the per-net event API, serving as the reference path.
-
-numpy float64 subtraction and minimum are IEEE-754 identical to Python
-floats, and no operation here depends on evaluation order (``min`` is
-exact; every candidate is an independent two-operand subtract), so the
-two paths are ``float.hex()``-identical -- pinned by the slack property
-suite the same way the forward cores are pinned.
+The sweep consumes the compiled design's CSR level slabs
+(:class:`repro.core.columnar.CompiledDesign`) and the column state's
+``ev_tc``/``valid`` arrays directly -- one vectorized gather/subtract/
+scatter-min per level, in reverse level order.  No operation depends on
+evaluation order (``min`` is exact; every candidate is an independent
+two-operand subtract), and its results are pinned ``float.hex()``-wise
+by the slack digests in ``tests/golden/propagation.json``, recorded
+while an object-graph reference walker still agreed with it.
 
 :func:`slack_payload` decomposes the worst paths' slacks into per-stage
 contributions that telescope bit-exactly (the ulp-walked increments of
@@ -44,11 +38,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from repro.circuit.netlist import Circuit, Pin
 from repro.core.constraints import ConstraintReport, check_setup
 from repro.core.explain import _exact_increment
-from repro.core.graph import evaluation_levels
-from repro.core.modes import Core
+from repro.core import columnar
+from repro.core.columnar import DIR_INDEX, DIRECTIONS, ColumnTimingState
 from repro.core.paths import endpoint_net_name, k_worst_paths
 from repro.core.propagation import PassResult
 from repro.errors import EngineError, InputError
@@ -66,15 +62,13 @@ class SlackResult:
 
     ``net_required``/``net_slack`` are keyed ``(net name, direction)``
     and cover every net with a finite required time; ``arc_slack`` is
-    keyed by the arc's memo identity ``(cell, input pin, input
-    direction)`` -- the same key the delta-driven memo and the columnar
-    ``arc_key_index`` use.  All values are plain Python floats and are
-    ``float.hex()``-identical across the object and columnar cores.
+    keyed by the arc's identity ``(cell, input pin, input direction)``
+    -- the key of the compiled design's ``arc_key_index``.  All values
+    are plain Python floats.
     """
 
     clock_period: float
     setup_time: float
-    core: Core
     worst_slack: float
     worst_endpoint: str
     worst_direction: str
@@ -155,83 +149,11 @@ def _seed_required(
     return seeds
 
 
-def _object_sweep(
-    design: Design,
-    state: Any,
-    seeds: dict[tuple[str, str], float],
-) -> tuple[dict[tuple[str, str], float], dict[tuple[str, str, str], float]]:
-    """Reference backward relaxation over the object graph.
-
-    Walks ``evaluation_levels`` in reverse; works against either state
-    representation through the ``event()`` API.  Every float operation
-    (two-operand subtracts, exact ``min`` merges) mirrors the columnar
-    sweep one for one.
-    """
-    req = dict(seeds)
-    arc_slack: dict[tuple[str, str, str], float] = {}
-    for level in reversed(evaluation_levels(design.circuit)):
-        for cell in level:
-            out_net = cell.output_pin.net
-            if out_net is None:
-                continue
-            if cell.is_sequential:
-                clk_net = cell.pins["CLK"].net
-                if clk_net is None:
-                    continue
-                clk_event = state.event(clk_net.name, RISING) or state.event(
-                    clk_net.name, FALLING
-                )
-                if clk_event is None:
-                    continue
-                for out_direction in (RISING, FALLING):
-                    out_event = state.event(out_net.name, out_direction)
-                    req_out = req.get((out_net.name, out_direction))
-                    if out_event is None or req_out is None:
-                        continue
-                    d = out_event.t_cross - clk_event.t_cross
-                    cand = req_out - d
-                    arc_slack[(cell.name, "A", opposite(out_direction))] = (
-                        cand - clk_event.t_cross
-                    )
-                    key = (clk_net.name, clk_event.direction)
-                    current = req.get(key)
-                    if current is None or cand < current:
-                        req[key] = cand
-            else:
-                for pin in cell.input_pins:
-                    in_net = pin.net
-                    if in_net is None:
-                        continue
-                    for direction in (RISING, FALLING):
-                        in_event = state.event(in_net.name, direction)
-                        if in_event is None:
-                            continue
-                        out_direction = opposite(direction)
-                        out_event = state.event(out_net.name, out_direction)
-                        req_out = req.get((out_net.name, out_direction))
-                        if out_event is None or req_out is None:
-                            continue
-                        d = out_event.t_cross - in_event.t_cross
-                        cand = req_out - d
-                        arc_slack[(cell.name, pin.name, direction)] = (
-                            cand - in_event.t_cross
-                        )
-                        key = (in_net.name, direction)
-                        current = req.get(key)
-                        if current is None or cand < current:
-                            req[key] = cand
-    return req, arc_slack
-
-
-def _columnar_sweep(
-    state: Any,
+def _sweep(
+    state: ColumnTimingState,
     seeds: dict[tuple[str, str], float],
 ) -> tuple[dict[tuple[str, str], float], dict[tuple[str, str, str], float]]:
     """Vectorized backward relaxation over the compiled level slabs."""
-    import numpy as np
-
-    from repro.core.columnar import DIR_INDEX, DIRECTIONS
-
     compiled = state.compiled
     n = compiled.n_nets
     req = np.full((2, n), _INF, dtype=np.float64)
@@ -307,40 +229,27 @@ def compute_slack(
     result: Any,
     clock_period: float,
     setup_time: float = 100e-12,
-    core: Core | None = None,
 ) -> SlackResult:
     """Run the backward required-time pass against a finished analysis.
 
     ``result`` is a :class:`~repro.core.analyzer.StaResult` or a bare
-    :class:`~repro.core.propagation.PassResult`.  The core defaults to
-    whichever layout the forward state already uses; ``core`` forces the
-    object reference walker (which reads either state through the event
-    views) or the vectorized columnar sweep (which requires a columnar
-    forward state).
+    :class:`~repro.core.propagation.PassResult`.  A plain
+    :class:`~repro.core.graph.TimingState` (a pass restored from an
+    iterative checkpoint) is first loaded into columns over the design's
+    compilation.
     """
     if clock_period <= 0:
         raise InputError("clock period must be positive")
     pass_result = getattr(result, "final_pass", result)
     if pass_result is None:
         raise InputError("result carries no final pass to compute slack from")
-    from repro.core.columnar import ColumnTimingState
-
-    state = pass_result.state
-    if core is None:
-        core = Core.COLUMNAR if isinstance(state, ColumnTimingState) else Core.OBJECT
-    if core is Core.COLUMNAR and not isinstance(state, ColumnTimingState):
-        raise InputError(
-            "columnar slack sweep needs a columnar forward state; "
-            "re-run with core=columnar or pass core=Core.OBJECT"
-        )
-
     t0 = time.perf_counter()
+    state = pass_result.state
+    if not isinstance(state, ColumnTimingState):
+        state = ColumnTimingState.from_state(columnar.compile_design(design), state)
     report = check_setup(pass_result, clock_period, setup_time)
     seeds = _seed_required(design, pass_result, report)
-    if core is Core.COLUMNAR:
-        net_required, arc_slack = _columnar_sweep(state, seeds)
-    else:
-        net_required, arc_slack = _object_sweep(design, state, seeds)
+    net_required, arc_slack = _sweep(state, seeds)
 
     net_slack: dict[tuple[str, str], float] = {}
     for (name, direction), required in net_required.items():
@@ -357,8 +266,8 @@ def compute_slack(
         worst_slack = _INF
         worst_endpoint = ""
         worst_direction = ""
-    # Deterministic accumulation order (the arrivals list order is
-    # identical across cores), so TNS is cross-core bit-identical too.
+    # Deterministic accumulation order (the arrivals list order), so
+    # TNS is reproducible bit for bit.
     tns = 0.0
     violations = 0
     for entry in report.slacks:
@@ -368,7 +277,6 @@ def compute_slack(
     return SlackResult(
         clock_period=clock_period,
         setup_time=setup_time,
-        core=core,
         worst_slack=worst_slack,
         worst_endpoint=worst_endpoint,
         worst_direction=worst_direction,
@@ -518,7 +426,6 @@ def slack_payload(
         "schema": SLACK_SCHEMA,
         "design": getattr(result, "design_name", ""),
         "mode": mode.value if mode is not None else "",
-        "core": slack.core.value,
         "clock_period": slack.clock_period,
         "setup_time": slack.setup_time,
         "worst_slack": slack.worst_slack,

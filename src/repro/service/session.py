@@ -33,7 +33,7 @@ from repro.circuit import resolve_circuit
 from repro.core.analyzer import CrosstalkSTA, StaResult
 from repro.core.explain import explain_result, validate_explain
 from repro.core.export import path_to_dict
-from repro.core.modes import AnalysisMode, Core, Engine, SolverTier, StaConfig, WindowCheck
+from repro.core.modes import AnalysisMode, SolverTier, StaConfig, WindowCheck
 from repro.core.netreport import exposure_to_dict, rank_crosstalk_nets
 from repro.errors import InputError
 from repro.flow import prepare_design
@@ -48,8 +48,6 @@ from repro.waveform.pwl import FALLING, RISING
 _CONFIG_OVERRIDES = {
     "mode": lambda v: AnalysisMode(v),
     "window_check": lambda v: WindowCheck(v),
-    "engine": lambda v: Engine(v),
-    "core": lambda v: Core(v),
     "workers": int,
     "esperance": bool,
     "esperance_slack": float,
@@ -430,7 +428,6 @@ class Session:
             "nets": len(circuit.nets),
             "coupling_pairs": coupling_pairs,
             "mode": self.config.mode.value,
-            "engine": self.config.engine.value,
             "window_check": self.config.window_check.value,
             "incremental": self.config.incremental,
             "checkpoint": self.checkpoint_path,

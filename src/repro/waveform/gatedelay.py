@@ -21,14 +21,19 @@ what a per-(cell, pin) solve would have produced.  The small
 non-conservative error quantization leaves on the early-activity marker
 is covered by the STA's comparison guard band (``StaConfig.guard``).
 
-Two evaluation backends fill the cache:
+Two solvers fill the cache, chosen per batch by size alone
+(:meth:`GateDelayCalculator.prime_keys`):
 
-* the scalar :class:`~repro.waveform.stage.StageSolver` (reference), one
-  arc at a time, and
-* the vectorized :class:`~repro.waveform.batchstage.BatchStageSolver`,
-  used by :meth:`GateDelayCalculator.prime_arcs` to integrate all distinct
-  situations of a batch simultaneously -- optionally fanned out over a
-  ``ProcessPoolExecutor`` for multi-core scaling.
+* the vectorized :class:`~repro.waveform.batchstage.BatchStageSolver`
+  integrates all distinct situations of a batch of at least
+  ``MIN_BATCH`` simultaneously -- optionally fanned out over a
+  ``ProcessPoolExecutor`` for multi-core scaling;
+* the scalar :class:`~repro.waveform.stage.StageSolver` solves smaller
+  batches, keys resolved without priming, degraded arcs, screening
+  anchors, and the batch solver's fallback, one arc at a time.
+
+Both integrate the same stage tables with the same numerics, so a key's
+result does not depend on which solver (or which batch) produced it.
 
 The cache can persist across runs (:meth:`save_cache_file` /
 :meth:`load_cache_file`): a JSON file keyed by a fingerprint of the
@@ -118,7 +123,7 @@ class ArcResult:
 
 @dataclass(frozen=True)
 class ArcRequest:
-    """One arc situation for batched priming (pre-quantization values)."""
+    """One arc situation before quantization into its cache key."""
 
     ctype: CellType
     pin: str
@@ -127,9 +132,6 @@ class ArcRequest:
     load: CouplingLoad
     aiding: bool = False
     quantize_down: bool = False
-    # Screened tier only: route this request to the full Newton solve
-    # (slack-critical arc).  Not part of the canonical cache key.
-    force_exact: bool = False
 
 
 def _stage_params(ctype: CellType, pin: str, process: ProcessParams):
@@ -310,7 +312,6 @@ class GateDelayCalculator:
         transition_grid: float = 2e-12,
         cap_grid: float = 0.2e-15,
         table_points: int = 121,
-        engine: str = "scalar",
         workers: int = 0,
         metrics: MetricsRegistry | None = None,
         strict: bool = False,
@@ -324,7 +325,6 @@ class GateDelayCalculator:
         self.transition_grid = transition_grid
         self.cap_grid = cap_grid
         self.table_points = table_points
-        self.engine = engine
         self.workers = workers
         # Fault-tolerance policy: ``strict`` restores fail-fast solves and
         # turns corrupt-cache quarantine into a CacheError; the worker
@@ -414,7 +414,7 @@ class GateDelayCalculator:
         # string literals here to keep waveform/ free of core/ imports),
         # why a screened query escalated (``last_escalation``) and the
         # signature token it resolved through (``last_signature``).
-        # ``_fresh_keys`` holds keys solved by prime_arcs whose first
+        # ``_fresh_keys`` holds keys solved by prime_keys whose first
         # consumer has not yet claimed them as "fresh"; ``_degraded_keys``
         # marks conservative substitute bounds; ``_key_escalation``
         # remembers why a cached key once escalated to Newton.
@@ -546,9 +546,9 @@ class GateDelayCalculator:
         """The canonical cache key of a request: the interned stage
         signature plus the quantized slew and loads.
 
-        This is the single place canonicalization and quantization
-        happen, shared by the scalar per-arc path and the batched
-        priming path.
+        The per-request path of :meth:`compute_arc_relative`; the
+        propagator computes the same keys in bulk (see
+        :meth:`resolve_key`).
         """
         down = request.quantize_down
         tt = self._q_time(request.input_transition, down=down)
@@ -646,11 +646,12 @@ class GateDelayCalculator:
     def resolve_key(self, key: tuple, force_exact: bool = False) -> ArcResult:
         """Resolve one *pre-quantized* canonical key.
 
-        The columnar core computes quantized keys in bulk (vectorized
-        ceil over a level slab) and resolves them here, skipping the
-        per-arc :class:`ArcRequest` construction; the cache-probe /
-        screen / solve logic and every counter are identical to
-        :meth:`compute_arc_relative`.
+        The propagator computes quantized keys in bulk (vectorized ceil
+        over a level slab) and resolves them here, skipping the per-arc
+        :class:`ArcRequest` construction; the cache-probe / screen /
+        solve logic and every counter are shared with
+        :meth:`compute_arc_relative`.  A miss is solved on its own by
+        the scalar solver.
         """
         self.last_signature = key[0]
         cached = self._arc_cache.get(key)
@@ -742,7 +743,7 @@ class GateDelayCalculator:
             origin = "persisted"
         else:
             self._c_dedup_hits.inc()
-            # The first consumer of a prime_arcs batch solve is the arc
+            # The first consumer of a prime_keys batch solve is the arc
             # that *caused* the solve: report it as fresh, not dedup.
             if key in self._fresh_keys:
                 self._fresh_keys.discard(key)
@@ -908,61 +909,16 @@ class GateDelayCalculator:
 
     # -- batched priming ------------------------------------------------------
 
-    def prime_arcs(self, requests: Sequence[ArcRequest]) -> int:
-        """Ensure every request's quantized situation is cached.
-
-        Deduplicates the requests through the quantized arc key, then
-        solves the distinct misses -- with the batch engine in one
-        vectorized call (optionally fanned out over worker processes)
-        when configured, falling back to the scalar reference solver for
-        tiny batches or ``engine="scalar"``.  Returns the number of
-        situations actually solved.
-
-        Under the screened solver tier each miss is screened here, on
-        the parent side, and only the escalated (or ``force_exact``)
-        situations reach the batch/pool Newton solve.
-        """
-        misses: list[tuple] = []
-        seen: set[tuple] = set()
-        screen = self._screen
-        for request in requests:
-            key = self._quantized_key(request)
-            if key in self._arc_cache or key in seen:
-                continue
-            if screen is not None and not request.aiding and not request.quantize_down:
-                if request.force_exact:
-                    self._c_escalations["slack"].inc()
-                    self._key_escalation[key] = "slack"
-                elif key in self._screen_cache:
-                    continue
-                else:
-                    t0 = time.perf_counter()
-                    outcome = screen.estimate(key)
-                    if outcome.tier is not None:
-                        arc = self._screen_arc(key, outcome.fields)
-                        self._screen_cache[key] = (arc, outcome.tier)
-                        self._c_tier[outcome.tier].inc()
-                        self._c_tier_seconds[outcome.tier].inc(
-                            time.perf_counter() - t0
-                        )
-                        continue
-                    self._c_escalations[outcome.reason].inc()
-                    self._key_escalation[key] = outcome.reason
-                    self._c_tier_seconds["newton"].inc(time.perf_counter() - t0)
-            seen.add(key)
-            misses.append(key)
-        return self._solve_misses(misses)
-
     def prime_keys(self, entries: Sequence[tuple[tuple, bool]]) -> int:
         """Ensure every *pre-quantized* ``(key, force_exact)`` situation
-        is cached.
+        is cached; returns the number of situations actually solved.
 
-        The columnar core's bulk counterpart of :meth:`prime_arcs`:
-        quantization already happened in vectorized form, so this skips
-        request construction and goes straight to the dedup / screen /
-        batch-solve logic, which is kept identical (first-seen dedup
-        order, slack/screen escalation accounting, engine branching).
-        ``quantize_down`` keys must not be primed through this path.
+        Deduplicates the keys (first-seen order), then solves the
+        distinct misses (see :meth:`_solve_misses`).  Under the screened
+        solver tier each miss is screened here first, and only the
+        escalated (or ``force_exact``) situations reach the Newton
+        solve.  ``quantize_down`` keys must not be primed through this
+        path.
         """
         misses: list[tuple] = []
         seen: set[tuple] = set()
@@ -1012,7 +968,14 @@ class GateDelayCalculator:
             self._speculative = False
 
     def _solve_misses(self, misses: list[tuple]) -> int:
-        """Solve the deduplicated cache misses (shared prime tail)."""
+        """Solve the deduplicated cache misses.
+
+        The one place the solver is chosen, by batch size alone: below
+        ``MIN_BATCH`` a vectorized solve does not amortize its setup and
+        the scalar solver takes each key; larger batches go to one
+        vectorized integration, or to the worker pool when ``workers``
+        is set and the batch is big enough to split.
+        """
         if not misses:
             return 0
         t0 = time.perf_counter()
@@ -1029,7 +992,7 @@ class GateDelayCalculator:
                     exc,
                 )
                 return 0
-        elif self.engine != "batch" or len(misses) < MIN_BATCH:
+        elif len(misses) < MIN_BATCH:
             for key in misses:
                 self._arc_cache[key] = self._solve_key(key)
         elif self.workers >= 2 and len(misses) >= 2 * MIN_BATCH:

@@ -169,6 +169,25 @@ class TestNldmCalculator:
             NldmDelayCalculator(char, coupling_factor=-1.0)
 
     def test_interface_parity(self, char, library):
+        """A calculator subclass: same statistics surface as the
+        transistor-level calculator."""
         nldm = NldmDelayCalculator(char)
-        stats = nldm.cache_stats()
-        assert set(stats) == {"evaluations", "cache_hits", "cached_arcs", "stage_tables"}
+        assert isinstance(nldm, GateDelayCalculator)
+        assert set(nldm.cache_stats()) == set(GateDelayCalculator().cache_stats())
+
+
+class TestNldmAnalysis:
+    def test_s27_best_case_tracks_exact(self, s27_design):
+        """The table-lookup calculator drives the analyzer unchanged (it
+        answers the propagator's canonical keys from its tables), and
+        coupling-free, its bound tracks the transistor-level one."""
+        from repro.core.analyzer import CrosstalkSTA
+        from repro.core.modes import AnalysisMode, StaConfig
+
+        config = StaConfig(mode=AnalysisMode.BEST_CASE)
+        nldm = NldmDelayCalculator(characterize_library(), coupling_factor=1.0)
+        table = CrosstalkSTA(s27_design, config, calculator=nldm).run()
+        exact = CrosstalkSTA(s27_design, config).run()
+        assert table.cache_stats["evaluations"] > 0
+        assert table.longest_delay == pytest.approx(exact.longest_delay, rel=0.02)
+

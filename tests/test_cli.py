@@ -54,20 +54,23 @@ class TestParser:
         assert args.output == "-"
 
     def test_engine_defaults(self):
+        """One propagation path: no engine choice left to default."""
         args = build_parser().parse_args(["analyze", "s27"])
-        assert args.engine == "scalar"
+        assert not hasattr(args, "engine")
         assert args.workers == 0
         assert args.arc_cache is None
         assert not args.timing_report
 
     def test_engine_choices(self):
-        args = build_parser().parse_args(
-            ["analyze", "s27", "--engine", "batch", "--workers", "2"]
-        )
-        assert args.engine == "batch"
+        """The waveform-engine flag is gone from every verb that had it:
+        passing it is a usage error."""
+        args = build_parser().parse_args(["analyze", "s27", "--workers", "2"])
         assert args.workers == 2
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["analyze", "s27", "--engine", "turbo"])
+        removed = "engine"
+        for verb in ("analyze", "explain", "serve"):
+            target = [] if verb == "serve" else ["s27"]
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([verb, *target, f"--{removed}", "batch"])
 
 
 class TestInfo:
@@ -148,7 +151,7 @@ class TestAnalyze:
 
 class TestBatchEngineFlags:
     def test_batch_engine_run(self, capsys):
-        assert main(["analyze", "s27", "--mode", "one_step", "--engine", "batch"]) == 0
+        assert main(["analyze", "s27", "--mode", "one_step"]) == 0
         out = capsys.readouterr().out
         assert "critical path" in out
 
@@ -159,8 +162,6 @@ class TestBatchEngineFlags:
                 "s27",
                 "--mode",
                 "one_step",
-                "--engine",
-                "batch",
                 "--timing-report",
             ]
         ) == 0

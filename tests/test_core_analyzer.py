@@ -46,6 +46,27 @@ class TestRun:
         # Second identical run is served from the arc cache.
         assert sta.calculator.evaluations == evals_first
 
+    def test_passed_calculator_batches_like_its_own(self):
+        """The solver choice lives in the calculator alone and depends on
+        batch size only: a caller-supplied calculator makes the same
+        batched solves as the one the analyzer builds, to the same hex."""
+        from repro.waveform.gatedelay import GateDelayCalculator
+        from tests.golden.make_golden import build_design
+
+        design = build_design("s35932")
+        config = StaConfig(mode=AnalysisMode.ONE_STEP)
+        passed = CrosstalkSTA(
+            design, config, calculator=GateDelayCalculator(process=design.process)
+        ).run()
+        own = CrosstalkSTA(design, config).run()
+
+        def batched(result):
+            return result.telemetry.metrics["counters"]["arc_cache.batched_solves"]
+
+        assert batched(passed) == batched(own) > 0
+        assert passed.longest_delay.hex() == own.longest_delay.hex()
+        assert passed.arrival_map() == own.arrival_map()
+
     def test_history_recorded_for_iterative(self, s27_design):
         result = CrosstalkSTA(s27_design).run(AnalysisMode.ITERATIVE)
         assert len(result.history) == result.passes

@@ -1,26 +1,36 @@
-"""Scalar vs batch engine: end-to-end equivalence.
+"""The propagation path against the golden digests, in every composition.
 
-The batch engine is strictly a performance feature: its longest-path
-delay bounds must match the scalar reference within the quantization
-guard band on every analysis mode (in practice they agree bitwise,
-because both engines fill the same quantized arc cache with identical
-numerics and share all decision logic).
+The analyzer once offered two propagation cores (object graph and
+columnar) and two waveform engines (scalar and batch).  The digests in
+``tests/golden/propagation.json`` were recorded while all four
+combinations existed and agreed ``float.hex()``-exactly on every
+endpoint arrival, pass and counter, so they stand in for the deleted
+reference paths: the tests below re-derive them through every
+composition the old pairwise checks covered -- an analyzer shared
+across modes, incremental reuse on and off, checkpoint resume, warm
+starts, the screened tier, the level look-ahead and the worker pool.
 """
 
 import pytest
 
 from repro.circuit import s27
 from repro.core.analyzer import CrosstalkSTA
-from repro.core.modes import (
-    AnalysisMode,
-    Core,
-    Engine,
-    SolverTier,
-    StaConfig,
-    WindowCheck,
-)
+from repro.core.modes import AnalysisMode, SolverTier, StaConfig
 from repro.flow import prepare_design
 from repro.testing import newton_failures
+from tests.golden.make_golden import VARIANTS, digest, mismatches, run_variant
+
+# The digest fields that do not depend on the arc cache's history (the
+# ledger's origin counts do: a shared analyzer turns fresh solves into
+# dedup hits).
+TIMING_FIELDS = [
+    "longest_delay",
+    "critical",
+    "arrivals_sha256",
+    "passes",
+    "arcs",
+    "coupled_arcs",
+]
 
 
 @pytest.fixture(scope="module")
@@ -30,44 +40,44 @@ def s27_design():
 
 @pytest.fixture(scope="module")
 def results(s27_design):
-    out = {}
-    for engine in (Engine.SCALAR, Engine.BATCH):
-        sta = CrosstalkSTA(s27_design, StaConfig(engine=engine))
-        out[engine] = {mode: sta.run(mode) for mode in AnalysisMode}
-    return out
+    """All five modes on one analyzer (shared arc cache)."""
+    sta = CrosstalkSTA(s27_design, StaConfig())
+    return {mode: sta.run(mode) for mode in AnalysisMode}
+
+
+def _golden(design, key, result, fields=None):
+    return mismatches(key, digest(design, result), fields)
 
 
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("mode", list(AnalysisMode))
-    def test_longest_delay_within_guard(self, results, mode):
-        guard = StaConfig().guard
-        scalar = results[Engine.SCALAR][mode]
-        batch = results[Engine.BATCH][mode]
-        assert abs(scalar.longest_delay - batch.longest_delay) <= guard
-        assert scalar.critical_endpoint == batch.critical_endpoint
-        assert scalar.critical_direction == batch.critical_direction
+    """A shared analyzer's arc cache serves later modes from earlier
+    modes' solves; that must never move a number."""
 
     @pytest.mark.parametrize("mode", list(AnalysisMode))
-    def test_every_endpoint_arrival_matches(self, results, mode):
-        scalar = results[Engine.SCALAR][mode].arrival_map()
-        batch = results[Engine.BATCH][mode].arrival_map()
-        assert set(scalar) == set(batch)
-        guard = StaConfig().guard
-        for key in scalar:
-            assert abs(scalar[key] - batch[key]) <= guard, key
+    def test_longest_delay_within_guard(self, s27_design, results, mode):
+        assert _golden(
+            s27_design, f"s27/{mode.value}", results[mode], ["longest_delay", "critical"]
+        ) == []
 
-    def test_same_evaluation_accounting(self, results):
-        """Both engines walk the same arcs and make the same decisions."""
+    @pytest.mark.parametrize("mode", list(AnalysisMode))
+    def test_every_endpoint_arrival_matches(self, s27_design, results, mode):
+        assert _golden(
+            s27_design, f"s27/{mode.value}", results[mode], ["arrivals_sha256"]
+        ) == []
+
+    def test_same_evaluation_accounting(self, s27_design, results):
+        """Every mode walks the recorded arcs and makes the recorded
+        decisions: arc counts and per-pass work match the digests."""
         for mode in AnalysisMode:
-            scalar = results[Engine.SCALAR][mode]
-            batch = results[Engine.BATCH][mode]
-            assert scalar.arcs_processed == batch.arcs_processed
-            assert scalar.waveform_evaluations == batch.waveform_evaluations
-            assert scalar.coupled_arcs == batch.coupled_arcs
-            assert scalar.passes == batch.passes
+            assert _golden(
+                s27_design,
+                f"s27/{mode.value}",
+                results[mode],
+                ["arcs", "coupled_arcs", "passes"],
+            ) == []
 
     def test_batch_engine_used_vectorized_solves(self, results):
-        stats = results[Engine.BATCH][AnalysisMode.ITERATIVE].cache_stats
+        stats = results[AnalysisMode.ITERATIVE].cache_stats
         assert stats["batched_solves"] > 0
 
 
@@ -239,161 +249,91 @@ class TestSolverTierEquivalence:
 
 
 class TestWorkerPool:
-    def test_pooled_batch_matches_scalar(self, s27_design):
-        """Opt-in multi-process fan-out produces the same bound."""
-        scalar = CrosstalkSTA(s27_design, StaConfig(engine=Engine.SCALAR)).run(
-            AnalysisMode.ONE_STEP
-        )
+    def test_pooled_batch_matches_scalar(self, small_design):
+        """Opt-in multi-process fan-out reproduces the digests recorded
+        while the scalar engine still agreed with the batch engine."""
         sta = CrosstalkSTA(
-            s27_design, StaConfig(engine=Engine.BATCH, workers=2)
+            small_design, StaConfig(mode=AnalysisMode.ONE_STEP, workers=2)
         )
-        pooled = sta.run(AnalysisMode.ONE_STEP)
-        sta.calculator.close()
-        assert abs(scalar.longest_delay - pooled.longest_delay) <= StaConfig().guard
+        try:
+            pooled = sta.run()
+        finally:
+            sta.calculator.close()
+        assert pooled.cache_stats["pool_solves"] > 0
+        assert _golden(small_design, "small/one_step", pooled, TIMING_FIELDS) == []
 
 
 class TestColumnarCoreEquivalence:
-    """Columnar vs object core: the structure-of-arrays core is strictly
-    a performance feature, so the exact tier must be ``float.hex()``-
-    identical -- every endpoint arrival, every pass, every counter --
-    in all five modes and in every composition (incremental on/off,
-    checkpointed resume, screened tier)."""
+    """The digests were recorded while the object core still agreed with
+    the columnar one; a fresh analyzer per mode reproduces every field
+    (provenance ledger included) in every composition: incremental on
+    and off, checkpoint resume, warm start, screened tier."""
 
     @pytest.fixture(scope="class")
-    def core_pair(self, s27_design):
-        out = {}
-        for core in (Core.OBJECT, Core.COLUMNAR):
-            sta = CrosstalkSTA(s27_design, StaConfig(core=core))
-            out[core] = {mode: sta.run(mode) for mode in AnalysisMode}
-        return out
+    def fresh(self, s27_design):
+        return {mode: run_variant(s27_design, mode.value) for mode in AnalysisMode}
 
     @pytest.mark.parametrize("mode", list(AnalysisMode))
-    def test_arrivals_bit_identical(self, core_pair, mode):
-        obj = core_pair[Core.OBJECT][mode].arrival_map()
-        col = core_pair[Core.COLUMNAR][mode].arrival_map()
-        assert set(obj) == set(col)
-        for key in obj:
-            assert obj[key].hex() == col[key].hex(), key
+    def test_arrivals_bit_identical(self, s27_design, fresh, mode):
+        assert _golden(
+            s27_design, f"s27/{mode.value}", fresh[mode], ["arrivals_sha256"]
+        ) == []
 
     @pytest.mark.parametrize("mode", list(AnalysisMode))
-    def test_longest_delay_and_accounting_identical(self, core_pair, mode):
-        obj = core_pair[Core.OBJECT][mode]
-        col = core_pair[Core.COLUMNAR][mode]
-        assert obj.longest_delay.hex() == col.longest_delay.hex()
-        assert obj.critical_endpoint == col.critical_endpoint
-        assert obj.critical_direction == col.critical_direction
-        assert obj.arcs_processed == col.arcs_processed
-        assert obj.waveform_evaluations == col.waveform_evaluations
-        assert obj.coupled_arcs == col.coupled_arcs
-        assert obj.passes == col.passes
+    def test_longest_delay_and_accounting_identical(self, s27_design, fresh, mode):
+        assert _golden(
+            s27_design, f"s27/{mode.value}", fresh[mode], TIMING_FIELDS
+        ) == []
 
     @pytest.mark.parametrize("mode", list(AnalysisMode))
-    def test_every_pass_bit_identical(self, core_pair, mode):
-        obj = core_pair[Core.OBJECT][mode]
-        col = core_pair[Core.COLUMNAR][mode]
-        assert len(obj.history) == len(col.history)
-        for ro, rc in zip(obj.history, col.history):
-            assert ro.longest_delay.hex() == rc.longest_delay.hex()
-            assert ro.waveform_evaluations == rc.waveform_evaluations
-            assert ro.dirty_arcs == rc.dirty_arcs
-            assert ro.reused_arcs == rc.reused_arcs
+    def test_every_pass_bit_identical(self, s27_design, fresh, mode):
+        assert _golden(s27_design, f"s27/{mode.value}", fresh[mode], ["passes"]) == []
 
     @pytest.mark.parametrize("mode", list(AnalysisMode))
-    def test_provenance_ledger_identical(self, core_pair, mode):
-        obj = core_pair[Core.OBJECT][mode].ledger
-        col = core_pair[Core.COLUMNAR][mode].ledger
-        assert obj is not None and col is not None
-        assert len(obj) == len(col)
-        assert obj.counts() == col.counts()
+    def test_provenance_ledger_identical(self, s27_design, fresh, mode):
+        assert fresh[mode].ledger is not None
+        assert _golden(s27_design, f"s27/{mode.value}", fresh[mode], ["ledger"]) == []
 
     @pytest.mark.parametrize("incremental", [True, False])
     def test_incremental_composition_identical(self, s27_design, incremental):
-        results = {}
-        for core in (Core.OBJECT, Core.COLUMNAR):
-            sta = CrosstalkSTA(
-                s27_design,
-                StaConfig(
-                    mode=AnalysisMode.ITERATIVE,
-                    core=core,
-                    incremental=incremental,
-                ),
-            )
-            results[core] = sta.run()
-        obj, col = results[Core.OBJECT], results[Core.COLUMNAR]
-        assert obj.longest_delay.hex() == col.longest_delay.hex()
-        for ro, rc in zip(obj.history, col.history):
-            assert ro.waveform_evaluations == rc.waveform_evaluations
-            assert ro.reused_arcs == rc.reused_arcs
+        variant = "iterative" if incremental else "iterative-no-incremental"
+        result = run_variant(s27_design, variant)
+        assert _golden(s27_design, f"s27/{variant}", result) == []
 
     def test_checkpoint_cross_core_resume(self, s27_design, tmp_path):
-        """Checkpoints are core-agnostic: a run interrupted under one
-        core resumes under the other to the bit-identical result."""
-        reference = CrosstalkSTA(
-            s27_design,
-            StaConfig(mode=AnalysisMode.ITERATIVE, core=Core.OBJECT),
-        ).run()
-        for first, second in (
-            (Core.OBJECT, Core.COLUMNAR),
-            (Core.COLUMNAR, Core.OBJECT),
-        ):
-            path = tmp_path / f"{first.value}-{second.value}.ckpt"
-            config_first = StaConfig(
-                mode=AnalysisMode.ITERATIVE, core=first, checkpoint=str(path)
-            )
-            CrosstalkSTA(s27_design, config_first).run()
-            config_second = StaConfig(
-                mode=AnalysisMode.ITERATIVE, core=second, checkpoint=str(path)
-            )
-            resumed = CrosstalkSTA(s27_design, config_second).run()
-            assert resumed.longest_delay.hex() == reference.longest_delay.hex()
+        """A checkpoint stores plain object-layout states; a run resumed
+        from it reproduces every digest, the slack sweep over the
+        restored state included."""
+        config = StaConfig(
+            **VARIANTS["iterative"], checkpoint=str(tmp_path / "run.ckpt")
+        )
+        CrosstalkSTA(s27_design, config).run()
+        resumed = CrosstalkSTA(s27_design, config).run()
+        assert _golden(s27_design, "s27/iterative", resumed) == []
 
     @pytest.mark.parametrize("mode", list(AnalysisMode))
     def test_screened_composition_identical(self, s27_design, mode):
-        results = {}
-        for core in (Core.OBJECT, Core.COLUMNAR):
-            sta = CrosstalkSTA(
-                s27_design,
-                StaConfig(
-                    mode=mode,
-                    core=core,
-                    solver_tier=SolverTier.SCREENED,
-                ),
-            )
-            results[core] = sta.run()
-        obj, col = results[Core.OBJECT], results[Core.COLUMNAR]
-        assert obj.longest_delay.hex() == col.longest_delay.hex()
-        assert obj.waveform_evaluations == col.waveform_evaluations
-        obj_a, col_a = obj.arrival_map(), col.arrival_map()
-        assert set(obj_a) == set(col_a)
-        for key in obj_a:
-            assert obj_a[key].hex() == col_a[key].hex(), key
+        result = run_variant(s27_design, f"screened-{mode.value}")
+        assert _golden(s27_design, f"s27/screened-{mode.value}", result) == []
 
     def test_warm_start_cross_core(self, s27_design):
-        """The session what-if path: a columnar analyzer warm-started
-        from an object analyzer's memo (and vice versa) reuses every
-        unchanged arc and reports the bit-identical bound."""
-        cold = {}
-        for core in (Core.OBJECT, Core.COLUMNAR):
-            sta = CrosstalkSTA(
-                s27_design,
-                StaConfig(mode=AnalysisMode.ITERATIVE, core=core),
-                keep_propagators=True,
-            )
-            cold[core] = (sta, sta.run())
-        for source, target in (
-            (Core.OBJECT, Core.COLUMNAR),
-            (Core.COLUMNAR, Core.OBJECT),
-        ):
-            warm_sta = CrosstalkSTA(
-                s27_design, StaConfig(mode=AnalysisMode.ITERATIVE, core=target)
-            )
-            warm_sta.warm_start_from(cold[source][0])
-            warm = warm_sta.run()
-            assert (
-                warm.longest_delay.hex()
-                == cold[target][1].longest_delay.hex()
-            )
-            assert warm.history[0].reused_arcs > 0
+        """The session what-if path: an analyzer warm-started from
+        another one's retained propagators copies their memo columns by
+        arc key, reuses every unchanged arc and reproduces the digests."""
+        cold = CrosstalkSTA(
+            s27_design, StaConfig(**VARIANTS["iterative"]), keep_propagators=True
+        )
+        cold.run()
+        warm_sta = CrosstalkSTA(s27_design, StaConfig(**VARIANTS["iterative"]))
+        warm_sta.warm_start_from(cold)
+        warm = warm_sta.run()
+        assert warm.history[0].reused_arcs > 0
+        assert _golden(
+            s27_design,
+            "s27/iterative",
+            warm,
+            ["longest_delay", "critical", "arrivals_sha256", "arcs", "coupled_arcs"],
+        ) == []
 
 
 def _lookahead_solves(result) -> tuple[int, int]:
@@ -406,50 +346,27 @@ def _lookahead_solves(result) -> tuple[int, int]:
 
 
 class TestLookaheadExactness:
-    """The columnar core's level look-ahead, on a fixture with real wave
-    structure (8 levels, up to 7 coupling waves in one level; s27 has at
-    most 2).  With the batch engine the core solves each level's
-    predicted coupled keys in one batch ahead of its waves; the scalar
-    engine never primes.  Both must agree ``float.hex()``-exactly on
-    every endpoint arrival and every pass."""
+    """The level look-ahead, on a fixture with real wave structure (8
+    levels, up to 7 coupling waves in one level; s27 has at most 2).  The
+    pass solves each level's predicted coupled keys in one batch ahead of
+    its waves; the digests were recorded while a scalar engine that never
+    primed still agreed with it, so a look-ahead that moves any arrival,
+    pass or counter fails here."""
 
-    CONFIGS = {
-        **{mode.value: {"mode": mode} for mode in AnalysisMode},
-        "one_step-overlap": {
-            "mode": AnalysisMode.ONE_STEP,
-            "window_check": WindowCheck.OVERLAP,
-        },
-        "iterative-overlap": {
-            "mode": AnalysisMode.ITERATIVE,
-            "window_check": WindowCheck.OVERLAP,
-        },
-        "iterative-no-incremental": {
-            "mode": AnalysisMode.ITERATIVE,
-            "incremental": False,
-        },
-    }
+    NAMES = [
+        *(mode.value for mode in AnalysisMode),
+        "one_step-overlap",
+        "iterative-overlap",
+        "iterative-no-incremental",
+    ]
 
-    @pytest.mark.parametrize("name", list(CONFIGS))
+    @pytest.mark.parametrize("name", NAMES)
     def test_batch_matches_scalar(self, small_design, name):
-        runs = {}
-        for engine in (Engine.SCALAR, Engine.BATCH):
-            config = StaConfig(engine=engine, **self.CONFIGS[name])
-            runs[engine] = CrosstalkSTA(small_design, config).run()
-        scalar, batch = runs[Engine.SCALAR], runs[Engine.BATCH]
-        scalar_a, batch_a = scalar.arrival_map(), batch.arrival_map()
-        assert set(scalar_a) == set(batch_a)
-        for key in scalar_a:
-            assert scalar_a[key].hex() == batch_a[key].hex(), key
-        assert len(scalar.history) == len(batch.history)
-        for rs, rb in zip(scalar.history, batch.history):
-            assert rs.longest_delay.hex() == rb.longest_delay.hex()
-            assert rs.waveform_evaluations == rb.waveform_evaluations
-            assert rs.dirty_arcs == rb.dirty_arcs
-            assert rs.reused_arcs == rb.reused_arcs
-        assert _lookahead_solves(scalar) == (0, 0)
-        ahead, catchup = _lookahead_solves(batch)
-        if config.mode.is_window_based:
-            histograms = batch.telemetry.metrics["histograms"]
+        result = run_variant(small_design, name)
+        assert _golden(small_design, f"small/{name}", result) == []
+        ahead, catchup = _lookahead_solves(result)
+        if VARIANTS[name]["mode"].is_window_based:
+            histograms = result.telemetry.metrics["histograms"]
             assert histograms["propagation.waves_per_level"]["max"] == 7
             # Most coupled keys are predicted right (here 95% or more): a
             # key drifting apart between look-ahead and waves shows here.
@@ -460,11 +377,9 @@ class TestLookaheadExactness:
 
     @pytest.mark.parametrize("mode", [AnalysisMode.ONE_STEP, AnalysisMode.ITERATIVE])
     def test_screened_tier_never_looks_ahead(self, small_design, mode):
-        config = StaConfig(
-            mode=mode, engine=Engine.BATCH, solver_tier=SolverTier.SCREENED
-        )
-        result = CrosstalkSTA(small_design, config).run()
+        result = run_variant(small_design, f"screened-{mode.value}")
         assert _lookahead_solves(result) == (0, 0)
+        assert _golden(small_design, f"small/screened-{mode.value}", result) == []
 
 
 class TestCompiledDesignInterning:

@@ -106,9 +106,9 @@ class TestGracefulDegradation:
 
 class TestBatchEngineFallback:
     def test_batch_failure_falls_back_per_arc(self, s27_design):
-        clean = _run(s27_design, engine="batch")
+        clean = _run(s27_design)
         with newton_failures(rate=1.0, seed=0):
-            degraded = _run(s27_design, engine="batch")
+            degraded = _run(s27_design)
         counters = degraded.telemetry.metrics["counters"]
         assert counters.get("engine.batch_fallbacks", 0) >= 1
         assert degraded.cache_stats["degraded_arcs"] > 0
@@ -117,7 +117,7 @@ class TestBatchEngineFallback:
     def test_batch_strict_raises(self, s27_design):
         with newton_failures(rate=1.0, seed=0):
             with pytest.raises(SolverError):
-                _run(s27_design, engine="batch", strict=True)
+                _run(s27_design, strict=True)
 
 
 class TestLookaheadFailure:
@@ -127,7 +127,7 @@ class TestLookaheadFailure:
 
     @pytest.mark.parametrize("mode", [AnalysisMode.ONE_STEP, AnalysisMode.ITERATIVE])
     def test_failed_lookahead_is_invisible(self, small_design, monkeypatch, mode):
-        clean = _run(small_design, mode=mode, engine="batch")
+        clean = _run(small_design, mode=mode)
         failed = []
         speculating = []
         prefetch = GateDelayCalculator.prefetch_keys
@@ -148,7 +148,7 @@ class TestLookaheadFailure:
 
         monkeypatch.setattr(GateDelayCalculator, "prefetch_keys", tracked_prefetch)
         monkeypatch.setattr(BatchStageSolver, "solve_many_compact", failing_compact)
-        result = _run(small_design, mode=mode, engine="batch", max_degraded=0)
+        result = _run(small_design, mode=mode, max_degraded=0)
         assert failed, "no look-ahead batch ran"
         assert result.degraded_arcs == []
         counters = result.telemetry.metrics["counters"]
@@ -161,26 +161,25 @@ class TestLookaheadFailure:
             assert arrivals[key].hex() == reference[key].hex(), key
 
 
-def _pool_requests(library):
+def _pool_entries(calc, library):
+    """Twelve distinct ``(key, force_exact)`` entries for ``prime_keys``."""
     cells = [library[n] for n in ("INV_X1", "NAND2_X1", "NOR2_X1", "INV_X2")]
-    requests = []
+    entries = []
     for i, ctype in enumerate(cells):
         for j, tt in enumerate((80e-12, 120e-12, 160e-12)):
-            requests.append(
-                ArcRequest(
-                    ctype,
-                    "A",
-                    "rise" if j % 2 else "fall",
-                    tt,
-                    CouplingLoad(c_ground=(2 + i) * 1e-15),
-                )
+            request = ArcRequest(
+                ctype,
+                "A",
+                "rise" if j % 2 else "fall",
+                tt,
+                CouplingLoad(c_ground=(2 + i) * 1e-15),
             )
-    return requests
+            entries.append((calc._quantized_key(request), False))
+    return entries
 
 
 class TestWorkerResilience:
     def _pooled_calculator(self, **kwargs):
-        kwargs.setdefault("engine", "batch")
         kwargs.setdefault("workers", 2)
         kwargs.setdefault("retry_backoff", 0.01)
         return GateDelayCalculator(**kwargs)
@@ -189,7 +188,7 @@ class TestWorkerResilience:
     def clean_arcs(self, library):
         calc = self._pooled_calculator()
         try:
-            calc.prime_arcs(_pool_requests(library))
+            calc.prime_keys(_pool_entries(calc, library))
         finally:
             calc.close()
         return dict(calc._arc_cache)
@@ -198,7 +197,7 @@ class TestWorkerResilience:
         calc = self._pooled_calculator(worker_retries=2)
         try:
             with worker_faults(calc, action="kill", times=1):
-                calc.prime_arcs(_pool_requests(library))
+                calc.prime_keys(_pool_entries(calc, library))
         finally:
             calc.close()
         assert calc._arc_cache == clean_arcs
@@ -209,7 +208,7 @@ class TestWorkerResilience:
         calc = self._pooled_calculator(worker_retries=1)
         try:
             with worker_faults(calc, action="kill", times=100):
-                calc.prime_arcs(_pool_requests(library))
+                calc.prime_keys(_pool_entries(calc, library))
         finally:
             calc.close()
         assert calc._arc_cache == clean_arcs
@@ -220,7 +219,7 @@ class TestWorkerResilience:
         calc = self._pooled_calculator(worker_retries=1, worker_timeout=1.0)
         try:
             with worker_faults(calc, action="hang", times=1, seconds=5.0):
-                calc.prime_arcs(_pool_requests(library))
+                calc.prime_keys(_pool_entries(calc, library))
         finally:
             calc.close()
         assert calc._arc_cache == clean_arcs
@@ -231,7 +230,7 @@ class TestCacheResilience:
     def _warm_cache(self, library, path):
         calc = GateDelayCalculator()
         cells = [library[n] for n in ("INV_X1", "NAND2_X1")]
-        calc.prime_arcs(_pool_requests(library)[:4])
+        calc.prime_keys(_pool_entries(calc, library)[:4])
         calc.save_cache_file(str(path), cells)
         return calc, cells
 

@@ -123,9 +123,9 @@ class TestScreenedBudget:
 
 
 class TestColumnarBudget:
-    """CI budgets for the columnar core: the one-time design compile
-    must amortize, and the full-scale run recorded in the committed
-    benchmark JSON must fit the CI runner's RAM."""
+    """CI budgets for the columnar design compile and memory: the
+    one-time compile must amortize, and the full-scale run recorded in
+    the committed benchmark JSON must fit the CI runner's RAM."""
 
     # Ubuntu CI runners expose ~7 GB to the job; leave generous headroom.
     RUNNER_RAM_BUDGET_MB = 4096.0
@@ -137,17 +137,8 @@ class TestColumnarBudget:
         at most 10% of a single one-step solve."""
         import time
 
-        from repro.core.modes import Core, Engine
-
         design = prepare_design(s35932_like(scale=self.SMOKE_SCALE))
-        sta = CrosstalkSTA(
-            design,
-            StaConfig(
-                mode=AnalysisMode.ONE_STEP,
-                engine=Engine.BATCH,
-                core=Core.COLUMNAR,
-            ),
-        )
+        sta = CrosstalkSTA(design, StaConfig(mode=AnalysisMode.ONE_STEP))
         t0 = time.perf_counter()
         result = sta.run()
         seconds = time.perf_counter() - t0
@@ -158,7 +149,7 @@ class TestColumnarBudget:
         )
 
     def test_full_scale_memory_within_runner_budget(self):
-        """The committed core-sweep row for scale 1.0 (regenerated by
+        """The committed scale-sweep row for scale 1.0 (regenerated by
         benchmarks/bench_perf_baseline.py) must stay under the CI
         runner's RAM, so the full-size benchmark remains runnable."""
         import json
@@ -166,11 +157,11 @@ class TestColumnarBudget:
 
         bench = Path(__file__).parent.parent / "BENCH_sta_runtime.json"
         payload = json.loads(bench.read_text())
-        sweep = payload.get("core_sweep")
-        assert sweep, "BENCH_sta_runtime.json has no core_sweep section"
+        sweep = payload.get("scale_sweep")
+        assert sweep, "BENCH_sta_runtime.json has no scale_sweep section"
         full = [row for row in sweep["scales"] if row["scale"] >= 1.0]
-        assert full, "core sweep has no scale-1.0 row"
-        rss = full[0]["cores"]["columnar"]["peak_rss_mb"]
+        assert full, "scale sweep has no scale-1.0 row"
+        rss = full[0]["peak_rss_mb"]
         assert rss <= self.RUNNER_RAM_BUDGET_MB, (
             f"recorded scale-1.0 peak RSS {rss:.0f} MB exceeds the "
             f"{self.RUNNER_RAM_BUDGET_MB:.0f} MB runner budget"

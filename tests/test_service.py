@@ -164,11 +164,11 @@ class TestSessionConfig:
         assert config.strict
 
     def test_core_override(self):
-        from repro.core.modes import Core
-
-        config = session_config(ONE_STEP, {"core": "object"})
-        assert config.core is Core.OBJECT
-        assert session_config(ONE_STEP, {"core": "columnar"}).core is Core.COLUMNAR
+        """The propagation core and the waveform engine are no longer
+        choices: overriding either is an unknown key."""
+        for key, value in (("core", "columnar"), ("engine", "batch")):
+            with pytest.raises(InputError, match="unknown config override"):
+                session_config(ONE_STEP, {key: value})
 
     def test_unknown_key(self):
         with pytest.raises(InputError):
@@ -241,6 +241,7 @@ class TestInProcessService:
         assert info["design"] == "s27"
         assert info["cells"] == 16
         assert info["coupling_pairs"] > 0
+        assert "engine" not in info
 
     def test_analyze_is_cached(self, client, sid):
         first = client.analyze(sid, mode="one_step")
