@@ -127,14 +127,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         mode=AnalysisMode(args.mode),
         window_check=WindowCheck(args.window_check),
         esperance=args.esperance,
-        workers=args.workers,
         arc_cache=args.arc_cache,
         incremental=not args.no_incremental,
         strict=args.strict,
         max_degraded=args.max_degraded,
         checkpoint=args.checkpoint,
-        worker_retries=args.worker_retries,
-        worker_timeout=args.worker_timeout,
         solver_tier=args.solver_tier,
         screen_tolerance=args.screen_tolerance,
         screen_slack_margin=args.screen_slack_margin,
@@ -366,7 +363,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         mode=AnalysisMode(args.mode),
         window_check=WindowCheck(args.window_check),
         esperance=args.esperance,
-        workers=args.workers,
         arc_cache=args.arc_cache,
         incremental=not args.no_incremental,
         strict=args.strict,
@@ -553,12 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument("--esperance", action="store_true")
     analyze.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker processes for the batched solves (0/1 = in-process)",
-    )
-    analyze.add_argument(
         "--arc-cache",
         metavar="FILE",
         help="persistent arc-cache file reused across runs",
@@ -588,21 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="iterative mode: persist per-pass state to FILE and resume "
         "from it when present",
-    )
-    analyze.add_argument(
-        "--worker-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="resubmissions of a dead/timed-out worker chunk before it is "
-        "evaluated in-process",
-    )
-    analyze.add_argument(
-        "--worker-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-chunk wall-clock limit for the worker pool",
     )
     analyze.add_argument(
         "--solver-tier",
@@ -804,9 +779,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=WindowCheck.QUIET.value,
     )
     serve.add_argument("--esperance", action="store_true")
-    serve.add_argument(
-        "--workers", type=int, default=0, help="worker processes for batched solves"
-    )
     serve.add_argument("--arc-cache", metavar="FILE")
     serve.add_argument("--no-incremental", action="store_true")
     serve.add_argument("--strict", action="store_true")

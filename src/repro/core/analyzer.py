@@ -131,11 +131,8 @@ class CrosstalkSTA:
         else:
             self.calculator = GateDelayCalculator(
                 process=design.process,
-                workers=self.config.workers,
                 metrics=self.obs.metrics,
                 strict=self.config.strict,
-                worker_retries=self.config.worker_retries,
-                worker_timeout=self.config.worker_timeout,
                 solver_tier=self.config.solver_tier.value,
                 screen_tolerance=self.config.screen_tolerance,
             )

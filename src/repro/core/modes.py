@@ -127,10 +127,6 @@ class StaConfig:
         only *begin* after the victim has certainly completed is also
         grounded.  Costs one extra (all-active) waveform calculation per
         arc; still a guaranteed upper bound.
-    workers:
-        Opt-in multi-core fan-out of the batched solves: ``>= 2`` spreads
-        each level's distinct solves over that many worker processes.
-        ``0``/``1`` keeps everything in-process.
     arc_cache:
         Optional path of a persistent arc-cache file (JSON).  Loaded
         before the first pass when it exists and matches the design's
@@ -160,14 +156,6 @@ class StaConfig:
         equal outputs), so this is purely a performance feature; disable
         to force every pass to pay full price (diagnosis, benchmarking
         baselines).
-    worker_retries:
-        How many times a worker chunk that died or timed out is resubmitted
-        (with exponential backoff) before it is quarantined and evaluated
-        in-process.
-    worker_timeout:
-        Per-chunk wall-clock limit in seconds for the worker pool
-        (``None``: unlimited).  A chunk exceeding it counts as a worker
-        failure and follows the retry/quarantine policy.
     solver_tier:
         Arc-solving policy (see :class:`SolverTier`).  ``EXACT`` keeps
         the full Newton solve on every arc; ``SCREENED`` answers arcs
@@ -223,14 +211,11 @@ class StaConfig:
 
     slew_degradation_factor: float = 2.2
     window_check: "WindowCheck" = None  # type: ignore[assignment]
-    workers: int = 0
     arc_cache: str | None = None
     incremental: bool = True
     strict: bool = False
     max_degraded: int | None = None
     checkpoint: str | None = None
-    worker_retries: int = 2
-    worker_timeout: float | None = None
     solver_tier: SolverTier = SolverTier.EXACT
     screen_tolerance: float = 100e-12
     screen_slack_margin: float = 0.15
@@ -252,12 +237,8 @@ class StaConfig:
             raise InputError("screen_tolerance must be positive")
         if self.screen_slack_margin < 0:
             raise InputError("screen_slack_margin must be non-negative")
-        if self.workers < 0:
-            raise InputError("workers must be non-negative")
         if self.max_degraded is not None and self.max_degraded < 0:
             raise InputError("max_degraded must be non-negative")
-        if self.worker_retries < 0:
-            raise InputError("worker_retries must be non-negative")
         if self.clock_period is not None and self.clock_period <= 0:
             raise InputError("clock_period must be positive")
         if self.setup_time < 0:

@@ -31,7 +31,7 @@ Per level the pass
 
 How a batch of distinct keys is solved is the calculator's business
 alone: batches below ``MIN_BATCH`` go to the scalar stage solver, larger
-ones to one vectorized integration (or the opt-in worker pool).  A key's
+ones to one in-process vectorized integration.  A key's
 result does not depend on the batch it was solved in, so the size-based
 choice never moves a number.
 
@@ -211,7 +211,6 @@ class Propagator:
             if calculator is not None
             else GateDelayCalculator(
                 process=design.process,
-                workers=config.workers,
                 metrics=self.obs.metrics,
             )
         )

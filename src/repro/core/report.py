@@ -146,14 +146,7 @@ def format_timing_report(
                 f"{stats.get('signature_aliases', 0)} (cell, pin) aliases folded"
             )
         if stats.get("batched_solves"):
-            lines.append(
-                f"  vectorized solves: {stats['batched_solves']}"
-                + (
-                    f", {stats['pool_solves']} via worker pool"
-                    if stats.get("pool_solves")
-                    else ""
-                )
-            )
+            lines.append(f"  vectorized solves: {stats['batched_solves']}")
         if stats.get("solver_tier") == "screened":
             tiers = stats.get("tier_counts", {})
             seconds = stats.get("tier_seconds", {})

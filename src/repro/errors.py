@@ -19,9 +19,8 @@ on:
     bracket, non-settling integration).  Recoverable by substituting a
     conservative delay bound for the affected arc.
 ``EngineError``
-    The evaluation machinery failed (dead worker process, batch
-    timeout, internal phase errors).  Recoverable by retrying and by
-    falling back to in-process serial evaluation.
+    The evaluation machinery failed (internal phase errors, a mode or
+    state the propagation cannot serve).
 ``CacheError``
     A persistent artifact (arc cache, checkpoint) is corrupt.
     Recoverable by quarantining the file and rebuilding.
@@ -62,7 +61,7 @@ class SolverError(ReproError, RuntimeError):
 
 
 class EngineError(ReproError, RuntimeError):
-    """The evaluation machinery (workers, batches, phases) failed."""
+    """The evaluation machinery (batches, phases) failed."""
 
 
 class CacheError(ReproError, RuntimeError):

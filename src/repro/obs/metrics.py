@@ -8,13 +8,8 @@ objects, so hot paths resolve them once and call ``inc``/``observe``
 without any dict lookup.
 
 Snapshots (:meth:`MetricsRegistry.snapshot`) are plain JSON-safe dicts.
-They support two algebraic operations the system needs:
-
-* :meth:`MetricsRegistry.merge_snapshot` -- fold a snapshot produced in
-  another process (the ``ProcessPoolExecutor`` arc-solver workers) into
-  this registry: counters and histogram buckets add, gauges last-write;
-* :func:`diff_snapshots` -- per-run deltas, so each analysis mode of a
-  shared-cache analyzer reports only its own work.
+:func:`diff_snapshots` takes per-run deltas between two of them, so each
+analysis mode of a shared-cache analyzer reports only its own work.
 """
 
 from __future__ import annotations
@@ -172,38 +167,6 @@ class MetricsRegistry:
                         "max": instrument.vmax,
                     }
         return {"counters": counters, "gauges": gauges, "histograms": histograms}
-
-    def merge_snapshot(self, snapshot: dict) -> None:
-        """Fold a snapshot from another registry (typically a worker
-        process) into this one: counters and histogram buckets add,
-        gauges take the merged value when set."""
-        for key, value in snapshot.get("counters", {}).items():
-            self.counter(key).inc(value)
-        for key, value in snapshot.get("gauges", {}).items():
-            if value is not None:
-                self.gauge(key).set(value)
-        for key, data in snapshot.get("histograms", {}).items():
-            histogram = self.histogram(key, boundaries=data["boundaries"])
-            if list(histogram.boundaries) != list(data["boundaries"]):
-                raise ValueError(
-                    f"histogram {key!r} bucket boundaries do not match: "
-                    f"{list(histogram.boundaries)} vs {data['boundaries']}"
-                )
-            for i, count in enumerate(data["counts"]):
-                histogram.bucket_counts[i] += count
-            histogram.count += data["count"]
-            histogram.total += data["sum"]
-            for bound_name, better in (("min", min), ("max", max)):
-                incoming = data.get(bound_name)
-                if incoming is None:
-                    continue
-                attr = "v" + bound_name
-                current = getattr(histogram, attr)
-                setattr(
-                    histogram,
-                    attr,
-                    incoming if current is None else better(current, incoming),
-                )
 
     def reset(self) -> None:
         with self._lock:

@@ -12,10 +12,8 @@ context-manager API::
 
 Spans nest per thread (a thread-local stack assigns parent ids), and the
 finished-event list is guarded by a lock, so one tracer may be shared
-across threads.  Worker processes do not trace directly; their
-aggregated statistics travel back as metrics snapshots
-(:meth:`repro.obs.metrics.MetricsRegistry.merge_snapshot`) and foreign
-event lists can be folded in with :meth:`Tracer.absorb`.
+across threads.  Another tracer's event list can be folded in with
+:meth:`Tracer.absorb`.
 
 Two serializations are offered:
 

@@ -48,7 +48,6 @@ from repro.waveform.pwl import FALLING, RISING
 _CONFIG_OVERRIDES = {
     "mode": lambda v: AnalysisMode(v),
     "window_check": lambda v: WindowCheck(v),
-    "workers": int,
     "esperance": bool,
     "esperance_slack": float,
     "strict": bool,

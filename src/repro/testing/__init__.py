@@ -8,7 +8,6 @@ from repro.testing.faults import (
     interrupt_after_pass,
     kill_shard,
     newton_failures,
-    worker_faults,
 )
 
 __all__ = [
@@ -19,5 +18,4 @@ __all__ = [
     "interrupt_after_pass",
     "kill_shard",
     "newton_failures",
-    "worker_faults",
 ]

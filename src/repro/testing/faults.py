@@ -1,13 +1,13 @@
 """Deterministic fault injection for the analysis runtime.
 
 Each injector forces one failure mode the runtime claims to survive --
-Newton divergence, worker death/hangs, cache corruption, mid-run
-interrupts -- in a way that is reproducible from a seed, so robustness
+Newton divergence, cache corruption, mid-run interrupts, shard death
+and partitions -- in a way that is reproducible from a seed, so robustness
 tests assert exact outcomes instead of racing real faults.
 
 All injectors are context managers (or small factories) with no global
 state left behind: monkey-patched solver methods are restored on exit
-and worker-fault specs are cleared from the calculator.
+and fault specs armed on a router are cleared.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Callable, Iterable
 from repro.core.propagation import PassResult
 from repro.errors import AnalysisInterrupted
 from repro.waveform.batchstage import BatchStageSolver
-from repro.waveform.gatedelay import GateDelayCalculator
 from repro.waveform.stage import StageSolver, StageSolverError
 
 
@@ -58,35 +57,6 @@ def newton_failures(rate: float = 1.0, seed: int = 0):
     finally:
         for (owner, name), original in saved.items():
             setattr(owner, name, original)
-
-
-@contextmanager
-def worker_faults(
-    calculator: GateDelayCalculator,
-    action: str = "kill",
-    times: int = 1,
-    seconds: float = 30.0,
-    chunks: Iterable[int] | None = None,
-):
-    """Arm worker-pool faults on ``calculator``.
-
-    ``action="kill"`` makes the worker die via ``os._exit`` (what an OOM
-    kill looks like); ``action="hang"`` makes it sleep for ``seconds``.
-    The spec is consumed parent-side on chunk submission, so ``times=N``
-    fires on exactly the first N matching submissions regardless of
-    worker scheduling.  ``chunks`` restricts injection to those chunk
-    indices.
-    """
-    calculator.pool_fault = {
-        "action": action,
-        "times": times,
-        "seconds": seconds,
-        "chunks": set(chunks) if chunks is not None else None,
-    }
-    try:
-        yield
-    finally:
-        calculator.pool_fault = None
 
 
 def corrupt_file(path: str, mode: str = "truncate", seed: int = 0) -> None:

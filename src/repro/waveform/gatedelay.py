@@ -26,8 +26,7 @@ Two solvers fill the cache, chosen per batch by size alone
 
 * the vectorized :class:`~repro.waveform.batchstage.BatchStageSolver`
   integrates all distinct situations of a batch of at least
-  ``MIN_BATCH`` simultaneously -- optionally fanned out over a
-  ``ProcessPoolExecutor`` for multi-core scaling;
+  ``MIN_BATCH`` simultaneously, in-process;
 * the scalar :class:`~repro.waveform.stage.StageSolver` solves smaller
   batches, keys resolved without priming, degraded arcs, screening
   anchors, and the batch solver's fallback, one arc at a time.
@@ -49,10 +48,10 @@ calculator substitutes a conservative ramp bound (see
 :meth:`GateDelayCalculator._conservative_arc`), counts it under
 ``solver.degraded_arcs`` and annotates it in
 :attr:`GateDelayCalculator.degraded`; ``strict=True`` restores the
-fail-fast behaviour.  The multi-core fan-out likewise survives worker
-death and hangs (bounded retries with backoff, then an in-process
-replay of the chunk), and persistent cache files are checksummed --
-corrupt ones are quarantined to ``<path>.bad`` and rebuilt.
+fail-fast behaviour.  A failed vectorized batch falls back to per-arc
+scalar solves, so only the sick arcs degrade, and persistent cache
+files are checksummed -- corrupt ones are quarantined to
+``<path>.bad`` and rebuilt.
 """
 
 from __future__ import annotations
@@ -195,114 +194,6 @@ def library_fingerprint(
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-# -- worker-process machinery for the opt-in multi-core fan-out ------------
-#
-# Stage tables are shipped to the workers ONCE per executor: the pool is
-# created with an initializer that receives the process constants, the
-# table resolution and the parent's currently known stage signatures, and
-# prebuilds the corresponding tables into the per-process cache.  Chunk
-# payloads then carry only the work items themselves; an item references
-# its stage by the raw device parameter tuples, so a signature discovered
-# after executor start is simply built (and cached) on first use without
-# any executor rebuild.
-
-_WORKER_TABLES: dict = {}
-_WORKER_CTX: dict = {}
-
-
-def _worker_table(pu, pd) -> StageTable:
-    """The per-worker-process stage table for one collapsed stage."""
-    from repro.devices.mosfet import Mosfet, MosfetParams
-
-    process = _WORKER_CTX["process"]
-    table_points = _WORKER_CTX["table_points"]
-    cache_key = (pu, pd, table_points)
-    table = _WORKER_TABLES.get(cache_key)
-    if table is None:
-        pull_up = Mosfet(MosfetParams(*pu), process) if pu is not None else None
-        pull_down = Mosfet(MosfetParams(*pd), process) if pd is not None else None
-        table = StageTable(pull_up, pull_down, process=process, points=table_points)
-        _WORKER_TABLES[cache_key] = table
-    return table
-
-
-def _pool_init(process, table_points, warm_specs) -> None:
-    """Executor initializer: prime one worker's table cache.
-
-    Runs once per worker process at pool start-up, so the per-chunk
-    payloads never repeat the (identical) table data.
-    """
-    _WORKER_CTX["process"] = process
-    _WORKER_CTX["table_points"] = table_points
-    for pu, pd in warm_specs:
-        _worker_table(pu, pd)
-
-
-def _apply_worker_fault(fault: dict) -> None:
-    """Execute one injected worker fault (see :mod:`repro.testing.faults`).
-
-    ``kill`` terminates the worker process without cleanup -- exactly
-    what an OOM kill or segfault looks like to the parent's pool.
-    ``hang`` blocks the worker past any per-chunk timeout.
-    """
-    action = fault.get("action")
-    if action == "kill":
-        os._exit(17)
-    elif action == "hang":
-        time.sleep(float(fault.get("seconds", 30.0)))
-
-
-def _pool_solve_chunk(payload):
-    """Solve one chunk of distinct arc situations in a worker process.
-
-    ``payload``: (items, fault) where each item is ``(pu_params,
-    pd_params, direction, tt, c_passive, c_active, aiding)`` and
-    ``fault`` is ``None`` outside the fault-injection harness.  Tables
-    come from the per-process cache primed by :func:`_pool_init` (built
-    on demand for signatures discovered after pool start).  Returns one
-    result tuple per item -- including the arc's Newton iteration count,
-    which the parent feeds into its per-signature cost model -- plus the
-    worker's metrics snapshot, which the parent merges into its registry.
-    """
-    items, fault = payload
-    if fault is not None:
-        _apply_worker_fault(fault)
-    tables: list[StageTable] = []
-    index_of: dict = {}
-    specs = []
-    for pu, pd, direction, tt, cp, ca, aiding in items:
-        stage = (pu, pd)
-        ti = index_of.get(stage)
-        if ti is None:
-            ti = len(tables)
-            index_of[stage] = ti
-            tables.append(_worker_table(pu, pd))
-        specs.append(
-            BatchArcSpec(
-                table_index=ti,
-                input_direction=direction,
-                transition=tt,
-                load=CouplingLoad(c_ground=cp, c_couple_active=ca),
-                aiding=aiding,
-            )
-        )
-    registry = MetricsRegistry()
-    solver = BatchStageSolver(tables, _WORKER_CTX["process"], metrics=registry)
-    rows = [
-        (
-            r.direction,
-            r.t_cross,
-            r.transition,
-            r.t_early,
-            r.t_late,
-            r.coupled,
-            r.newton_iterations,
-        )
-        for r in solver.solve_many(specs)
-    ]
-    return rows, registry.snapshot()
-
-
 class GateDelayCalculator:
     """Caching transistor-level delay engine for library-cell arcs."""
 
@@ -312,12 +203,8 @@ class GateDelayCalculator:
         transition_grid: float = 2e-12,
         cap_grid: float = 0.2e-15,
         table_points: int = 121,
-        workers: int = 0,
         metrics: MetricsRegistry | None = None,
         strict: bool = False,
-        worker_retries: int = 2,
-        worker_timeout: float | None = None,
-        retry_backoff: float = 0.05,
         solver_tier: str = "exact",
         screen_tolerance: float = 100e-12,
     ):
@@ -325,23 +212,15 @@ class GateDelayCalculator:
         self.transition_grid = transition_grid
         self.cap_grid = cap_grid
         self.table_points = table_points
-        self.workers = workers
         # Fault-tolerance policy: ``strict`` restores fail-fast solves and
-        # turns corrupt-cache quarantine into a CacheError; the worker
-        # knobs bound how long a sick pool may stall the run.
+        # turns corrupt-cache quarantine into a CacheError.
         self.strict = strict
-        self.worker_retries = max(0, worker_retries)
-        self.worker_timeout = worker_timeout
-        self.retry_backoff = retry_backoff
         # Per-arc degradation annotations (dicts; surfaced on StaResult).
         self.degraded: list[dict] = []
-        # Fault-injection hook: a mutable spec dict consumed (parent-side,
-        # hence deterministically) by :meth:`_take_pool_fault`.
-        self.pool_fault: dict | None = None
         # Canonical stage signatures: (cell, pin) -> token, token -> the
         # collapsed device parameters, a representative (cell, pin) for
-        # diagnostics, and the per-signature Newton cost model
-        # [solves, total_iterations] that orders worker chunks.
+        # diagnostics, and the per-signature Newton cost
+        # [solves, total_iterations] (read by per-layer benchmarks).
         self._sig_of: dict[tuple[str, str], str] = {}
         self._sig_params: dict[str, tuple] = {}
         self._sig_rep: dict[str, tuple[CellType, str]] = {}
@@ -356,7 +235,6 @@ class GateDelayCalculator:
         self._persisted_keys: set[tuple] = set()
         self._batch_solver: BatchStageSolver | None = None
         self._table_order: list[str] = []
-        self._executor = None
         # All statistics live in a metrics registry (one per analysis run,
         # shared with the propagator when the analyzer constructs us); the
         # instruments are resolved once so the hot path pays one method
@@ -372,7 +250,6 @@ class GateDelayCalculator:
         self._g_signatures = self.metrics.gauge("arc_cache.signatures")
         self._c_sig_aliases = self.metrics.counter("arc_cache.signature_aliases")
         self._c_batched = self.metrics.counter("arc_cache.batched_solves")
-        self._c_pool = self.metrics.counter("arc_cache.pool_solves")
         self._c_persisted = self.metrics.counter("arc_cache.persisted_loads")
         self._c_stale = self.metrics.counter("arc_cache.stale_rejects")
         self._h_newton = self.metrics.histogram(
@@ -381,10 +258,6 @@ class GateDelayCalculator:
         self._c_bisect = self.metrics.counter("newton.bisection_fallbacks")
         self._c_degraded = self.metrics.counter("solver.degraded_arcs")
         self._c_batch_fallbacks = self.metrics.counter("engine.batch_fallbacks")
-        self._c_worker_failures = self.metrics.counter("engine.worker_failures")
-        self._c_worker_retries = self.metrics.counter("engine.worker_retries")
-        self._c_quarantined_chunks = self.metrics.counter("engine.quarantined_chunks")
-        self._c_serial_fallbacks = self.metrics.counter("engine.serial_fallbacks")
         self._c_cache_quarantined = self.metrics.counter("arc_cache.quarantined")
         # Tiered-solver accounting: one counter per tier (distinct
         # canonical situations resolved by it), escalation reasons, and
@@ -459,10 +332,6 @@ class GateDelayCalculator:
     @property
     def batched_solves(self) -> int:
         return self._c_batched.value
-
-    @property
-    def pool_solves(self) -> int:
-        return self._c_pool.value
 
     @property
     def persisted_loads(self) -> int:
@@ -756,7 +625,7 @@ class GateDelayCalculator:
 
     def _observe_cost(self, token: str, iterations: int) -> None:
         """Feed one solved arc's Newton iteration count into the
-        per-signature cost model (used to order worker chunks)."""
+        per-signature cost totals (:attr:`_sig_cost`)."""
         stats = self._sig_cost.get(token)
         if stats is None:
             self._sig_cost[token] = [1, iterations]
@@ -973,8 +842,7 @@ class GateDelayCalculator:
         The one place the solver is chosen, by batch size alone: below
         ``MIN_BATCH`` a vectorized solve does not amortize its setup and
         the scalar solver takes each key; larger batches go to one
-        vectorized integration, or to the worker pool when ``workers``
-        is set and the batch is big enough to split.
+        vectorized integration.
         """
         if not misses:
             return 0
@@ -995,8 +863,6 @@ class GateDelayCalculator:
         elif len(misses) < MIN_BATCH:
             for key in misses:
                 self._arc_cache[key] = self._solve_key(key)
-        elif self.workers >= 2 and len(misses) >= 2 * MIN_BATCH:
-            self._solve_keys_pooled(misses)
         else:
             self._solve_keys_batched(misses)
         self._fresh_keys.update(misses)
@@ -1063,195 +929,6 @@ class GateDelayCalculator:
                 self._screen.observe(key, arc)
         self._c_evaluations.inc(len(misses))
         self._c_batched.inc(len(misses))
-
-    def _predicted_cost(self, key: tuple) -> float:
-        """Predicted Newton cost of one arc situation, from the
-        per-signature cost model (global histogram mean as fallback)."""
-        stats = self._sig_cost.get(key[0])
-        if stats is not None and stats[0]:
-            return stats[1] / stats[0]
-        mean = self._h_newton.mean
-        return mean if mean > 0.0 else 1.0
-
-    def _solve_keys_pooled(self, misses: list[tuple]) -> None:
-        """Fan the distinct solves out over worker processes.
-
-        Chunks are balanced by *predicted cost* (longest-processing-time
-        assignment using the per-signature Newton cost model) and
-        submitted heaviest-first, one future at a time, so a dead or hung
-        worker is detected per chunk; see :meth:`_run_pool_chunk` for the
-        retry/quarantine policy.
-        """
-        # LPT: sort by descending predicted cost, greedily assign each
-        # arc to the currently lightest of ``workers`` buckets.
-        ordered = sorted(misses, key=self._predicted_cost, reverse=True)
-        buckets: list[list[tuple]] = [[] for _ in range(max(1, self.workers))]
-        loads = [0.0] * len(buckets)
-        for key in ordered:
-            lightest = loads.index(min(loads))
-            buckets[lightest].append(key)
-            loads[lightest] += self._predicted_cost(key)
-        # Submit heaviest chunk first so it overlaps the most other work.
-        order = sorted(range(len(buckets)), key=loads.__getitem__, reverse=True)
-
-        for index in order:
-            chunk_keys = buckets[index]
-            if not chunk_keys:
-                continue
-            items = []
-            for token, direction, tt, c_passive, c_active, aiding in chunk_keys:
-                pu, pd = self._sig_params[token]
-                items.append((pu, pd, direction, tt, c_passive, c_active, aiding))
-            rows = self._run_pool_chunk(items, index, chunk_keys)
-            if rows is None:
-                # The chunk was solved (and counted) one arc at a time by
-                # the scalar fallback inside _run_pool_chunk.
-                continue
-            for key, fields in zip(chunk_keys, rows):
-                (
-                    direction,
-                    t_cross,
-                    transition,
-                    t_early,
-                    t_late,
-                    coupled,
-                    iterations,
-                ) = fields
-                arc = ArcResult(
-                    direction, t_cross, transition, t_early, t_late, coupled
-                )
-                self._arc_cache[key] = arc
-                self._observe_cost(key[0], iterations)
-                if self._screen is not None:
-                    self._screen.observe(key, arc)
-            self._c_evaluations.inc(len(rows))
-            self._c_batched.inc(len(rows))
-            self._c_pool.inc(len(rows))
-
-    def _ensure_executor(self):
-        """The process pool, created lazily with a table-priming
-        initializer: every worker prebuilds the stage tables for all
-        signatures known at pool start, so chunk payloads carry only the
-        work items (signatures discovered later are built on first use)."""
-        from concurrent.futures import ProcessPoolExecutor
-
-        if self._executor is None:
-            warm_specs = tuple(self._sig_params[t] for t in self._table_order)
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_pool_init,
-                initargs=(self.process, self.table_points, warm_specs),
-            )
-        return self._executor
-
-    def _run_pool_chunk(
-        self,
-        items: list[tuple],
-        chunk_index: int,
-        chunk_keys: list[tuple],
-    ) -> list | None:
-        """Solve one chunk on the pool, surviving worker faults.
-
-        Worker death (BrokenProcessPool), per-chunk timeouts and OS-level
-        submission failures are retried up to ``worker_retries`` times
-        with exponential backoff, rebuilding the executor each time.  A
-        chunk that still fails is quarantined: replayed in-process (bit-
-        identical to the pool result), and if even that raises a solver
-        error, each arc is solved individually so only the sick arcs
-        degrade.  Returns the chunk's result rows, or ``None`` when the
-        per-arc fallback already cached (and counted) the results.
-        """
-        from concurrent.futures import TimeoutError as PoolTimeout
-        from concurrent.futures.process import BrokenProcessPool
-
-        attempts = self.worker_retries + 1
-        for attempt in range(attempts):
-            payload = (items, self._take_pool_fault(chunk_index))
-            future = self._ensure_executor().submit(_pool_solve_chunk, payload)
-            try:
-                rows, snapshot = future.result(timeout=self.worker_timeout)
-            except SolverError:
-                # Deterministic numerical failure: a retry would fail
-                # identically, so go straight to the in-process fallback.
-                break
-            except (BrokenProcessPool, PoolTimeout, TimeoutError, OSError) as exc:
-                self._c_worker_failures.inc()
-                self._reset_executor()
-                if attempt + 1 < attempts:
-                    self._c_worker_retries.inc()
-                    delay = self.retry_backoff * (2**attempt)
-                    logger.warning(
-                        "worker chunk %d failed (%s: %s); retrying in %.0f ms",
-                        chunk_index,
-                        type(exc).__name__,
-                        exc,
-                        delay * 1e3,
-                    )
-                    time.sleep(delay)
-                else:
-                    logger.warning(
-                        "worker chunk %d failed (%s: %s) after %d attempts; "
-                        "quarantining and evaluating in-process",
-                        chunk_index,
-                        type(exc).__name__,
-                        exc,
-                        attempts,
-                    )
-            else:
-                self.metrics.merge_snapshot(snapshot)
-                return rows
-
-        self._c_quarantined_chunks.inc()
-        self._c_serial_fallbacks.inc()
-        # The in-process replay runs in the parent, where the worker
-        # context was never initialized -- prime it here (warm specs are
-        # unnecessary; _worker_table builds on demand).
-        _pool_init(self.process, self.table_points, ())
-        try:
-            rows, snapshot = _pool_solve_chunk((items, None))
-        except SolverError as exc:
-            if self.strict:
-                raise
-            logger.warning(
-                "chunk %d failed in-process as well (%s); solving its arcs "
-                "one at a time",
-                chunk_index,
-                exc,
-            )
-            for key in chunk_keys:
-                if key not in self._arc_cache:
-                    self._arc_cache[key] = self._solve_key(key)
-            return None
-        self.metrics.merge_snapshot(snapshot)
-        return rows
-
-    def _take_pool_fault(self, chunk_index: int) -> dict | None:
-        """Consume one injected worker fault, if the harness armed any.
-
-        The spec is decremented parent-side so a ``times=N`` injection
-        fires on exactly N chunk submissions regardless of worker
-        scheduling -- that is what makes pool-fault tests deterministic.
-        """
-        spec = self.pool_fault
-        if not spec or spec.get("times", 0) <= 0:
-            return None
-        only = spec.get("chunks")
-        if only is not None and chunk_index not in only:
-            return None
-        spec["times"] -= 1
-        return {"action": spec["action"], "seconds": spec.get("seconds", 30.0)}
-
-    def _reset_executor(self) -> None:
-        """Tear down the pool so the next chunk starts on fresh workers."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
-
-    def close(self) -> None:
-        """Shut down the worker pool, if one was started."""
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
 
     def solve_stage_raw(
         self,
@@ -1407,14 +1084,12 @@ class GateDelayCalculator:
             "signatures": len(self._sig_params),
             "signature_aliases": self._c_sig_aliases.value,
             "batched_solves": self.batched_solves,
-            "pool_solves": self.pool_solves,
             "persisted_loads": self.persisted_loads,
             "stale_rejects": self._c_stale.value,
             "quarantined": self._c_cache_quarantined.value,
             "newton_iterations": self._h_newton.total,
             "newton_bisections": self._c_bisect.value,
             "degraded_arcs": self._c_degraded.value,
-            "worker_failures": self._c_worker_failures.value,
             "solver_tier": self.solver_tier,
             "tier_counts": {
                 tier: counter.value for tier, counter in self._c_tier.items()
@@ -1436,7 +1111,6 @@ class GateDelayCalculator:
         self._c_dedup_hits.reset()
         self._c_persisted_hits.reset()
         self._c_batched.reset()
-        self._c_pool.reset()
         self._c_screen_hits.reset()
         for group in (self._c_tier, self._c_tier_seconds, self._c_escalations):
             for counter in group.values():

@@ -57,20 +57,30 @@ class TestParser:
         """One propagation path: no engine choice left to default."""
         args = build_parser().parse_args(["analyze", "s27"])
         assert not hasattr(args, "engine")
-        assert args.workers == 0
         assert args.arc_cache is None
         assert not args.timing_report
 
     def test_engine_choices(self):
         """The waveform-engine flag is gone from every verb that had it:
         passing it is a usage error."""
-        args = build_parser().parse_args(["analyze", "s27", "--workers", "2"])
-        assert args.workers == 2
         removed = "engine"
         for verb in ("analyze", "explain", "serve"):
             target = [] if verb == "serve" else ["s27"]
             with pytest.raises(SystemExit):
                 build_parser().parse_args([verb, *target, f"--{removed}", "batch"])
+
+    def test_process_pool_flags_rejected(self):
+        """Batched solves run in-process only: the pool's flags are
+        usage errors."""
+        for argv in (
+            ["analyze", "s27", "--workers", "2"],
+            ["analyze", "s27", "--worker-retries", "3"],
+            ["analyze", "s27", "--worker-timeout", "60"],
+            ["serve", "--workers", "2"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2, argv
 
 
 class TestInfo:

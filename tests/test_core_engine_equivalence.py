@@ -8,7 +8,7 @@ endpoint arrival, pass and counter, so they stand in for the deleted
 reference paths: the tests below re-derive them through every
 composition the old pairwise checks covered -- an analyzer shared
 across modes, incremental reuse on and off, checkpoint resume, warm
-starts, the screened tier, the level look-ahead and the worker pool.
+starts, the screened tier and the level look-ahead.
 """
 
 import pytest
@@ -246,21 +246,6 @@ class TestSolverTierEquivalence:
             ).run()
         assert degraded.degraded_arcs, "injection produced no degraded arcs"
         assert degraded.longest_delay >= clean.longest_delay - 1e-15
-
-
-class TestWorkerPool:
-    def test_pooled_batch_matches_scalar(self, small_design):
-        """Opt-in multi-process fan-out reproduces the digests recorded
-        while the scalar engine still agreed with the batch engine."""
-        sta = CrosstalkSTA(
-            small_design, StaConfig(mode=AnalysisMode.ONE_STEP, workers=2)
-        )
-        try:
-            pooled = sta.run()
-        finally:
-            sta.calculator.close()
-        assert pooled.cache_stats["pool_solves"] > 0
-        assert _golden(small_design, "small/one_step", pooled, TIMING_FIELDS) == []
 
 
 class TestColumnarCoreEquivalence:

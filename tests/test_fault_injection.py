@@ -30,7 +30,6 @@ from repro.testing import (
     corrupt_file,
     interrupt_after_pass,
     newton_failures,
-    worker_faults,
 )
 from repro.waveform.batchstage import BatchStageSolver
 from repro.waveform.coupling import CouplingLoad
@@ -161,7 +160,7 @@ class TestLookaheadFailure:
             assert arrivals[key].hex() == reference[key].hex(), key
 
 
-def _pool_entries(calc, library):
+def _arc_entries(calc, library):
     """Twelve distinct ``(key, force_exact)`` entries for ``prime_keys``."""
     cells = [library[n] for n in ("INV_X1", "NAND2_X1", "NOR2_X1", "INV_X2")]
     entries = []
@@ -178,59 +177,11 @@ def _pool_entries(calc, library):
     return entries
 
 
-class TestWorkerResilience:
-    def _pooled_calculator(self, **kwargs):
-        kwargs.setdefault("workers", 2)
-        kwargs.setdefault("retry_backoff", 0.01)
-        return GateDelayCalculator(**kwargs)
-
-    @pytest.fixture(scope="class")
-    def clean_arcs(self, library):
-        calc = self._pooled_calculator()
-        try:
-            calc.prime_keys(_pool_entries(calc, library))
-        finally:
-            calc.close()
-        return dict(calc._arc_cache)
-
-    def test_worker_death_is_retried(self, library, clean_arcs):
-        calc = self._pooled_calculator(worker_retries=2)
-        try:
-            with worker_faults(calc, action="kill", times=1):
-                calc.prime_keys(_pool_entries(calc, library))
-        finally:
-            calc.close()
-        assert calc._arc_cache == clean_arcs
-        assert calc.metrics.counter("engine.worker_failures").value == 1
-        assert calc.metrics.counter("engine.worker_retries").value == 1
-
-    def test_poison_chunk_quarantined_and_replayed(self, library, clean_arcs):
-        calc = self._pooled_calculator(worker_retries=1)
-        try:
-            with worker_faults(calc, action="kill", times=100):
-                calc.prime_keys(_pool_entries(calc, library))
-        finally:
-            calc.close()
-        assert calc._arc_cache == clean_arcs
-        assert calc.metrics.counter("engine.quarantined_chunks").value > 0
-        assert calc.metrics.counter("engine.serial_fallbacks").value > 0
-
-    def test_hung_worker_times_out(self, library, clean_arcs):
-        calc = self._pooled_calculator(worker_retries=1, worker_timeout=1.0)
-        try:
-            with worker_faults(calc, action="hang", times=1, seconds=5.0):
-                calc.prime_keys(_pool_entries(calc, library))
-        finally:
-            calc.close()
-        assert calc._arc_cache == clean_arcs
-        assert calc.metrics.counter("engine.worker_failures").value == 1
-
-
 class TestCacheResilience:
     def _warm_cache(self, library, path):
         calc = GateDelayCalculator()
         cells = [library[n] for n in ("INV_X1", "NAND2_X1")]
-        calc.prime_keys(_pool_entries(calc, library)[:4])
+        calc.prime_keys(_arc_entries(calc, library)[:4])
         calc.save_cache_file(str(path), cells)
         return calc, cells
 

@@ -157,16 +157,16 @@ class TestWhatifEdits:
 class TestSessionConfig:
     def test_overrides(self):
         config = session_config(
-            ONE_STEP, {"mode": "iterative", "workers": 2, "strict": True}
+            ONE_STEP, {"mode": "iterative", "max_iterations": 4, "strict": True}
         )
         assert config.mode is AnalysisMode.ITERATIVE
-        assert config.workers == 2
+        assert config.max_iterations == 4
         assert config.strict
 
     def test_core_override(self):
-        """The propagation core and the waveform engine are no longer
-        choices: overriding either is an unknown key."""
-        for key, value in (("core", "columnar"), ("engine", "batch")):
+        """The propagation core, the waveform engine and the process
+        pool are no longer choices: overriding any is an unknown key."""
+        for key, value in (("core", "columnar"), ("engine", "batch"), ("workers", 2)):
             with pytest.raises(InputError, match="unknown config override"):
                 session_config(ONE_STEP, {key: value})
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.analyzer import CrosstalkSTA
+from repro.core.modes import AnalysisMode, SolverTier, StaConfig
 from repro.waveform.coupling import CouplingLoad
 from repro.waveform.gatedelay import GateDelayCalculator
 from repro.waveform.pwl import FALLING, RISING
@@ -112,3 +114,22 @@ class TestArcs:
             library["INV_X1"], "A", InputRamp(RISING, 0.0, 100e-12), LOAD
         )
         assert result.waveform.is_monotone()
+
+
+class TestNewtonCostTotals:
+    @pytest.mark.parametrize("tier", [SolverTier.EXACT, SolverTier.SCREENED])
+    def test_sig_cost_matches_iteration_histogram(self, small_design, tier):
+        """The per-signature Newton cost totals account for every solve:
+        per-layer benchmarks divide their iteration sum by their solve
+        count to report Newton iterations per solve."""
+        sta = CrosstalkSTA(
+            small_design, StaConfig(mode=AnalysisMode.ONE_STEP, solver_tier=tier)
+        )
+        sta.run()
+        calc = sta.calculator
+        histogram = calc.metrics.snapshot()["histograms"]["newton.iterations_per_arc"]
+        solves = sum(stats[0] for stats in calc._sig_cost.values())
+        iterations = sum(stats[1] for stats in calc._sig_cost.values())
+        assert solves > 0
+        assert (solves, iterations) == (histogram["count"], histogram["sum"])
+        assert solves == calc.evaluations
