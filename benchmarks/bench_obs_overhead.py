@@ -12,10 +12,9 @@ analysis result.
 
 The provenance ledger has its own, tighter budget (1%): recording one
 columnar row per merged arc must be noise next to the Newton solves.  It
-is measured on three paths -- the exact tier, the screened tier (whose
-cheap estimates make any per-arc bookkeeping proportionally the most
-visible), and a full service round-trip -- and the ledger-on results
-must stay hex-identical to ledger-off.  The rows land in
+is measured on two paths -- a direct analysis and a full service
+round-trip -- and the ledger-on results must stay hex-identical to
+ledger-off.  The rows land in
 ``BENCH_sta_runtime.json`` under ``provenance_overhead``.
 """
 
@@ -29,7 +28,7 @@ import pytest
 
 from repro.circuit import s27
 from repro.core.analyzer import CrosstalkSTA
-from repro.core.modes import AnalysisMode, SolverTier, StaConfig
+from repro.core.modes import AnalysisMode, StaConfig
 from repro.flow import prepare_design
 from repro.obs import Observability
 
@@ -154,17 +153,11 @@ def _per_arc_bookkeeping_seconds() -> float:
         ledger = ProvenanceLedger()
         t0 = time.process_time()
         for i in range(n):
-            prov = {
-                "tier": "newton",
-                "origin": "memo",
-                "escalation": None,
-                "signature": "nand2:a:rising",
-            }
-            memo_copy = dict(prov)
+            prov = {"origin": "fresh", "signature": "nand2:a:rising"}
+            memo_copy = {**prov, "origin": "memo"}
             ledger.append(
-                tier=memo_copy["tier"],
+                tier="newton",
                 origin=memo_copy["origin"],
-                escalation=memo_copy["escalation"],
                 signature=memo_copy["signature"],
                 coupling="overlap",
                 aggressors_total=4,
@@ -182,9 +175,6 @@ def provenance_comparison(record_result):
 
     design = prepare_design(s27())
     exact = StaConfig(mode=AnalysisMode.ONE_STEP)
-    screened = StaConfig(
-        mode=AnalysisMode.ONE_STEP, solver_tier=SolverTier.SCREENED
-    )
 
     def direct(config):
         def run():
@@ -211,16 +201,8 @@ def provenance_comparison(record_result):
 
     direct(exact)()  # warmup (imports, table builds)
 
-    rows = []
-    for label, config in (("exact", exact), ("screened", screened)):
-        off_config = StaConfig(
-            mode=config.mode,
-            solver_tier=config.solver_tier,
-            provenance=False,
-        )
-        rows.append(
-            row(label, *_paired_best(direct(config), direct(off_config)))
-        )
+    off = StaConfig(mode=AnalysisMode.ONE_STEP, provenance=False)
+    rows = [row("exact", *_paired_best(direct(exact), direct(off)))]
 
     # Service round-trip: one full cold request cycle per sample --
     # open_session (design preparation), analyze (the actual solve), and
@@ -315,7 +297,6 @@ def provenance_comparison(record_result):
 def test_provenance_results_hex_identical(provenance_comparison, benchmark):
     assert {r["path"] for r in provenance_comparison} == {
         "exact",
-        "screened",
         "service_round_trip",
     }
     assert all(row["hex_identical"] for row in provenance_comparison)

@@ -3,7 +3,8 @@
 Runs every analysis mode on the s35932-like circuit and records
 wall-clock, arcs/second and the per-pass work series (how the
 delta-driven engine's work decays over the iterative passes).  A second
-section compares the screened solver tier with the exact one.  A third
+section times the scalar stage solver against the batch solver per key
+at batch sizes 1-64, the evidence behind ``MIN_BATCH``.  A third
 sweeps the circuit scale (0.05 / 0.2 / 1.0 -- the last is the paper's
 full-size s35932) and times the one-step analysis, recording compile
 time and peak RSS per run.  ``REPRO_SWEEP_MAX=<float>`` caps the sweep's
@@ -20,7 +21,9 @@ from __future__ import annotations
 import json
 import os
 import platform
+import random
 import resource
+import statistics
 import time
 from pathlib import Path
 
@@ -28,12 +31,17 @@ import pytest
 
 from repro.circuit import s35932_like
 from repro.core.analyzer import CrosstalkSTA
-from repro.core.modes import AnalysisMode, SolverTier, StaConfig
+from repro.core.modes import AnalysisMode, StaConfig
 from repro.flow import prepare_design
+from repro.waveform.gatedelay import MIN_BATCH, GateDelayCalculator
 
 BENCH_JSON = Path(__file__).parent.parent / "BENCH_sta_runtime.json"
 
-SCREEN_TOLERANCE = 100e-12
+# The solver crossover's batch sizes, timing repeats (the median is
+# recorded) and sampling seed.
+CROSSOVER_SIZES = (1, 2, 3, 4, 6, 8, 16, 64)
+CROSSOVER_REPEATS = 5
+CROSSOVER_SEED = 1000
 
 # The scale sweep's points; 1.0 is the paper's full-size s35932, the
 # smaller points keep the curve's shape visible.
@@ -127,117 +135,99 @@ def mode_runs(scale, record_result):
     return rows
 
 
-def _timed_run(design, config):
-    sta = CrosstalkSTA(design, config)
-    t0 = time.perf_counter()
-    result = sta.run()
-    return result, time.perf_counter() - t0
+def _primed_calculator(process, stages) -> GateDelayCalculator:
+    """A fresh calculator (empty arc cache) whose stage tables and batch
+    solver are already built, so a timed solve pays for solving only."""
+    calc = GateDelayCalculator(process=process)
+    for ctype, pin in stages:
+        calc._solver_for_token(calc.signature(ctype, pin))
+    calc._batch_solver_current()
+    return calc
 
 
 @pytest.fixture(scope="module")
-def screened_comparison(scale, record_result, mode_runs):
-    """Two-tier solver vs exact Newton, per analysis mode.
+def solver_crossover(scale, record_result, mode_runs):
+    """Scalar vs batch stage solver, milliseconds per key by batch size.
 
-    Three runs per mode: exact, screened with refinement disabled (the
-    pure pass-1 screening numbers the ISSUE budgets), and screened with
-    the default slack refinement (the shipping configuration, whose
-    longest-path delta must sit inside the tolerance).  Coupled modes
-    (worst_case, one_step, iterative) escalate every actively coupled
-    arc by design -- slew is non-monotone in active coupling -- so only
-    the uncoupled-screenable modes are expected to beat the 20% / 3x
-    pass-1 budgets."""
+    ``GateDelayCalculator._solve_misses`` sends a batch of fewer than
+    ``MIN_BATCH`` distinct keys to the scalar solver, one key at a time,
+    and larger batches to one vectorized integration.  Both produce the
+    same results, so the threshold is a pure cost choice.  The keys are
+    the distinct canonical situations of a one-step run on the bench
+    design.  Per batch size, each repeat draws a seeded sample and times
+    ``_solve_key`` over it against one ``_batch_solve`` of it, each on a
+    fresh primed calculator; the median of the repeats is recorded.
+    Depends on ``mode_runs`` so the BENCH_JSON graft lands on its
+    payload."""
     design = prepare_design(s35932_like(scale=scale))
+    sta = CrosstalkSTA(design, StaConfig(mode=AnalysisMode.ONE_STEP))
+    sta.run()
+    keys = list(sta.calculator._arc_cache)
+    stages = list(sta.calculator._sig_rep.values())
+    rng = random.Random(CROSSOVER_SEED)
     rows = []
-    for mode in AnalysisMode:
-        exact, exact_seconds = _timed_run(design, StaConfig(mode=mode))
-        pass1, pass1_seconds = _timed_run(
-            design,
-            StaConfig(
-                mode=mode,
-                solver_tier=SolverTier.SCREENED,
-                screen_tolerance=SCREEN_TOLERANCE,
-                screen_slack_margin=0.0,
-            ),
-        )
-        refined, refined_seconds = _timed_run(
-            design,
-            StaConfig(
-                mode=mode,
-                solver_tier=SolverTier.SCREENED,
-                screen_tolerance=SCREEN_TOLERANCE,
-            ),
-        )
-        stats = pass1.cache_stats
-        tiers = stats["tier_counts"]
-        total_queries = sum(tiers.values())
+    for size in CROSSOVER_SIZES:
+        scalar_seconds, batch_seconds = [], []
+        for _ in range(CROSSOVER_REPEATS):
+            sample = rng.sample(keys, size)
+            calc = _primed_calculator(design.process, stages)
+            t0 = time.perf_counter()
+            for key in sample:
+                calc._solve_key(key)
+            scalar_seconds.append(time.perf_counter() - t0)
+            calc = _primed_calculator(design.process, stages)
+            t0 = time.perf_counter()
+            calc._batch_solve(sample)
+            batch_seconds.append(time.perf_counter() - t0)
         rows.append(
             {
-                "mode": mode.value,
-                "tolerance": SCREEN_TOLERANCE,
-                "exact": {
-                    "seconds": exact_seconds,
-                    "pass1_seconds": exact.history[0].seconds,
-                    "solves": exact.cache_stats["evaluations"],
-                    "longest_delay": exact.longest_delay,
-                },
-                "screened_pass1": {
-                    "seconds": pass1_seconds,
-                    "pass1_seconds": pass1.history[0].seconds,
-                    "solves": stats["evaluations"],
-                    "longest_delay": pass1.longest_delay,
-                    "tier_counts": dict(tiers),
-                    "escalations": dict(stats["escalations"]),
-                    "escalation_fraction": (
-                        tiers["newton"] / total_queries if total_queries else 0.0
-                    ),
-                    "anchor_solves": stats["anchor_solves"],
-                    "coarse_solves": stats["coarse_solves"],
-                },
-                "solve_fraction": (
-                    stats["evaluations"] / exact.cache_stats["evaluations"]
-                ),
-                "pass1_speedup": (
-                    exact.history[0].seconds / pass1.history[0].seconds
-                ),
-                "screened_refined": {
-                    "seconds": refined_seconds,
-                    "solves": refined.cache_stats["evaluations"],
-                    "longest_delay": refined.longest_delay,
-                },
-                "longest_path_delta_pass1": (
-                    pass1.longest_delay - exact.longest_delay
-                ),
-                "longest_path_delta": (
-                    refined.longest_delay - exact.longest_delay
-                ),
+                "size": size,
+                "scalar_ms_per_key": statistics.median(scalar_seconds) / size * 1e3,
+                "batch_ms_per_key": statistics.median(batch_seconds) / size * 1e3,
             }
         )
+    batch_from = next(
+        (
+            row["size"]
+            for row in rows
+            if row["batch_ms_per_key"] < row["scalar_ms_per_key"]
+        ),
+        None,
+    )
 
     lines = [
-        f"Two-tier screened solver vs exact (s35932-like at scale {scale}, "
-        f"tolerance {SCREEN_TOLERANCE * 1e12:.0f} ps)",
+        f"Scalar vs batch stage solver, ms per key (s35932-like at scale "
+        f"{scale}: {len(keys)} distinct one-step keys, median of "
+        f"{CROSSOVER_REPEATS} seeded samples)",
         "",
-        f"{'mode':<16} {'solves':>13} {'esc frac':>9} {'p1 speedup':>11} "
-        f"{'d(p1)':>10} {'d(refined)':>11}",
-        "-" * 76,
+        f"{'size':>5} {'scalar ms/key':>14} {'batch ms/key':>13} {'cheaper':>8}",
+        "-" * 43,
     ]
     for row in rows:
-        solves = (
-            f"{row['screened_pass1']['solves']}/{row['exact']['solves']}"
+        cheaper = (
+            "batch" if row["batch_ms_per_key"] < row["scalar_ms_per_key"] else "scalar"
         )
         lines.append(
-            f"{row['mode']:<16} {solves:>13} "
-            f"{row['screened_pass1']['escalation_fraction']:>8.1%} "
-            f"{row['pass1_speedup']:>10.2f}x "
-            f"{row['longest_path_delta_pass1'] * 1e12:>9.1f}ps "
-            f"{row['longest_path_delta'] * 1e12:>10.2f}ps"
+            f"{row['size']:>5} {row['scalar_ms_per_key']:>14.2f} "
+            f"{row['batch_ms_per_key']:>13.2f} {cheaper:>8}"
         )
-    record_result("perf_screened", "\n".join(lines))
+    lines += [
+        "",
+        f"MIN_BATCH = {MIN_BATCH}; the batch solver is first cheaper per key "
+        f"at size {batch_from}",
+    ]
+    record_result("perf_solver_crossover", "\n".join(lines))
 
-    # mode_runs already wrote the base payload; graft the
-    # screened section on so both live in one machine-readable file.
     payload = json.loads(BENCH_JSON.read_text())
-    payload["screened"] = {"tolerance": SCREEN_TOLERANCE, "modes": rows}
+    payload["solver_crossover"] = {
+        "mode": AnalysisMode.ONE_STEP.value,
+        "keys": len(keys),
+        "seed": CROSSOVER_SEED,
+        "repeats": CROSSOVER_REPEATS,
+        "min_batch": MIN_BATCH,
+        "batch_cheaper_from": batch_from,
+        "sizes": rows,
+    }
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
     return rows
 
@@ -257,29 +247,15 @@ def test_iterative_pass_work_decays(mode_runs, benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
-def test_screened_pass1_meets_issue_budget(screened_comparison, benchmark):
-    """Headline criterion: on uncoupled-screenable modes the screened
-    pass issues at most 20% of the exact solve count (>= 5x reduction)
-    and the pass-1 wall-clock improves by at least 3x."""
-    for mode in ("best_case", "static_doubled"):
-        row = next(r for r in screened_comparison if r["mode"] == mode)
-        assert row["solve_fraction"] <= 0.20, (
-            f"{mode}: screened issued {row['solve_fraction']:.1%} of the "
-            f"exact solves (> 20% budget)"
-        )
-        assert row["pass1_speedup"] >= 3.0, (
-            f"{mode}: pass-1 speedup only {row['pass1_speedup']:.2f}x"
-        )
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
-
-def test_screened_conservative_in_every_mode(screened_comparison, benchmark):
-    """The screened bound never undercuts exact, and with the default
-    slack refinement the reported delay lands inside the tolerance."""
-    for row in screened_comparison:
-        assert row["longest_path_delta_pass1"] >= -1e-15, row["mode"]
-        assert row["longest_path_delta"] >= -1e-15, row["mode"]
-        assert row["longest_path_delta"] <= row["tolerance"] + 1e-15, row["mode"]
+def test_solver_crossover_ends(solver_crossover, benchmark):
+    """Only the robust ends of the crossover are asserted: one key is
+    cheaper on the scalar solver, a batch of 64 on the batch solver.
+    Where between them the batch solver starts to win is recorded, not
+    asserted."""
+    by_size = {row["size"]: row for row in solver_crossover}
+    single, wide = by_size[1], by_size[64]
+    assert single["scalar_ms_per_key"] < single["batch_ms_per_key"], single
+    assert wide["batch_ms_per_key"] < wide["scalar_ms_per_key"], wide
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 
@@ -295,12 +271,12 @@ def test_mode_ordering_holds(mode_runs, benchmark):
 
 
 @pytest.fixture(scope="module")
-def scale_sweep(record_result, screened_comparison):
+def scale_sweep(record_result, mode_runs):
     """One-step analysis across circuit scales.
 
     Ordered smallest scale first so the peak-RSS column (a process-wide
     high-water mark) is dominated by each row's own run.  Depends on
-    ``screened_comparison`` only to serialize the BENCH_JSON grafts."""
+    ``mode_runs`` so the BENCH_JSON graft lands on its payload."""
     sweep_max = float(os.environ.get("REPRO_SWEEP_MAX", "1.0"))
     rows = []
     for sweep_scale in SWEEP_SCALES:

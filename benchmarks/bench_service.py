@@ -37,7 +37,7 @@ import pytest
 
 from repro.core.analyzer import CrosstalkSTA
 from repro.core.constraints import minimum_period
-from repro.core.modes import AnalysisMode, SolverTier, StaConfig
+from repro.core.modes import AnalysisMode, StaConfig
 from repro.flow.edits import edit_nets
 from repro.flow.optimizer import validate_repair
 from repro.service import (
@@ -52,14 +52,11 @@ from repro.service import (
     apply_edit,
     backoff_delay,
 )
-from repro.service.session import result_summary
 
 BENCH_JSON = Path(__file__).parent.parent / "BENCH_service.json"
 
 MODE = AnalysisMode.ONE_STEP
 N_EDITS = 5
-N_SCREENED_EDITS = 3
-SCREEN_TOLERANCE = 100e-12
 CLIENT_COUNTS = (1, 4, 16)
 REQUESTS_PER_CLIENT = 12
 FLEET_SHARDS = 4
@@ -143,113 +140,6 @@ def whatif_comparison(scale, record_result):
     record_result("service_whatif", "\n".join(lines))
 
     return {
-        "first_analyze_seconds": first_analyze_seconds,
-        "rows": rows,
-        "median_ratio": median_ratio,
-    }
-
-
-def _coupled_edits(session, count):
-    edits = []
-    for exposure in session.exposures(MODE.value):
-        if len(edits) >= count:
-            break
-        couplings = session.design.loads[exposure.net].couplings
-        if not couplings:
-            continue
-        edits.append(
-            {
-                "action": "drop_coupling",
-                "net": exposure.net,
-                "neighbour": max(couplings, key=couplings.get),
-            }
-        )
-    return edits
-
-
-@pytest.fixture(scope="module")
-def whatif_screened(scale, record_result):
-    """Warm/cold what-if ratios with the screened solver tier.
-
-    A screened session keeps its response-surface bank warm across
-    what-ifs (on top of the arc memo), so the warm/cold gap should be at
-    least as large as under the exact tier.  Screened answers depend on
-    the bank's accumulated points, so warm and cold screened runs are
-    *not* bit-identical -- the pinned contract is conservatism against a
-    cold exact analysis of the same edited design, within tolerance."""
-    config = StaConfig(
-        mode=MODE,
-        solver_tier=SolverTier.SCREENED,
-        screen_tolerance=SCREEN_TOLERANCE,
-    )
-    manager = SessionManager(config=config)
-    session = manager.open("gen:s35932", scale=scale)
-    t0 = time.perf_counter()
-    first = result_summary(session.analyze(MODE.value))
-    first_analyze_seconds = time.perf_counter() - t0
-    assert first["solver_tier"] == "screened"
-    tiers_before = first["tier_counts"]
-
-    edits = _coupled_edits(session, N_SCREENED_EDITS)
-    assert len(edits) == N_SCREENED_EDITS
-
-    rows = []
-    for edit in edits:
-        t0 = time.perf_counter()
-        payload = session.whatif(edit, mode=MODE.value)
-        warm_seconds = time.perf_counter() - t0
-        after = payload["after"]
-        tiers_after = after["tier_counts"]
-        tier_delta = {
-            tier: tiers_after[tier] - tiers_before[tier] for tier in tiers_after
-        }
-        tiers_before = tiers_after
-
-        edited, _ = apply_edit(session.design, edit)
-        t0 = time.perf_counter()
-        cold_screened = CrosstalkSTA(edited, config).run(MODE)
-        cold_screened_seconds = time.perf_counter() - t0
-        cold_exact = CrosstalkSTA(edited, StaConfig(mode=MODE)).run(MODE)
-
-        rows.append(
-            {
-                "edit": {"action": edit["action"]},
-                "warm_seconds": warm_seconds,
-                "cold_seconds": cold_screened_seconds,
-                "ratio": warm_seconds / cold_screened_seconds,
-                "tier_delta": tier_delta,
-                "escalations": dict(after["escalations"]),
-                "delta_vs_exact": after["longest_delay"]
-                - cold_exact.longest_delay,
-            }
-        )
-
-    median_ratio = statistics.median(r["ratio"] for r in rows)
-    lines = [
-        f"Warm what-if vs cold analyze, screened tier "
-        f"(s35932-like at scale {scale}, {MODE.value}, "
-        f"tolerance {SCREEN_TOLERANCE * 1e12:.0f} ps)",
-        "",
-        f"first analyze (cold session): {first_analyze_seconds:.2f} s",
-        "",
-        f"{'edit':<14} {'warm s':>8} {'cold s':>8} {'ratio':>7} "
-        f"{'newton+':>8} {'surface+':>9} {'d vs exact':>11}",
-        "-" * 70,
-    ]
-    for row in rows:
-        lines.append(
-            f"{row['edit']['action']:<14} {row['warm_seconds']:>8.3f} "
-            f"{row['cold_seconds']:>8.3f} {row['ratio']:>7.2f} "
-            f"{row['tier_delta']['newton']:>8d} "
-            f"{row['tier_delta']['surface']:>9d} "
-            f"{row['delta_vs_exact'] * 1e12:>9.2f}ps"
-        )
-    lines.append("-" * 70)
-    lines.append(f"median warm/cold ratio: {median_ratio:.2f}")
-    record_result("service_whatif_screened", "\n".join(lines))
-
-    return {
-        "tolerance": SCREEN_TOLERANCE,
         "first_analyze_seconds": first_analyze_seconds,
         "rows": rows,
         "median_ratio": median_ratio,
@@ -653,7 +543,6 @@ def fleet_swarm(record_result):
 @pytest.fixture(scope="module")
 def persisted(
     whatif_comparison,
-    whatif_screened,
     repair_run,
     concurrency_sweep,
     fleet_swarm,
@@ -666,7 +555,6 @@ def persisted(
         "mode": MODE.value,
         "python": platform.python_version(),
         "whatif": whatif_comparison,
-        "whatif_screened": whatif_screened,
         "repair": repair_run,
         "concurrency": concurrency_sweep,
         "fleet": fleet_swarm,
@@ -686,27 +574,6 @@ def test_warm_whatif_beats_cold_analyze(persisted, benchmark):
 def test_warm_whatif_is_bit_identical(persisted, benchmark):
     for row in persisted["whatif"]["rows"]:
         assert row["bit_identical"], row
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
-
-def test_screened_warm_whatif_beats_cold(persisted, benchmark):
-    """A warm screened what-if reuses both the arc memo and the
-    response-surface bank: its median cost stays below a cold screened
-    analysis of the same edited design."""
-    section = persisted["whatif_screened"]
-    assert section["median_ratio"] <= 0.60, (
-        f"median screened warm/cold ratio {section['median_ratio']:.2f}"
-    )
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
-
-def test_screened_whatif_conservative_vs_exact(persisted, benchmark):
-    """Every screened what-if answer dominates the cold exact analysis
-    of the edited design, within the configured tolerance."""
-    section = persisted["whatif_screened"]
-    for row in section["rows"]:
-        assert row["delta_vs_exact"] >= -1e-15, row
-        assert row["delta_vs_exact"] <= section["tolerance"] + 1e-15, row
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 

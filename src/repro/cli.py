@@ -132,9 +132,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         strict=args.strict,
         max_degraded=args.max_degraded,
         checkpoint=args.checkpoint,
-        solver_tier=args.solver_tier,
-        screen_tolerance=args.screen_tolerance,
-        screen_slack_margin=args.screen_slack_margin,
         provenance=not args.no_provenance,
         clock_period=args.clock_period,
         setup_time=args.setup_time,
@@ -273,13 +270,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     """
     circuit = _resolve_circuit(args.netlist, args.scale)
     design = prepare_design(circuit)
-    config = StaConfig(
-        mode=AnalysisMode(args.mode),
-        solver_tier=args.solver_tier,
-        screen_tolerance=args.screen_tolerance,
-        screen_slack_margin=args.screen_slack_margin,
-    )
-    sta = CrosstalkSTA(design, config)
+    sta = CrosstalkSTA(design, StaConfig(mode=AnalysisMode(args.mode)))
     result = sta.run()
     payload = explain_result(design.circuit, result, k=args.paths, top=args.top)
     validate_explain(payload)  # we print only what survives the bit-exact check
@@ -367,9 +358,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         incremental=not args.no_incremental,
         strict=args.strict,
         max_degraded=args.max_degraded,
-        solver_tier=args.solver_tier,
-        screen_tolerance=args.screen_tolerance,
-        screen_slack_margin=args.screen_slack_margin,
         provenance=not args.no_provenance,
         clock_period=args.clock_period,
         setup_time=args.setup_time,
@@ -580,30 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
         "from it when present",
     )
     analyze.add_argument(
-        "--solver-tier",
-        choices=["exact", "screened"],
-        default="exact",
-        help="arc-solving policy: 'exact' runs the full Newton solve on "
-        "every arc; 'screened' answers from the per-signature "
-        "macromodel/response-surface bank and escalates selectively",
-    )
-    analyze.add_argument(
-        "--screen-tolerance",
-        type=float,
-        default=100e-12,
-        metavar="SECONDS",
-        help="screened tier: largest acceptable per-arc error estimate "
-        "before escalating to the full solve",
-    )
-    analyze.add_argument(
-        "--screen-slack-margin",
-        type=float,
-        default=0.15,
-        metavar="FRACTION",
-        help="screened tier: slack fraction below which cells are refined "
-        "to the exact tier (0 disables refinement)",
-    )
-    analyze.add_argument(
         "--timing-report",
         action="store_true",
         help="print per-phase wall-clock and arc-cache statistics",
@@ -652,15 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=[m.value for m in AnalysisMode],
         default=AnalysisMode.ITERATIVE.value,
-    )
-    explain.add_argument(
-        "--solver-tier", choices=["exact", "screened"], default="exact"
-    )
-    explain.add_argument(
-        "--screen-tolerance", type=float, default=100e-12, metavar="SECONDS"
-    )
-    explain.add_argument(
-        "--screen-slack-margin", type=float, default=0.15, metavar="FRACTION"
     )
     explain.add_argument(
         "--paths", type=int, default=1, metavar="K", help="worst paths to break down"
@@ -783,18 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-incremental", action="store_true")
     serve.add_argument("--strict", action="store_true")
     serve.add_argument("--max-degraded", type=int, default=None, metavar="N")
-    serve.add_argument(
-        "--solver-tier",
-        choices=["exact", "screened"],
-        default="exact",
-        help="default arc-solving policy for new sessions",
-    )
-    serve.add_argument(
-        "--screen-tolerance", type=float, default=100e-12, metavar="SECONDS"
-    )
-    serve.add_argument(
-        "--screen-slack-margin", type=float, default=0.15, metavar="FRACTION"
-    )
     serve.add_argument(
         "--trace",
         metavar="FILE",

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 from repro.core.checkpoint import CheckpointManager
 from repro.core.graph import TimingState
-from repro.core.iterative import IterationRecord, esperance_recalc_cells, run_iterative
-from repro.core.modes import AnalysisMode, SolverTier, StaConfig
+from repro.core.iterative import IterationRecord, run_iterative
+from repro.core.modes import AnalysisMode, StaConfig
 from repro.core.paths import CriticalPath, extract_critical_path
 from repro.core.propagation import PassResult, Propagator
 from repro.core.provenance import ProvenanceLedger
@@ -133,8 +133,6 @@ class CrosstalkSTA:
                 process=design.process,
                 metrics=self.obs.metrics,
                 strict=self.config.strict,
-                solver_tier=self.config.solver_tier.value,
-                screen_tolerance=self.config.screen_tolerance,
             )
         if self.config.arc_cache:
             with self.obs.tracer.span(
@@ -212,92 +210,13 @@ class CrosstalkSTA:
                 config.window_check.value,
             )
         )
-        # Tier fields are appended only for non-exact tiers so every
-        # checkpoint written before the tiered pipeline existed (and every
-        # exact-tier checkpoint since) keeps its fingerprint unchanged.
-        if config.solver_tier is not SolverTier.EXACT:
-            blob += "|" + "|".join(
-                str(part)
-                for part in (
-                    config.solver_tier.value,
-                    config.screen_tolerance,
-                    config.screen_slack_margin,
-                )
-            )
-        # Same append-only-when-non-default pattern: a ledger-off
-        # checkpoint must not resume a ledger-on run (the restored passes
-        # would have no provenance rows), but every default-config
-        # fingerprint stays what it always was.
+        # Appended only when non-default: a ledger-off checkpoint must not
+        # resume a ledger-on run (the restored passes would have no
+        # provenance rows), but every default-config fingerprint stays
+        # what it always was.
         if not config.provenance:
             blob += "|provenance_off"
         return hashlib.sha256(blob.encode()).hexdigest()
-
-    def _refine_screened(
-        self,
-        propagator: Propagator,
-        config: StaConfig,
-        final: PassResult,
-        history: list[IterationRecord],
-    ) -> PassResult:
-        """Force the near-critical cone to the exact tier.
-
-        The screened run's reported path may rest on screened (bounded,
-        not solved) arcs.  This loop marks every cell whose slack is
-        within ``screen_slack_margin`` of the longest-path delay (the
-        same backward sweep the Esperance speed-up uses), adds them to
-        the propagator's ``exact_cells``, and re-runs the pass with only
-        those cells recalculated -- now answered by the full Newton
-        solver.  Tightening a near-critical arc can promote a different
-        path, so the sweep repeats until no new cell crosses the margin
-        (bounded at four rounds; the cone grows monotonically, so each
-        round only adds work).  Every pass is individually a valid upper
-        bound and exact arcs are never later than their screened bounds,
-        so the minimum over passes is reported.
-        """
-        total_cells = len(propagator.order)
-        # ONE_STEP must refine without aggressor windows: feeding the
-        # previous pass's windows back in would turn it into a second
-        # iterative pass and could undercut the exact one-step bound the
-        # screened run promises to stay above.
-        use_windows = config.mode is AnalysisMode.ITERATIVE
-        for _ in range(4):
-            cells = esperance_recalc_cells(
-                self.design, propagator, final, config.screen_slack_margin
-            )
-            new = cells - propagator.exact_cells
-            if not new:
-                break
-            propagator.exact_cells |= new
-            with self.obs.tracer.span(
-                "sta.screen_refine", exact_cells=len(propagator.exact_cells)
-            ):
-                t0 = time.perf_counter()
-                refined = propagator.run_pass(
-                    prev_windows=final.state.window_snapshot() if use_windows else None,
-                    recalc_cells=set(propagator.exact_cells),
-                    prev_state=final.state,
-                )
-                history.append(
-                    IterationRecord(
-                        index=len(history) + 1,
-                        longest_delay=refined.longest_delay,
-                        waveform_evaluations=refined.waveform_evaluations,
-                        seconds=time.perf_counter() - t0,
-                        recalculated_cells=len(propagator.exact_cells),
-                        total_cells=total_cells,
-                        cache_evaluations=refined.cache_evaluations,
-                        cache_hits=refined.cache_hits,
-                        cache_dedup_hits=refined.cache_dedup_hits,
-                        cache_persisted_hits=refined.cache_persisted_hits,
-                        dirty_arcs=refined.dirty_arcs,
-                        reused_arcs=refined.reused_arcs,
-                        phase_seconds=dict(refined.phase_seconds),
-                        provenance_rows=refined.provenance_rows,
-                    )
-                )
-            if refined.longest_delay <= final.longest_delay:
-                final = refined
-        return final
 
     def run(self, mode: AnalysisMode | None = None) -> StaResult:
         """Run one analysis mode (defaults to the configured one).
@@ -353,11 +272,6 @@ class CrosstalkSTA:
                         provenance_rows=final.provenance_rows,
                     )
                 ]
-            if (
-                config.solver_tier is SolverTier.SCREENED
-                and config.screen_slack_margin > 0
-            ):
-                final = self._refine_screened(propagator, config, final, history)
         runtime = time.perf_counter() - t0
 
         slack = None

@@ -618,9 +618,9 @@ class ColumnTimingState:
 
     def copy_net_from(self, prev: "ColumnTimingState | object", net: int) -> None:
         """Adopt one net's previous-pass events, provenance and ledger
-        row (the Esperance / screened-refinement copy path).  ``prev``
-        may be a columnar state over the same compiled design or a plain
-        :class:`TimingState` (checkpoint resume)."""
+        row (the Esperance copy path).  ``prev`` may be a columnar state
+        over the same compiled design or a plain :class:`TimingState`
+        (checkpoint resume)."""
         name = self.compiled.net_names[net]
         if isinstance(prev, ColumnTimingState):
             self.present[net] = True

@@ -2,15 +2,14 @@
 
 Answers *why* a run reported its longest delay: the worst path(s) are
 walked stage by stage, each stage annotated with the provenance row the
-ledger recorded for its winning arc (solver tier, reuse origin,
-escalation reason, decided coupling, aggressor counts, pass index,
-signature token) and its coupling delta (the coupled minus quiescent
-crossing time).  The per-stage **contributions telescope bit-exactly**:
-summing them left to right in float arithmetic reproduces every stage's
-arrival and the reported path delay *to the bit* (checked through
-``float.hex`` round-trips by :func:`validate_explain`), so the
-breakdown is an audit of the reported number, not an approximation of
-it.
+ledger recorded for its winning arc (solver, reuse origin, decided
+coupling, aggressor counts, pass index, signature token) and its
+coupling delta (the coupled minus quiescent crossing time).  The
+per-stage **contributions telescope bit-exactly**: summing them left to
+right in float arithmetic reproduces every stage's arrival and the
+reported path delay *to the bit* (checked through ``float.hex``
+round-trips by :func:`validate_explain`), so the breakdown is an audit
+of the reported number, not an approximation of it.
 
 An aggregated "blame" table ranks nets by the coupling-induced delay
 shift of their winning arcs -- the per-net exposure figure the ECO
@@ -56,7 +55,6 @@ def _wire_provenance(pass_index: int) -> dict[str, Any]:
     return {
         "tier": "elmore",
         "origin": "wire",
-        "escalation": None,
         "signature": "",
         "coupling": "none",
         "aggressors_total": 0,
@@ -89,7 +87,6 @@ def _stage_rows(
             prov = {
                 "tier": "unknown",
                 "origin": "unknown",
-                "escalation": None,
                 "signature": "",
                 "coupling": "none",
                 "aggressors_total": 0,

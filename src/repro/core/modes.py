@@ -55,27 +55,6 @@ class WindowCheck(Enum):
     OVERLAP = "overlap"
 
 
-class SolverTier(Enum):
-    """Arc-solving policy.
-
-    ``EXACT``: every arc is integrated by the full transistor-table
-    Newton solver (the paper-faithful reference; bit-identical to the
-    behaviour before the tiered pipeline existed).  ``SCREENED``: arcs
-    are first answered from a per-signature screening bank -- an
-    analytical macromodel calibrated from a handful of anchor solves
-    plus a response surface fitted from every full solve performed --
-    and only escalated to the full Newton solve when the screen cannot
-    produce a bound within ``screen_tolerance``, the query falls outside
-    the fitted region, or the arc sits within ``screen_slack_margin`` of
-    the longest path.  Screened results are conservative (never earlier
-    / faster than the exact solve), so every reported delay remains an
-    upper bound.
-    """
-
-    EXACT = "exact"
-    SCREENED = "screened"
-
-
 class ClockAggressorModel(Enum):
     """How clock-tree nets behave as aggressors.
 
@@ -156,35 +135,12 @@ class StaConfig:
         equal outputs), so this is purely a performance feature; disable
         to force every pass to pay full price (diagnosis, benchmarking
         baselines).
-    solver_tier:
-        Arc-solving policy (see :class:`SolverTier`).  ``EXACT`` keeps
-        the full Newton solve on every arc; ``SCREENED`` answers arcs
-        from the per-signature macromodel/response-surface bank and
-        escalates to Newton only when the screen cannot meet
-        ``screen_tolerance`` or the arc is slack-critical.
-    screen_tolerance:
-        Screened tier only: the largest acceptable error estimate
-        (seconds, on the half-V_DD crossing time) of a screened bound.
-        Queries whose bracket or macromodel error estimate exceeds it
-        escalate to the full solve.  Per-arc inflation accumulates
-        along a path, so the first-pass longest delay can exceed the
-        exact delay by several multiples of this value; the slack
-        refinement (see ``screen_slack_margin``) is what brings the
-        reported delay back within tolerance.
-    screen_slack_margin:
-        Screened tier only: slack threshold, as a fraction of the
-        longest-path delay, below which an arc's driver cell is forced
-        to the exact tier.  The analyzer iterates this refinement until
-        the near-critical cone is fully exact, so the reported critical
-        path is produced by the exact solver; ``0`` disables the
-        refinement.
     provenance:
-        Record a per-arc provenance ledger (solver tier, escalation
-        reason, reuse origin, decided coupling, pass index, signature
-        token) alongside the timing results.  Annotation only: delays
-        are bit-identical with the ledger on or off; disabling merely
-        drops the bookkeeping (and with it ``repro explain``'s
-        per-stage provenance).
+        Record a per-arc provenance ledger (solver, reuse origin,
+        decided coupling, pass index, signature token) alongside the
+        timing results.  Annotation only: delays are bit-identical with
+        the ledger on or off; disabling merely drops the bookkeeping
+        (and with it ``repro explain``'s per-stage provenance).
     clock_period:
         Optional clock period (seconds).  When set, every run
         additionally performs the backward required-time pass
@@ -216,9 +172,6 @@ class StaConfig:
     strict: bool = False
     max_degraded: int | None = None
     checkpoint: str | None = None
-    solver_tier: SolverTier = SolverTier.EXACT
-    screen_tolerance: float = 100e-12
-    screen_slack_margin: float = 0.15
     provenance: bool = True
     # Timing constraints.  Deliberately NOT part of the checkpoint
     # fingerprint: they only drive the backward slack pass and the
@@ -231,12 +184,6 @@ class StaConfig:
     def __post_init__(self) -> None:
         if self.window_check is None:
             object.__setattr__(self, "window_check", WindowCheck.QUIET)
-        if isinstance(self.solver_tier, str):
-            object.__setattr__(self, "solver_tier", SolverTier(self.solver_tier))
-        if self.screen_tolerance <= 0:
-            raise InputError("screen_tolerance must be positive")
-        if self.screen_slack_margin < 0:
-            raise InputError("screen_slack_margin must be non-negative")
         if self.max_degraded is not None and self.max_degraded < 0:
             raise InputError("max_degraded must be non-negative")
         if self.clock_period is not None and self.clock_period <= 0:

@@ -51,11 +51,11 @@ dirtiness propagates only through genuine shape changes.  The cheap
 parts of the pass (gathering, window comparisons, merging) always run
 in full, so coupling decisions are re-derived every pass.
 
-On the exact tier the pass also looks ahead across each level's coupling
-waves: the coupled final keys the waves will probably need are solved in
-one batch before wave 0 instead of one batch per wave.  The waves still
-decide and merge alone, so this changes when keys are solved, never what
-they resolve to.
+The pass also looks ahead across each level's coupling waves: the
+coupled final keys the waves will probably need are solved in one batch
+before wave 0 instead of one batch per wave.  The waves still decide and
+merge alone, so this changes when keys are solved, never what they
+resolve to.
 
 The regression oracle is ``tests/golden/propagation.json``:
 ``float.hex()`` digests of every endpoint arrival, pass and counter over
@@ -86,7 +86,6 @@ from repro.core.graph import TimingState
 from repro.core.modes import (
     AnalysisMode,
     ClockAggressorModel,
-    SolverTier,
     StaConfig,
     WindowCheck,
 )
@@ -219,11 +218,6 @@ class Propagator:
         )
         self.levels = self.compiled.levels
         self.order = self.compiled.cells
-        # Screened solver tier: driver cells forced to the exact tier
-        # (the analyzer grows this set during slack refinement until the
-        # near-critical cone is fully exact).
-        self._screened = config.solver_tier is SolverTier.SCREENED
-        self.exact_cells: set[str] = set()
         # Per-arc provenance ledger (columnar; one row per merged arc).
         # Pure annotation: delays are bit-identical with it on or off.
         self._provenance = config.provenance
@@ -241,9 +235,9 @@ class Propagator:
         self._c_dirty = metrics.counter("propagation.dirty_arcs")
         self._c_reused = metrics.counter("propagation.reused_arcs")
         self._c_waves = metrics.counter("propagation.coupling_waves")
-        # Level look-ahead (exact tier): keys it solved ahead of their
-        # wave, and keys the waves still had to solve in levels where it
-        # ran (its misses).
+        # Level look-ahead: keys it solved ahead of their wave, and keys
+        # the waves still had to solve in levels where it ran (its
+        # misses).
         self._c_lookahead = metrics.counter("propagation.lookahead_solves")
         self._c_catchup = metrics.counter("propagation.catchup_solves")
         self._h_waves = metrics.histogram(
@@ -323,12 +317,9 @@ class Propagator:
         # (``_m_tt``), decided final load and relative results per arc.
         # Loads are (c_ground, c_couple_active, c_couple_passive) triples;
         # NaN encodes "no load" (the windowed quiet short-circuit), which
-        # correctly never compares equal to a real load.  A screened memo
-        # (``_m_exact`` false) must not satisfy a cell the slack
-        # refinement has since forced exact.
+        # correctly never compares equal to a real load.
         self._m_valid = np.zeros(n, dtype=bool)
         self._m_tt = np.zeros(n, dtype=np.float64)
-        self._m_exact = np.zeros(n, dtype=bool)
         self._m_coupled = np.zeros(n, dtype=bool)
         self._m_has_best = np.zeros(n, dtype=bool)
         self._m_has_worst = np.zeros(n, dtype=bool)
@@ -505,7 +496,6 @@ class Propagator:
         for name in (
             "_m_valid",
             "_m_tt",
-            "_m_exact",
             "_m_coupled",
             "_m_has_best",
             "_m_has_worst",
@@ -555,7 +545,6 @@ class Propagator:
         overlap = config.window_check is WindowCheck.OVERLAP
         incremental = config.incremental
         prov_on = self._provenance
-        screened_tier = self._screened
         mode = config.mode
         k_slew = config.slew_degradation_factor
         tgrid = calc.transition_grid
@@ -575,22 +564,12 @@ class Propagator:
             else None
         )
 
-        # Slack refinement: arcs whose driver cell is forced exact.
-        in_exact = np.zeros(n, dtype=bool)
-        if self.exact_cells:
-            for name in self.exact_cells:
-                ci = cp.cell_id.get(name)
-                if ci is not None:
-                    in_exact[cp.cell_arc_begin[ci] : cp.cell_arc_end[ci]] = True
-        fx_l = (in_exact if screened_tier else np.zeros(n, dtype=bool)).tolist()
-
         # Per-pass arc columns.
         a_live = np.zeros(n, dtype=bool)
         a_tt = np.zeros(n, dtype=np.float64)
         a_ts = np.zeros(n, dtype=np.float64)
         a_prov_dir = cp.arc_in_dir.astype(np.int8)
         a_eval = np.zeros(n, dtype=bool)
-        a_screened = np.zeros(n, dtype=bool)
         a_coupled = np.zeros(n, dtype=bool)
         a_attach = np.zeros(n, dtype=bool)
         a_flhas = np.zeros(n, dtype=bool)
@@ -696,7 +675,6 @@ class Propagator:
                                 live_slab
                                 & self._m_valid[sl]
                                 & (self._m_tt[sl] == a_tt[sl])
-                                & (self._m_exact[sl] | ~in_exact[sl])
                             )
                             a_attach[sl] = attach
                         else:
@@ -712,7 +690,6 @@ class Propagator:
                         )
                         idx = np.nonzero(reuse_uw)[0] + lo
                         a_coupled[idx] = self._m_coupled[idx]
-                        a_screened[idx] |= ~self._m_exact[idx]
                         for a in idx.tolist():
                             a_final[a] = self._m_final[a]
                             if prov_on:
@@ -722,7 +699,6 @@ class Propagator:
                         if overlap:
                             reuse_w &= self._m_has_worst[sl]
                         idx = np.nonzero(reuse_w)[0] + lo
-                        a_screened[idx] |= ~self._m_exact[idx]
                         for a in idx.tolist():
                             a_best[a] = self._m_best[a]
                             a_worst[a] = self._m_worst[a]
@@ -735,10 +711,9 @@ class Propagator:
                         )[0] + lo
                         miss_l = miss.tolist()
                         if miss_l:
-                            entries = []
+                            keys = []
                             for a in miss_l:
                                 token = self._token(a)
-                                fxa = fx_l[a]
                                 if self._s_windowed_l[a]:
                                     key = (
                                         token,
@@ -749,7 +724,7 @@ class Propagator:
                                         False,
                                     )
                                     a_bkey[a] = key
-                                    entries.append((key, fxa))
+                                    keys.append(key)
                                     if overlap:
                                         key = (
                                             token,
@@ -760,7 +735,7 @@ class Propagator:
                                             False,
                                         )
                                         a_wkey[a] = key
-                                        entries.append((key, fxa))
+                                        keys.append(key)
                                 else:
                                     key = (
                                         token,
@@ -771,35 +746,22 @@ class Propagator:
                                         False,
                                     )
                                     a_key[a] = key
-                                    entries.append((key, fxa))
-                            calc.prime_keys(entries)
+                                    keys.append(key)
+                            calc.prime_keys(keys)
                             for a in miss_l:
-                                fxa = fx_l[a]
                                 if self._s_windowed_l[a]:
                                     result.waveform_evaluations += 1
                                     a_eval[a] = True
-                                    rel = calc.resolve_key(a_bkey[a], fxa)
-                                    if screened_tier and calc.last_tier != "newton":
-                                        a_screened[a] = True
-                                    a_best[a] = rel
+                                    a_best[a] = calc.resolve_key(a_bkey[a])
                                     if prov_on:
                                         a_prov[a] = self._last_prov()
                                     if overlap:
                                         result.waveform_evaluations += 1
-                                        rel = calc.resolve_key(a_wkey[a], fxa)
-                                        if (
-                                            screened_tier
-                                            and calc.last_tier != "newton"
-                                        ):
-                                            a_screened[a] = True
-                                        a_worst[a] = rel
+                                        a_worst[a] = calc.resolve_key(a_wkey[a])
                                 else:
                                     result.waveform_evaluations += 1
                                     a_eval[a] = True
-                                    rel = calc.resolve_key(a_key[a], fxa)
-                                    if screened_tier and calc.last_tier != "newton":
-                                        a_screened[a] = True
-                                    a_final[a] = rel
+                                    a_final[a] = calc.resolve_key(a_key[a])
                                     a_coupled[a] = self._s_plain_coupled[a]
                                     if prov_on:
                                         a_prov[a] = self._last_prov()
@@ -818,14 +780,8 @@ class Propagator:
                     # still decides and merges alone, so a right guess
                     # is a cache hit and a wrong one a catch-up solve.
                     # Only levels where some windowed arc missed its memo
-                    # (warm what-ifs mostly skip it), and only on the
-                    # exact tier: a speculative screened solve would grow
-                    # the response surface and move later bounds.
-                    lookahead = (
-                        not screened_tier
-                        and len(waves) >= 2
-                        and bool((w & ~reuse_w).any())
-                    )
+                    # (warm what-ifs mostly skip it).
+                    lookahead = len(waves) >= 2 and bool((w & ~reuse_w).any())
                     if lookahead:
                         t0 = time.perf_counter()
                         w_arcs = (np.nonzero(w)[0] + lo).tolist()
@@ -905,7 +861,7 @@ class Propagator:
                         t0 = time.perf_counter()
                         with tracer.span("phase.final_waveforms", wave=wave_index):
                             pending: list[int] = []
-                            entries = []
+                            keys = []
                             for a in wave_arcs:
                                 if not a_flhas[a]:
                                     continue
@@ -921,25 +877,20 @@ class Propagator:
                                 if key is None:
                                     a_final[a] = self._m_final[a]
                                     a_coupled[a] = True
-                                    if not self._m_exact[a]:
-                                        a_screened[a] = True
                                     if prov_on:
                                         a_prov[a] = _memo_prov(self._m_prov[a])
                                     continue
                                 a_key[a] = key
                                 pending.append(a)
-                                entries.append((key, fx_l[a]))
+                                keys.append(key)
                             if pending:
-                                solved = calc.prime_keys(entries)
+                                solved = calc.prime_keys(keys)
                                 if lookahead:
                                     self._c_catchup.inc(solved)
                                 for a in pending:
                                     result.waveform_evaluations += 1
                                     a_eval[a] = True
-                                    rel = calc.resolve_key(a_key[a], fx_l[a])
-                                    if screened_tier and calc.last_tier != "newton":
-                                        a_screened[a] = True
-                                    a_final[a] = rel
+                                    a_final[a] = calc.resolve_key(a_key[a])
                                     a_coupled[a] = True
                                     if prov_on:
                                         a_prov[a] = self._last_prov()
@@ -964,9 +915,8 @@ class Propagator:
                                 else:
                                     delta = None
                                 row = self.ledger.append(
-                                    tier=prov.get("tier", "newton"),
+                                    tier="newton",
                                     origin=prov.get("origin", "fresh"),
-                                    escalation=prov.get("escalation"),
                                     signature=prov.get("signature", ""),
                                     coupling=self._a_kind[a],
                                     aggressors_total=self._s_aggt[a],
@@ -1022,7 +972,6 @@ class Propagator:
                             if incremental:
                                 self._m_valid[a] = True
                                 self._m_tt[a] = a_tt[a]
-                                self._m_exact[a] = not a_screened[a]
                                 self._m_coupled[a] = a_coupled[a]
                                 best = a_best[a]
                                 self._m_best[a] = best
@@ -1180,9 +1129,7 @@ class Propagator:
         resolved (captured immediately after a ``resolve_key``)."""
         calc = self.calculator
         return {
-            "tier": calc.last_tier,
             "origin": calc.last_origin,
-            "escalation": calc.last_escalation,
             "signature": calc.last_signature,
         }
 

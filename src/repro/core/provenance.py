@@ -1,16 +1,14 @@
 """Per-arc provenance ledger.
 
 Every arc that wins a (net, direction) slot during propagation gets one
-row recording *how* its number was produced: which solver tier answered
-(``newton`` / ``surface`` / ``analytical``), why a screened query
-escalated (``outside_region`` / ``error_tolerance`` / ``slack``), where
-the result came from (``fresh`` solve, in-run ``dedup``, ``persisted``
-cache file, pass-to-pass ``memo``, ``screen_surface`` /
-``screen_analytical`` bank, or a ``degraded`` conservative substitute),
-the decided coupling treatment with aggressor counts, the pass index,
-the interned stage-signature token, and the coupling delta (coupled
-minus quiescent half-V_DD crossing; ``None`` where no quiescent solve
-exists).
+row recording *how* its number was produced: the solver that answered
+(always ``newton``, the transistor-table solve; explain's wire rows say
+``elmore``), where the result came from (``fresh`` solve, in-run
+``dedup``, ``persisted`` cache file, pass-to-pass ``memo``, or a
+``degraded`` conservative substitute), the decided coupling treatment
+with aggressor counts, the pass index, the interned stage-signature
+token, and the coupling delta (coupled minus quiescent half-V_DD
+crossing; ``None`` where no quiescent solve exists).
 
 Storage is columnar — parallel lists keyed by row id — matching the
 ROADMAP's structure-of-arrays direction and keeping the per-arc cost to
@@ -28,8 +26,6 @@ ORIGIN_FRESH = "fresh"
 ORIGIN_DEDUP = "dedup"
 ORIGIN_PERSISTED = "persisted"
 ORIGIN_MEMO = "memo"
-ORIGIN_SCREEN_SURFACE = "screen_surface"
-ORIGIN_SCREEN_ANALYTICAL = "screen_analytical"
 ORIGIN_DEGRADED = "degraded"
 
 ORIGINS = (
@@ -37,15 +33,12 @@ ORIGINS = (
     ORIGIN_DEDUP,
     ORIGIN_PERSISTED,
     ORIGIN_MEMO,
-    ORIGIN_SCREEN_SURFACE,
-    ORIGIN_SCREEN_ANALYTICAL,
     ORIGIN_DEGRADED,
 )
 
 _COLUMNS = (
     "tier",
     "origin",
-    "escalation",
     "signature",
     "coupling",
     "aggressors_total",
@@ -71,7 +64,6 @@ class ProvenanceLedger:
     def __init__(self) -> None:
         self._tier: list[str] = []
         self._origin: list[str] = []
-        self._escalation: list[str | None] = []
         self._signature: list[str] = []
         self._coupling: list[str] = []
         self._aggressors_total: list[int] = []
@@ -87,7 +79,6 @@ class ProvenanceLedger:
         *,
         tier: str,
         origin: str,
-        escalation: str | None,
         signature: str,
         coupling: str,
         aggressors_total: int,
@@ -99,9 +90,6 @@ class ProvenanceLedger:
         row = len(self._tier)
         self._tier.append(sys.intern(tier))
         self._origin.append(sys.intern(origin))
-        self._escalation.append(
-            sys.intern(escalation) if escalation is not None else None
-        )
         self._signature.append(sys.intern(signature))
         self._coupling.append(sys.intern(coupling))
         self._aggressors_total.append(aggressors_total)
@@ -115,7 +103,6 @@ class ProvenanceLedger:
         return {
             "tier": self._tier[index],
             "origin": self._origin[index],
-            "escalation": self._escalation[index],
             "signature": self._signature[index],
             "coupling": self._coupling[index],
             "aggressors_total": self._aggressors_total[index],
@@ -143,7 +130,6 @@ class ProvenanceLedger:
         return {
             "tier": list(self._tier),
             "origin": list(self._origin),
-            "escalation": list(self._escalation),
             "signature": list(self._signature),
             "coupling": list(self._coupling),
             "aggressors_total": list(self._aggressors_total),
@@ -167,7 +153,6 @@ class ProvenanceLedger:
             ledger.append(
                 tier=payload["tier"][i],
                 origin=payload["origin"][i],
-                escalation=payload["escalation"][i],
                 signature=payload["signature"][i],
                 coupling=payload["coupling"][i],
                 aggressors_total=payload["aggressors_total"][i],

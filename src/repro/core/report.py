@@ -147,35 +147,6 @@ def format_timing_report(
             )
         if stats.get("batched_solves"):
             lines.append(f"  vectorized solves: {stats['batched_solves']}")
-        if stats.get("solver_tier") == "screened":
-            tiers = stats.get("tier_counts", {})
-            seconds = stats.get("tier_seconds", {})
-            escalations = stats.get("escalations", {})
-            lines.append(
-                "  screened solver: "
-                + ", ".join(
-                    f"{tier}={tiers.get(tier, 0)}"
-                    f" ({seconds.get(tier, 0.0):.3f} s)"
-                    for tier in ("surface", "analytical", "newton")
-                )
-                + f", {stats.get('screen_hits', 0)} screen-cache hits"
-            )
-            if any(escalations.values()):
-                lines.append(
-                    "  escalations: "
-                    + ", ".join(
-                        f"{reason}={count}"
-                        for reason, count in escalations.items()
-                        if count
-                    )
-                )
-            lines.append(
-                f"  screen bank: {stats.get('screen_cells', 0)} cells, "
-                f"{stats.get('screen_points', 0)} points "
-                f"({stats.get('screen_anchors', 0)} anchors), "
-                f"{stats.get('anchor_solves', 0)} anchor / "
-                f"{stats.get('coarse_solves', 0)} coarse solves"
-            )
         if stats.get("persisted_loads"):
             lines.append(
                 f"  persistent cache: {stats['persisted_loads']} arcs loaded from disk"

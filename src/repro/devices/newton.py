@@ -22,20 +22,6 @@ class NewtonError(SolverError):
     """Raised when the iteration fails to converge."""
 
 
-#: Bound on the timing noise a converged solve may carry.
-#:
-#: The stage integrators call :func:`solve_newton` with a voltage-update
-#: tolerance of 1e-7 V per backward-Euler step; interpolating the
-#: half-V_DD crossing through points perturbed by that much moves the
-#: crossing time by well under 0.1 ps for any physical slew in the
-#: libraries here.  Consumers that compare two *independently converged*
-#: solves (the screening tier's monotone-dominance brackets) must pad
-#: their bounds by this amount: monotonicity of the underlying circuit
-#: response is exact, but the discrete solver can violate it by up to
-#: this noise floor.
-MONOTONE_NOISE = 1e-13
-
-
 @dataclass
 class NewtonResult:
     """Outcome of a Newton solve."""

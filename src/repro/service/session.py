@@ -33,7 +33,7 @@ from repro.circuit import resolve_circuit
 from repro.core.analyzer import CrosstalkSTA, StaResult
 from repro.core.explain import explain_result, validate_explain
 from repro.core.export import path_to_dict
-from repro.core.modes import AnalysisMode, SolverTier, StaConfig, WindowCheck
+from repro.core.modes import AnalysisMode, StaConfig, WindowCheck
 from repro.core.netreport import exposure_to_dict, rank_crosstalk_nets
 from repro.errors import InputError
 from repro.flow import prepare_design
@@ -57,9 +57,6 @@ _CONFIG_OVERRIDES = {
     "guard": float,
     "max_iterations": int,
     "convergence_tolerance": float,
-    "solver_tier": lambda v: SolverTier(v),
-    "screen_tolerance": float,
-    "screen_slack_margin": float,
     "provenance": bool,
     "clock_period": lambda v: None if v is None else float(v),
     "setup_time": float,
@@ -144,16 +141,6 @@ def result_summary(result: StaResult) -> dict:
         summary["slack_violations"] = slack.violations
         summary["total_negative_slack"] = slack.total_negative_slack
         summary["slack_met"] = slack.met
-    stats = result.cache_stats or {}
-    if stats.get("solver_tier") == "screened":
-        # Tier counters live on the session's shared calculator, so they
-        # are cumulative across the session's runs (like the arc cache
-        # itself): clients difference successive responses for per-run
-        # figures.
-        summary["solver_tier"] = stats["solver_tier"]
-        summary["tier_counts"] = dict(stats.get("tier_counts", {}))
-        summary["escalations"] = dict(stats.get("escalations", {}))
-        summary["screen_hits"] = stats.get("screen_hits", 0)
     return summary
 
 

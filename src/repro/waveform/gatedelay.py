@@ -28,8 +28,8 @@ Two solvers fill the cache, chosen per batch by size alone
   integrates all distinct situations of a batch of at least
   ``MIN_BATCH`` simultaneously, in-process;
 * the scalar :class:`~repro.waveform.stage.StageSolver` solves smaller
-  batches, keys resolved without priming, degraded arcs, screening
-  anchors, and the batch solver's fallback, one arc at a time.
+  batches, keys resolved without priming, degraded arcs and the batch
+  solver's fallback, one arc at a time.
 
 Both integrate the same stage tables with the same numerics, so a key's
 result does not depend on which solver (or which batch) produced it.
@@ -62,7 +62,6 @@ import json
 import logging
 import math
 import os
-import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -77,7 +76,6 @@ from repro.waveform.batchstage import BatchArcSpec, BatchStageSolver
 from repro.waveform.coupling import CouplingLoad
 from repro.waveform.pwl import RISING, opposite
 from repro.waveform.ramp import RampEvent
-from repro.waveform.screening import ArcScreen
 from repro.waveform.stage import (
     MAX_EXTENSIONS,
     SETTLE_FRACTION,
@@ -205,8 +203,6 @@ class GateDelayCalculator:
         table_points: int = 121,
         metrics: MetricsRegistry | None = None,
         strict: bool = False,
-        solver_tier: str = "exact",
-        screen_tolerance: float = 100e-12,
     ):
         self.process = process if process is not None else default_process()
         self.transition_grid = transition_grid
@@ -259,57 +255,20 @@ class GateDelayCalculator:
         self._c_degraded = self.metrics.counter("solver.degraded_arcs")
         self._c_batch_fallbacks = self.metrics.counter("engine.batch_fallbacks")
         self._c_cache_quarantined = self.metrics.counter("arc_cache.quarantined")
-        # Tiered-solver accounting: one counter per tier (distinct
-        # canonical situations resolved by it), escalation reasons, and
-        # wall-clock spent per tier.  All stay zero in exact mode.
-        self._c_tier = {
-            tier: self.metrics.counter("solver.tier", tier=tier)
-            for tier in ("analytical", "surface", "newton")
-        }
-        self._c_tier_seconds = {
-            tier: self.metrics.counter("solver.tier_seconds", tier=tier)
-            for tier in ("analytical", "surface", "newton")
-        }
-        self._c_escalations = {
-            reason: self.metrics.counter("propagation.escalations", reason=reason)
-            for reason in ("outside_region", "error_tolerance", "slack")
-        }
-        self._c_screen_hits = self.metrics.counter("arc_cache.screen_hits")
-        # The screened tier's per-signature macromodel / response-surface
-        # bank.  ``last_tier`` reports which tier answered the most recent
-        # compute_arc_relative call ("newton" covers exact-cache hits).
-        self.solver_tier = solver_tier
-        self.screen_tolerance = screen_tolerance
-        self.last_tier = "newton"
-        # Provenance surfaces: alongside ``last_tier``, every
-        # compute_arc_relative call also reports where its result came
-        # from (``last_origin``, one of repro.core.provenance.ORIGINS —
-        # string literals here to keep waveform/ free of core/ imports),
-        # why a screened query escalated (``last_escalation``) and the
-        # signature token it resolved through (``last_signature``).
-        # ``_fresh_keys`` holds keys solved by prime_keys whose first
-        # consumer has not yet claimed them as "fresh"; ``_degraded_keys``
-        # marks conservative substitute bounds; ``_key_escalation``
-        # remembers why a cached key once escalated to Newton.
+        # Provenance surfaces: every compute_arc_relative call reports
+        # where its result came from (``last_origin``, one of
+        # repro.core.provenance.ORIGINS -- string literals here to keep
+        # waveform/ free of core/ imports) and the signature token it
+        # resolved through (``last_signature``).  ``_fresh_keys`` holds
+        # keys solved by prime_keys whose first consumer has not yet
+        # claimed them as "fresh"; ``_degraded_keys`` marks conservative
+        # substitute bounds.
         self.last_origin = "fresh"
-        self.last_escalation: str | None = None
         self.last_signature = ""
         self._fresh_keys: set[tuple] = set()
         self._degraded_keys: set[tuple] = set()
-        self._key_escalation: dict[tuple, str] = {}
-        self._screen_cache: dict[tuple, tuple[ArcResult, str]] = {}
         # Set while prefetch_keys primes predicted keys (see there).
         self._speculative = False
-        self._screen: ArcScreen | None = None
-        if solver_tier == "screened":
-            self._screen = ArcScreen(
-                solve=self._anchor_solve,
-                q_time=self._q_time,
-                q_cap=self._q_cap,
-                transition_grid=self.transition_grid,
-                cap_grid=self.cap_grid,
-                tolerance=screen_tolerance,
-            )
 
     # -- statistics properties (registry-backed, kept for compatibility) ----
 
@@ -470,7 +429,6 @@ class GateDelayCalculator:
         load: CouplingLoad,
         aiding: bool = False,
         quantize_down: bool = False,
-        force_exact: bool = False,
     ) -> ArcResult:
         """The cached, time-origin-free arc calculation.
 
@@ -478,131 +436,35 @@ class GateDelayCalculator:
         (helping jump) used by min-delay analysis.  ``quantize_down``
         rounds the cache key's load and slew *down* instead of up -- the
         conservative direction for a min-delay (lower) bound, where the
-        modelled arc must never be slower than reality.
-
-        Under the screened solver tier the query is first answered from
-        the per-signature screening bank (:mod:`repro.waveform.screening`)
-        and only escalated to the full Newton solve when the screen
-        cannot produce a bound within tolerance.  ``force_exact=True``
-        (slack-critical arcs) bypasses the screen; so do ``aiding`` and
-        ``quantize_down`` requests, whose min-delay semantics need lower
-        bounds the upper-bound screen cannot provide.  ``last_tier``
-        records which tier answered.
+        modelled arc must never be slower than reality.  Either way the
+        quantized key is resolved by :meth:`resolve_key`.
         """
         request = ArcRequest(
             ctype, pin, input_direction, input_transition, load, aiding, quantize_down
         )
-        key = self._quantized_key(request)
-        if quantize_down:
-            # Down-quantized keys carry min-delay semantics the screen
-            # cannot serve; resolve_key's screen gate only sees the
-            # aiding flag, so bypass it explicitly here.
-            self.last_signature = key[0]
-            cached = self._arc_cache.get(key)
-            if cached is not None:
-                self._record_hit(key)
-                self.last_tier = "newton"
-                self.last_escalation = self._key_escalation.get(key)
-                return cached
-            arc = self._solve_key(key)
-            self._arc_cache[key] = arc
-            self.last_tier = "newton"
-            self.last_origin = "degraded" if key in self._degraded_keys else "fresh"
-            self.last_escalation = None
-            return arc
-        return self.resolve_key(key, force_exact)
+        return self.resolve_key(self._quantized_key(request))
 
     def resolve_key(self, key: tuple, force_exact: bool = False) -> ArcResult:
         """Resolve one *pre-quantized* canonical key.
 
         The propagator computes quantized keys in bulk (vectorized ceil
         over a level slab) and resolves them here, skipping the per-arc
-        :class:`ArcRequest` construction; the cache-probe / screen /
-        solve logic and every counter are shared with
-        :meth:`compute_arc_relative`.  A miss is solved on its own by
-        the scalar solver.
+        :class:`ArcRequest` construction; the cache-probe / solve logic
+        and every counter are shared with :meth:`compute_arc_relative`.
+        A miss is solved on its own by the scalar solver.
+
+        ``force_exact`` is accepted and ignored: every miss is an exact
+        Newton solve.  It stays because callers that wrap this method
+        (the benchmark's tracing calculator) still forward it.
         """
         self.last_signature = key[0]
         cached = self._arc_cache.get(key)
         if cached is not None:
             self._record_hit(key)
-            self.last_tier = "newton"
-            self.last_escalation = self._key_escalation.get(key)
-            return cached
-        if self._screen is not None and not key[5]:
-            return self._compute_screened(key, force_exact)
-        arc = self._solve_key(key)
-        self._arc_cache[key] = arc
-        self.last_tier = "newton"
-        self.last_origin = "degraded" if key in self._degraded_keys else "fresh"
-        self.last_escalation = None
-        return arc
-
-    def _screen_arc(self, key: tuple, fields: tuple) -> ArcResult:
-        """Materialise a screened bound as an :class:`ArcResult`."""
-        t_cross, transition, t_early, t_late = fields
-        return ArcResult(
-            direction=opposite(key[1]),
-            t_cross=t_cross,
-            transition=transition,
-            t_early=t_early,
-            t_late=t_late,
-            coupled=key[4] > 0.0,
-        )
-
-    def _compute_screened(self, key: tuple, force_exact: bool) -> ArcResult:
-        """Screened-tier resolution of one cache miss (scalar path)."""
-        if not force_exact:
-            screened = self._screen_cache.get(key)
-            if screened is not None:
-                arc, tier = screened
-                self._c_screen_hits.inc()
-                self.last_tier = tier
-                self.last_origin = (
-                    "screen_surface" if tier == "surface" else "screen_analytical"
-                )
-                self.last_escalation = None
-                return arc
-        t0 = time.perf_counter()
-        if force_exact:
-            self._c_escalations["slack"].inc()
-            escalation = "slack"
-        else:
-            outcome = self._screen.estimate(key)
-            if outcome.tier is not None:
-                arc = self._screen_arc(key, outcome.fields)
-                self._screen_cache[key] = (arc, outcome.tier)
-                self._c_tier[outcome.tier].inc()
-                self._c_tier_seconds[outcome.tier].inc(time.perf_counter() - t0)
-                self.last_tier = outcome.tier
-                self.last_origin = (
-                    "screen_surface"
-                    if outcome.tier == "surface"
-                    else "screen_analytical"
-                )
-                self.last_escalation = None
-                return arc
-            self._c_escalations[outcome.reason].inc()
-            escalation = outcome.reason
-        arc = self._solve_key(key)
-        self._arc_cache[key] = arc
-        self._c_tier["newton"].inc()
-        self._c_tier_seconds["newton"].inc(time.perf_counter() - t0)
-        self.last_tier = "newton"
-        self._key_escalation[key] = escalation
-        self.last_escalation = escalation
-        self.last_origin = "degraded" if key in self._degraded_keys else "fresh"
-        return arc
-
-    def _anchor_solve(self, key: tuple) -> ArcResult:
-        """Exact solve of one screen-calibration anchor (cached like any
-        other canonical situation; counted as a Newton-tier solve)."""
-        cached = self._arc_cache.get(key)
-        if cached is not None:
             return cached
         arc = self._solve_key(key)
         self._arc_cache[key] = arc
-        self._c_tier["newton"].inc()
+        self.last_origin = "degraded" if key in self._degraded_keys else "fresh"
         return arc
 
     def _record_hit(self, key: tuple) -> None:
@@ -654,13 +516,7 @@ class GateDelayCalculator:
         self._observe_cost(token, stage_result.newton_iterations)
         if stage_result.newton_bisections:
             self._c_bisect.inc(stage_result.newton_bisections)
-        arc = self._to_arc(stage_result)
-        if self._screen is not None:
-            # Every successful full solve grows the response surface.
-            # The degraded path above returns without reaching this, so
-            # conservative substitutes never enter the surface.
-            self._screen.observe(key, arc)
-        return arc
+        return self._to_arc(stage_result)
 
     def _degrade_key(self, key: tuple, exc: SolverError) -> ArcResult:
         """Substitute a conservative bound for an arc whose solve failed.
@@ -778,50 +634,25 @@ class GateDelayCalculator:
 
     # -- batched priming ------------------------------------------------------
 
-    def prime_keys(self, entries: Sequence[tuple[tuple, bool]]) -> int:
-        """Ensure every *pre-quantized* ``(key, force_exact)`` situation
-        is cached; returns the number of situations actually solved.
+    def prime_keys(self, keys: Sequence[tuple]) -> int:
+        """Ensure every *pre-quantized* key is cached; returns the number
+        of situations actually solved.
 
         Deduplicates the keys (first-seen order), then solves the
-        distinct misses (see :meth:`_solve_misses`).  Under the screened
-        solver tier each miss is screened here first, and only the
-        escalated (or ``force_exact``) situations reach the Newton
-        solve.  ``quantize_down`` keys must not be primed through this
-        path.
+        distinct misses (see :meth:`_solve_misses`).
         """
         misses: list[tuple] = []
         seen: set[tuple] = set()
-        screen = self._screen
-        for key, force_exact in entries:
+        for key in keys:
             if key in self._arc_cache or key in seen:
                 continue
-            if screen is not None and not key[5]:
-                if force_exact:
-                    self._c_escalations["slack"].inc()
-                    self._key_escalation[key] = "slack"
-                elif key in self._screen_cache:
-                    continue
-                else:
-                    t0 = time.perf_counter()
-                    outcome = screen.estimate(key)
-                    if outcome.tier is not None:
-                        arc = self._screen_arc(key, outcome.fields)
-                        self._screen_cache[key] = (arc, outcome.tier)
-                        self._c_tier[outcome.tier].inc()
-                        self._c_tier_seconds[outcome.tier].inc(
-                            time.perf_counter() - t0
-                        )
-                        continue
-                    self._c_escalations[outcome.reason].inc()
-                    self._key_escalation[key] = outcome.reason
-                    self._c_tier_seconds["newton"].inc(time.perf_counter() - t0)
             seen.add(key)
             misses.append(key)
         return self._solve_misses(misses)
 
     def prefetch_keys(self, keys: Sequence[tuple]) -> int:
-        """Speculatively solve exact-tier keys a caller only predicts it
-        will resolve: :meth:`prime_keys` under another failure policy.
+        """Speculatively solve keys a caller only predicts it will
+        resolve: :meth:`prime_keys` under another failure policy.
 
         A key's batched result does not depend on the rest of its batch,
         so a right prediction is a plain cache hit later and a wrong one
@@ -832,7 +663,7 @@ class GateDelayCalculator:
         """
         self._speculative = True
         try:
-            return self.prime_keys([(key, False) for key in keys])
+            return self.prime_keys(keys)
         finally:
             self._speculative = False
 
@@ -846,7 +677,6 @@ class GateDelayCalculator:
         """
         if not misses:
             return 0
-        t0 = time.perf_counter()
         if self._speculative:
             if len(misses) < MIN_BATCH:
                 return 0
@@ -866,9 +696,6 @@ class GateDelayCalculator:
         else:
             self._solve_keys_batched(misses)
         self._fresh_keys.update(misses)
-        if self._screen is not None:
-            self._c_tier["newton"].inc(len(misses))
-            self._c_tier_seconds["newton"].inc(time.perf_counter() - t0)
         return len(misses)
 
     def _solve_keys_batched(self, misses: list[tuple]) -> None:
@@ -925,8 +752,6 @@ class GateDelayCalculator:
             )
             self._arc_cache[key] = arc
             self._observe_cost(key[0], int(iterations[j]))
-            if self._screen is not None:
-                self._screen.observe(key, arc)
         self._c_evaluations.inc(len(misses))
         self._c_batched.inc(len(misses))
 
@@ -1060,11 +885,6 @@ class GateDelayCalculator:
                 continue
             self._arc_cache[key] = arc
             self._persisted_keys.add(key)
-            if self._screen is not None:
-                # Persisted entries are successful exact solves from a
-                # fingerprint-compatible run: warm the response surface
-                # so screened reruns skip most calibration work.
-                self._screen.observe(key, arc)
             loaded += 1
         self._c_persisted.inc(loaded)
         return loaded
@@ -1090,19 +910,6 @@ class GateDelayCalculator:
             "newton_iterations": self._h_newton.total,
             "newton_bisections": self._c_bisect.value,
             "degraded_arcs": self._c_degraded.value,
-            "solver_tier": self.solver_tier,
-            "tier_counts": {
-                tier: counter.value for tier, counter in self._c_tier.items()
-            },
-            "tier_seconds": {
-                tier: counter.value for tier, counter in self._c_tier_seconds.items()
-            },
-            "escalations": {
-                reason: counter.value
-                for reason, counter in self._c_escalations.items()
-            },
-            "screen_hits": self._c_screen_hits.value,
-            **(self._screen.stats() if self._screen is not None else {}),
         }
 
     def reset_counters(self) -> None:
@@ -1111,7 +918,3 @@ class GateDelayCalculator:
         self._c_dedup_hits.reset()
         self._c_persisted_hits.reset()
         self._c_batched.reset()
-        self._c_screen_hits.reset()
-        for group in (self._c_tier, self._c_tier_seconds, self._c_escalations):
-            for counter in group.values():
-                counter.reset()

@@ -42,12 +42,7 @@ from repro.circuit.generators import (  # noqa: E402
     generate_circuit,
 )
 from repro.core.analyzer import CrosstalkSTA  # noqa: E402
-from repro.core.modes import (  # noqa: E402
-    AnalysisMode,
-    SolverTier,
-    StaConfig,
-    WindowCheck,
-)
+from repro.core.modes import AnalysisMode, StaConfig, WindowCheck  # noqa: E402
 from repro.core.slack import compute_slack  # noqa: E402
 from repro.flow import prepare_design  # noqa: E402
 
@@ -84,13 +79,6 @@ VARIANTS: dict[str, dict] = {
         "incremental": False,
     },
     "iterative-esperance": {"mode": AnalysisMode.ITERATIVE, "esperance": True},
-    **{
-        f"screened-{mode.value}": {
-            "mode": mode,
-            "solver_tier": SolverTier.SCREENED,
-        }
-        for mode in AnalysisMode
-    },
     "one_step-clock": {
         "mode": AnalysisMode.ONE_STEP,
         "clock_period": SLACK_PERIODS["violated"],

@@ -70,13 +70,24 @@ class TestParser:
                 build_parser().parse_args([verb, *target, f"--{removed}", "batch"])
 
     def test_process_pool_flags_rejected(self):
-        """Batched solves run in-process only: the pool's flags are
-        usage errors."""
+        """Batched solves run in-process only and every arc is an exact
+        Newton solve: the process pool's and the screened solver tier's
+        flags are usage errors."""
+        tier_flags = (
+            ["--solver-tier", "screened"],
+            ["--screen-tolerance", "1e-10"],
+            ["--screen-slack-margin", "0.1"],
+        )
         for argv in (
             ["analyze", "s27", "--workers", "2"],
             ["analyze", "s27", "--worker-retries", "3"],
             ["analyze", "s27", "--worker-timeout", "60"],
             ["serve", "--workers", "2"],
+            *(
+                [*verb, *flag]
+                for verb in (["analyze", "s27"], ["explain", "s27"], ["serve"])
+                for flag in tier_flags
+            ),
         ):
             with pytest.raises(SystemExit) as exc:
                 build_parser().parse_args(argv)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.analyzer import CrosstalkSTA
-from repro.core.modes import AnalysisMode, StaConfig
+from repro.core.modes import AnalysisMode, StaConfig, WindowCheck
 
 
 class TestRun:
@@ -77,6 +77,40 @@ class TestRun:
         result = sta.run(AnalysisMode.ITERATIVE)
         path = sta.critical_path(result)
         assert len(path) > 0
+
+
+class TestCheckpointFingerprint:
+    """A checkpoint resumes only into an analysis with the same
+    fingerprint.  These digests were recorded while the configuration
+    still carried solver-tier fields, so checkpoints written then stay
+    resumable: a field appended to the hash, or a default that moved,
+    fails here."""
+
+    @pytest.mark.parametrize(
+        "overrides, expected",
+        [
+            (
+                {},
+                "7d2f9fbf043275601b4ad8dc69d713eb"
+                "e3b49ce02fd0f12f5063f648c7d4ec66",
+            ),
+            (
+                {"window_check": WindowCheck.OVERLAP, "esperance": True},
+                "65aa248c4e4aec189ea2b5cf783f5d4e"
+                "4712d41ec56a1bbb67b95f7098ab64b9",
+            ),
+            (
+                {"provenance": False},
+                "b5f9130fa6e88db82835c5ac83b9f744"
+                "9c88b8a45a1045fafe13abb826987537",
+            ),
+        ],
+        ids=["iterative", "overlap-esperance", "provenance-off"],
+    )
+    def test_fingerprint_pinned(self, s27_design, overrides, expected):
+        sta = CrosstalkSTA(s27_design, StaConfig(**overrides))
+        assert sta.config.mode is AnalysisMode.ITERATIVE
+        assert sta._checkpoint_fingerprint(sta.config) == expected
 
 
 class TestConfig:

@@ -8,16 +8,15 @@ endpoint arrival, pass and counter, so they stand in for the deleted
 reference paths: the tests below re-derive them through every
 composition the old pairwise checks covered -- an analyzer shared
 across modes, incremental reuse on and off, checkpoint resume, warm
-starts, the screened tier and the level look-ahead.
+starts and the level look-ahead.
 """
 
 import pytest
 
 from repro.circuit import s27
 from repro.core.analyzer import CrosstalkSTA
-from repro.core.modes import AnalysisMode, SolverTier, StaConfig
+from repro.core.modes import AnalysisMode, StaConfig
 from repro.flow import prepare_design
-from repro.testing import newton_failures
 from tests.golden.make_golden import VARIANTS, digest, mismatches, run_variant
 
 # The digest fields that do not depend on the arc cache's history (the
@@ -131,128 +130,11 @@ class TestIncrementalEquivalence:
         assert full_history[1].reused_arcs == 0
 
 
-class TestSolverTierEquivalence:
-    """The exact tier must be a true no-op: explicitly requesting
-    ``SolverTier.EXACT`` is hex-identical to the default config in every
-    mode.  The screened tier is a conservative accelerator: its bound
-    may sit above exact, never below, and never beyond the tolerance."""
-
-    @pytest.fixture(scope="class")
-    def exact_pair(self, s27_design):
-        default = CrosstalkSTA(s27_design, StaConfig())
-        explicit = CrosstalkSTA(
-            s27_design, StaConfig(solver_tier=SolverTier.EXACT)
-        )
-        return (
-            {mode: default.run(mode) for mode in AnalysisMode},
-            {mode: explicit.run(mode) for mode in AnalysisMode},
-        )
-
-    @pytest.mark.parametrize("mode", list(AnalysisMode))
-    def test_exact_tier_bit_identical_to_default(self, exact_pair, mode):
-        default, explicit = exact_pair
-        assert (
-            default[mode].longest_delay.hex()
-            == explicit[mode].longest_delay.hex()
-        )
-        assert default[mode].critical_endpoint == explicit[mode].critical_endpoint
-        d_arrivals = default[mode].arrival_map()
-        e_arrivals = explicit[mode].arrival_map()
-        assert set(d_arrivals) == set(e_arrivals)
-        for key in d_arrivals:
-            assert d_arrivals[key].hex() == e_arrivals[key].hex(), key
-
-    def test_exact_tier_reports_no_screen_activity(self, exact_pair):
-        _, explicit = exact_pair
-        stats = explicit[AnalysisMode.ITERATIVE].cache_stats
-        assert stats["solver_tier"] == "exact"
-        assert stats["tier_counts"]["surface"] == 0
-        assert stats["tier_counts"]["analytical"] == 0
-
-    @pytest.mark.parametrize("mode", list(AnalysisMode))
-    def test_screened_conservative_within_tolerance(self, s27_design, mode):
-        tolerance = 100e-12
-        exact = CrosstalkSTA(s27_design, StaConfig(mode=mode)).run()
-        screened = CrosstalkSTA(
-            s27_design,
-            StaConfig(
-                mode=mode,
-                solver_tier=SolverTier.SCREENED,
-                screen_tolerance=tolerance,
-            ),
-        ).run()
-        delta = screened.longest_delay - exact.longest_delay
-        assert delta >= -1e-15
-        assert delta <= tolerance + 1e-15
-
-    def test_screened_composes_with_incremental(self, s27_design):
-        """Screened + memoized passes compose: disabling incremental
-        reuse leaves the reported bound bit-identical, and the memoized
-        run still reuses arcs once windows stabilize."""
-        results = {}
-        for incremental in (True, False):
-            sta = CrosstalkSTA(
-                s27_design,
-                StaConfig(
-                    mode=AnalysisMode.ITERATIVE,
-                    incremental=incremental,
-                    solver_tier=SolverTier.SCREENED,
-                ),
-            )
-            results[incremental] = sta.run()
-        inc, full = results[True], results[False]
-        assert inc.longest_delay.hex() == full.longest_delay.hex()
-        assert inc.critical_endpoint == full.critical_endpoint
-        assert any(record.reused_arcs > 0 for record in inc.history[1:])
-        assert all(record.reused_arcs == 0 for record in full.history)
-
-    def test_screened_composes_with_checkpoint(self, s27_design, tmp_path):
-        """A screened iterative run checkpoints and resumes; the resumed
-        result matches a straight-through screened run, and the
-        checkpoint is keyed to the tier so an exact run never resumes
-        screened state."""
-        path = tmp_path / "screened.ckpt"
-        config = StaConfig(
-            mode=AnalysisMode.ITERATIVE,
-            solver_tier=SolverTier.SCREENED,
-            checkpoint=str(path),
-        )
-        straight = CrosstalkSTA(s27_design, config).run()
-        resumed = CrosstalkSTA(s27_design, config).run()
-        assert resumed.longest_delay.hex() == straight.longest_delay.hex()
-        exact_config = StaConfig(
-            mode=AnalysisMode.ITERATIVE, checkpoint=str(path)
-        )
-        exact = CrosstalkSTA(s27_design, exact_config).run()
-        reference = CrosstalkSTA(
-            s27_design, StaConfig(mode=AnalysisMode.ITERATIVE)
-        ).run()
-        assert exact.longest_delay.hex() == reference.longest_delay.hex()
-
-    def test_screened_composes_with_degradation(self, s27_design):
-        """Degraded (fault-substituted) solves stay out of the screen
-        bank, so graceful degradation under the screened tier still
-        yields a bound no smaller than the clean exact run."""
-        clean = CrosstalkSTA(
-            s27_design, StaConfig(mode=AnalysisMode.ONE_STEP)
-        ).run()
-        with newton_failures(rate=0.3, seed=3):
-            degraded = CrosstalkSTA(
-                s27_design,
-                StaConfig(
-                    mode=AnalysisMode.ONE_STEP,
-                    solver_tier=SolverTier.SCREENED,
-                ),
-            ).run()
-        assert degraded.degraded_arcs, "injection produced no degraded arcs"
-        assert degraded.longest_delay >= clean.longest_delay - 1e-15
-
-
 class TestColumnarCoreEquivalence:
     """The digests were recorded while the object core still agreed with
     the columnar one; a fresh analyzer per mode reproduces every field
     (provenance ledger included) in every composition: incremental on
-    and off, checkpoint resume, warm start, screened tier."""
+    and off, checkpoint resume, warm start."""
 
     @pytest.fixture(scope="class")
     def fresh(self, s27_design):
@@ -295,11 +177,6 @@ class TestColumnarCoreEquivalence:
         CrosstalkSTA(s27_design, config).run()
         resumed = CrosstalkSTA(s27_design, config).run()
         assert _golden(s27_design, "s27/iterative", resumed) == []
-
-    @pytest.mark.parametrize("mode", list(AnalysisMode))
-    def test_screened_composition_identical(self, s27_design, mode):
-        result = run_variant(s27_design, f"screened-{mode.value}")
-        assert _golden(s27_design, f"s27/screened-{mode.value}", result) == []
 
     def test_warm_start_cross_core(self, s27_design):
         """The session what-if path: an analyzer warm-started from
@@ -359,12 +236,6 @@ class TestLookaheadExactness:
             assert catchup < ahead / 4
         else:
             assert (ahead, catchup) == (0, 0)
-
-    @pytest.mark.parametrize("mode", [AnalysisMode.ONE_STEP, AnalysisMode.ITERATIVE])
-    def test_screened_tier_never_looks_ahead(self, small_design, mode):
-        result = run_variant(small_design, f"screened-{mode.value}")
-        assert _lookahead_solves(result) == (0, 0)
-        assert _golden(small_design, f"small/screened-{mode.value}", result) == []
 
 
 class TestCompiledDesignInterning:

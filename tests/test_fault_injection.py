@@ -160,10 +160,10 @@ class TestLookaheadFailure:
             assert arrivals[key].hex() == reference[key].hex(), key
 
 
-def _arc_entries(calc, library):
-    """Twelve distinct ``(key, force_exact)`` entries for ``prime_keys``."""
+def _arc_keys(calc, library):
+    """Twelve distinct canonical keys for ``prime_keys``."""
     cells = [library[n] for n in ("INV_X1", "NAND2_X1", "NOR2_X1", "INV_X2")]
-    entries = []
+    keys = []
     for i, ctype in enumerate(cells):
         for j, tt in enumerate((80e-12, 120e-12, 160e-12)):
             request = ArcRequest(
@@ -173,15 +173,15 @@ def _arc_entries(calc, library):
                 tt,
                 CouplingLoad(c_ground=(2 + i) * 1e-15),
             )
-            entries.append((calc._quantized_key(request), False))
-    return entries
+            keys.append(calc._quantized_key(request))
+    return keys
 
 
 class TestCacheResilience:
     def _warm_cache(self, library, path):
         calc = GateDelayCalculator()
         cells = [library[n] for n in ("INV_X1", "NAND2_X1")]
-        calc.prime_keys(_arc_entries(calc, library)[:4])
+        calc.prime_keys(_arc_keys(calc, library)[:4])
         calc.save_cache_file(str(path), cells)
         return calc, cells
 

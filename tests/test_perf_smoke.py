@@ -8,19 +8,12 @@ never matches) would silently return the iterative mode to quadratic
 cost without changing any result.
 """
 
-import pytest
-
 from repro.circuit.benchmarks import s27, s35932_like
 from repro.core.analyzer import CrosstalkSTA
-from repro.core.modes import AnalysisMode, SolverTier, StaConfig
+from repro.core.modes import AnalysisMode, StaConfig
 from repro.flow import prepare_design
 
 PASS2_BUDGET = 0.30
-
-# Screened-tier smoke budget: at most half of the arcs an uncoupled
-# screenable mode sees may fall back to full Newton.
-ESCALATION_BUDGET = 0.50
-SCREEN_TOLERANCE = 100e-12
 
 
 def _iterative_history(circuit, **config):
@@ -63,63 +56,6 @@ class TestDeltaDrivenReuse:
         first, second = result.history[0], result.history[1]
         assert second.waveform_evaluations >= 0.5 * first.waveform_evaluations
         assert second.reused_arcs == 0
-
-
-class TestScreenedBudget:
-    """CI budget for the two-tier solver: on the smoke circuit the
-    screen must actually absorb work (escalation fraction bounded) and
-    the bound it reports must dominate exact."""
-
-    @pytest.mark.parametrize(
-        "mode", [AnalysisMode.BEST_CASE, AnalysisMode.STATIC_DOUBLED]
-    )
-    def test_escalation_fraction_within_budget(self, mode):
-        """Uncoupled-screenable modes: with refinement disabled the
-        screen should answer at least half the queries itself."""
-        design = prepare_design(s35932_like(scale=0.02))
-        sta = CrosstalkSTA(
-            design,
-            StaConfig(
-                mode=mode,
-                solver_tier=SolverTier.SCREENED,
-                screen_tolerance=SCREEN_TOLERANCE,
-                screen_slack_margin=0.0,
-            ),
-        )
-        result = sta.run()
-        tiers = result.cache_stats["tier_counts"]
-        total = sum(tiers.values())
-        assert total > 0, "screened run answered no queries"
-        fraction = tiers["newton"] / total
-        assert fraction <= ESCALATION_BUDGET, (
-            f"{mode.value}: {tiers['newton']} of {total} queries escalated "
-            f"to Newton ({fraction:.1%} > {ESCALATION_BUDGET:.0%} budget)"
-        )
-        # The screen paid for itself: cheap-tier answers outnumber the
-        # anchor + coarse solves that built the bank.
-        stats = result.cache_stats
-        cheap = tiers["surface"] + tiers["analytical"]
-        assert cheap > stats["anchor_solves"] + stats["coarse_solves"]
-
-    @pytest.mark.parametrize("mode", list(AnalysisMode))
-    def test_screened_bound_dominates_exact(self, mode):
-        """Conservatism on the smoke circuit in every mode, with the
-        default slack refinement keeping the delta inside tolerance."""
-        circuit = s35932_like(scale=0.02)
-        exact = CrosstalkSTA(
-            prepare_design(circuit), StaConfig(mode=mode)
-        ).run()
-        screened = CrosstalkSTA(
-            prepare_design(circuit),
-            StaConfig(
-                mode=mode,
-                solver_tier=SolverTier.SCREENED,
-                screen_tolerance=SCREEN_TOLERANCE,
-            ),
-        ).run()
-        delta = screened.longest_delay - exact.longest_delay
-        assert delta >= -1e-15
-        assert delta <= SCREEN_TOLERANCE + 1e-15
 
 
 class TestColumnarBudget:

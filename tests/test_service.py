@@ -164,11 +164,21 @@ class TestSessionConfig:
         assert config.strict
 
     def test_core_override(self):
-        """The propagation core, the waveform engine and the process
-        pool are no longer choices: overriding any is an unknown key."""
-        for key, value in (("core", "columnar"), ("engine", "batch"), ("workers", 2)):
+        """The propagation core, the waveform engine, the process pool
+        and the screened solver tier are no longer choices: overriding
+        any is an unknown key."""
+        for key, value in (
+            ("core", "columnar"),
+            ("engine", "batch"),
+            ("workers", 2),
+            ("solver_tier", "screened"),
+            ("screen_tolerance", 1e-10),
+            ("screen_slack_margin", 0.1),
+        ):
             with pytest.raises(InputError, match="unknown config override"):
                 session_config(ONE_STEP, {key: value})
+        with pytest.raises(TypeError):
+            StaConfig(solver_tier="exact")
 
     def test_unknown_key(self):
         with pytest.raises(InputError):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.analyzer import CrosstalkSTA
-from repro.core.modes import AnalysisMode, SolverTier, StaConfig
+from repro.core.modes import AnalysisMode, StaConfig
 from repro.waveform.coupling import CouplingLoad
 from repro.waveform.gatedelay import GateDelayCalculator
 from repro.waveform.pwl import FALLING, RISING
@@ -117,14 +117,11 @@ class TestArcs:
 
 
 class TestNewtonCostTotals:
-    @pytest.mark.parametrize("tier", [SolverTier.EXACT, SolverTier.SCREENED])
-    def test_sig_cost_matches_iteration_histogram(self, small_design, tier):
+    def test_sig_cost_matches_iteration_histogram(self, small_design):
         """The per-signature Newton cost totals account for every solve:
         per-layer benchmarks divide their iteration sum by their solve
         count to report Newton iterations per solve."""
-        sta = CrosstalkSTA(
-            small_design, StaConfig(mode=AnalysisMode.ONE_STEP, solver_tier=tier)
-        )
+        sta = CrosstalkSTA(small_design, StaConfig(mode=AnalysisMode.ONE_STEP))
         sta.run()
         calc = sta.calculator
         histogram = calc.metrics.snapshot()["histograms"]["newton.iterations_per_arc"]
