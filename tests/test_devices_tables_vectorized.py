@@ -67,10 +67,16 @@ class TestGridBank:
         bank = GridBank([t.grid for t in stage_tables])
         assert len(bank) == len(stage_tables)
         rng = np.random.default_rng(3)
-        n = 120
+        n = 160
         k = rng.integers(0, len(stage_tables), n)
-        x = rng.uniform(-0.5, 2.0, n)
-        y = rng.uniform(-0.5, 2.0, n)
+        # The axes span -0.3..3.6 V: sample beyond both ends, and pin the
+        # last cell of the last member (the highest flat-table offsets).
+        x = rng.uniform(-0.8, 4.1, n)
+        y = rng.uniform(-0.8, 4.1, n)
+        last = len(stage_tables) - 1
+        k[:6] = last
+        x[:6] = [3.6, 3.6, 3.59, 4.1, -0.3, -0.8]
+        y[:6] = [3.6, 3.59, 3.6, 4.1, -0.3, 3.6]
         value, dvalue = bank.gradient_many(k, x, y)
         lookup = bank.lookup_many(k, x, y)
         for i in range(n):
