@@ -129,38 +129,41 @@ def solve_newton_many(
     ``func`` evaluates all elements at once and returns ``(f, df)``
     arrays; ``lo``/``hi`` are shared scalar bounds.
     """
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.array(x0, dtype=float)
     n = x.size
     roots = x.copy()
     iterations = np.zeros(n, dtype=int)
-    converged = np.zeros(n, dtype=bool)
-    needs_fallback = np.zeros(n, dtype=bool)
     bounded = lo is not None and hi is not None
     max_step = 0.5 * (hi - lo) if bounded else None
 
     f, df = func(x)
-    # Scratch buffers reused across iterations: lanes outside ``active``
-    # may hold stale values, but every read below is masked by ``active``
-    # (or a subset of it), so stale lanes never reach a result.
+    # ``active`` holds the elements still iterating: an element leaves
+    # when it converges or, on a zero derivative, for the bisection
+    # fallback (``flat``).  Work buffers are reused across
+    # iterations: lanes outside ``active`` may hold stale values, but
+    # every read below is masked by ``active`` (or a subset of it), so
+    # stale lanes never reach a result.
+    active = np.ones(n, dtype=bool)
+    flat: np.ndarray | None = None
     step = np.zeros_like(x)
     x_new = np.empty_like(x)
-    active = np.empty(n, dtype=bool)
-    flat = np.empty(n, dtype=bool)
     conv_now = np.empty(n, dtype=bool)
-    advance = np.empty(n, dtype=bool)
     for iteration in range(1, max_iter + 1):
-        np.logical_or(converged, needs_fallback, out=active)
-        np.logical_not(active, out=active)
-        if not active.any():
-            break
-        np.equal(df, 0.0, out=flat)
-        flat &= active
-        if flat.any():
-            needs_fallback |= flat
-            active &= ~flat
-            if not active.any():
-                break
-        np.divide(f, df, out=step, where=active)
+        # Array truth tests go through np.count_nonzero: a fraction of
+        # the cost of ndarray.any()/all() at batch sizes.
+        if np.count_nonzero(df) != n:
+            zero = (df == 0.0) & active
+            if np.count_nonzero(zero):
+                flat = zero if flat is None else flat | zero
+                active &= ~zero
+                if not np.count_nonzero(active):
+                    break
+        if flat is None:
+            # Converged lanes keep the nonzero derivative of their
+            # frozen iterate, so dividing every lane is safe.
+            np.divide(f, df, out=step)
+        else:
+            np.divide(f, df, out=step, where=active)
         if max_step is not None:
             np.maximum(step, -max_step, out=step)
             np.minimum(step, max_step, out=step)
@@ -173,18 +176,16 @@ def solve_newton_many(
         np.abs(step, out=step)
         np.less_equal(step, tol, out=conv_now)
         conv_now &= active
-        if conv_now.any():
-            roots[conv_now] = x_new[conv_now]
-            iterations[conv_now] = iteration
-            converged |= conv_now
-        np.logical_not(conv_now, out=advance)
-        advance &= active
-        if not advance.any():
-            continue
-        np.copyto(x, x_new, where=advance)
+        if np.count_nonzero(conv_now):
+            np.copyto(roots, x_new, where=conv_now)
+            np.copyto(iterations, iteration, where=conv_now)
+            active ^= conv_now
+            if not np.count_nonzero(active):
+                break
+        np.copyto(x, x_new, where=active)
         f, df = func(x)
 
-    pending = ~converged
+    pending = active if flat is None else active | flat
     if pending.any():
         if not bounded:
             idx = int(np.nonzero(pending)[0][0])

@@ -196,6 +196,12 @@ class GridBank:
         self._ny = base._ny
         self.values = np.stack([grid.values for grid in grids])
         self._flat = self.values.reshape(-1)
+        # The other three corners of cell ``base`` sit at ``base + ny``,
+        # ``base + 1`` and ``base + ny + 1``: shifted views of the flat
+        # table read them without adding offsets to the indices.
+        self._flat_x1 = self._flat[self._ny:]
+        self._flat_y1 = self._flat[1:]
+        self._flat_x1y1 = self._flat[self._ny + 1:]
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -250,11 +256,10 @@ class GridBank:
         # One flat gather per corner instead of four multi-axis fancy
         # indexes; the elements read are identical.
         base = row + iy
-        flat = self._flat
-        v00 = flat[base]
-        v10 = flat[base + self._ny]
-        v01 = flat[base + 1]
-        v11 = flat[base + self._ny + 1]
+        v00 = self._flat[base]
+        v10 = self._flat_x1[base]
+        v01 = self._flat_y1[base]
+        v11 = self._flat_x1y1[base]
         np.multiply(v00, one_m_tx, out=v00)
         v00 += np.multiply(v10, tx, out=v10)  # lo = v00*(1-tx) + v10*tx
         np.multiply(v01, one_m_tx, out=v01)

@@ -26,9 +26,9 @@ from repro.waveform.stage import StageSolver, StageSolverError
 def newton_failures(rate: float = 1.0, seed: int = 0):
     """Make a deterministic fraction of stage solves fail.
 
-    The scalar solver and both batch entry points (``solve_many`` and
-    the ``solve_many_compact`` the calculator's batched path calls) are
-    patched: each call draws from one seeded stream and raises
+    The scalar solver and the batch entry point (``solve_many_compact``,
+    which the calculator's batched path calls) are patched: each call
+    draws from one seeded stream and raises
     :class:`StageSolverError` (the taxonomy's ``SolverError``) with
     probability ``rate``.  Because the analysis evaluates arcs in a
     deterministic order, a given ``(rate, seed)`` always fails the same
@@ -37,7 +37,6 @@ def newton_failures(rate: float = 1.0, seed: int = 0):
     rng = random.Random(seed)
     messages = {
         (StageSolver, "solve"): "injected Newton failure",
-        (BatchStageSolver, "solve_many"): "injected Newton failure (batch)",
         (BatchStageSolver, "solve_many_compact"): "injected Newton failure (batch)",
     }
     saved = {target: getattr(*target) for target in messages}

@@ -12,10 +12,13 @@ of different cells are served by a :class:`repro.devices.tables.GridBank`
 so a single fancy-indexed lookup covers the whole batch.
 
 The numerics mirror the scalar solver step for step -- same time-step
-formula, same damped Newton update, same drop/restart logic, same
-measurement (:func:`repro.waveform.stage.measure_stage_waveform`) -- so a
-batch of size one reproduces the scalar result to floating-point noise;
-the property tests pin the agreement.
+formula, same damped Newton update, same drop/restart logic -- and the
+vectorized measurement reproduces
+:func:`repro.waveform.stage.measure_stage_waveform`, so every element's
+markers equal the scalar solver's bit for bit; the property tests pin
+the agreement.  Only the markers are produced, so an element stops at
+its last marker threshold instead of settling at the rail (see
+:meth:`BatchStageSolver._integrate`).
 """
 
 from __future__ import annotations
@@ -39,14 +42,25 @@ from repro.waveform.stage import (
 )
 
 
+def _marker_thresholds(process: ProcessParams) -> tuple[float, ...]:
+    """The voltages the compact measurement reads crossings of: 50%,
+    10% and 90% of V_DD, then V_th and V_DD - V_th (the same values
+    :func:`measure_stage_waveform` uses)."""
+    vdd = process.vdd
+    v_th = process.v_th_model
+    return 0.5 * vdd, 0.1 * vdd, 0.9 * vdd, v_th, vdd - v_th
+
+
 @dataclass
 class CompactStageResults:
     """Marker-only results of a batched solve (no waveform objects).
 
-    Column ``i`` holds the same measurements ``solve_many``'s
-    :class:`StageResult` ``i`` would carry; the waveform itself is never
-    materialised, which is what makes the columnar analysis core's solve
-    path cheap.  ``directions`` uses the shared RISING/FALLING strings.
+    Column ``i`` holds the same measurements the scalar solver's
+    :class:`StageResult` for spec ``i`` carries; the waveform itself is
+    never materialised, which is what makes the columnar analysis core's
+    solve path cheap.  ``newton_iterations`` counts the iterations up to
+    the element's last marker threshold.  ``directions`` uses the shared
+    RISING/FALLING strings.
     """
 
     directions: list[str]
@@ -120,8 +134,8 @@ class BatchStageSolver:
 
     Construct with the list of distinct :class:`StageTable` objects the
     batch may reference (all built from the same process and point count,
-    hence congruent grids), then call :meth:`solve_many` with specs whose
-    ``table_index`` points into that list.
+    hence congruent grids), then call :meth:`solve_many_compact` with
+    specs whose ``table_index`` points into that list.
     """
 
     def __init__(
@@ -145,9 +159,11 @@ class BatchStageSolver:
                 "newton.iterations_per_arc", boundaries=NEWTON_ITER_BUCKETS
             )
             self._c_bisect = metrics.counter("newton.bisection_fallbacks")
+            self._c_lockstep = metrics.counter("solver.lockstep_iterations")
         else:
             self._h_newton = None
             self._c_bisect = None
+            self._c_lockstep = None
         self._drive_cache: dict[tuple[int, str], float] = {}
         self._drive_keepalive: list[StageTable] = []
 
@@ -170,25 +186,14 @@ class BatchStageSolver:
             self._drive_keepalive.append(table)
         return cached
 
-    def solve_many(self, specs: list[BatchArcSpec]) -> list[StageResult]:
-        """Solve all specs and return per-spec :class:`StageResult`."""
-        if not specs:
-            return []
-        setup = self._setup(specs)
-        trace = self._integrate(setup)
-        results = self._measure_objects(setup, trace)
-        self._observe(trace)
-        return results
-
     def solve_many_compact(self, specs: list[BatchArcSpec]) -> CompactStageResults:
         """Solve all specs and return marker columns only.
 
-        Integration is shared line for line with :meth:`solve_many`; the
-        measurement runs vectorized over the recorded sample matrices and
-        is bit-identical to :func:`measure_stage_waveform` applied per
-        element (the equivalence tests pin this).  Elements whose
-        waveform never reaches a threshold fall back to the per-element
-        path so they raise the identical error.
+        The measurement runs vectorized over the recorded sample matrices
+        and is bit-identical to :func:`measure_stage_waveform` applied to
+        the scalar solver's waveform (the equivalence tests pin this).
+        Elements whose waveform never reaches a threshold fall back to
+        the per-element path so they raise the identical error.
         """
         if not specs:
             empty_f = np.empty(0)
@@ -209,6 +214,7 @@ class BatchStageSolver:
             fallbacks = int(trace.bisect_total.sum())
             if fallbacks:
                 self._c_bisect.inc(fallbacks)
+            self._c_lockstep.inc(trace.times_mat.shape[0])
 
     def _setup(self, specs: list[BatchArcSpec]) -> _BatchSetup:
         process = self.process
@@ -291,178 +297,192 @@ class BatchStageSolver:
         )
 
     def _integrate(self, setup: _BatchSetup) -> _BatchTrace:
-        process = self.process
-        vdd = process.vdd
-        settle_band = self.settle_fraction * vdd
+        """Advance every element in lockstep until it is done.
+
+        An element is done once (a) no coupling drop is pending -- it has
+        no trigger, or the trigger has fired -- and (b) its newest
+        advanced sample is at or past its last marker threshold.  The
+        compact measurement reads, per threshold, only the first sample
+        at or past it and that sample's predecessor, so later samples
+        cannot move a marker; a pending drop could still restart the
+        waveform, hence (a).
+
+        The integrating elements are held as compressed columns that
+        shrink as elements finish (an element never rejoins), so a
+        lockstep iteration costs a fixed number of array operations
+        whatever the batch mix.  Every element-wise operation is the
+        scalar solver's, in the scalar solver's order.
+        """
+        vdd = self.process.vdd
         max_steps = 2 * self.steps_per_phase
         n = setup.k.size
-        k = setup.k
-        in_rising = setup.in_rising
         out_rising = setup.out_rising
-        t_start = setup.t_start
-        tt = setup.tt
-        c_total = setup.c_total
-        v_from = setup.v_from
-        v_to = setup.v_to
-        dt = setup.dt.copy()
-        trigger = setup.trigger
         restart = setup.restart
-        has_trigger = setup.has_trigger
+        # Sign-folded voltages measure progress along the transition: a
+        # rising value v is v, a falling one -v (negation is exact), so a
+        # single ``>=`` serves both directions.
+        sign = np.where(out_rising, 1.0, -1.0)
+        thresholds = _marker_thresholds(self.process)
+        last = np.where(out_rising, max(thresholds), -min(thresholds))
 
-        # -- lockstep state ------------------------------------------------
-        t = t_start.copy()
-        v = v_from.copy()
-        step = np.zeros(n, dtype=int)
-        extensions = np.zeros(n, dtype=int)
         fired = np.zeros(n, dtype=bool)
-        done = np.zeros(n, dtype=bool)
         t_drop = np.full(n, np.nan)
         newton_total = np.zeros(n, dtype=int)
         bisect_total = np.zeros(n, dtype=int)
-        t_input_end = t_start + tt
-
-        # Recorded waveforms: one snapshot per lockstep iteration, plus a
-        # per-element start point that the drop event can reset.
-        start_t = t_start.copy()
-        start_v = v_from.copy()
+        # Recorded waveforms: a per-element start point that the drop
+        # event can reset, plus per lockstep iteration the elements that
+        # advanced and their new samples (an extension step advances
+        # none).
+        start_t = setup.t_start.copy()
+        start_v = setup.v_from.copy()
         reset_snap = np.zeros(n, dtype=int)
-        rec_t: list[np.ndarray] = []
-        rec_v: list[np.ndarray] = []
-        rec_m: list[np.ndarray] = []
+        rec: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = []
 
+        # -- columns of the integrating elements ---------------------------
+        idx = np.arange(n)
+        t = setup.t_start.copy()
+        v = setup.v_from.copy()
+        sv = v * sign
+        dt = setup.dt.copy()
+        coeff = dt / setup.c_total
+        # Sign-folded trigger (+inf once fired or without one, so it can
+        # never be crossed) and stop threshold (+inf while a drop is
+        # pending, so the element cannot finish).
+        strig = np.where(setup.has_trigger, setup.trigger * sign, np.inf)
+        stop = np.where(setup.has_trigger, np.inf, last)
+        armed = bool(setup.has_trigger.any())
+        newton = np.zeros(n, dtype=int)
+        bisect = np.zeros(n, dtype=int)
+        # Input-ramp columns, dropped once every ramp is over.
+        ramp: tuple | None = (
+            setup.k, setup.t_start, setup.tt > 0.0,
+            np.where(setup.tt > 0.0, setup.tt, 1.0), setup.in_rising,
+        )
+        prepared: tuple = ()
+
+        step = 0
+        extensions = 0
         lo, hi = -0.4, vdd + 0.4
-        # Per-step gather cache: the fancy-index pulls of the static
-        # per-element columns (dt, tt, t_start, ...) are only recomputed
-        # when the integrating set changes (an element settles, fires, or
-        # enters an extension).  Membership equality is the sole
-        # invalidation test: ``dt`` only mutates for ``over`` lanes, and
-        # those are excluded from ``integ`` on the same iteration.
-        cache_mask: np.ndarray | None = None
-        while not done.all():
-            active = ~done
-            step[active] += 1
-
-            # Extension phase: elements that exhausted their step budget
-            # double dt and skip this iteration (scalar `continue`).
-            over = active & (step > max_steps)
-            if over.any():
-                exhausted = over & (extensions >= self.max_extensions)
-                if exhausted.any():
-                    i = int(np.nonzero(exhausted)[0][0])
+        gradient = self.bank.gradient_many_prepared
+        while idx.size:
+            # Every element started together and advances once per
+            # iteration, so all of them exhaust the step budget at once:
+            # they double dt and skip this iteration (scalar `continue`).
+            step += 1
+            if step > max_steps:
+                if extensions >= self.max_extensions:
+                    i = int(idx[0])
                     raise StageSolverError(
-                        f"output failed to settle after {extensions[i]} extensions "
-                        f"(element {i}, t={t[i]:.3e}, v={v[i]:.3f}, "
-                        f"target={v_to[i]:.3f})"
+                        f"output failed to settle after {extensions} extensions "
+                        f"(element {i}, t={t[0]:.3e}, v={v[0]:.3f}, "
+                        f"target={setup.v_to[i]:.3f})"
                     )
-                extensions[over] += 1
-                dt[over] *= 2.0
-                step[over] = 0
+                extensions += 1
+                dt *= 2.0
+                coeff = dt / setup.c_total[idx]
+                step = 0
+                rec.append(None)
+                continue
 
-            integ = active & ~over
-            advanced = np.zeros(n, dtype=bool)
-            if integ.any():
-                if cache_mask is None or not np.array_equal(integ, cache_mask):
-                    cache_mask = integ.copy()
-                    idx = np.nonzero(integ)[0]
-                    dt_i = dt[idx]
-                    tt_i = tt[idx]
-                    t_start_i = t_start[idx]
-                    tt_pos = tt_i > 0.0
-                    tt_safe = np.where(tt_pos, tt_i, 1.0)
-                    in_rising_i = in_rising[idx]
-                    coeff = dt_i / c_total[idx]
-                    k_i = k[idx]
-                    trig_i = trigger[idx]
-                    has_trigger_i = has_trigger[idx]
-                    any_trigger = bool(has_trigger_i.any())
-                    rising_i = out_rising[idx]
-                    v_to_i = v_to[idx]
-                    t_input_end_i = t_input_end[idx]
-                t_next = t[idx] + dt_i
+            t_next = t + dt
+            if ramp is not None:
+                k_r, t_start_r, tt_pos, tt_safe, in_rising_r = ramp
                 # Input ramp voltage at t_next (saturated rail-to-rail).
                 frac = np.where(
                     tt_pos,
-                    np.minimum(np.maximum((t_next - t_start_i) / tt_safe, 0.0), 1.0),
-                    (t_next >= t_start_i).astype(float),
+                    np.minimum(np.maximum((t_next - t_start_r) / tt_safe, 0.0), 1.0),
+                    (t_next >= t_start_r).astype(float),
                 )
-                vin_next = np.where(in_rising_i, vdd * frac, vdd * (1.0 - frac))
-                v_prev = v[idx]
+                vin_next = np.where(in_rising_r, vdd * frac, vdd * (1.0 - frac))
                 # vin is fixed across the Newton iterations of this step,
                 # so the x-side table locate happens once per step.
-                row_g, tx_g, one_m_tx_g = self.bank.prepare_x(k_i, vin_next)
+                prepared = self.bank.prepare_x(k_r, vin_next)
+                # t never moves backwards, so once every ramp is over
+                # frac stays exactly 1.0 and the x-side stays valid.
+                if frac.min() == 1.0:
+                    ramp = None
+            row_g, tx_g, one_m_tx_g = prepared
+            v_prev = v
 
-                def residual(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                    current, dcurrent = self.bank.gradient_many_prepared(
-                        row_g, tx_g, one_m_tx_g, x
-                    )
-                    np.multiply(current, coeff, out=current)
-                    f = x - v_prev
-                    f -= current
-                    np.multiply(dcurrent, coeff, out=dcurrent)
-                    np.subtract(1.0, dcurrent, out=dcurrent)
-                    return f, dcurrent
+            def residual(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                current, dcurrent = gradient(row_g, tx_g, one_m_tx_g, x)
+                np.multiply(current, coeff, out=current)
+                f = x - v_prev
+                f -= current
+                np.multiply(dcurrent, coeff, out=dcurrent)
+                np.subtract(1.0, dcurrent, out=dcurrent)
+                return f, dcurrent
 
-                solved = solve_newton_many(
-                    residual, x0=v_prev, tol=1e-7, lo=lo, hi=hi
-                )
-                newton_total[idx] += solved.iterations
-                bisect_total[idx] += solved.used_bisection
-                v_next = solved.roots
+            solved = solve_newton_many(residual, x0=v_prev, tol=1e-7, lo=lo, hi=hi)
+            newton += solved.iterations
+            bisect += solved.used_bisection
+            v_next = solved.roots
+            sv_next = v_next * sign
+            done = sv_next >= stop
 
-                # Coupling drop event: detect the trigger crossing inside
-                # this step, fire, and restart the reported waveform.
-                fire = False
-                if any_trigger:
-                    may_fire = has_trigger_i & ~fired[idx]
-                    crossed = may_fire & np.where(
-                        rising_i,
-                        (v_prev < trig_i) & (trig_i <= v_next),
-                        (v_prev > trig_i) & (trig_i >= v_next),
-                    )
-                    fire = bool(crossed.any())
-                if fire:
-                    cidx = idx[crossed]
-                    dv = v_next[crossed] - v_prev[crossed]
+            advanced = (idx, t_next, v_next)
+            # Coupling drop event: detect the trigger crossing inside
+            # this step, fire, and restart the reported waveform.
+            if armed:
+                crossed = (sv < strig) & (strig <= sv_next)
+                if np.count_nonzero(crossed):
+                    moved = ~crossed
+                    advanced = (idx[moved], t_next[moved], v_next[moved])
+                    c = np.flatnonzero(crossed)
+                    cidx = idx[c]
+                    v_prev_c = v_prev[c]
+                    dv = v_next[c] - v_prev_c
                     frac_c = np.where(
                         dv != 0.0,
-                        (trig_i[crossed] - v_prev[crossed]) / np.where(dv != 0.0, dv, 1.0),
+                        (setup.trigger[cidx] - v_prev_c) / np.where(dv != 0.0, dv, 1.0),
                         1.0,
                     )
-                    t_fire = t[cidx] + frac_c * dt[cidx]
+                    t_fire = t[c] + frac_c * dt[c]
                     t_drop[cidx] = t_fire
                     fired[cidx] = True
-                    t[cidx] = t_fire
-                    v[cidx] = restart[cidx]
                     start_t[cidx] = t_fire
                     start_v[cidx] = restart[cidx]
-                    reset_snap[cidx] = len(rec_t)
+                    reset_snap[cidx] = len(rec)
+                    t_next[c] = t_fire
+                    v_next[c] = restart[cidx]
+                    sv_next[c] = restart[cidx] * sign[c]
+                    strig[c] = np.inf
+                    stop[c] = last[cidx]
+                    armed = bool((strig < np.inf).any())
 
-                    adv = ~crossed
-                    aidx = idx[adv]
-                    t[aidx] = t_next[adv]
-                    v[aidx] = v_next[adv]
-                    advanced[aidx] = True
-
-                    done_voltage = np.abs(v[aidx] - v_to[aidx]) <= settle_band
-                    input_done = t[aidx] >= t_input_end[aidx]
-                    done[aidx[done_voltage & input_done]] = True
+            rec.append(advanced)
+            t, v, sv = t_next, v_next, sv_next
+            if np.count_nonzero(done):
+                fin = idx[done]
+                newton_total[fin] = newton[done]
+                bisect_total[fin] = bisect[done]
+                keep = ~done
+                idx, sign, t, v, sv, dt, coeff, strig, stop, newton, bisect = (
+                    col[keep]
+                    for col in (idx, sign, t, v, sv, dt, coeff, strig, stop, newton, bisect)
+                )
+                if ramp is None:
+                    prepared = tuple(col[keep] for col in prepared)
                 else:
-                    t[idx] = t_next
-                    v[idx] = v_next
-                    advanced[idx] = True
+                    ramp = tuple(col[keep] for col in ramp)
+                if armed:
+                    armed = bool((strig < np.inf).any())
 
-                    done_voltage = np.abs(v_next - v_to_i) <= settle_band
-                    input_done = t_next >= t_input_end_i
-                    done[idx[done_voltage & input_done]] = True
-
-            rec_t.append(t.copy())
-            rec_v.append(v.copy())
-            rec_m.append(advanced)
+        # -- sample matrices: one row per lockstep iteration ---------------
+        times_mat = np.zeros((len(rec), n))
+        values_mat = np.zeros((len(rec), n))
+        mask_mat = np.zeros((len(rec), n), dtype=bool)
+        for row, sample in enumerate(rec):
+            if sample is not None:
+                lanes, times, values = sample
+                times_mat[row, lanes] = times
+                values_mat[row, lanes] = values
+                mask_mat[row, lanes] = True
 
         return _BatchTrace(
-            times_mat=np.array(rec_t),
-            values_mat=np.array(rec_v),
-            mask_mat=np.array(rec_m),
+            times_mat=times_mat,
+            values_mat=values_mat,
+            mask_mat=mask_mat,
             reset_snap=reset_snap,
             start_t=start_t,
             start_v=start_v,
@@ -496,12 +516,6 @@ class BatchStageSolver:
             int(trace.bisect_total[i]),
         )
 
-    def _measure_objects(self, setup: _BatchSetup, trace: _BatchTrace) -> list[StageResult]:
-        # -- reconstruct, clean and measure per element --------------------
-        return [
-            self._measure_element(setup, trace, i) for i in range(setup.k.size)
-        ]
-
     # -- measurement: vectorized compact path ------------------------------
 
     def _measure_compact(self, setup: _BatchSetup, trace: _BatchTrace) -> CompactStageResults:
@@ -526,8 +540,6 @@ class BatchStageSolver:
         Elements that never reach a threshold (the scalar path raises)
         fall back to :func:`measure_stage_waveform` per element.
         """
-        vdd = self.process.vdd
-        v_th = self.process.v_th_model
         n = setup.k.size
         cols = np.arange(n)
         out_rising = setup.out_rising
@@ -575,11 +587,12 @@ class BatchStageSolver:
             )
             return out, has
 
-        t_half, ok_half = crossing(0.5 * vdd)
-        t_lo, ok_lo = crossing(0.1 * vdd)
-        t_hi, ok_hi = crossing(0.9 * vdd)
-        t_near, ok_near = crossing(v_th)
-        t_far, ok_far = crossing(vdd - v_th)
+        half, lo_thr, hi_thr, near, far = _marker_thresholds(self.process)
+        t_half, ok_half = crossing(half)
+        t_lo, ok_lo = crossing(lo_thr)
+        t_hi, ok_hi = crossing(hi_thr)
+        t_near, ok_near = crossing(near)
+        t_far, ok_far = crossing(far)
         ok = ok_half & ok_lo & ok_hi & ok_near & ok_far
 
         transition = np.where(

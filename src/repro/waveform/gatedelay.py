@@ -253,6 +253,8 @@ class GateDelayCalculator:
         )
         self._c_bisect = self.metrics.counter("newton.bisection_fallbacks")
         self._c_degraded = self.metrics.counter("solver.degraded_arcs")
+        # Fed by the batch solver (one per lockstep iteration).
+        self._c_lockstep = self.metrics.counter("solver.lockstep_iterations")
         self._c_batch_fallbacks = self.metrics.counter("engine.batch_fallbacks")
         self._c_cache_quarantined = self.metrics.counter("arc_cache.quarantined")
         # Provenance surfaces: every compute_arc_relative call reports
@@ -909,6 +911,7 @@ class GateDelayCalculator:
             "quarantined": self._c_cache_quarantined.value,
             "newton_iterations": self._h_newton.total,
             "newton_bisections": self._c_bisect.value,
+            "lockstep_iterations": self._c_lockstep.value,
             "degraded_arcs": self._c_degraded.value,
         }
 

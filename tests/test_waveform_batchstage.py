@@ -1,16 +1,18 @@
 """Batch stage solver vs the scalar reference.
 
 The batch solver re-implements the scalar backward-Euler/Newton loop over
-a batch axis with identical arithmetic; these tests pin the agreement on
+a batch axis with identical arithmetic and stops each element at its last
+marker threshold; these tests pin the agreement of the markers on
 randomized electrical situations (both directions, uncoupled, opposing
-and aiding coupling) and check the batching machinery itself.
+and aiding coupling), on situations that put the coupling trigger past
+the last threshold, and check the batching machinery itself.
 """
 
 import random
 
-import numpy as np
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
 from repro.waveform.batchstage import BatchArcSpec, BatchStageSolver
 from repro.waveform.coupling import CouplingLoad
 from repro.waveform.gatedelay import GateDelayCalculator
@@ -33,6 +35,32 @@ def harness(library, process):
     solvers = [calc.solver_for(library[name], pin) for name, pin in arcs]
     batch = BatchStageSolver([s.table for s in solvers], process)
     return solvers, batch
+
+
+def _scalar(solvers, spec):
+    """The scalar reference solve of one spec."""
+    return solvers[spec.table_index].solve(
+        InputRamp(
+            direction=spec.input_direction,
+            t_start=spec.t_start,
+            transition=spec.transition,
+        ),
+        spec.load,
+        out_direction=spec.out_direction,
+        aiding=spec.aiding,
+    )
+
+
+def _assert_matches_scalar(solvers, specs, got):
+    """Every marker and ``coupled`` of compact column ``i`` equal the
+    scalar solve of ``specs[i]`` bit for bit."""
+    assert len(got) == len(specs)
+    for i, spec in enumerate(specs):
+        ref = _scalar(solvers, spec)
+        assert got.directions[i] == ref.direction, spec
+        assert bool(got.coupled[i]) == ref.coupled, spec
+        for marker in MARKERS:
+            assert getattr(got, marker)[i] == getattr(ref, marker), (spec, marker)
 
 
 def _random_specs(n, seed):
@@ -71,21 +99,7 @@ class TestBatchVsScalar:
     def test_random_mixed_batch_matches_scalar_bitwise(self, harness):
         solvers, batch = harness
         specs = _random_specs(40, seed=11)
-        batched = batch.solve_many(specs)
-        for spec, got in zip(specs, batched):
-            ref = solvers[spec.table_index].solve(
-                InputRamp(
-                    direction=spec.input_direction,
-                    t_start=spec.t_start,
-                    transition=spec.transition,
-                ),
-                spec.load,
-                aiding=spec.aiding,
-            )
-            assert got.direction == ref.direction
-            assert got.coupled == ref.coupled
-            for marker in MARKERS:
-                assert getattr(got, marker) == getattr(ref, marker), (spec, marker)
+        _assert_matches_scalar(solvers, specs, batch.solve_many_compact(specs))
 
     def test_compact_results_ignore_batch_mates(self, harness):
         """A spec's compact result is bitwise the same whatever else
@@ -98,15 +112,7 @@ class TestBatchVsScalar:
         part = batch.solve_many_compact([specs[i] for i in subset])
         for j, i in enumerate(subset):
             spec = specs[i]
-            ref = solvers[spec.table_index].solve(
-                InputRamp(
-                    direction=spec.input_direction,
-                    t_start=spec.t_start,
-                    transition=spec.transition,
-                ),
-                spec.load,
-                aiding=spec.aiding,
-            )
+            ref = _scalar(solvers, spec)
             assert full.directions[i] == part.directions[j] == ref.direction
             for marker in MARKERS:
                 value = getattr(ref, marker)
@@ -121,17 +127,13 @@ class TestBatchVsScalar:
             transition=80e-12,
             load=CouplingLoad(c_ground=5e-15, c_couple_active=2e-15),
         )
-        got = batch.solve_many([spec])[0]
-        ref = solvers[1].solve(
-            InputRamp(direction=RISING, t_start=0.0, transition=80e-12), spec.load
-        )
-        for marker in MARKERS:
-            assert getattr(got, marker) == getattr(ref, marker)
-        assert got.coupled and ref.coupled
+        got = batch.solve_many_compact([spec])
+        _assert_matches_scalar(solvers, [spec], got)
+        assert got.coupled[0]
 
     def test_empty_batch(self, harness):
         _, batch = harness
-        assert batch.solve_many([]) == []
+        assert len(batch.solve_many_compact([])) == 0
 
     def test_nonpositive_load_rejected(self, harness):
         _, batch = harness
@@ -142,7 +144,7 @@ class TestBatchVsScalar:
             load=CouplingLoad(c_ground=0.0),
         )
         with pytest.raises(StageSolverError):
-            batch.solve_many([spec])
+            batch.solve_many_compact([spec])
 
     def test_nonzero_start_time_shifts_markers(self, harness):
         solvers, batch = harness
@@ -159,9 +161,83 @@ class TestBatchVsScalar:
             load=CouplingLoad(c_ground=8e-15),
             t_start=1e-9,
         )
-        r0, r1 = batch.solve_many([base, shifted])
-        assert r1.t_cross == pytest.approx(r0.t_cross + 1e-9, abs=1e-15)
-        assert r1.transition == pytest.approx(r0.transition, abs=1e-15)
+        got = batch.solve_many_compact([base, shifted])
+        _assert_matches_scalar(solvers, [base, shifted], got)
+        assert got.t_cross[1] == pytest.approx(got.t_cross[0] + 1e-9, abs=1e-15)
+        assert got.transition[1] == pytest.approx(got.transition[0], abs=1e-15)
+
+
+# Situations the random specs never draw: the clamped opposing trigger
+# (3.168 V rising, 0.132 V falling) and the aiding restart lie past the
+# last marker threshold (3.1 V rising, 0.2 V falling), the input switches
+# instantly, or a heavy load meets a slow input.
+STOP_RULE_CASES = {
+    "opposing-10f-1f": (CouplingLoad(c_ground=1e-15, c_couple_active=10e-15), 80e-12, False),
+    "opposing-20f-0.5f": (CouplingLoad(c_ground=0.5e-15, c_couple_active=20e-15), 80e-12, False),
+    "aiding-12f-1f": (CouplingLoad(c_ground=1e-15, c_couple_active=12e-15), 80e-12, True),
+    "zero-transition": (CouplingLoad(c_ground=6e-15, c_couple_active=2e-15), 0.0, False),
+    "heavy-load-slow-input": (CouplingLoad(c_ground=120e-15), 600e-12, False),
+}
+STOP_RULE_CELLS = (0, 2)  # INV_X1/A and NOR3_X2/B
+
+
+class TestStopRule:
+    @pytest.mark.parametrize("case", sorted(STOP_RULE_CASES))
+    def test_markers_match_scalar_past_last_threshold(self, harness, case):
+        """Both output directions on two cells, solved in one batch:
+        every marker and ``coupled`` equal the scalar solver's, which
+        integrates until the output settles at the rail."""
+        solvers, batch = harness
+        load, transition, aiding = STOP_RULE_CASES[case]
+        specs = [
+            BatchArcSpec(
+                table_index=cell,
+                input_direction=direction,
+                transition=transition,
+                load=load,
+                aiding=aiding,
+            )
+            for cell in STOP_RULE_CELLS
+            for direction in (RISING, FALLING)
+        ]
+        got = batch.solve_many_compact(specs)
+        _assert_matches_scalar(solvers, specs, got)
+        assert bool(got.coupled.all()) == load.has_active_coupling
+
+    def test_stops_before_the_scalar_settle(self, harness):
+        """An uncoupled arc takes fewer Newton iterations on the batch
+        path (stopped at its last threshold) than the scalar solver
+        spends settling at the rail."""
+        solvers, batch = harness
+        spec = BatchArcSpec(
+            table_index=0,
+            input_direction=RISING,
+            transition=80e-12,
+            load=CouplingLoad(c_ground=10e-15),
+        )
+        got = batch.solve_many_compact([spec])
+        ref = _scalar(solvers, spec)
+        assert got.newton_iterations[0] < ref.newton_iterations
+
+
+class TestLockstepCounter:
+    def test_batch_takes_its_slowest_element_s_iterations(self, harness):
+        """``solver.lockstep_iterations`` grows by the recorded rows of a
+        batch solve: as many as its slowest element takes alone, since an
+        element's steps (extensions included) do not depend on its batch
+        mates."""
+        _, batch = harness
+        specs = _random_specs(12, seed=3)
+
+        def lockstep(specs):
+            metrics = MetricsRegistry()
+            solver = BatchStageSolver(batch.tables, batch.process, metrics=metrics)
+            solver.solve_many_compact(specs)
+            return metrics.counter("solver.lockstep_iterations").value
+
+        alone = [lockstep([spec]) for spec in specs]
+        assert min(alone) > 0
+        assert lockstep(specs) == max(alone)
 
 
 class TestBatchedNewtonUsage:
@@ -169,7 +245,7 @@ class TestBatchedNewtonUsage:
         """Elements with very different time scales (fast inverter vs a
         heavily loaded stage) finish at different lockstep iterations; the
         masking must keep finished elements frozen."""
-        _, batch = harness
+        solvers, batch = harness
         specs = [
             BatchArcSpec(
                 table_index=0,
@@ -184,7 +260,6 @@ class TestBatchedNewtonUsage:
                 load=CouplingLoad(c_ground=60e-15),
             ),
         ]
-        fast, slow = batch.solve_many(specs)
-        assert fast.t_cross < slow.t_cross
-        assert np.all(np.diff(fast.waveform.times) >= 0)
-        assert np.all(np.diff(slow.waveform.times) >= 0)
+        got = batch.solve_many_compact(specs)
+        _assert_matches_scalar(solvers, specs, got)
+        assert got.t_cross[0] < got.t_cross[1]

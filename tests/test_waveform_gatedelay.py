@@ -130,3 +130,15 @@ class TestNewtonCostTotals:
         assert solves > 0
         assert (solves, iterations) == (histogram["count"], histogram["sum"])
         assert solves == calc.evaluations
+
+    def test_lockstep_iterations_in_cache_stats(self, small_design):
+        """The batch solver's lockstep iterations reach ``cache_stats()``
+        from the shared metrics registry."""
+        sta = CrosstalkSTA(small_design, StaConfig(mode=AnalysisMode.BEST_CASE))
+        sta.run()
+        calc = sta.calculator
+        counters = calc.metrics.snapshot()["counters"]
+        assert calc.batched_solves > 0
+        assert calc.cache_stats()["lockstep_iterations"] == counters[
+            "solver.lockstep_iterations"
+        ] > 0
