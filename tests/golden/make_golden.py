@@ -10,6 +10,11 @@ counters, the arc counts, the provenance-ledger histogram and the slack
 sweep.  Each entry is computed by a fresh analyzer, so cache-dependent
 counters (ledger origins) are reproducible.
 
+Also writes ``tests/golden/minpath.json``: one entry per design x
+min-delay mode (:class:`~repro.core.minpath.MinAnalysisMode`) with the
+shortest delay, the critical endpoint, every endpoint arrival, the pass
+and waveform-evaluation counts and the hold slacks at ``HOLD_TIME``.
+
 The committed digests were recorded while the analyzer still offered an
 object-graph propagation core and a scalar waveform engine beside the
 columnar core and the batch engine: every entry was computed on all four
@@ -31,6 +36,8 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 GOLDEN_PATH = HERE / "propagation.json"
 SCHEMA = "repro.golden-propagation/1"
+MIN_GOLDEN_PATH = HERE / "minpath.json"
+MIN_SCHEMA = "repro.golden-minpath/1"
 
 if __name__ == "__main__":
     sys.path.insert(0, str(HERE.parent.parent / "src"))
@@ -42,6 +49,8 @@ from repro.circuit.generators import (  # noqa: E402
     generate_circuit,
 )
 from repro.core.analyzer import CrosstalkSTA  # noqa: E402
+from repro.core.constraints import check_hold  # noqa: E402
+from repro.core.minpath import MinAnalysisMode, MinPropagator  # noqa: E402
 from repro.core.modes import AnalysisMode, StaConfig, WindowCheck  # noqa: E402
 from repro.core.slack import compute_slack  # noqa: E402
 from repro.flow import prepare_design  # noqa: E402
@@ -63,6 +72,9 @@ DESIGNS = ("s27", "small", "s35932")
 # Clock periods of the slack digests: all of s27's endpoints meet the
 # first and most violate the second.
 SLACK_PERIODS = {"met": 1.2e-9, "violated": 0.4e-9}
+
+# Hold requirement of the min-delay digests (the StaConfig default).
+HOLD_TIME = 50e-12
 
 VARIANTS: dict[str, dict] = {
     **{mode.value: {"mode": mode} for mode in AnalysisMode},
@@ -164,14 +176,34 @@ def digest(design, result) -> dict:
     }
 
 
-def load_golden() -> dict:
-    return json.loads(GOLDEN_PATH.read_text())["entries"]
+def run_min_mode(design, mode: str):
+    """One min-delay mode's analysis on a fresh propagator."""
+    return MinPropagator(design).run(MinAnalysisMode(mode))
 
 
-def mismatches(key: str, got: dict, fields=None) -> list[str]:
+def min_digest(result) -> dict:
+    """Every golden fingerprint of one finished min-delay analysis."""
+    return {
+        "shortest_delay": result.shortest_delay.hex(),
+        "critical": [result.critical_endpoint, result.critical_direction],
+        "arrivals_sha256": arrivals_sha256(result),
+        "passes": result.passes,
+        "evaluations": result.waveform_evaluations,
+        "hold_sha256": _sha(
+            f"{s.endpoint}|{s.direction}|{float(s.slack).hex()}"
+            for s in check_hold(result, HOLD_TIME).slacks
+        ),
+    }
+
+
+def load_golden(path: Path = GOLDEN_PATH) -> dict:
+    return json.loads(path.read_text())["entries"]
+
+
+def mismatches(key: str, got: dict, fields=None, path: Path = GOLDEN_PATH) -> list[str]:
     """The fields of a fresh digest that differ from golden entry
-    ``key`` (all fields, or just ``fields``)."""
-    want = load_golden()[key]
+    ``key`` of ``path`` (all fields, or just ``fields``)."""
+    want = load_golden(path)[key]
     return [
         f"{key} {field}: {got.get(field)!r} != {want[field]!r}"
         for field in (fields if fields is not None else sorted(want))
@@ -191,6 +223,18 @@ def record() -> dict:
     return entries
 
 
+def record_min() -> dict:
+    """Digest every design x min-delay mode."""
+    entries: dict[str, dict] = {}
+    for name in DESIGNS:
+        design = build_design(name)
+        for mode in MinAnalysisMode:
+            key = f"{name}/{mode.value}"
+            entries[key] = min_digest(run_min_mode(design, mode.value))
+            print(f"{key}: {entries[key]['shortest_delay']}", flush=True)
+    return entries
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -200,12 +244,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     entries = record()
+    min_entries = record_min()
     if args.check:
-        stale = sorted(
-            key for key, value in load_golden().items() if entries.get(key) != value
-        )
-        for key in stale:
-            print(f"FAIL: {key} differs from {GOLDEN_PATH.name}", file=sys.stderr)
+        stale = []
+        for path, got in ((GOLDEN_PATH, entries), (MIN_GOLDEN_PATH, min_entries)):
+            for key, value in sorted(load_golden(path).items()):
+                if got.get(key) != value:
+                    print(f"FAIL: {key} differs from {path.name}", file=sys.stderr)
+                    stale.append(key)
         return 1 if stale else 0
     payload = {
         "schema": SCHEMA,
@@ -216,6 +262,11 @@ def main(argv: list[str] | None = None) -> int:
     }
     GOLDEN_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(entries)} entries to {GOLDEN_PATH}")
+    min_payload = {"schema": MIN_SCHEMA, "entries": min_entries}
+    MIN_GOLDEN_PATH.write_text(
+        json.dumps(min_payload, indent=1, sort_keys=True) + "\n"
+    )
+    print(f"wrote {len(min_entries)} entries to {MIN_GOLDEN_PATH}")
     return 0
 
 

@@ -136,6 +136,14 @@ class TestAnalyze:
     def test_overlap_window_check(self, capsys):
         assert main(["analyze", "s27", "--window-check", "overlap"]) == 0
 
+    def test_check_hold(self, capsys):
+        assert main(["analyze", "s27", "--mode", "one_step", "--check-hold"]) == 0
+        out = capsys.readouterr().out
+        assert (
+            "hold: requirement 50 ps: MET; worst slack +41.4 ps at G7__g3/D (fall)"
+            in out.splitlines()
+        )
+
     def test_json_export(self, tmp_path, capsys):
         import json
 

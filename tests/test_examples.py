@@ -1,6 +1,6 @@
 """Smoke tests: the fast example scripts run end to end.
 
-The examples double as integration tests of the public API; the two
+The examples double as integration tests of the public API; the
 quickest run here in full (each carries internal assertions).
 """
 
@@ -37,6 +37,18 @@ class TestExamples:
         out = capsys.readouterr().out
         assert "crosstalk delay penalty" in out
         assert "active coupling model" in out
+
+    def test_hold_analysis(self, capsys):
+        run_example("hold_analysis")
+        out = capsys.readouterr().out
+        assert "min_iterative" in out
+        assert "Every earliest-arrival bound precedes its latest-arrival bound." in out
+
+    def test_multicorner(self, capsys):
+        run_example("multicorner")
+        out = capsys.readouterr().out
+        assert "Hold side (min analysis at the fast corner):" in out
+        assert "hold 40 ps: MET" in out
 
     def test_plot_layout(self, tmp_path, capsys):
         target = tmp_path / "layout.svg"
