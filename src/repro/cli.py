@@ -168,9 +168,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         from repro.core.constraints import check_hold
         from repro.core.minpath import MinAnalysisMode, MinPropagator
 
-        min_result = MinPropagator(design, config, calculator=sta.calculator).run(
-            MinAnalysisMode.WORST
-        )
+        min_result = MinPropagator(
+            design,
+            config,
+            calculator=sta.calculator,
+            compiled=sta.compiled_design(),
+        ).run(MinAnalysisMode.WORST)
         hold = check_hold(min_result, config.hold_time)
         worst_hold = hold.worst
         status = "MET" if hold.met else f"VIOLATED ({len(hold.failing())} endpoints)"

@@ -24,7 +24,7 @@ from repro.core.export import (
     save_json,
     sta_result_to_dict,
 )
-from repro.core.graph import Provenance, TimingState, evaluation_order
+from repro.core.graph import Provenance, evaluation_order
 from repro.core.iterative import (
     IterationRecord,
     IterativeResult,
@@ -87,7 +87,6 @@ __all__ = [
     "SlackResult",
     "StaConfig",
     "StaResult",
-    "TimingState",
     "WindowCheck",
     "check_hold",
     "check_mode_ordering",

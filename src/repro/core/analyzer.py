@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core.checkpoint import CheckpointManager
-from repro.core.graph import TimingState
 from repro.core.iterative import IterationRecord, run_iterative
 from repro.core.modes import AnalysisMode, StaConfig
 from repro.core.paths import CriticalPath, extract_critical_path
@@ -163,7 +162,7 @@ class CrosstalkSTA:
             config,
             self.calculator,
             obs=self.obs,
-            compiled=self._compiled_design(),
+            compiled=self.compiled_design(),
         )
         source = self._warm_sources.get(config)
         if source is not None:
@@ -172,7 +171,7 @@ class CrosstalkSTA:
             self._propagators[config] = propagator
         return propagator
 
-    def _compiled_design(self):
+    def compiled_design(self):
         """The design's columnar compilation, built once per analyzer and
         shared by every propagator (all modes, all configs)."""
         compiled = self._compiled

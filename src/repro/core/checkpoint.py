@@ -6,7 +6,10 @@ processed set, provenance) plus the best-so-far bound and the pass
 history.  :class:`CheckpointManager` persists exactly that after every
 pass, so a killed run resumed with ``--checkpoint`` continues from the
 last completed pass and produces results bit-identical to an
-uninterrupted run.
+uninterrupted run.  The manager serves one propagator: a restored pass
+decodes straight into a :class:`~repro.core.columnar.ColumnTimingState`
+over that propagator's compiled design, so the resumed pass reads it
+exactly like one of its own.
 
 Bit-identity is guaranteed by serialising every float through
 ``float.hex()`` (lossless for all finite values and infinities) and by
@@ -24,10 +27,18 @@ import logging
 import os
 from typing import Iterable
 
-from repro.core.graph import Provenance, TimingState
+import numpy as np
+
+from repro.core.columnar import (
+    DIR_INDEX,
+    DIRECTIONS,
+    ColumnTimingState,
+    CompiledDesign,
+)
 from repro.core.iterative import IterationRecord
 from repro.core.propagation import EndpointArrival, PassResult, Propagator
 from repro.core.provenance import ProvenanceLedger
+from repro.waveform.pwl import opposite
 from repro.waveform.ramp import RampEvent
 
 logger = logging.getLogger("repro.core.checkpoint")
@@ -74,12 +85,18 @@ def _decode_event(raw: list | None) -> RampEvent | None:
 
 def _encode_pass(result: PassResult) -> dict:
     state = result.state
+    names = state.compiled.net_names
     return {
         "events": {
-            net: {d: _encode_event(e) for d, e in slot.items()}
-            for net, slot in state.events.items()
+            names[net]: {
+                direction: _encode_event(state.event_at(d, net))
+                for d, direction in enumerate(DIRECTIONS)
+            }
+            for net in np.nonzero(state.present)[0]
         },
-        "processed": sorted(state.processed),
+        "processed": sorted(
+            names[net] for net in np.nonzero(state.processed_mask)[0]
+        ),
         "provenance": [
             [net, direction, p.cell, p.in_pin, p.in_net, p.in_direction,
              bool(p.coupled), _hex(p.c_active)]
@@ -110,26 +127,50 @@ def _encode_pass(result: PassResult) -> dict:
     }
 
 
-def _decode_pass(raw: dict) -> PassResult:
-    state = TimingState()
-    for net, slot in raw["events"].items():
-        state.events[net] = {d: _decode_event(e) for d, e in slot.items()}
-    state.processed = set(raw["processed"])
-    for net, direction, cell, in_pin, in_net, in_direction, coupled, c_active in raw[
-        "provenance"
-    ]:
-        state.provenance[(net, direction)] = Provenance(
-            cell=cell,
-            in_pin=in_pin,
-            in_net=in_net,
-            in_direction=in_direction,
-            coupled=bool(coupled),
-            c_active=_unhex(c_active),
-        )
-    for net, direction, row in raw.get("arc_prov", []):
-        state.arc_prov[(net, direction)] = row
+def _decode_state(raw: dict, compiled: CompiledDesign) -> ColumnTimingState:
+    """A stored pass's state as columns over ``compiled``.
+
+    A winner is stored by name; its arc id is the compiled design's
+    ``(cell, input pin, input direction)`` key.  A flip-flop's arcs are
+    keyed by the internal arrival direction (opposite the output's), not
+    by the clock edge its provenance records.
+    """
+    state = ColumnTimingState(compiled)
+    net_id = compiled.net_id
+    for name, slot in raw["events"].items():
+        net = net_id[name]
+        state.present[net] = True
+        for direction, encoded in slot.items():
+            event = _decode_event(encoded)
+            if event is not None:
+                state.set_event(
+                    DIR_INDEX[direction],
+                    net,
+                    event.t_cross,
+                    event.transition,
+                    event.t_early,
+                    event.t_late,
+                )
+    for name in raw["processed"]:
+        state.processed_mask[net_id[name]] = True
+    for name, direction, cell, in_pin, _, in_direction, coupled, _ in raw["provenance"]:
+        d = DIR_INDEX[direction]
+        net = net_id[name]
+        if compiled.cell_is_ff[compiled.cell_id[cell]]:
+            key = (cell, "A", opposite(direction))
+        else:
+            key = (cell, in_pin, in_direction)
+        state.win_arc[d, net] = compiled.arc_key_index[key]
+        state.win_prov_dir[d, net] = DIR_INDEX[in_direction]
+        state.win_coupled[d, net] = bool(coupled)
+    for name, direction, row in raw.get("arc_prov", []):
+        state.aprov_row[DIR_INDEX[direction], net_id[name]] = row
+    return state
+
+
+def _decode_pass(raw: dict, compiled: CompiledDesign) -> PassResult:
     return PassResult(
-        state=state,
+        state=_decode_state(raw, compiled),
         arrivals=[
             EndpointArrival(endpoint=e, direction=d, event=_decode_event(ev))
             for e, d, ev in raw["arrivals"]
@@ -192,22 +233,18 @@ def _decode_record(raw: dict) -> IterationRecord:
 class CheckpointManager:
     """Persist and restore the iterative algorithm's per-pass state.
 
+    ``propagator`` is the propagator whose passes are saved and resumed:
+    restored passes decode into its compiled design, and the checkpoint
+    carries its per-arc provenance ledger and pass counter (the per-pass
+    ``arc_prov`` row indices are only meaningful against the ledger that
+    assigned them, so the two persist and restore together).
+
     ``fingerprint`` ties a checkpoint to an analysis configuration
     (design, config, library); a mismatch means the checkpoint describes
     a different problem and is ignored with a warning.
-
-    ``propagator`` (optional) lets the checkpoint carry the propagator's
-    per-arc provenance ledger and pass counter: the per-pass
-    ``arc_prov`` row indices are only meaningful against the ledger that
-    assigned them, so the two persist and restore together.
     """
 
-    def __init__(
-        self,
-        path: str,
-        fingerprint: str = "",
-        propagator: Propagator | None = None,
-    ):
+    def __init__(self, path: str, propagator: Propagator, fingerprint: str = ""):
         self.path = path
         self.fingerprint = fingerprint
         self.propagator = propagator
@@ -226,7 +263,7 @@ class CheckpointManager:
             "converged": bool(converged),
         }
         propagator = self.propagator
-        if propagator is not None and len(propagator.ledger):
+        if len(propagator.ledger):
             body["ledger"] = propagator.ledger.to_payload()
             body["pass_count"] = propagator._pass_count
         blob = json.dumps(body, sort_keys=True)
@@ -271,15 +308,20 @@ class CheckpointManager:
         blob = json.dumps(body, sort_keys=True)
         if hashlib.sha256(blob.encode()).hexdigest() != payload.get("checksum"):
             return self._quarantine("content checksum mismatch")
+        propagator = self.propagator
+        compiled = propagator.compiled
         try:
             history = [_decode_record(r) for r in body["history"]]
-            current = _decode_pass(body["current"])
-            best = current if body["best"] is None else _decode_pass(body["best"])
+            current = _decode_pass(body["current"], compiled)
+            best = (
+                current
+                if body["best"] is None
+                else _decode_pass(body["best"], compiled)
+            )
             converged = bool(body["converged"])
         except (KeyError, TypeError, ValueError):
             return self._quarantine("malformed body")
-        propagator = self.propagator
-        if propagator is not None and "ledger" in body:
+        if "ledger" in body:
             try:
                 propagator.ledger = ProvenanceLedger.from_payload(body["ledger"])
             except (KeyError, TypeError, ValueError):

@@ -27,13 +27,12 @@ columns indexed by those ids (:class:`ColumnTimingState`):
 * **State columns.**  Arrival events live in ``(2, n_nets)`` float64
   columns (rising row 0, falling row 1) plus validity masks;
   ``quiet_snapshot()``/``window_snapshot()`` are O(1) views over these
-  columns instead of per-pass dict rebuilds.
-
-The object API of :class:`~repro.core.graph.TimingState` --
-``state.events`` / ``state.processed`` / ``state.provenance`` /
-``state.arc_prov`` and per-net :class:`RampEvent` access -- stays
-available as thin lazy views, so the service, explain, report and
-checkpoint layers read a columnar state like a plain one.
+  columns instead of per-pass dict rebuilds.  :class:`ColumnTimingState`
+  is the only pass state: every max- and min-delay pass builds one, and
+  a checkpoint decodes straight into one over the resuming propagator's
+  compiled design.  ``state.provenance`` / ``state.arc_prov`` and
+  per-net :class:`RampEvent` access are thin lazy views for the service,
+  explain and report layers.
 """
 
 from __future__ import annotations
@@ -84,7 +83,6 @@ class CompiledDesign:
         coup_counts = np.zeros(n_nets, dtype=np.int64)
         coup_net_rows: list[list[int]] = [[] for _ in range(n_nets)]
         coup_cap_rows: list[list[float]] = [[] for _ in range(n_nets)]
-        coup_name_rows: list[list[str]] = [[] for _ in range(n_nets)]
         for name, net in circuit.nets.items():
             i = self.net_id[name]
             self.net_is_clock[i] = net.is_clock
@@ -98,19 +96,16 @@ class CompiledDesign:
             for other, cap in load.couplings.items():
                 coup_net_rows[i].append(self.net_id.get(other, -1))
                 coup_cap_rows[i].append(cap)
-                coup_name_rows[i].append(other)
         self.coup_indptr = np.zeros(n_nets + 1, dtype=np.int64)
         np.cumsum(coup_counts, out=self.coup_indptr[1:])
         nnz = int(self.coup_indptr[-1])
         self.coup_net = np.empty(nnz, dtype=np.int64)
         self.coup_cap = np.empty(nnz, dtype=np.float64)
-        self.coup_name: list[str] = []
         for i in range(n_nets):
             lo = int(self.coup_indptr[i])
             hi = int(self.coup_indptr[i + 1])
             self.coup_net[lo:hi] = coup_net_rows[i]
             self.coup_cap[lo:hi] = coup_cap_rows[i]
-            self.coup_name.extend(coup_name_rows[i])
 
         # -- cell id space (flattened topological levels) -------------------
         self.levels = evaluation_levels(circuit)
@@ -225,101 +220,7 @@ def compile_design(design: Design) -> CompiledDesign:
     return CompiledDesign(design)
 
 
-# -- lazy object views over the columns --------------------------------------
-
-
-class _SlotView(Mapping):
-    """One net's ``{direction: RampEvent | None}`` mapping."""
-
-    __slots__ = ("_state", "_net")
-
-    def __init__(self, state: "ColumnTimingState", net: int):
-        self._state = state
-        self._net = net
-
-    def __getitem__(self, direction: str) -> RampEvent | None:
-        return self._state._event_at(DIR_INDEX[direction], self._net)
-
-    def __setitem__(self, direction: str, event: RampEvent) -> None:
-        self._state.set_event(
-            DIR_INDEX[direction],
-            self._net,
-            event.t_cross,
-            event.transition,
-            event.t_early,
-            event.t_late,
-        )
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(DIRECTIONS)
-
-    def __len__(self) -> int:
-        return 2
-
-    def get(self, direction, default=None):
-        idx = DIR_INDEX.get(direction)
-        if idx is None:
-            return default
-        return self._state._event_at(idx, self._net)
-
-
-class _EventsView(Mapping):
-    """``state.events`` compatibility view: net name -> slot mapping."""
-
-    __slots__ = ("_state",)
-
-    def __init__(self, state: "ColumnTimingState"):
-        self._state = state
-
-    def __getitem__(self, net_name: str) -> _SlotView:
-        state = self._state
-        net = state.compiled.net_id[net_name]
-        if not state.present[net]:
-            raise KeyError(net_name)
-        return _SlotView(state, net)
-
-    def get(self, net_name, default=None):
-        state = self._state
-        net = state.compiled.net_id.get(net_name)
-        if net is None or not state.present[net]:
-            return default
-        return _SlotView(state, net)
-
-    def __contains__(self, net_name) -> bool:
-        net = self._state.compiled.net_id.get(net_name)
-        return net is not None and bool(self._state.present[net])
-
-    def __iter__(self) -> Iterator[str]:
-        names = self._state.compiled.net_names
-        for net in np.nonzero(self._state.present)[0]:
-            yield names[net]
-
-    def __len__(self) -> int:
-        return int(self._state.present.sum())
-
-
-class _ProcessedView:
-    """``state.processed`` compatibility view (set-like over the mask)."""
-
-    __slots__ = ("_state",)
-
-    def __init__(self, state: "ColumnTimingState"):
-        self._state = state
-
-    def add(self, net_name: str) -> None:
-        self._state.processed_mask[self._state.compiled.net_id[net_name]] = True
-
-    def __contains__(self, net_name) -> bool:
-        net = self._state.compiled.net_id.get(net_name)
-        return net is not None and bool(self._state.processed_mask[net])
-
-    def __iter__(self) -> Iterator[str]:
-        names = self._state.compiled.net_names
-        for net in np.nonzero(self._state.processed_mask)[0]:
-            yield names[net]
-
-    def __len__(self) -> int:
-        return int(self._state.processed_mask.sum())
+# -- lazy views over the columns ---------------------------------------------
 
 
 class _ProvenanceView(Mapping):
@@ -327,8 +228,7 @@ class _ProvenanceView(Mapping):
 
     Winners are stored as arc ids plus the per-win dynamic fields
     (coupled flag, input direction); the :class:`Provenance` object is
-    materialized on access.  ``overrides`` holds entries copied from a
-    non-columnar previous state (checkpoint resume).
+    materialized on access.
     """
 
     __slots__ = ("_state",)
@@ -336,11 +236,15 @@ class _ProvenanceView(Mapping):
     def __init__(self, state: "ColumnTimingState"):
         self._state = state
 
-    def _materialize(self, d: int, net: int) -> Provenance | None:
+    def get(self, key, default=None):
         state = self._state
+        net = state.compiled.net_id.get(key[0])
+        d = DIR_INDEX.get(key[1])
+        if net is None or d is None:
+            return default
         arc = int(state.win_arc[d, net])
         if arc < 0:
-            return None
+            return default
         compiled = state.compiled
         return Provenance(
             cell=compiled.cells[compiled.arc_cell[arc]].name,
@@ -351,18 +255,6 @@ class _ProvenanceView(Mapping):
             c_active=0.0,
         )
 
-    def get(self, key, default=None):
-        state = self._state
-        override = state.prov_overrides.get(key)
-        if override is not None:
-            return override
-        net = state.compiled.net_id.get(key[0])
-        d = DIR_INDEX.get(key[1])
-        if net is None or d is None:
-            return default
-        prov = self._materialize(d, net)
-        return prov if prov is not None else default
-
     def __getitem__(self, key) -> Provenance:
         prov = self.get(key)
         if prov is None:
@@ -370,17 +262,12 @@ class _ProvenanceView(Mapping):
         return prov
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
-        state = self._state
-        names = state.compiled.net_names
-        seen = set(state.prov_overrides)
-        yield from state.prov_overrides
-        for d, net in zip(*np.nonzero(state.win_arc >= 0)):
-            key = (names[net], DIRECTIONS[d])
-            if key not in seen:
-                yield key
+        names = self._state.compiled.net_names
+        for d, net in zip(*np.nonzero(self._state.win_arc >= 0)):
+            yield (names[net], DIRECTIONS[d])
 
     def __len__(self) -> int:
-        return sum(1 for _ in self)
+        return int((self._state.win_arc >= 0).sum())
 
 
 class _ArcProvView(Mapping):
@@ -416,18 +303,23 @@ class _ArcProvView(Mapping):
         return int((self._state.aprov_row >= 0).sum())
 
 
-class QuietSnapshotView(Mapping):
-    """O(1) ``quiet_snapshot()``: (net, direction) -> quiescent time.
+class SnapshotView(Mapping):
+    """O(1) snapshot: (net, direction) -> quiescent time ``t_late``
+    (``quiet_snapshot()``) or activity window ``(t_early, t_late)``
+    (``window_snapshot()``).
 
-    Backed directly by the state columns -- nothing is copied.  The
-    state a snapshot is taken from is final (each pass builds a fresh
-    state object), so the view is stable.
+    A net with no event in a direction can never make that transition:
+    its quiescent time is minus infinity and its window empty
+    (``(+inf, -inf)``).  Backed directly by the state columns -- nothing
+    is copied.  The state a snapshot is taken from is final (each pass
+    builds a fresh state object), so the view is stable.
     """
 
-    __slots__ = ("_state",)
+    __slots__ = ("_state", "_windows")
 
-    def __init__(self, state: "ColumnTimingState"):
+    def __init__(self, state: "ColumnTimingState", windows: bool):
         self._state = state
+        self._windows = windows
 
     def get(self, key, default=None):
         state = self._state
@@ -436,58 +328,19 @@ class QuietSnapshotView(Mapping):
         if net is None or d is None or not state.present[net]:
             return default
         if not state.valid[d, net]:
-            return float("-inf")
-        return float(state.ev_tl[d, net])
+            return (float("inf"), float("-inf")) if self._windows else float("-inf")
+        t_late = float(state.ev_tl[d, net])
+        return (float(state.ev_te[d, net]), t_late) if self._windows else t_late
 
-    def __getitem__(self, key) -> float:
+    def __getitem__(self, key):
         value = self.get(key)
         if value is None:
             raise KeyError(key)
         return value
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
-        state = self._state
-        names = state.compiled.net_names
-        for net in np.nonzero(state.present)[0]:
-            for direction in DIRECTIONS:
-                yield (names[net], direction)
-
-    def __len__(self) -> int:
-        return 2 * int(self._state.present.sum())
-
-
-class WindowSnapshotView(Mapping):
-    """O(1) ``window_snapshot()``: (net, direction) -> (t_early, t_late)."""
-
-    __slots__ = ("_state",)
-
-    def __init__(self, state: "ColumnTimingState"):
-        self._state = state
-
-    @property
-    def state(self) -> "ColumnTimingState":
-        return self._state
-
-    def get(self, key, default=None):
-        state = self._state
-        net = state.compiled.net_id.get(key[0])
-        d = DIR_INDEX.get(key[1])
-        if net is None or d is None or not state.present[net]:
-            return default
-        if not state.valid[d, net]:
-            return (float("inf"), float("-inf"))
-        return (float(state.ev_te[d, net]), float(state.ev_tl[d, net]))
-
-    def __getitem__(self, key) -> tuple[float, float]:
-        value = self.get(key)
-        if value is None:
-            raise KeyError(key)
-        return value
-
-    def __iter__(self) -> Iterator[tuple[str, str]]:
-        state = self._state
-        names = state.compiled.net_names
-        for net in np.nonzero(state.present)[0]:
+        names = self._state.compiled.net_names
+        for net in np.nonzero(self._state.present)[0]:
             for direction in DIRECTIONS:
                 yield (names[net], direction)
 
@@ -496,20 +349,25 @@ class WindowSnapshotView(Mapping):
 
 
 class ColumnTimingState:
-    """Column-backed counterpart of :class:`repro.core.graph.TimingState`.
+    """Mutable per-pass timing data over a compiled design.
 
     Events are ``(2, n_nets)`` float64 columns (row 0 rising, row 1
-    falling) plus boolean validity/presence masks; the object API
-    (``events``/``processed``/``provenance``/``arc_prov``, ``event()``,
-    the snapshot methods) is served by thin lazy views so every
-    downstream consumer -- checkpoints, the explain engine, reports,
-    the service layer -- works unchanged.
+    falling) holding the worst event per (net, direction) at the *driver
+    output* (wire delay is added when a sink consumes the event), plus
+    boolean validity/presence masks.  ``processed_mask`` marks nets whose
+    events are final for this pass -- the "calculated" predicate of the
+    one-step pseudo-code.  ``win_*`` record each winning event's arc and
+    ``aprov_row`` its row in the propagator's
+    :class:`~repro.core.provenance.ProvenanceLedger` (-1 when the ledger
+    is disabled).  ``provenance``, ``arc_prov``, ``event()`` and the
+    snapshots are thin lazy views for the explain engine, reports and
+    the service layer.
     """
 
     def __init__(self, compiled: CompiledDesign):
         self.compiled = compiled
         n = compiled.n_nets
-        # Slot exists (``net in state.events``).
+        # The net carries this pass's slot (calculated or a source).
         self.present = np.zeros(n, dtype=bool)
         # Event per (direction, net); masked by ``valid``.
         self.valid = np.zeros((2, n), dtype=bool)
@@ -523,32 +381,10 @@ class ColumnTimingState:
         self.win_prov_dir = np.zeros((2, n), dtype=np.int8)
         self.win_coupled = np.zeros((2, n), dtype=bool)
         self.aprov_row = np.full((2, n), -1, dtype=np.int64)
-        # Provenance entries copied from a non-columnar previous state
-        # (checkpoint resume); consulted before the winner arrays.
-        self.prov_overrides: dict[tuple[str, str], Provenance] = {}
         # Materialized-event memo (cleared per slot on write).
         self._ev_cache: dict[tuple[int, int], RampEvent] = {}
 
-    @classmethod
-    def from_state(
-        cls, compiled: CompiledDesign, state: object
-    ) -> "ColumnTimingState":
-        """Load a plain :class:`~repro.core.graph.TimingState` (a pass
-        restored from a checkpoint) into columns over ``compiled``."""
-        out = cls(compiled)
-        for name in state.events:
-            out.copy_net_from(state, compiled.net_id[name])
-        return out
-
-    # -- object API -------------------------------------------------------
-
-    @property
-    def events(self) -> _EventsView:
-        return _EventsView(self)
-
-    @property
-    def processed(self) -> _ProcessedView:
-        return _ProcessedView(self)
+    # -- lazy views ---------------------------------------------------------
 
     @property
     def provenance(self) -> _ProvenanceView:
@@ -558,12 +394,8 @@ class ColumnTimingState:
     def arc_prov(self) -> _ArcProvView:
         return _ArcProvView(self)
 
-    def ensure_net(self, net_name: str) -> _SlotView:
-        net = self.compiled.net_id[net_name]
-        self.present[net] = True
-        return _SlotView(self, net)
-
-    def _event_at(self, d: int, net: int) -> RampEvent | None:
+    def event_at(self, d: int, net: int) -> RampEvent | None:
+        """The event of net id ``net`` in direction row ``d``, or None."""
         if not self.valid[d, net]:
             return None
         cached = self._ev_cache.get((d, net))
@@ -583,19 +415,29 @@ class ColumnTimingState:
         net = self.compiled.net_id.get(net_name)
         if net is None or not self.present[net]:
             return None
-        return self._event_at(DIR_INDEX[direction], net)
+        return self.event_at(DIR_INDEX[direction], net)
 
     def quiet_time(self, net_name: str, direction: str) -> float:
+        """Time after which the net is quiet for ``direction``
+        transitions, assuming the net has been calculated: the merged
+        event's ``t_late``, or minus infinity if the net never
+        transitions that way."""
         event = self.event(net_name, direction)
         if event is None:
             return float("-inf")
         return event.t_late
 
-    def quiet_snapshot(self) -> QuietSnapshotView:
-        return QuietSnapshotView(self)
+    def quiet_snapshot(self) -> SnapshotView:
+        """Per-(net, direction) quiescent times -- what the iterative
+        algorithm stores between passes ("store quiescent times for each
+        wire")."""
+        return SnapshotView(self, windows=False)
 
-    def window_snapshot(self) -> WindowSnapshotView:
-        return WindowSnapshotView(self)
+    def window_snapshot(self) -> SnapshotView:
+        """Per-(net, direction) activity windows ``(t_early, t_late)``,
+        read by the two-sided overlap check (an extension of the paper's
+        one-sided comparison)."""
+        return SnapshotView(self, windows=True)
 
     # -- column writes ----------------------------------------------------
 
@@ -616,45 +458,20 @@ class ColumnTimingState:
         self.ev_tl[d, net] = t_late
         self._ev_cache.pop((d, net), None)
 
-    def copy_net_from(self, prev: "ColumnTimingState | object", net: int) -> None:
+    def copy_net_from(self, prev: "ColumnTimingState", net: int) -> None:
         """Adopt one net's previous-pass events, provenance and ledger
-        row (the Esperance copy path).  ``prev`` may be a columnar state
-        over the same compiled design or a plain :class:`TimingState`
-        (checkpoint resume)."""
-        name = self.compiled.net_names[net]
-        if isinstance(prev, ColumnTimingState):
-            self.present[net] = True
-            for d in (0, 1):
-                self.valid[d, net] = prev.valid[d, net]
-                self.ev_tc[d, net] = prev.ev_tc[d, net]
-                self.ev_tr[d, net] = prev.ev_tr[d, net]
-                self.ev_te[d, net] = prev.ev_te[d, net]
-                self.ev_tl[d, net] = prev.ev_tl[d, net]
-                self.win_arc[d, net] = prev.win_arc[d, net]
-                self.win_prov_dir[d, net] = prev.win_prov_dir[d, net]
-                self.win_coupled[d, net] = prev.win_coupled[d, net]
-                self.aprov_row[d, net] = prev.aprov_row[d, net]
-                self._ev_cache.pop((d, net), None)
-                key = (name, DIRECTIONS[d])
-                override = prev.prov_overrides.get(key)
-                if override is not None:
-                    self.prov_overrides[key] = override
-            self.processed_mask[net] = True
-            return
-        # Plain TimingState: decode the dict layout into columns.
-        slot = prev.events[name]
+        row (the Esperance copy path); ``prev`` is a state over the same
+        compiled design."""
         self.present[net] = True
-        for d, direction in enumerate(DIRECTIONS):
-            event = slot.get(direction)
-            if event is not None:
-                self.set_event(
-                    d, net, event.t_cross, event.transition,
-                    event.t_early, event.t_late,
-                )
-            prov = prev.provenance.get((name, direction))
-            if prov is not None:
-                self.prov_overrides[(name, direction)] = prov
-            row = prev.arc_prov.get((name, direction))
-            if row is not None:
-                self.aprov_row[d, net] = row
+        for d in (0, 1):
+            self.valid[d, net] = prev.valid[d, net]
+            self.ev_tc[d, net] = prev.ev_tc[d, net]
+            self.ev_tr[d, net] = prev.ev_tr[d, net]
+            self.ev_te[d, net] = prev.ev_te[d, net]
+            self.ev_tl[d, net] = prev.ev_tl[d, net]
+            self.win_arc[d, net] = prev.win_arc[d, net]
+            self.win_prov_dir[d, net] = prev.win_prov_dir[d, net]
+            self.win_coupled[d, net] = prev.win_coupled[d, net]
+            self.aprov_row[d, net] = prev.aprov_row[d, net]
+            self._ev_cache.pop((d, net), None)
         self.processed_mask[net] = True

@@ -1,4 +1,4 @@
-"""Timing graph: evaluation order and per-net state.
+"""Timing graph: evaluation order and winning-arc provenance.
 
 The circuit is translated into a DAG (paper, Section 4) whose vertices are
 cell instances.  A combinational cell depends on the drivers of all its
@@ -11,11 +11,9 @@ flip-flops before the logic they launch into.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.circuit.netlist import Cell, Circuit, NetlistError
-from repro.waveform.pwl import FALLING, RISING
-from repro.waveform.ramp import RampEvent
 
 
 def _dependency_graph(
@@ -105,72 +103,3 @@ class Provenance:
     in_direction: str
     coupled: bool
     c_active: float
-
-
-@dataclass
-class TimingState:
-    """Mutable per-pass timing data.
-
-    ``events`` holds the worst-case ramp event per (net, direction) at the
-    *driver output* (wire delay is added when a sink consumes the event).
-    ``processed`` marks nets whose events are final for this pass --
-    the "calculated" predicate of the one-step pseudo-code.
-    ``arc_prov`` maps each winning (net, direction) event to its row in
-    the propagator's :class:`~repro.core.provenance.ProvenanceLedger`
-    (absent when the ledger is disabled).
-    """
-
-    events: dict[str, dict[str, RampEvent | None]] = field(default_factory=dict)
-    processed: set[str] = field(default_factory=set)
-    provenance: dict[tuple[str, str], Provenance] = field(default_factory=dict)
-    arc_prov: dict[tuple[str, str], int] = field(default_factory=dict)
-
-    def ensure_net(self, net_name: str) -> dict[str, RampEvent | None]:
-        slot = self.events.get(net_name)
-        if slot is None:
-            slot = {RISING: None, FALLING: None}
-            self.events[net_name] = slot
-        return slot
-
-    def event(self, net_name: str, direction: str) -> RampEvent | None:
-        slot = self.events.get(net_name)
-        if slot is None:
-            return None
-        return slot.get(direction)
-
-    def quiet_time(self, net_name: str, direction: str) -> float:
-        """Time after which the net is quiet for ``direction`` transitions,
-        assuming the net has been calculated: the merged event's ``t_late``,
-        or minus infinity if the net never transitions that way."""
-        event = self.event(net_name, direction)
-        if event is None:
-            return float("-inf")
-        return event.t_late
-
-    def quiet_snapshot(self) -> dict[tuple[str, str], float]:
-        """Per-(net, direction) quiescent times -- what the iterative
-        algorithm stores between passes ("store quiescent times for each
-        wire")."""
-        snapshot: dict[tuple[str, str], float] = {}
-        for net_name, slot in self.events.items():
-            for direction, event in slot.items():
-                snapshot[(net_name, direction)] = (
-                    event.t_late if event is not None else float("-inf")
-                )
-        return snapshot
-
-    def window_snapshot(self) -> dict[tuple[str, str], tuple[float, float]]:
-        """Per-(net, direction) activity windows ``(t_early, t_late)``.
-
-        A net with no event in a direction can never make that transition:
-        its window is empty (``(+inf, -inf)``).  Used by the two-sided
-        overlap check (an extension of the paper's one-sided comparison).
-        """
-        snapshot: dict[tuple[str, str], tuple[float, float]] = {}
-        for net_name, slot in self.events.items():
-            for direction, event in slot.items():
-                if event is None:
-                    snapshot[(net_name, direction)] = (float("inf"), float("-inf"))
-                else:
-                    snapshot[(net_name, direction)] = (event.t_early, event.t_late)
-        return snapshot

@@ -35,7 +35,6 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
-from repro.core.graph import TimingState
 from repro.core.propagation import PassResult, Propagator
 from repro.flow.design import Design
 from repro.waveform.pwl import FALLING, RISING, opposite
@@ -187,7 +186,7 @@ def run_iterative(
     if current is None:
         with tracer.span("iterative.pass", index=1, full=True):
             t0 = time.perf_counter()
-            current = propagator.run_pass(prev_windows=None)
+            current = propagator.run_pass()
             history.append(
                 IterationRecord(
                     index=1,
@@ -213,7 +212,6 @@ def run_iterative(
             after_pass(1, current)
 
     while len(history) < config.max_iterations:
-        windows = current.state.window_snapshot()
         recalc = None
         if config.esperance and len(history) >= 1:
             recalc = esperance_recalc_cells(
@@ -226,11 +224,7 @@ def run_iterative(
             recalc_cells=len(recalc) if recalc is not None else total_cells,
         ):
             t0 = time.perf_counter()
-            next_pass = propagator.run_pass(
-                prev_windows=windows,
-                recalc_cells=recalc,
-                prev_state=current.state if recalc is not None else None,
-            )
+            next_pass = propagator.run_pass(prev=current.state, recalc_cells=recalc)
             record = IterationRecord(
                 index=len(history) + 1,
                 longest_delay=next_pass.longest_delay,

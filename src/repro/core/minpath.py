@@ -32,11 +32,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Mapping
 
 from repro.circuit.netlist import Cell, Pin
-from repro.core.graph import TimingState, evaluation_order
+from repro.core import columnar
+from repro.core.columnar import DIR_INDEX, ColumnTimingState
+from repro.core.graph import evaluation_order
 from repro.core.modes import ClockAggressorModel, StaConfig
-from repro.core.propagation import EndpointArrival, ideal_ramp_event
+from repro.core.propagation import EndpointArrival, ideal_ramp_event, init_sources
 from repro.flow.design import Design
 from repro.waveform.coupling import CouplingLoad
 from repro.waveform.gatedelay import GateDelayCalculator
@@ -79,7 +82,7 @@ def merge_earliest(a: RampEvent | None, b: RampEvent | None) -> RampEvent | None
 class MinPassResult:
     """Outcome of one min-delay propagation pass."""
 
-    state: TimingState
+    state: ColumnTimingState
     arrivals: list[EndpointArrival] = field(default_factory=list)
     shortest_delay: float = float("inf")
     critical_endpoint: str = ""
@@ -115,13 +118,19 @@ class MinStaResult:
 
 
 class MinPropagator:
-    """Earliest-arrival propagation with helping coupling."""
+    """Earliest-arrival propagation with helping coupling.
+
+    Its passes build the same :class:`ColumnTimingState` as the max
+    analysis; ``compiled`` shares an analyzer's compilation of the
+    design instead of compiling it again.
+    """
 
     def __init__(
         self,
         design: Design,
         config: StaConfig | None = None,
         calculator: GateDelayCalculator | None = None,
+        compiled: columnar.CompiledDesign | None = None,
     ):
         self.design = design
         self.config = config if config is not None else StaConfig()
@@ -129,6 +138,9 @@ class MinPropagator:
             calculator
             if calculator is not None
             else GateDelayCalculator(process=design.process)
+        )
+        self.compiled = (
+            compiled if compiled is not None else columnar.compile_design(design)
         )
         self.order = evaluation_order(design.circuit)
         self._clock_nets = {
@@ -140,21 +152,24 @@ class MinPropagator:
     def run_pass(
         self,
         mode: MinAnalysisMode,
-        prev_windows: dict[tuple[str, str], tuple[float, float]] | None = None,
+        prev_windows: Mapping[tuple[str, str], tuple[float, float]] | None = None,
     ) -> MinPassResult:
-        state = TimingState()
+        state = ColumnTimingState(self.compiled)
         result = MinPassResult(state=state)
-        self._init_sources(state)
+        init_sources(state, self.design, self.config.input_transition)
 
+        net_id = self.compiled.net_id
         for cell in self.order:
             out_net = cell.output_pin.net
             if out_net is None:
                 continue
+            out = net_id[out_net.name]
+            state.present[out] = True
             if cell.is_sequential:
-                self._process_flip_flop(cell, mode, state, prev_windows, result)
+                self._process_flip_flop(cell, out, mode, state, prev_windows, result)
             else:
-                self._process_gate(cell, mode, state, prev_windows, result)
-            state.processed.add(out_net.name)
+                self._process_gate(cell, out, mode, state, prev_windows, result)
+            state.processed_mask[out] = True
 
         self._collect_arrivals(state, result)
         return result
@@ -193,24 +208,17 @@ class MinPropagator:
 
     # -- internals --------------------------------------------------------------
 
-    def _init_sources(self, state: TimingState) -> None:
-        process = self.design.process
-        tt = self.config.input_transition
-        for port in self.design.circuit.inputs.values():
-            net = port.net
-            if net is None:
-                continue
-            slot = state.ensure_net(net.name)
-            directions = (RISING,) if net.is_clock else (RISING, FALLING)
-            for direction in directions:
-                slot[direction] = ideal_ramp_event(
-                    direction, 0.0, tt, process.vdd, process.v_th_model
-                )
-            state.processed.add(net.name)
+    @staticmethod
+    def _merge(state: ColumnTimingState, out: int, event: RampEvent) -> None:
+        """Fold ``event`` into net ``out``'s earliest envelope."""
+        d = DIR_INDEX[event.direction]
+        merged = merge_earliest(state.event_at(d, out), event)
+        state.set_event(
+            d, out, merged.t_cross, merged.transition, merged.t_early, merged.t_late
+        )
 
-    def _process_gate(self, cell: Cell, mode, state, prev_windows, result) -> None:
+    def _process_gate(self, cell: Cell, out, mode, state, prev_windows, result) -> None:
         out_net = cell.output_pin.net
-        out_slot = state.ensure_net(out_net.name)
         for pin in cell.input_pins:
             in_net = pin.net
             if in_net is None:
@@ -223,14 +231,13 @@ class MinPropagator:
                 out_event = self._compute_output_event(
                     cell, pin.name, event, out_net.name, mode, state, prev_windows, result
                 )
-                out_slot[out_event.direction] = merge_earliest(
-                    out_slot[out_event.direction], out_event
-                )
+                self._merge(state, out, out_event)
 
-    def _process_flip_flop(self, cell: Cell, mode, state, prev_windows, result) -> None:
+    def _process_flip_flop(
+        self, cell: Cell, out, mode, state, prev_windows, result
+    ) -> None:
         process = self.design.process
         out_net = cell.output_pin.net
-        out_slot = state.ensure_net(out_net.name)
         clk_net = cell.pins["CLK"].net
         clk_event = None
         if clk_net is not None:
@@ -253,9 +260,7 @@ class MinPropagator:
             out_event = self._compute_output_event(
                 cell, "A", internal, out_net.name, mode, state, prev_windows, result
             )
-            out_slot[out_event.direction] = merge_earliest(
-                out_slot[out_event.direction], out_event
-            )
+            self._merge(state, out, out_event)
 
     def _compute_output_event(
         self, cell, pin_name, arrival, out_net_name, mode, state, prev_windows, result
@@ -332,8 +337,9 @@ class MinPropagator:
             and self.config.clock_model is ClockAggressorModel.ALWAYS
         ):
             return float("-inf"), float("inf")
-        if net_name in state.processed:
-            event = state.event(net_name, direction)
+        net = self.compiled.net_id.get(net_name)
+        if net is not None and state.processed_mask[net]:
+            event = state.event_at(DIR_INDEX[direction], net)
             if event is None:
                 return float("inf"), float("-inf")
             return event.t_early, event.t_late
@@ -341,7 +347,9 @@ class MinPropagator:
             return prev_windows.get((net_name, direction), (float("inf"), float("-inf")))
         return float("-inf"), float("inf")
 
-    def _collect_arrivals(self, state: TimingState, result: MinPassResult) -> None:
+    def _collect_arrivals(
+        self, state: ColumnTimingState, result: MinPassResult
+    ) -> None:
         for endpoint in self.design.circuit.timing_endpoints():
             net = endpoint.net
             if net is None:

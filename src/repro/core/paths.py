@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.circuit.netlist import Circuit, Pin
-from repro.core.graph import TimingState
 from repro.core.propagation import PassResult
 from repro.waveform.ramp import RampEvent
 from repro.errors import InputError

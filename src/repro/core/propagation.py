@@ -70,19 +70,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 
 from repro.circuit.netlist import Cell, Pin
 from repro.core import columnar
-from repro.core.columnar import (
-    DIR_INDEX,
-    DIRECTIONS,
-    ColumnTimingState,
-    WindowSnapshotView,
-)
-from repro.core.graph import TimingState
+from repro.core.columnar import DIR_INDEX, DIRECTIONS, ColumnTimingState
 from repro.core.modes import (
     AnalysisMode,
     ClockAggressorModel,
@@ -121,7 +114,7 @@ class EndpointArrival:
 class PassResult:
     """Outcome of one propagation pass."""
 
-    state: TimingState | ColumnTimingState
+    state: ColumnTimingState
     arrivals: list[EndpointArrival] = field(default_factory=list)
     longest_delay: float = 0.0
     critical_endpoint: str = ""
@@ -164,6 +157,35 @@ def ideal_ramp_event(
         t_early=t_start + transition * v_th / vdd,
         t_late=t_start + transition * (vdd - v_th) / vdd,
     )
+
+
+def init_sources(
+    state: ColumnTimingState, design: Design, input_transition: float
+) -> None:
+    """Seed a pass's primary inputs with ideal ramps at ``t = 0`` and
+    mark them calculated: the clock launches a rising edge only, data
+    inputs may make either transition."""
+    process = design.process
+    net_id = state.compiled.net_id
+    for port in design.circuit.inputs.values():
+        net = port.net
+        if net is None:
+            continue
+        i = net_id[net.name]
+        directions = (RISING,) if net.is_clock else (RISING, FALLING)
+        for direction in directions:
+            event = ideal_ramp_event(
+                direction, 0.0, input_transition, process.vdd, process.v_th_model
+            )
+            state.set_event(
+                DIR_INDEX[direction],
+                i,
+                event.t_cross,
+                event.transition,
+                event.t_early,
+                event.t_late,
+            )
+        state.processed_mask[i] = True
 
 
 # Decided coupling treatment of the non-window modes (the window-based
@@ -293,7 +315,6 @@ class Propagator:
         self._s_indir = cp.arc_in_dir.tolist()
         self._s_outd = (1 - cp.arc_in_dir).tolist()
         self._s_out = cp.arc_out_net.tolist()
-        self._s_outname = [cp.net_names[i] for i in self._s_out]
         self._s_windowed_l = self._s_windowed.tolist()
         self._tokens: list[str | None] = [None] * n
         self._s_cfix = cp.net_c_fixed.tolist()
@@ -360,17 +381,17 @@ class Propagator:
             self._tokens[a] = token
         return token
 
-    def _decide(self, a, ts, best, worst, state, win_prev, prev_windows):
+    def _decide(self, a, ts, best, worst, state, prev):
         """The coupling decision of one windowed arc (paper §5.1):
         ``(n_active, active_sum, passive_sum)`` over its aggressors.
 
         An aggressor may couple when its window can overlap the victim's
         guarded activity window.  Its window is this pass's once its net
         is calculated (``state.processed_mask``), else the previous
-        pass's, else unknown (always switching).  Reads ``state`` only,
-        so the level look-ahead and the wave loop share it.
+        pass's (``prev``), else unknown (always switching).  Reads
+        ``state`` only, so the level look-ahead and the wave loop share
+        it.
         """
-        cp = self.compiled
         guard = self.config.guard
         clock_always = self.config.clock_model is ClockAggressorModel.ALWAYS
         tb_g = (ts + best.t_early) - guard
@@ -391,21 +412,12 @@ class Propagator:
                     tq = state.ev_tl[agg_d, other]
                 else:
                     te, tq = float("inf"), float("-inf")
-            elif win_prev is not None:
-                if (
-                    other >= 0
-                    and win_prev.present[other]
-                    and win_prev.valid[agg_d, other]
-                ):
-                    te = win_prev.ev_te[agg_d, other]
-                    tq = win_prev.ev_tl[agg_d, other]
+            elif prev is not None:
+                if other >= 0 and prev.valid[agg_d, other]:
+                    te = prev.ev_te[agg_d, other]
+                    tq = prev.ev_tl[agg_d, other]
                 else:
                     te, tq = float("inf"), float("-inf")
-            elif prev_windows is not None:
-                te, tq = prev_windows.get(
-                    (cp.coup_name[j], DIRECTIONS[agg_d]),
-                    (float("inf"), float("-inf")),
-                )
             else:
                 te, tq = float("-inf"), float("inf")
             may_couple = tq > tb_g
@@ -513,21 +525,25 @@ class Propagator:
 
     def run_pass(
         self,
-        prev_windows: Mapping[tuple[str, str], tuple[float, float]] | None = None,
+        prev: ColumnTimingState | None = None,
         recalc_cells: set[str] | None = None,
-        prev_state: TimingState | ColumnTimingState | None = None,
     ) -> PassResult:
         """One full level-synchronous propagation.
 
-        ``prev_windows`` supplies stored per-net activity windows
-        (earliest activity, quiescent time) from the previous iterative
-        pass; ``recalc_cells`` (Esperance) restricts waveform
-        recalculation to the given cells, all others copy their previous
-        events from ``prev_state``.  Both are read by id when they come
-        from this propagator's own passes and by name when they come from
-        a checkpoint's plain :class:`TimingState`.
+        ``prev`` is the previous iterative pass's state (one of this
+        propagator's passes, or one restored from a checkpoint over its
+        compiled design): it supplies the stored per-net activity windows
+        (earliest activity, quiescent time).  ``recalc_cells``
+        (Esperance) restricts waveform recalculation to the given cells;
+        every other cell whose net ``prev`` calculated copies its events
+        from ``prev``.
         """
         cp = self.compiled
+        if prev is not None and prev.compiled is not cp:
+            raise EngineError(
+                "previous pass state belongs to another compiled design"
+            )
+        copy_from = prev if recalc_cells is not None else None
         calc = self.calculator
         config = self.config
         n = cp.n_arcs
@@ -548,21 +564,6 @@ class Propagator:
         mode = config.mode
         k_slew = config.slew_degradation_factor
         tgrid = calc.transition_grid
-
-        # Previous-state fast paths (same compiled design -> direct id
-        # indexing; anything else falls back to the mapping protocol).
-        col_prev = (
-            prev_state
-            if isinstance(prev_state, ColumnTimingState)
-            and prev_state.compiled is cp
-            else None
-        )
-        win_prev = (
-            prev_windows.state
-            if isinstance(prev_windows, WindowSnapshotView)
-            and prev_windows.state.compiled is cp
-            else None
-        )
 
         # Per-pass arc columns.
         a_live = np.zeros(n, dtype=bool)
@@ -591,7 +592,7 @@ class Propagator:
             mode=mode.value,
             incremental=recalc_cells is not None,
         ) as pass_span:
-            self._init_sources(state)
+            init_sources(state, self.design, config.input_transition)
             for level_index, level in enumerate(self.levels):
                 with tracer.span(
                     "sta.level", index=level_index, cells=len(level)
@@ -605,18 +606,11 @@ class Propagator:
                     for record in records:
                         cell, oi, b, e, is_ff = record
                         if (
-                            recalc_cells is not None
+                            copy_from is not None
                             and cell.name not in recalc_cells
-                            and prev_state is not None
-                            and (
-                                bool(col_prev.processed_mask[oi])
-                                if col_prev is not None
-                                else self._s_outname[b] in prev_state.processed
-                                if b < e
-                                else cp.net_names[oi] in prev_state.processed
-                            )
+                            and copy_from.processed_mask[oi]
                         ):
-                            state.copy_net_from(prev_state, oi)
+                            state.copy_net_from(copy_from, oi)
                             continue
                         state.present[oi] = True
                         active_records.append(record)
@@ -798,8 +792,7 @@ class Propagator:
                                     a_best[a],
                                     a_worst[a],
                                     state,
-                                    win_prev,
-                                    prev_windows,
+                                    prev,
                                 )
                                 if not n_active:
                                     continue
@@ -843,8 +836,7 @@ class Propagator:
                                     best,
                                     a_worst[a],
                                     state,
-                                    win_prev,
-                                    prev_windows,
+                                    prev,
                                 )
                                 self._a_kind[a] = "overlap" if n_active else "quiet"
                                 self._a_agga[a] = n_active
@@ -961,10 +953,6 @@ class Propagator:
                                 state.win_prov_dir[d, out] = a_prov_dir[a]
                                 if row is not None:
                                     state.aprov_row[d, out] = row
-                                if state.prov_overrides:
-                                    state.prov_overrides.pop(
-                                        (self._s_outname[a], DIRECTIONS[d]), None
-                                    )
                             if a_eval[a]:
                                 result.dirty_arcs += 1
                             else:
@@ -1064,30 +1052,6 @@ class Propagator:
         a_prov_dir[b:e] = DIR_INDEX[clk_arrival.direction]
         for a in range(b, e):
             ts_l[a] = ts
-
-    # -- sources ---------------------------------------------------------------
-
-    def _init_sources(self, state: TimingState) -> None:
-        process = self.design.process
-        tt = self.config.input_transition
-        circuit = self.design.circuit
-        for port in circuit.inputs.values():
-            net = port.net
-            if net is None:
-                continue
-            slot = state.ensure_net(net.name)
-            if net.is_clock:
-                # Launch edge only: the clock rises at t = 0.
-                slot[RISING] = ideal_ramp_event(
-                    RISING, 0.0, tt, process.vdd, process.v_th_model
-                )
-            else:
-                # Data inputs may make either transition at t = 0.
-                for direction in (RISING, FALLING):
-                    slot[direction] = ideal_ramp_event(
-                        direction, 0.0, tt, process.vdd, process.v_th_model
-                    )
-            state.processed.add(net.name)
 
     # -- coupling waves ----------------------------------------------------------
 

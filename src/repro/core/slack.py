@@ -43,7 +43,6 @@ import numpy as np
 from repro.circuit.netlist import Circuit, Pin
 from repro.core.constraints import ConstraintReport, check_setup
 from repro.core.explain import _exact_increment
-from repro.core import columnar
 from repro.core.columnar import DIR_INDEX, DIRECTIONS, ColumnTimingState
 from repro.core.paths import endpoint_net_name, k_worst_paths
 from repro.core.propagation import PassResult
@@ -233,10 +232,7 @@ def compute_slack(
     """Run the backward required-time pass against a finished analysis.
 
     ``result`` is a :class:`~repro.core.analyzer.StaResult` or a bare
-    :class:`~repro.core.propagation.PassResult`.  A plain
-    :class:`~repro.core.graph.TimingState` (a pass restored from an
-    iterative checkpoint) is first loaded into columns over the design's
-    compilation.
+    :class:`~repro.core.propagation.PassResult`.
     """
     if clock_period <= 0:
         raise InputError("clock period must be positive")
@@ -245,8 +241,6 @@ def compute_slack(
         raise InputError("result carries no final pass to compute slack from")
     t0 = time.perf_counter()
     state = pass_result.state
-    if not isinstance(state, ColumnTimingState):
-        state = ColumnTimingState.from_state(columnar.compile_design(design), state)
     report = check_setup(pass_result, clock_period, setup_time)
     seeds = _seed_required(design, pass_result, report)
     net_required, arc_slack = _sweep(state, seeds)

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.circuit.netlist import Cell, Pin
-from repro.core.graph import TimingState
+from repro.core.columnar import ColumnTimingState
 from repro.core.paths import CriticalPath, PathStep
 from repro.devices.mosfet import Mosfet, MosfetParams
 from repro.flow.design import Design
@@ -98,7 +98,7 @@ class PathCircuit:
 def build_path_circuit(
     design: Design,
     path: CriticalPath,
-    state: TimingState,
+    state: ColumnTimingState,
     aggressor_transition: float = 10e-12,
     include_aggressors: bool = True,
     distributed_coupling: bool = False,
@@ -124,7 +124,7 @@ class _PathBuilder:
         self,
         design: Design,
         path: CriticalPath,
-        state: TimingState,
+        state: ColumnTimingState,
         aggressor_transition: float,
         include_aggressors: bool,
         distributed_coupling: bool = False,

@@ -6,6 +6,8 @@
   compared, field by field, with the digest recorded when the file was
   written -- so checkpoints already on disk keep resuming to the same
   numbers, provenance and explain payload.
+* Round trip: a pass state encoded and decoded again equals the original
+  column for column.
 * Live interruptions: ``small`` with Esperance + OVERLAP runs three
   passes.  Interrupted after pass 1 or pass 2 and resumed, it must give
   the uninterrupted run's delays, arrivals and slacks.  Work counters and
@@ -19,9 +21,11 @@ from __future__ import annotations
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from repro.core.analyzer import CrosstalkSTA
+from repro.core.checkpoint import _decode_pass, _encode_pass
 from repro.core.modes import AnalysisMode, StaConfig, WindowCheck
 from tests.golden.make_checkpoints import (
     CHECKPOINT_DIR,
@@ -84,3 +88,33 @@ def test_small_resumes_like_uninterrupted(passes, small_uninterrupted, tmp_path)
     assert [p["delay"] for p in got["passes"]] == [
         p["delay"] for p in want["passes"]
     ]
+
+
+@pytest.mark.parametrize("design_name", ["s27", "small"])
+def test_pass_state_round_trips_through_checkpoint(design_name):
+    """Every column a resumed pass reads comes back bit for bit; each
+    winner's arc id is recovered from its stored provenance (flip-flop
+    winners included)."""
+    design = build_design(design_name)
+    sta = CrosstalkSTA(design, StaConfig(**LIVE_CONFIG))
+    final = sta.run().final_pass
+    raw = json.loads(json.dumps(_encode_pass(final)))
+    decoded = _decode_pass(raw, sta.compiled_design())
+    state, back = final.state, decoded.state
+    winners = state.win_arc[state.win_arc >= 0]
+    assert state.compiled.arc_is_ff[winners].any(), "no flip-flop winner"
+    for column in (
+        "present",
+        "valid",
+        "processed_mask",
+        "win_arc",
+        "win_prov_dir",
+        "win_coupled",
+        "aprov_row",
+    ):
+        np.testing.assert_array_equal(getattr(back, column), getattr(state, column))
+    for column in ("ev_tc", "ev_tr", "ev_te", "ev_tl"):
+        np.testing.assert_array_equal(
+            np.where(back.valid, getattr(back, column), 0.0),
+            np.where(state.valid, getattr(state, column), 0.0),
+        )

@@ -4,9 +4,9 @@ import pytest
 
 from repro.circuit import s27
 from repro.circuit.netlist import Circuit, NetlistError
-from repro.core.graph import TimingState, evaluation_order
+from repro.core.columnar import DIR_INDEX, ColumnTimingState, compile_design
+from repro.core.graph import evaluation_order
 from repro.waveform.pwl import FALLING, RISING
-from repro.waveform.ramp import RampEvent
 
 
 class TestEvaluationOrder:
@@ -56,23 +56,34 @@ class TestEvaluationOrder:
 
 
 class TestTimingState:
-    def _event(self, direction, t):
-        return RampEvent(direction, t, 100e-12, t - 40e-12, t + 40e-12)
+    """The pass state (:class:`ColumnTimingState`) over s27's nets."""
 
-    def test_quiet_time_from_event(self):
-        state = TimingState()
-        state.ensure_net("n")[RISING] = self._event(RISING, 1e-9)
-        assert state.quiet_time("n", RISING) == pytest.approx(1.04e-9)
+    @pytest.fixture
+    def state(self, s27_design):
+        return ColumnTimingState(compile_design(s27_design))
 
-    def test_quiet_time_without_event_is_minus_infinity(self):
-        state = TimingState()
-        state.ensure_net("n")
-        assert state.quiet_time("n", FALLING) == float("-inf")
+    def _set_event(self, state, net_name, direction, t):
+        state.set_event(
+            DIR_INDEX[direction],
+            state.compiled.net_id[net_name],
+            t,
+            100e-12,
+            t - 40e-12,
+            t + 40e-12,
+        )
+
+    def test_quiet_time_from_event(self, state):
+        self._set_event(state, "G10", RISING, 1e-9)
+        assert state.quiet_time("G10", RISING) == pytest.approx(1.04e-9)
+
+    def test_quiet_time_without_event_is_minus_infinity(self, state):
+        state.present[state.compiled.net_id["G10"]] = True
+        assert state.quiet_time("G10", FALLING) == float("-inf")
         assert state.quiet_time("unknown", RISING) == float("-inf")
 
-    def test_snapshot_covers_all_directions(self):
-        state = TimingState()
-        state.ensure_net("n")[RISING] = self._event(RISING, 1e-9)
+    def test_snapshot_covers_all_directions(self, state):
+        self._set_event(state, "G10", RISING, 1e-9)
         snapshot = state.quiet_snapshot()
-        assert snapshot[("n", RISING)] == pytest.approx(1.04e-9)
-        assert snapshot[("n", FALLING)] == float("-inf")
+        assert snapshot[("G10", RISING)] == pytest.approx(1.04e-9)
+        assert snapshot[("G10", FALLING)] == float("-inf")
+        assert set(snapshot) == {("G10", RISING), ("G10", FALLING)}

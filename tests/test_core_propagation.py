@@ -5,6 +5,7 @@ import pytest
 from repro.core.analyzer import CrosstalkSTA
 from repro.core.modes import AnalysisMode, ClockAggressorModel, StaConfig
 from repro.core.propagation import Propagator, ideal_ramp_event
+from repro.errors import EngineError
 from repro.waveform.pwl import FALLING, RISING
 
 
@@ -39,9 +40,10 @@ class TestPassBasics:
         for name, net in small_design.circuit.nets.items():
             if net.driver is None:
                 continue
-            slot = result.state.events.get(name)
-            assert slot is not None, name
-            assert slot[RISING] is not None or slot[FALLING] is not None, name
+            assert (
+                result.state.event(name, RISING) is not None
+                or result.state.event(name, FALLING) is not None
+            ), name
 
     def test_arrivals_at_every_endpoint(self, small_design):
         propagator = Propagator(small_design, StaConfig(mode=AnalysisMode.BEST_CASE))
@@ -59,10 +61,17 @@ class TestPassBasics:
     def test_event_marker_ordering(self, small_design):
         propagator = Propagator(small_design, StaConfig(mode=AnalysisMode.WORST_CASE))
         result = propagator.run_pass()
-        for slot in result.state.events.values():
-            for event in slot.values():
+        for name in small_design.circuit.nets:
+            for direction in (RISING, FALLING):
+                event = result.state.event(name, direction)
                 if event is not None:
                     assert event.t_early <= event.t_cross <= event.t_late
+
+    def test_prev_from_another_compiled_design_rejected(self, small_design):
+        config = StaConfig(mode=AnalysisMode.ITERATIVE)
+        first = Propagator(small_design, config).run_pass()
+        with pytest.raises(EngineError, match="another compiled design"):
+            Propagator(small_design, config).run_pass(prev=first.state)
 
     def test_deterministic(self, small_design):
         config = StaConfig(mode=AnalysisMode.ONE_STEP)

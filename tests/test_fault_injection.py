@@ -18,7 +18,6 @@ from repro.core.checkpoint import CheckpointManager
 from repro.core.iterative import run_iterative
 from repro.core.modes import AnalysisMode, StaConfig
 from repro.core.propagation import PassResult, Propagator
-from repro.core.graph import TimingState
 from repro.errors import (
     AnalysisInterrupted,
     CacheError,
@@ -227,24 +226,26 @@ class TestCacheResilience:
 class TestCheckpointResume:
     CONFIG = dict(mode=AnalysisMode.ITERATIVE, max_iterations=6)
 
-    def _iterative(self, design, checkpoint=None, after_pass=None):
+    def _iterative(self, design, path=None, fingerprint="s27-test", after_pass=None):
+        """Run the iterative analysis on a fresh propagator, checkpointed
+        to ``path`` when given (the manager serves that propagator)."""
         calc = GateDelayCalculator(process=design.process)
         propagator = Propagator(
             design, StaConfig(**self.CONFIG), calc, obs=Observability.disabled()
+        )
+        checkpoint = (
+            CheckpointManager(path, propagator, fingerprint=fingerprint)
+            if path is not None
+            else None
         )
         return run_iterative(propagator, checkpoint=checkpoint, after_pass=after_pass)
 
     def test_interrupt_then_resume_bit_identical(self, s27_design, tmp_path):
         reference = self._iterative(s27_design)
         path = str(tmp_path / "ck.json")
-        manager = CheckpointManager(path, fingerprint="s27-test")
         with pytest.raises(AnalysisInterrupted):
-            self._iterative(
-                s27_design, checkpoint=manager, after_pass=interrupt_after_pass(1)
-            )
-        resumed = self._iterative(
-            s27_design, checkpoint=CheckpointManager(path, fingerprint="s27-test")
-        )
+            self._iterative(s27_design, path, after_pass=interrupt_after_pass(1))
+        resumed = self._iterative(s27_design, path)
         assert resumed.final.longest_delay == reference.final.longest_delay
         assert resumed.final.arrival_map() == reference.final.arrival_map()
         assert [r.longest_delay for r in resumed.history] == [
@@ -253,8 +254,7 @@ class TestCheckpointResume:
 
     def test_converged_checkpoint_returns_without_passes(self, s27_design, tmp_path):
         path = str(tmp_path / "ck.json")
-        manager = CheckpointManager(path, fingerprint="s27-test")
-        finished = self._iterative(s27_design, checkpoint=manager)
+        finished = self._iterative(s27_design, path)
         calc = GateDelayCalculator(process=s27_design.process)
         propagator = Propagator(
             s27_design,
@@ -263,7 +263,8 @@ class TestCheckpointResume:
             obs=Observability.disabled(),
         )
         again = run_iterative(
-            propagator, checkpoint=CheckpointManager(path, fingerprint="s27-test")
+            propagator,
+            checkpoint=CheckpointManager(path, propagator, fingerprint="s27-test"),
         )
         assert again.final.longest_delay == finished.final.longest_delay
         assert calc.evaluations == 0, "resume of a converged run re-ran passes"
@@ -271,15 +272,10 @@ class TestCheckpointResume:
     def test_corrupt_checkpoint_quarantined_and_restarted(self, s27_design, tmp_path):
         reference = self._iterative(s27_design)
         path = str(tmp_path / "ck.json")
-        manager = CheckpointManager(path, fingerprint="s27-test")
         with pytest.raises(AnalysisInterrupted):
-            self._iterative(
-                s27_design, checkpoint=manager, after_pass=interrupt_after_pass(1)
-            )
+            self._iterative(s27_design, path, after_pass=interrupt_after_pass(1))
         corrupt_file(path, mode="truncate")
-        restarted = self._iterative(
-            s27_design, checkpoint=CheckpointManager(path, fingerprint="s27-test")
-        )
+        restarted = self._iterative(s27_design, path)
         assert restarted.final.longest_delay == reference.final.longest_delay
         assert (tmp_path / "ck.json.bad").exists()
 
@@ -288,13 +284,12 @@ class TestCheckpointResume:
         with pytest.raises(AnalysisInterrupted):
             self._iterative(
                 s27_design,
-                checkpoint=CheckpointManager(path, fingerprint="config-A"),
+                path,
+                fingerprint="config-A",
                 after_pass=interrupt_after_pass(1),
             )
         reference = self._iterative(s27_design)
-        other = self._iterative(
-            s27_design, checkpoint=CheckpointManager(path, fingerprint="config-B")
-        )
+        other = self._iterative(s27_design, path, fingerprint="config-B")
         assert other.final.longest_delay == reference.final.longest_delay
         assert other.passes == reference.passes
 
@@ -325,10 +320,11 @@ class _FakePropagator:
         self.order = []
         self.obs = Observability.disabled()
 
-    def run_pass(self, prev_windows=None, recalc_cells=None, prev_state=None):
+    def run_pass(self, prev=None, recalc_cells=None):
         delay = self.delays[self.calls]
         self.calls += 1
-        return PassResult(state=TimingState(), longest_delay=delay)
+        # The loop only hands a pass's state back as the next ``prev``.
+        return PassResult(state=None, longest_delay=delay)
 
 
 class TestOscillationGuard:

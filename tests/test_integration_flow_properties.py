@@ -81,8 +81,9 @@ class TestFlowInvariants:
     def test_event_marker_sanity_on_random_circuits(self, spec):
         design = prepare_design(generate_circuit(spec))
         result = Propagator(design, StaConfig(mode=AnalysisMode.ONE_STEP)).run_pass()
-        for slot in result.state.events.values():
-            for event in slot.values():
+        for name in design.circuit.nets:
+            for direction in (RISING, FALLING):
+                event = result.state.event(name, direction)
                 if event is None:
                     continue
                 assert event.t_early <= event.t_cross <= event.t_late

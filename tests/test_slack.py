@@ -174,15 +174,17 @@ class TestConstraintConfig:
         assert without.worst_slack is None
 
     def test_checkpoint_state_loads_into_columns(self, design, tmp_path):
-        """A run resumed from a converged checkpoint carries a plain
-        TimingState; the sweep loads it into columns and reproduces the
-        digests of the uninterrupted run."""
+        """A run resumed from a converged checkpoint carries a state
+        decoded straight into the resuming analyzer's columns; the sweep
+        reproduces the digests of the uninterrupted run."""
         config = StaConfig(
             mode=AnalysisMode.ITERATIVE, checkpoint=str(tmp_path / "run.ckpt")
         )
         CrosstalkSTA(design, config).run()
-        resumed = CrosstalkSTA(design, config).run()
-        assert not hasattr(resumed.final_pass.state, "compiled")
+        sta = CrosstalkSTA(design, config)
+        resumed = sta.run()
+        assert resumed.history and sta.calculator.evaluations == 0
+        assert resumed.final_pass.state.compiled is sta.compiled_design()
         golden = load_golden()["s27/iterative"]["slack"]
         for label, period in SLACK_PERIODS.items():
             slack = compute_slack(design, resumed, period)
