@@ -97,9 +97,11 @@ def _encode_pass(result: PassResult) -> dict:
         "processed": sorted(
             names[net] for net in np.nonzero(state.processed_mask)[0]
         ),
+        # Format 2 ends each provenance entry with an active coupling
+        # capacitance that no reader uses; it is written as zero.
         "provenance": [
             [net, direction, p.cell, p.in_pin, p.in_net, p.in_direction,
-             bool(p.coupled), _hex(p.c_active)]
+             bool(p.coupled), _hex(0.0)]
             for (net, direction), p in state.provenance.items()
         ],
         "arc_prov": [

@@ -252,7 +252,6 @@ class _ProvenanceView(Mapping):
             in_net=compiled.arc_prov_net[arc],
             in_direction=DIRECTIONS[state.win_prov_dir[d, net]],
             coupled=bool(state.win_coupled[d, net]),
-            c_active=0.0,
         )
 
     def __getitem__(self, key) -> Provenance:

@@ -102,4 +102,3 @@ class Provenance:
     in_net: str
     in_direction: str
     coupled: bool
-    c_active: float
