@@ -168,9 +168,9 @@ class TestColumnarCoreEquivalence:
         assert _golden(s27_design, f"s27/{variant}", result) == []
 
     def test_checkpoint_cross_core_resume(self, s27_design, tmp_path):
-        """A checkpoint stores plain object-layout states; a run resumed
-        from it reproduces every digest, the slack sweep over the
-        restored state included."""
+        """A checkpoint stores each pass by name and decodes into the
+        resuming analyzer's columns; a run resumed from it reproduces
+        every digest, the slack sweep over the restored state included."""
         config = StaConfig(
             **VARIANTS["iterative"], checkpoint=str(tmp_path / "run.ckpt")
         )
