@@ -15,6 +15,12 @@ min-delay mode (:class:`~repro.core.minpath.MinAnalysisMode`) with the
 shortest delay, the critical endpoint, every endpoint arrival, the pass
 and waveform-evaluation counts and the hold slacks at ``HOLD_TIME``.
 
+Also writes ``tests/golden/routing.json``: per routing design, a sha256
+over every wire segment (net-name order) and the overflow count of two
+routings -- the full :func:`~repro.layout.routing.route` and
+:func:`~repro.flow.repair.respace_nets` of the design's four
+most-coupled nets.  Every coupling capacitance comes from this geometry.
+
 The committed digests were recorded while the analyzer still offered an
 object-graph propagation core and a scalar waveform engine beside the
 columnar core and the batch engine: every entry was computed on all four
@@ -38,6 +44,8 @@ GOLDEN_PATH = HERE / "propagation.json"
 SCHEMA = "repro.golden-propagation/1"
 MIN_GOLDEN_PATH = HERE / "minpath.json"
 MIN_SCHEMA = "repro.golden-minpath/1"
+ROUTING_GOLDEN_PATH = HERE / "routing.json"
+ROUTING_SCHEMA = "repro.golden-routing/1"
 
 if __name__ == "__main__":
     sys.path.insert(0, str(HERE.parent.parent / "src"))
@@ -45,6 +53,7 @@ if __name__ == "__main__":
 from repro.circuit import s27  # noqa: E402
 from repro.circuit.generators import (  # noqa: E402
     S35932_SPEC,
+    S38584_SPEC,
     GeneratorSpec,
     generate_circuit,
 )
@@ -53,7 +62,8 @@ from repro.core.constraints import check_hold  # noqa: E402
 from repro.core.minpath import MinAnalysisMode, MinPropagator  # noqa: E402
 from repro.core.modes import AnalysisMode, StaConfig, WindowCheck  # noqa: E402
 from repro.core.slack import compute_slack  # noqa: E402
-from repro.flow import prepare_design  # noqa: E402
+from repro.flow import prepare_design, respace_nets  # noqa: E402
+from repro.layout.routing import route  # noqa: E402
 
 # The ``small_design`` test fixture: ~120 cells, 8 levels, up to 7
 # coupling waves in one level.
@@ -68,6 +78,20 @@ SMALL_SPEC = GeneratorSpec(
 )
 
 DESIGNS = ("s27", "small", "s35932")
+
+# Generated designs of the routing digests: the Table 1 and Table 3
+# stand-ins at two scales and two seeds each.
+ROUTING_GENERATED = {
+    f"{name}-{scale}-seed{seed}": dataclasses.replace(spec.scaled(scale), seed=seed)
+    for name, spec in (("s35932", S35932_SPEC), ("s38584", S38584_SPEC))
+    for scale in (0.01, 0.03)
+    for seed in (1, 7)
+}
+ROUTING_DESIGNS = ("s27", "small", *ROUTING_GENERATED)
+ROUTINGS = ("route", "respace")
+
+# Nets ``respace`` re-routes with shield spacing: the most-coupled ones.
+RESPACE_NETS = 4
 
 # Clock periods of the slack digests: all of s27's endpoints meet the
 # first and most violate the second.
@@ -108,6 +132,8 @@ def build_design(name: str):
     if name == "s35932":
         spec = dataclasses.replace(S35932_SPEC.scaled(0.01), seed=1000)
         return prepare_design(generate_circuit(spec))
+    if name in ROUTING_GENERATED:
+        return prepare_design(generate_circuit(ROUTING_GENERATED[name]))
     raise KeyError(name)
 
 
@@ -196,6 +222,33 @@ def min_digest(result) -> dict:
     }
 
 
+def run_routing(design, routing: str):
+    """One routing of a design: the full route or a respace of the
+    design's most-coupled nets (chosen from the extraction alone)."""
+    if routing == "route":
+        return route(design.circuit, design.placement, design.technology)
+    if routing == "respace":
+        loads = sorted(
+            design.loads.values(), key=lambda load: (-load.c_coupling_total, load.net)
+        )
+        victims = [load.net for load in loads[:RESPACE_NETS]]
+        return respace_nets(design, victims).routing
+    raise KeyError(routing)
+
+
+def routing_digest(routing) -> dict:
+    """Every golden fingerprint of one routing."""
+    segments = (
+        f"{seg.net}|{seg.layer}|{seg.track}|{float(seg.lo).hex()}|{float(seg.hi).hex()}"
+        for name in sorted(routing.routes)
+        for seg in routing.routes[name].segments()
+    )
+    return {
+        "segments_sha256": hashlib.sha256("\n".join(segments).encode()).hexdigest(),
+        "overflow_count": routing.overflow_count,
+    }
+
+
 def load_golden(path: Path = GOLDEN_PATH) -> dict:
     return json.loads(path.read_text())["entries"]
 
@@ -235,6 +288,18 @@ def record_min() -> dict:
     return entries
 
 
+def record_routing() -> dict:
+    """Digest every routing design x routing."""
+    entries: dict[str, dict] = {}
+    for name in ROUTING_DESIGNS:
+        design = build_design(name)
+        for routing in ROUTINGS:
+            key = f"{name}/{routing}"
+            entries[key] = routing_digest(run_routing(design, routing))
+            print(f"{key}: {entries[key]['segments_sha256'][:16]}", flush=True)
+    return entries
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -245,9 +310,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     entries = record()
     min_entries = record_min()
+    routing_entries = record_routing()
     if args.check:
         stale = []
-        for path, got in ((GOLDEN_PATH, entries), (MIN_GOLDEN_PATH, min_entries)):
+        for path, got in (
+            (GOLDEN_PATH, entries),
+            (MIN_GOLDEN_PATH, min_entries),
+            (ROUTING_GOLDEN_PATH, routing_entries),
+        ):
             for key, value in sorted(load_golden(path).items()):
                 if got.get(key) != value:
                     print(f"FAIL: {key} differs from {path.name}", file=sys.stderr)
@@ -267,6 +337,11 @@ def main(argv: list[str] | None = None) -> int:
         json.dumps(min_payload, indent=1, sort_keys=True) + "\n"
     )
     print(f"wrote {len(min_entries)} entries to {MIN_GOLDEN_PATH}")
+    routing_payload = {"schema": ROUTING_SCHEMA, "entries": routing_entries}
+    ROUTING_GOLDEN_PATH.write_text(
+        json.dumps(routing_payload, indent=1, sort_keys=True) + "\n"
+    )
+    print(f"wrote {len(routing_entries)} entries to {ROUTING_GOLDEN_PATH}")
     return 0
 
 
