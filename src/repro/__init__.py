@@ -54,7 +54,6 @@ from repro.core import (
 from repro.flow import (
     Design,
     prepare_design,
-    repair_crosstalk,
     repair_session,
     respace_nets,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "minimum_period",
     "prepare_design",
     "rank_crosstalk_nets",
-    "repair_crosstalk",
     "repair_session",
     "respace_nets",
     "s27",

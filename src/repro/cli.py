@@ -287,64 +287,47 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_repair(args: argparse.Namespace) -> int:
-    """Crosstalk repair: slack-driven optimizer or legacy spacing rounds.
+    """Slack-driven crosstalk repair over a warm in-process session.
 
-    With ``--clock-period`` the autonomous optimizer runs over a warm
-    in-process session: victims ranked by true slack x coupling
-    exposure, candidates evaluated through the incremental what-if path,
-    only strict worst-slack improvements committed.  Without it, the
-    historical fixed-round respace loop runs.
+    Victims are ranked by true slack x coupling exposure, candidates are
+    evaluated through the incremental what-if path, and only strict
+    worst-slack improvements are committed.  Needs ``--clock-period``:
+    without a clock there is no slack to repair.
     """
+    from repro.flow.optimizer import format_repair
+    from repro.service.session import Session
+
     circuit = _resolve_circuit(args.netlist, args.scale)
     design = prepare_design(circuit)
+    config = StaConfig(
+        mode=AnalysisMode(args.mode),
+        clock_period=args.clock_period,
+        setup_time=args.setup_time,
+        hold_time=args.hold_time,
+    )
+    session = Session(
+        session_id="cli",
+        spec=args.netlist,
+        design=design,
+        config=config,
+        obs=Observability.disabled(),
+        scale=args.scale,
+    )
+    transcript = session.repair(
+        target_slack=args.target_slack,
+        max_edits=args.max_edits,
+        beam=args.beam,
+        guard_tracks=args.guard_tracks,
+        dont_touch=args.dont_touch,
+        cold_verify=not args.no_verify,
+    )
+    if args.json:
+        from repro.core.export import save_json
 
-    if args.clock_period is not None:
-        from repro.flow.optimizer import format_repair
-        from repro.service.session import Session
-
-        config = StaConfig(
-            mode=AnalysisMode(args.mode),
-            clock_period=args.clock_period,
-            setup_time=args.setup_time,
-            hold_time=args.hold_time,
-        )
-        session = Session(
-            session_id="cli",
-            spec=args.netlist,
-            design=design,
-            config=config,
-            obs=Observability.disabled(),
-            scale=args.scale,
-        )
-        transcript = session.repair(
-            target_slack=args.target_slack,
-            max_edits=args.max_edits,
-            beam=args.beam,
-            guard_tracks=args.guard_tracks,
-            dont_touch=args.dont_touch,
-            cold_verify=not args.no_verify,
-        )
-        if args.json:
-            from repro.core.export import save_json
-
-            save_json(transcript, args.json)
-            logger.info("wrote repair transcript to %s", args.json)
-        print(format_repair(transcript))
-        return 0 if transcript["final"]["met"] else 1
-
-    from repro.flow import repair_crosstalk
-
-    current = design
-    for round_index in range(1, args.rounds + 1):
-        outcome = repair_crosstalk(
-            current, top=args.top, guard_tracks=args.guard_tracks
-        )
-        print(f"round {round_index}: {outcome.summary()}")
-        current = outcome.design
-        if outcome.improvement <= 0:
-            print("no further improvement; stopping")
-            break
-    return 0
+        save_json(transcript, args.json)
+        logger.info("wrote repair transcript to %s", args.json)
+    print(format_repair(transcript))
+    return 0 if transcript["final"]["met"] else 1
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -633,12 +616,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     repair = sub.add_parser(
         "repair",
-        help="repair crosstalk: slack-driven optimizer (--clock-period) or "
-        "legacy respace rounds",
+        help="repair crosstalk: slack-driven optimizer (needs --clock-period)",
     )
     _add_netlist_args(repair)
-    repair.add_argument("--top", type=int, default=10, help="legacy mode: victims per round")
-    repair.add_argument("--rounds", type=int, default=1, help="legacy mode: respace rounds")
     repair.add_argument("--guard-tracks", type=int, default=1)
     _add_constraint_args(repair)
     repair.add_argument(
@@ -651,38 +631,38 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         metavar="SECONDS",
-        help="optimizer: stop once worst slack reaches this value",
+        help="stop once worst slack reaches this value",
     )
     repair.add_argument(
         "--max-edits",
         type=int,
         default=8,
         metavar="N",
-        help="optimizer: committed-edit budget",
+        help="committed-edit budget",
     )
     repair.add_argument(
         "--beam",
         type=int,
         default=3,
         metavar="N",
-        help="optimizer: victims considered per round",
+        help="victims considered per round",
     )
     repair.add_argument(
         "--dont-touch",
         action="append",
         default=None,
         metavar="NET",
-        help="optimizer: never propose edits touching this net (repeatable)",
+        help="never propose edits touching this net (repeatable)",
     )
     repair.add_argument(
         "--no-verify",
         action="store_true",
-        help="optimizer: skip the final cold re-analysis bit-identity check",
+        help="skip the final cold re-analysis bit-identity check",
     )
     repair.add_argument(
         "--json",
         metavar="FILE",
-        help="optimizer: write the repro.repair/1 transcript as JSON",
+        help="write the repro.repair/1 transcript as JSON",
     )
     repair.set_defaults(func=cmd_repair)
 

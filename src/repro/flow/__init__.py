@@ -8,26 +8,18 @@ from repro.flow.optimizer import (
     repair_session,
     validate_repair,
 )
-from repro.flow.repair import (
-    RepairOutcome,
-    adjust_coupling,
-    repair_crosstalk,
-    respace_nets,
-    upsize_drivers,
-)
+from repro.flow.repair import adjust_coupling, respace_nets, upsize_drivers
 
 __all__ = [
     "Design",
     "EDIT_ACTIONS",
     "NetLoad",
     "REPAIR_SCHEMA",
-    "RepairOutcome",
     "adjust_coupling",
     "apply_edit",
     "edit_nets",
     "format_repair",
     "prepare_design",
-    "repair_crosstalk",
     "repair_session",
     "respace_nets",
     "upsize_drivers",

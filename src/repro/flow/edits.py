@@ -15,10 +15,9 @@ when the client asked to commit, so a failed edit or analysis rolls back
 by simply dropping the copy.
 
 Every consumer -- the service's transactional ``whatif``, the repair
-optimizer's candidate proposals, and the batch ``repair_crosstalk``
-round -- goes through :func:`apply_edit`, so the edit vocabulary and its
-validation cannot drift between the flow helpers and the service layer
-(:mod:`repro.service.whatif` re-exports this module for compatibility).
+optimizer's candidate proposals and the fleet's failover replay -- goes
+through :func:`apply_edit`, so the edit vocabulary and its validation
+cannot drift between the flow helpers and the service layer.
 """
 
 from __future__ import annotations

@@ -1,88 +1,36 @@
-"""Crosstalk repair by spacing.
+"""The physical edit primitives behind the ECO vocabulary.
 
-The classic fix for a crosstalk-critical wire is to give it room: route it
-with guard spacing so no neighbour runs on the adjacent tracks.  This
-module re-routes a design with selected victims shielded and rebuilds the
-parasitics, producing a new :class:`~repro.flow.design.Design` whose
-coupling on those nets is (mostly) gone -- at the cost of routing
-resources elsewhere.
-
-Together with :func:`repro.core.netreport.rank_crosstalk_nets` this closes
-the analyze -> rank -> fix -> re-analyze loop.
+Each function builds a new :class:`~repro.flow.design.Design` and leaves
+its source untouched: :func:`respace_nets` re-routes victims with shield
+spacing (the classic fix for a crosstalk-critical wire: no neighbour on
+the adjacent tracks), :func:`adjust_coupling` sets or drops one coupling
+capacitance, and :func:`upsize_drivers` strengthens victim drivers.
+:func:`repro.flow.edits.apply_edit` validates an edit and dispatches to
+these; the repair optimizer (:mod:`repro.flow.optimizer`) closes the
+analyze -> rank -> fix -> re-analyze loop over them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from typing import TYPE_CHECKING
-
 from repro.flow.design import Design, NetLoad, _net_load
-
-if TYPE_CHECKING:  # imported lazily at runtime: repro.core imports repro.flow
-    from repro.core.analyzer import StaResult
-    from repro.core.modes import AnalysisMode
 from repro.layout.extraction import extract
-from repro.layout.routing import reroute_nets, route
+from repro.layout.routing import reroute_nets
 
 
-@dataclass
-class RepairOutcome:
-    """Before/after record of one repair round."""
-
-    repaired_nets: list[str]
-    design: Design
-    before_delay: float
-    after_delay: float
-    before_coupling: dict[str, float] = field(default_factory=dict)
-    after_coupling: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def improvement(self) -> float:
-        return self.before_delay - self.after_delay
-
-    def summary(self) -> str:
-        lines = [
-            f"repaired {len(self.repaired_nets)} nets: "
-            f"{self.before_delay * 1e9:.3f} -> {self.after_delay * 1e9:.3f} ns "
-            f"({self.improvement * 1e12:+.1f} ps)"
-        ]
-        for net in self.repaired_nets:
-            before = self.before_coupling.get(net, 0.0)
-            after = self.after_coupling.get(net, 0.0)
-            lines.append(
-                f"  {net}: C_c {before * 1e15:.2f} -> {after * 1e15:.2f} fF"
-            )
-        return "\n".join(lines)
-
-
-def respace_nets(
-    design: Design,
-    nets: list[str],
-    guard_tracks: int = 1,
-    rip_up_only: bool = True,
-) -> Design:
+def respace_nets(design: Design, nets: list[str], guard_tracks: int = 1) -> Design:
     """Re-route the given nets with shield spacing; placement is kept,
     extraction and loads are rebuilt.
 
-    With ``rip_up_only`` (default) every other net keeps its geometry
-    (local rip-up-and-reroute); otherwise the whole design is re-routed
-    with the victims shielded first, which can perturb unrelated nets.
+    Every other net keeps its geometry (local rip-up-and-reroute).
     """
-    if rip_up_only:
-        routing = reroute_nets(
-            design.circuit,
-            design.placement,
-            design.routing,
-            nets,
-            guard_tracks=guard_tracks,
-            technology=design.technology,
-        )
-    else:
-        guard = {net: guard_tracks for net in nets}
-        routing = route(
-            design.circuit, design.placement, design.technology, guard_nets=guard
-        )
+    routing = reroute_nets(
+        design.circuit,
+        design.placement,
+        design.routing,
+        nets,
+        guard_tracks=guard_tracks,
+        technology=design.technology,
+    )
     extraction = extract(routing, design.technology)
     repaired = Design(
         circuit=design.circuit,
@@ -198,49 +146,3 @@ def upsize_drivers(design: Design, nets: list[str], steps: int = 1) -> Design:
             clone.nets[name].is_clock = True
 
     return prepare_design(clone, design.technology, design.process)
-
-
-def repair_crosstalk(
-    design: Design,
-    sta_result: "StaResult | None" = None,
-    top: int = 10,
-    guard_tracks: int = 1,
-    mode: "AnalysisMode | None" = None,
-) -> RepairOutcome:
-    """One analyze -> rank -> respace -> re-analyze round.
-
-    Picks the ``top`` crosstalk-critical nets of the (possibly supplied)
-    analysis, shields them, and re-runs the same analysis on the repaired
-    design.  The shielding goes through :func:`repro.flow.edits.apply_edit`
-    -- the same edit-application path the service what-if and the repair
-    optimizer use.
-    """
-    from repro.core.analyzer import CrosstalkSTA
-    from repro.core.modes import AnalysisMode as _Mode
-    from repro.core.netreport import rank_crosstalk_nets
-    from repro.flow.edits import apply_edit
-
-    if mode is None:
-        mode = _Mode.ITERATIVE
-    if sta_result is None:
-        sta_result = CrosstalkSTA(design).run(mode)
-    assert sta_result.final_pass is not None
-    exposures = rank_crosstalk_nets(
-        design, sta_result.final_pass, top=top, slack=sta_result.slack
-    )
-    victims = [e.net for e in exposures]
-
-    repaired, _ = apply_edit(
-        design,
-        {"action": "respace", "nets": victims, "guard_tracks": guard_tracks},
-    )
-    after = CrosstalkSTA(repaired).run(mode)  # noqa: F821 (lazy import above)
-
-    return RepairOutcome(
-        repaired_nets=victims,
-        design=repaired,
-        before_delay=sta_result.longest_delay,
-        after_delay=after.longest_delay,
-        before_coupling={n: design.loads[n].c_coupling_total for n in victims},
-        after_coupling={n: repaired.loads[n].c_coupling_total for n in victims},
-    )

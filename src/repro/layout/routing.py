@@ -126,36 +126,19 @@ def route(
     circuit: Circuit,
     placement: Placement,
     technology: Technology | None = None,
-    guard_nets: dict[str, int] | None = None,
 ) -> RoutingResult:
-    """Route every multi-terminal net of the circuit.
-
-    ``guard_nets`` maps net names to a shield spacing in tracks: those
-    nets are routed first and keep that many neighbouring tracks free on
-    both sides (the crosstalk-repair move -- trading routing resources for
-    eliminated coupling).
-    """
+    """Route every multi-terminal net of the circuit."""
     tech = technology if technology is not None else placement.technology
-    guard_nets = guard_nets if guard_nets is not None else {}
     pitch = tech.track_pitch
     grid = _TrackGrid(pitch=pitch, clearance=0.25 * pitch)
     result = RoutingResult()
 
-    # Guarded nets first (they need contiguous free tracks), then short
-    # nets before long so long nets detour around them.
+    # Short nets before long so long nets detour around them.
     nets = [n for n in circuit.nets.values() if n.driver is not None and n.sinks]
-    nets.sort(
-        key=lambda n: (
-            0 if n.name in guard_nets else 1,
-            _span_estimate(n, placement),
-            n.name,
-        )
-    )
+    nets.sort(key=lambda n: (_span_estimate(n, placement), n.name))
 
     for net in nets:
-        result.routes[net.name] = _route_net(
-            net, placement, grid, pitch, guard_nets.get(net.name, 0)
-        )
+        result.routes[net.name] = _route_net(net, placement, grid, pitch)
     result.overflow_count = grid.overflows
     return result
 

@@ -28,10 +28,8 @@ from repro.service.router import FleetRouter, ShardLinkDown
 from repro.service.server import TimingServer, TimingService, serve
 from repro.service.session import Session, SessionManager, design_digest, result_summary
 from repro.service.supervisor import ShardSupervisor
-from repro.service.whatif import EDIT_ACTIONS, apply_edit
 
 __all__ = [
-    "EDIT_ACTIONS",
     "ERR_BAD_REQUEST",
     "ERR_BUSY",
     "ERR_DEADLINE",
@@ -59,7 +57,6 @@ __all__ = [
     "ShardSupervisor",
     "TimingServer",
     "TimingService",
-    "apply_edit",
     "backoff_delay",
     "decode_handoff",
     "design_digest",

@@ -38,10 +38,10 @@ from repro.core.netreport import exposure_to_dict, rank_crosstalk_nets
 from repro.errors import InputError
 from repro.flow import prepare_design
 from repro.flow.design import Design
+from repro.flow.edits import apply_edit
 from repro.obs import Observability
 from repro.service.handoff import encode_handoff
 from repro.service.protocol import ERR_UNKNOWN_SESSION, ServiceError
-from repro.service.whatif import apply_edit
 from repro.waveform.pwl import FALLING, RISING
 
 # StaConfig fields a client may override per session.

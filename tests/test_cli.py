@@ -290,11 +290,31 @@ class TestObservabilityFlags:
 
 
 class TestRepair:
-    def test_repair_runs_one_round(self, capsys):
-        assert main(["repair", "gen:s35932", "--scale", "0.02", "--top", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "round 1" in out
-        assert "repaired 4 nets" in out
+    def test_repair_meets_clock_and_verifies_cold(self, tmp_path, capsys):
+        import json
+
+        from repro.flow import validate_repair
+
+        target = tmp_path / "repair.json"
+        argv = [
+            "repair", "s27", "--clock-period", "0.78e-9",
+            "--max-edits", "6", "--json", str(target),
+        ]
+        assert main(argv) == 0
+        assert "cold verify: bit-identical" in capsys.readouterr().out
+        transcript = json.loads(target.read_text())
+        validate_repair(transcript)
+        assert transcript["final"]["met"]
+
+    def test_repair_without_clock_period_is_input_error(self, monkeypatch, capsys):
+        from repro.service.session import Session
+
+        def no_analysis(*_args, **_kwargs):
+            raise AssertionError("repair analyzed before rejecting its input")
+
+        monkeypatch.setattr(Session, "analyze", no_analysis)
+        assert main(["repair", "s27"]) == 2
+        assert "needs a clock period" in capsys.readouterr().err
 
 
 class TestServeClient:

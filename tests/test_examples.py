@@ -50,6 +50,13 @@ class TestExamples:
         assert "Hold side (min analysis at the fast corner):" in out
         assert "hold 40 ps: MET" in out
 
+    def test_crosstalk_repair(self, capsys):
+        run_example("crosstalk_repair", ["0.01"])
+        out = capsys.readouterr().out
+        assert "Top crosstalk-critical nets:" in out
+        assert "cold verify: bit-identical" in out
+        assert "C_c" in out
+
     def test_plot_layout(self, tmp_path, capsys):
         target = tmp_path / "layout.svg"
         run_example("plot_layout", [str(target)])

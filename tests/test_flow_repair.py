@@ -1,12 +1,11 @@
-"""Tests for the crosstalk-repair flow (spacing-driven re-route)."""
+"""Tests for the respace edit (shield-spaced rip-up-and-reroute)."""
 
 import pytest
 
 from repro.core.analyzer import CrosstalkSTA
 from repro.core.modes import AnalysisMode
 from repro.core.netreport import rank_crosstalk_nets
-from repro.flow import repair_crosstalk, respace_nets
-from repro.layout.routing import route
+from repro.flow import respace_nets
 
 
 @pytest.fixture(scope="module")
@@ -15,36 +14,41 @@ def baseline(small_design):
     return small_design, result
 
 
-@pytest.fixture(scope="module")
-def outcome(baseline):
+def top_victims(baseline, top):
     design, result = baseline
-    return repair_crosstalk(design, result, top=6)
+    return [e.net for e in rank_crosstalk_nets(design, result.final_pass, top=top)]
+
+
+def segments_by_track(routing):
+    by_track = {}
+    for seg in routing.all_segments():
+        by_track.setdefault((seg.layer, seg.track), []).append(seg)
+    return by_track
 
 
 class TestRespace:
     def test_guarded_nets_lose_coupling(self, baseline):
-        design, result = baseline
-        victims = [e.net for e in rank_crosstalk_nets(design, result.final_pass, top=4)]
+        design, _ = baseline
+        victims = top_victims(baseline, 4)
         repaired = respace_nets(design, victims)
         for net in victims:
+            before_neighbours = set(design.loads[net].couplings)
+            after_neighbours = set(repaired.loads[net].couplings)
+            # Shielding sheds the majority of the net's former aggressors
+            # (the re-route may pick up a few new ones)...
+            assert len(before_neighbours & after_neighbours) <= max(
+                1, len(before_neighbours) // 2
+            )
+            # ...and cuts its total coupling load sharply.
             assert (
                 repaired.loads[net].c_coupling_total
                 < design.loads[net].c_coupling_total * 0.5
             )
 
     def test_guarded_routing_still_overlap_free(self, baseline):
-        design, result = baseline
-        victims = [e.net for e in rank_crosstalk_nets(design, result.final_pass, top=4)]
-        routing = route(
-            design.circuit,
-            design.placement,
-            design.technology,
-            guard_nets={net: 1 for net in victims},
-        )
-        by_track = {}
-        for seg in routing.all_segments():
-            by_track.setdefault((seg.layer, seg.track), []).append(seg)
-        for segs in by_track.values():
+        design, _ = baseline
+        routing = respace_nets(design, top_victims(baseline, 4)).routing
+        for segs in segments_by_track(routing).values():
             segs.sort(key=lambda s: s.lo)
             for a, b in zip(segs, segs[1:]):
                 assert a.hi <= b.lo + 1e-9
@@ -52,17 +56,10 @@ class TestRespace:
     def test_no_neighbour_on_adjacent_tracks(self, baseline):
         """The shield guarantee: nothing runs directly adjacent to a
         guarded net's segments over their spans."""
-        design, result = baseline
-        victims = [e.net for e in rank_crosstalk_nets(design, result.final_pass, top=3)]
-        routing = route(
-            design.circuit,
-            design.placement,
-            design.technology,
-            guard_nets={net: 1 for net in victims},
-        )
-        by_track = {}
-        for seg in routing.all_segments():
-            by_track.setdefault((seg.layer, seg.track), []).append(seg)
+        design, _ = baseline
+        victims = top_victims(baseline, 3)
+        routing = respace_nets(design, victims).routing
+        by_track = segments_by_track(routing)
         for victim in victims:
             for seg in routing.routes[victim].segments():
                 for neighbour_track in (seg.track - 1, seg.track + 1):
@@ -71,61 +68,16 @@ class TestRespace:
                             continue
                         assert seg.overlap(other) <= 1e-9, (victim, other.net)
 
-    def test_placement_unchanged(self, baseline, outcome):
+    def test_untouched_nets_keep_their_geometry(self, baseline):
+        """The repair is local: placement is shared and every other net
+        keeps its route object; only the victims are re-routed."""
         design, _ = baseline
-        assert outcome.design.placement is design.placement
-
-
-class TestRepairOutcome:
-    def test_delay_does_not_regress_catastrophically(self, baseline, outcome):
-        _, result = baseline
-        # Repair may shuffle other nets around, but the analyzed bound
-        # should not blow up; typically it improves.
-        assert outcome.after_delay <= result.longest_delay * 1.05
-
-    def test_coupling_reduced_on_victims(self, outcome):
-        for net in outcome.repaired_nets:
-            assert outcome.after_coupling[net] <= outcome.before_coupling[net]
-
-    def test_summary_renders(self, outcome):
-        text = outcome.summary()
-        assert "repaired" in text
-        assert "fF" in text
-
-    def test_improvement_field(self, outcome):
-        assert outcome.improvement == pytest.approx(
-            outcome.before_delay - outcome.after_delay
-        )
-
-
-class TestRepairLoopEndToEnd:
-    """The full analyze -> rank -> fix -> re-analyze loop, over rounds."""
-
-    def test_rounds_never_regress_and_shed_coupling(self, small_design):
-        current = small_design
-        for _ in range(2):
-            outcome = repair_crosstalk(current, top=4)
-            # A repair round must not make the bound worse.
-            assert outcome.after_delay <= outcome.before_delay
-            for net in outcome.repaired_nets:
-                before_neighbours = set(current.loads[net].couplings)
-                after_neighbours = set(outcome.design.loads[net].couplings)
-                # Shielding sheds the majority of the net's former
-                # aggressors (reroute may introduce a few new ones)...
-                assert len(before_neighbours & after_neighbours) <= max(
-                    1, len(before_neighbours) // 2
-                )
-                # ...and cuts its total coupling load sharply.
-                assert (
-                    outcome.design.loads[net].c_coupling_total
-                    < current.loads[net].c_coupling_total * 0.5
-                )
-            current = outcome.design
-            if outcome.improvement <= 0:
-                break
-
-    def test_after_delay_matches_independent_analysis(self, outcome):
-        """The outcome's claimed after_delay is exactly what a fresh
-        analyzer reports on the repaired design."""
-        fresh = CrosstalkSTA(outcome.design).run(AnalysisMode.ITERATIVE)
-        assert float(fresh.longest_delay).hex() == float(outcome.after_delay).hex()
+        victims = top_victims(baseline, 4)
+        repaired = respace_nets(design, victims)
+        assert repaired.placement is design.placement
+        assert set(repaired.routing.routes) == set(design.routing.routes)
+        for name, net_route in repaired.routing.routes.items():
+            if name in victims:
+                assert net_route is not design.routing.routes[name]
+            else:
+                assert net_route is design.routing.routes[name]

@@ -14,6 +14,7 @@ import pytest
 from repro.core.modes import AnalysisMode, StaConfig
 from repro.core.netreport import validate_net_report
 from repro.errors import DegradationBudgetError, InputError
+from repro.flow import apply_edit
 from repro.service import (
     ERR_BAD_REQUEST,
     ERR_BUSY,
@@ -32,7 +33,6 @@ from repro.service import (
     SessionManager,
     TimingServer,
     TimingService,
-    apply_edit,
     error_payload,
 )
 from repro.service.protocol import (

@@ -17,7 +17,8 @@ import pytest
 
 from repro.core.analyzer import CrosstalkSTA
 from repro.core.modes import AnalysisMode, StaConfig
-from repro.service import SessionManager, apply_edit
+from repro.flow import apply_edit
+from repro.service import SessionManager
 
 MODES = list(AnalysisMode)
 
