@@ -48,6 +48,15 @@ def _require_pair(edit: dict) -> tuple[str, str]:
     return net, neighbour
 
 
+def _require_count(edit: dict, key: str) -> int:
+    """A positive integer field (default 1).  JSON ``true`` decodes to a
+    bool, which Python counts as an int, so bools are rejected too."""
+    value = edit.get(key, 1)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise InputError(f"{key!r} must be a positive integer")
+    return value
+
+
 def edit_nets(edit: dict) -> list[str]:
     """The nets a normalized edit touches (victim side first)."""
     if "nets" in edit:
@@ -71,16 +80,12 @@ def apply_edit(design: Design, edit: dict) -> tuple[Design, dict]:
     action = edit.get("action")
     if action == "respace":
         nets = _require_nets(design, edit)
-        guard_tracks = edit.get("guard_tracks", 1)
-        if not isinstance(guard_tracks, int) or guard_tracks < 1:
-            raise InputError("'guard_tracks' must be a positive integer")
+        guard_tracks = _require_count(edit, "guard_tracks")
         edited = respace_nets(design, nets, guard_tracks=guard_tracks)
         return edited, {"action": action, "nets": nets, "guard_tracks": guard_tracks}
     if action == "upsize":
         nets = _require_nets(design, edit)
-        steps = edit.get("steps", 1)
-        if not isinstance(steps, int) or steps < 1:
-            raise InputError("'steps' must be a positive integer")
+        steps = _require_count(edit, "steps")
         edited = upsize_drivers(design, nets, steps=steps)
         return edited, {"action": action, "nets": nets, "steps": steps}
     if action == "drop_coupling":

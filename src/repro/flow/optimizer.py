@@ -118,6 +118,8 @@ def repair_session(
         raise InputError("max_edits must be positive")
     if beam < 1:
         raise InputError("beam must be positive")
+    if guard_tracks < 1:
+        raise InputError("guard_tracks must be positive")
     dont = frozenset(dont_touch or ())
     unknown = sorted(n for n in dont if n not in session.design.circuit.nets)
     if unknown:

@@ -103,6 +103,12 @@ class TestRepairLoop:
             client.repair(sid)
         assert "clock period" in str(excinfo.value)
 
+    def test_repair_without_guard_tracks_rejected(self, client):
+        sid = client.open_session("s27", config=TIGHT)["session"]
+        with pytest.raises(ServiceCallError) as excinfo:
+            client.repair(sid, guard_tracks=0)
+        assert "guard_tracks" in str(excinfo.value)
+
     def test_unknown_dont_touch_net_rejected(self, client):
         sid = client.open_session("s27", config=TIGHT)["session"]
         with pytest.raises(ServiceCallError):

@@ -303,9 +303,15 @@ class TestInProcessService:
         assert client.analyze(sid, mode="one_step") == before
 
     def test_whatif_bad_edit_cheap_reject(self, client, sid):
-        with pytest.raises(ServiceCallError) as exc:
-            client.whatif(sid, {"action": "respace", "nets": []})
-        assert exc.value.code == ERR_INPUT
+        for edit in (
+            {"action": "respace", "nets": []},
+            # JSON true decodes to a bool, which Python counts as an int.
+            {"action": "respace", "nets": ["G15"], "guard_tracks": True},
+            {"action": "upsize", "nets": ["G15"], "steps": True},
+        ):
+            with pytest.raises(ServiceCallError) as exc:
+                client.whatif(sid, edit)
+            assert exc.value.code == ERR_INPUT, edit
 
     def test_whatif_commit_swaps_design(self, client):
         sid = client.open_session("s27")["session"]
