@@ -19,7 +19,11 @@ Also writes ``tests/golden/routing.json``: per routing design, a sha256
 over every wire segment (net-name order) and the overflow count of two
 routings -- the full :func:`~repro.layout.routing.route` and
 :func:`~repro.flow.repair.respace_nets` of the design's four
-most-coupled nets.  Every coupling capacitance comes from this geometry.
+most-coupled nets -- plus, on the scale-0.03 designs, that respace with
+two guard tracks.  Every coupling capacitance comes from this geometry.
+
+``--check`` fails on any digest that differs from the committed one and
+on any recorded key the committed file lacks.
 
 The committed digests were recorded while the analyzer still offered an
 object-graph propagation core and a scalar waveform engine beside the
@@ -87,11 +91,28 @@ ROUTING_GENERATED = {
     for scale in (0.01, 0.03)
     for seed in (1, 7)
 }
+# A deep search: the router's outward track offsets reach the hundreds.
+ROUTING_GENERATED["s35932-0.2-seed1"] = dataclasses.replace(
+    S35932_SPEC.scaled(0.2), seed=1
+)
 ROUTING_DESIGNS = ("s27", "small", *ROUTING_GENERATED)
-ROUTINGS = ("route", "respace")
 
 # Nets ``respace`` re-routes with shield spacing: the most-coupled ones.
 RESPACE_NETS = 4
+
+# Guard tracks per side of each respace routing.
+RESPACE_GUARDS = {"respace": 1, "respace-guard2": 2}
+
+# Every routing digest: the full route and the one-guard respace of
+# every routing design, and the two-guard respace of the 0.03 designs.
+ROUTING_KEYS = (
+    *(
+        f"{name}/{routing}"
+        for name in ROUTING_DESIGNS
+        for routing in ("route", "respace")
+    ),
+    *(f"{name}/respace-guard2" for name in ROUTING_GENERATED if "-0.03-" in name),
+)
 
 # Clock periods of the slack digests: all of s27's endpoints meet the
 # first and most violate the second.
@@ -227,12 +248,14 @@ def run_routing(design, routing: str):
     design's most-coupled nets (chosen from the extraction alone)."""
     if routing == "route":
         return route(design.circuit, design.placement, design.technology)
-    if routing == "respace":
+    if routing in RESPACE_GUARDS:
         loads = sorted(
             design.loads.values(), key=lambda load: (-load.c_coupling_total, load.net)
         )
         victims = [load.net for load in loads[:RESPACE_NETS]]
-        return respace_nets(design, victims).routing
+        return respace_nets(
+            design, victims, guard_tracks=RESPACE_GUARDS[routing]
+        ).routing
     raise KeyError(routing)
 
 
@@ -289,14 +312,12 @@ def record_min() -> dict:
 
 
 def record_routing() -> dict:
-    """Digest every routing design x routing."""
+    """Digest every routing key."""
     entries: dict[str, dict] = {}
-    for name in ROUTING_DESIGNS:
-        design = build_design(name)
-        for routing in ROUTINGS:
-            key = f"{name}/{routing}"
-            entries[key] = routing_digest(run_routing(design, routing))
-            print(f"{key}: {entries[key]['segments_sha256'][:16]}", flush=True)
+    for key in ROUTING_KEYS:
+        name, routing = key.split("/", 1)
+        entries[key] = routing_digest(run_routing(build_design(name), routing))
+        print(f"{key}: {entries[key]['segments_sha256'][:16]}", flush=True)
     return entries
 
 
@@ -318,16 +339,20 @@ def main(argv: list[str] | None = None) -> int:
             (MIN_GOLDEN_PATH, min_entries),
             (ROUTING_GOLDEN_PATH, routing_entries),
         ):
-            for key, value in sorted(load_golden(path).items()):
+            committed = load_golden(path)
+            for key, value in sorted(committed.items()):
                 if got.get(key) != value:
                     print(f"FAIL: {key} differs from {path.name}", file=sys.stderr)
                     stale.append(key)
+            for key in sorted(set(got) - set(committed)):
+                print(f"FAIL: {key} is missing from {path.name}", file=sys.stderr)
+                stale.append(key)
         return 1 if stale else 0
     payload = {
         "schema": SCHEMA,
-        # The core x engine paths the entries were computed on; the
-        # object core and the scalar engine no longer exist.
-        "paths_agreeing": ["columnar/batch"],
+        # The core x engine paths that agreed on every committed entry
+        # when it was recorded; a rewrite keeps that record.
+        "paths_agreeing": json.loads(GOLDEN_PATH.read_text())["paths_agreeing"],
         "entries": entries,
     }
     GOLDEN_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
