@@ -159,15 +159,18 @@ class TestRouting:
 
     def test_no_same_track_overlaps(self, routed_medium):
         """The router's core guarantee: one net per (layer, track)
-        interval."""
-        _, _, routing = routed_medium
+        interval, and neighbours on a track at least the clearance apart
+        (up to the 1e-9 overlap tolerance) -- the invariant the track
+        search's bitmap screen is exact under."""
+        _, placement, routing = routed_medium
+        clearance = 0.25 * placement.technology.track_pitch
         by_track = {}
         for seg in routing.all_segments():
             by_track.setdefault((seg.layer, seg.track), []).append(seg)
         for segs in by_track.values():
             segs.sort(key=lambda s: s.lo)
             for a, b in zip(segs, segs[1:]):
-                assert a.hi <= b.lo + 1e-9, (a, b)
+                assert b.lo - a.hi >= clearance - 1e-9, (a, b)
 
     def test_route_connects_all_terminals(self, routed_medium):
         circuit, placement, routing = routed_medium
