@@ -6,9 +6,10 @@ delta-driven engine's work decays over the iterative passes).  A second
 section times the scalar stage solver against the batch solver per key
 at batch sizes 1-64, the evidence behind ``MIN_BATCH``.  A third
 sweeps the circuit scale (0.05 / 0.2 / 1.0 -- the last is the paper's
-full-size s35932) and times the one-step analysis, recording compile
-time and peak RSS per run.  ``REPRO_SWEEP_MAX=<float>`` caps the sweep's
-largest scale for quick local runs.
+full-size s35932) and times the one-step analysis, recording the
+physical design's place / route / extract seconds, compile time and peak
+RSS per run.  ``REPRO_SWEEP_MAX=<float>`` caps the sweep's largest scale
+for quick local runs.
 
 Besides the human-readable results blocks, the numbers are written
 machine-readable to ``BENCH_sta_runtime.json`` at the repo root so CI and
@@ -18,6 +19,7 @@ future sessions can track regressions
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import platform
@@ -32,6 +34,7 @@ import pytest
 from repro.circuit import s35932_like
 from repro.core.analyzer import CrosstalkSTA
 from repro.core.modes import AnalysisMode, StaConfig
+from repro.flow import design as flow_design
 from repro.flow import prepare_design
 from repro.waveform.gatedelay import MIN_BATCH, GateDelayCalculator
 
@@ -60,6 +63,33 @@ def _peak_rss_mb() -> float:
     Linux).  Monotone over the process, so the sweep runs smallest scale
     first and each row's figure is the high-water mark up to that run."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+@contextlib.contextmanager
+def _timed_physical_design():
+    """Yield a dict that gets the seconds of each place, route and
+    extract call ``prepare_design`` makes, by name.  The functions are
+    module attributes of ``repro.flow.design``, swapped for timed
+    wrappers while the block runs."""
+    seconds: dict[str, float] = {}
+    saved = {name: getattr(flow_design, name) for name in ("place", "route", "extract")}
+
+    def timed(name, fn):
+        def wrapper(*args, **kwargs):
+            t0 = time.perf_counter()
+            result = fn(*args, **kwargs)
+            seconds[name] = time.perf_counter() - t0
+            return result
+
+        return wrapper
+
+    for name, fn in saved.items():
+        setattr(flow_design, name, timed(name, fn))
+    try:
+        yield seconds
+    finally:
+        for name, fn in saved.items():
+            setattr(flow_design, name, fn)
 
 
 @pytest.fixture(scope="module")
@@ -282,7 +312,9 @@ def scale_sweep(record_result, mode_runs):
     for sweep_scale in SWEEP_SCALES:
         if sweep_scale > sweep_max:
             continue
-        design = prepare_design(s35932_like(scale=sweep_scale))
+        circuit = s35932_like(scale=sweep_scale)
+        with _timed_physical_design() as physical:
+            design = prepare_design(circuit)
         sta = CrosstalkSTA(design, StaConfig(mode=SWEEP_MODE))
         t0 = time.perf_counter()
         result = sta.run()
@@ -291,6 +323,9 @@ def scale_sweep(record_result, mode_runs):
             {
                 "scale": sweep_scale,
                 "mode": SWEEP_MODE.value,
+                "place_seconds": physical["place"],
+                "route_seconds": physical["route"],
+                "extract_seconds": physical["extract"],
                 "seconds": seconds,
                 "compile_seconds": result.compile_seconds,
                 "arcs_processed": result.arcs_processed,
@@ -301,15 +336,18 @@ def scale_sweep(record_result, mode_runs):
         )
 
     lines = [
-        "Scale sweep (s35932-like, one-step)",
+        "Scale sweep (s35932-like, one-step; place / route / extract are the",
+        "physical design's seconds, seconds / arcs/s / compile s the analysis')",
         "",
-        f"{'scale':>6} {'arcs':>7} {'seconds':>8} {'arcs/s':>8} "
-        f"{'compile s':>10} {'rss MB':>8}",
-        "-" * 52,
+        f"{'scale':>6} {'place s':>8} {'route s':>8} {'extract s':>10} "
+        f"{'arcs':>7} {'seconds':>8} {'arcs/s':>8} {'compile s':>10} {'rss MB':>8}",
+        "-" * 81,
     ]
     for row in rows:
         lines.append(
-            f"{row['scale']:>6.2f} {row['arcs_processed']:>7} "
+            f"{row['scale']:>6.2f} {row['place_seconds']:>8.2f} "
+            f"{row['route_seconds']:>8.2f} {row['extract_seconds']:>10.2f} "
+            f"{row['arcs_processed']:>7} "
             f"{row['seconds']:>8.2f} {row['arcs_per_second']:>8.0f} "
             f"{row['compile_seconds']:>10.3f} {row['peak_rss_mb']:>8.0f}"
         )
