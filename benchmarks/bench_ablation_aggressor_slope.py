@@ -32,7 +32,7 @@ def slope_sweep(record_result):
     delays = {}
     for ramp in RAMPS:
         circuit = build_path_circuit(design, path, state, aggressor_transition=ramp)
-        outcome = align_aggressors(circuit, steps=1600)
+        outcome = align_aggressors(circuit)
         delays[ramp] = outcome.path_delay
 
     lines = [

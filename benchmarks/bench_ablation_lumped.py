@@ -30,7 +30,7 @@ def lumped_vs_distributed(record_result):
         circuit = build_path_circuit(
             design, path, state, distributed_coupling=distributed
         )
-        outcome = align_aggressors(circuit, steps=1600, max_iterations=4)
+        outcome = align_aggressors(circuit, max_iterations=4)
         delays[label] = outcome.path_delay
 
     lines = [

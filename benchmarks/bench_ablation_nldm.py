@@ -17,7 +17,7 @@ from repro.circuit import s35932_like
 from repro.core.analyzer import CrosstalkSTA
 from repro.core.modes import AnalysisMode, StaConfig
 from repro.flow import prepare_design
-from repro.validate import align_aggressors, build_path_circuit
+from repro.validate import check_bounds
 
 
 @pytest.fixture(scope="module")
@@ -44,16 +44,12 @@ def nldm_comparison(scale, record_result):
     ):
         rows[label] = exact_sta.run(mode).longest_delay
 
-    # Ground truth: the simulated longest path, worst aligned aggressors.
-    reference = exact_sta.run(AnalysisMode.ITERATIVE)
-    path = exact_sta.critical_path(reference)
-    circuit = build_path_circuit(design, path, reference.final_pass.state)
-    sim = align_aggressors(
-        circuit,
-        steps=1600,
-        quiet_times=reference.final_pass.state.quiet_snapshot(),
-    )
-    rows["simulation (windows)"] = sim.path_delay
+    # Ground truth: the simulated longest path, aggressors aligned within
+    # the iterative mode's windows.
+    iterative = {AnalysisMode.ITERATIVE: exact_sta.run(AnalysisMode.ITERATIVE)}
+    path = exact_sta.critical_path(iterative[AnalysisMode.ITERATIVE])
+    checks = check_bounds(design, iterative, path)
+    rows["simulation (windows)"] = checks[AnalysisMode.ITERATIVE].simulated
 
     lines = [
         f"Table-lookup (NLDM) vs transistor-level timing (scale {scale})",

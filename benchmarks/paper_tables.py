@@ -2,7 +2,8 @@
 
 Each table bench runs the five analysis modes with *independent* delay
 calculators (so the runtime column is honest per mode, like the paper's
-CPU column), re-simulates the longest path three ways, checks every bound,
+CPU column), checks every mode's bound against a re-simulation of the
+longest path under that mode's scenario (``repro.validate.check_bounds``),
 and renders the paper-style table.
 """
 
@@ -15,7 +16,7 @@ from repro.core.analyzer import CrosstalkSTA, StaResult
 from repro.core.modes import AnalysisMode
 from repro.core.report import MODE_LABELS, MODE_ORDER, check_mode_ordering
 from repro.flow import Design, prepare_design
-from repro.validate import align_aggressors, build_path_circuit, quiet_simulation
+from repro.validate import check_bounds, format_bound_checks
 
 
 @dataclass
@@ -27,9 +28,8 @@ class TableRun:
     scale: float
     results: dict = field(default_factory=dict)
     prep_seconds: float = 0.0
-    sim_quiet_ns: float | None = None
-    sim_windowed_ns: float | None = None
-    sim_worst_ns: float | None = None
+    checks: dict = field(default_factory=dict)
+    sim_seconds: float = 0.0
     path_stages: int = 0
 
     def render(self) -> str:
@@ -47,24 +47,21 @@ class TableRun:
                 f"{res.runtime_seconds:>9.2f} {res.waveform_evaluations:>9d} "
                 f"{res.passes:>7d}"
             )
-        lines.append("-" * 56)
-        if self.sim_quiet_ns is not None:
-            lines.append(f"{'Sim (quiet)':<16} {self.sim_quiet_ns:>11.3f}")
-        if self.sim_windowed_ns is not None:
-            lines.append(f"{'Sim (windows)':<16} {self.sim_windowed_ns:>11.3f}")
-        if self.sim_worst_ns is not None:
-            lines.append(f"{'Sim (worst)':<16} {self.sim_worst_ns:>11.3f}")
+        lines.append("")
+        lines.append(format_bound_checks(self.checks))
         lines.append("")
         best = self.results[AnalysisMode.BEST_CASE].longest_delay_ns
         worst = self.results[AnalysisMode.WORST_CASE].longest_delay_ns
         iterative = self.results[AnalysisMode.ITERATIVE].longest_delay_ns
         lines.append(f"coupling impact (worst - best): {worst - best:.3f} ns")
         lines.append(f"window-based recovery (worst - iterative): {worst - iterative:.3f} ns")
-        lines.append(f"critical path: {self.path_stages} stages")
+        lines.append(
+            f"critical path: {self.path_stages} stages, simulated in {self.sim_seconds:.1f} s"
+        )
         return "\n".join(lines)
 
 
-def run_table(factory, title: str, scale: float, simulate: bool = True) -> TableRun:
+def run_table(factory, title: str, scale: float) -> TableRun:
     t0 = time.time()
     circuit = factory(scale=scale)
     design: Design = prepare_design(circuit)
@@ -79,26 +76,11 @@ def run_table(factory, title: str, scale: float, simulate: bool = True) -> Table
     for mode in MODE_ORDER:
         run.results[mode] = CrosstalkSTA(design).run(mode)
 
-    reference = run.results[AnalysisMode.ITERATIVE]
-    sta = CrosstalkSTA(design)
-    path = sta.critical_path(reference)
+    path = CrosstalkSTA(design).critical_path(run.results[AnalysisMode.ITERATIVE])
     run.path_stages = len(path)
-
-    if simulate and path.steps:
-        # Launch each simulation with the stimulus of the mode it
-        # validates (the bound includes that mode's launch timing).
-        state = reference.final_pass.state
-        best_state = run.results[AnalysisMode.BEST_CASE].final_pass.state
-        worst_state = run.results[AnalysisMode.WORST_CASE].final_pass.state
-        quiet_circuit = build_path_circuit(design, path, best_state)
-        run.sim_quiet_ns = quiet_simulation(quiet_circuit, steps=1600).path_delay * 1e9
-        sim_circuit = build_path_circuit(design, path, state)
-        run.sim_windowed_ns = (
-            align_aggressors(sim_circuit, steps=1600, quiet_times=state.quiet_snapshot())
-            .path_delay * 1e9
-        )
-        worst_circuit = build_path_circuit(design, path, worst_state)
-        run.sim_worst_ns = align_aggressors(worst_circuit, steps=1600).path_delay * 1e9
+    t0 = time.time()
+    run.checks = check_bounds(design, run.results, path)
+    run.sim_seconds = time.time() - t0
     return run
 
 
@@ -118,8 +100,6 @@ def assert_paper_shape(run: TableRun) -> None:
     assert one_step < worst
     assert iterative <= one_step
 
-    if run.sim_windowed_ns is not None:
-        # Upper-bound property against the simulations.
-        assert run.sim_quiet_ns <= run.results[AnalysisMode.BEST_CASE].longest_delay_ns
-        assert run.sim_windowed_ns <= run.results[AnalysisMode.ITERATIVE].longest_delay_ns
-        assert run.sim_worst_ns <= run.results[AnalysisMode.WORST_CASE].longest_delay_ns
+    # Upper-bound property against the simulations.
+    for check in run.checks.values():
+        assert check.holds, check

@@ -3,7 +3,8 @@
 
 Runs the five analysis modes on synthetic stand-ins for s35932, s38417 and
 s38584 (see DESIGN.md for the substitution rationale) and optionally
-re-simulates each longest path.
+re-simulates each longest path under every mode's scenario to check its
+bound.
 
 Usage::
 
@@ -15,9 +16,9 @@ import argparse
 import os
 import time
 
-from repro import CrosstalkSTA, check_mode_ordering, format_table, prepare_design
+from repro import AnalysisMode, CrosstalkSTA, check_mode_ordering, format_table, prepare_design
 from repro.circuit import s35932_like, s38417_like, s38584_like
-from repro.validate import run_table_comparison
+from repro.validate import check_bounds, format_bound_checks
 
 CIRCUITS = [
     ("Table 1: s35932", s35932_like),
@@ -45,19 +46,12 @@ def main() -> None:
               f"(prepared in {time.time()-t0:.1f} s)")
 
         sta = CrosstalkSTA(design)
+        results = sta.run_all_modes()
+        print(format_table(title, results, cell_count=circuit.cell_count()))
         if args.simulate:
-            comparison = run_table_comparison(design, sta=sta)
-            results = comparison.results
-            sim_ns = comparison.sim_windowed_delay * 1e9
-            print(format_table(title, results, simulation_ns=sim_ns,
-                               cell_count=circuit.cell_count()))
-            print(f"  quiet sim:   {comparison.sim_quiet_delay*1e9:.3f} ns")
-            print(f"  worst sim:   {comparison.sim_worst_delay*1e9:.3f} ns")
-            print(f"  coupling impact (worst - best): "
-                  f"{comparison.coupling_impact*1e9:.3f} ns")
-        else:
-            results = sta.run_all_modes()
-            print(format_table(title, results, cell_count=circuit.cell_count()))
+            path = sta.critical_path(results[AnalysisMode.ITERATIVE])
+            print()
+            print(format_bound_checks(check_bounds(design, results, path)))
 
         violations = check_mode_ordering(results)
         print("  ordering:", "OK" if not violations else violations)

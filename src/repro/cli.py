@@ -246,20 +246,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         logger.info("wrote %s", args.json)
 
     if args.simulate:
-        from repro.validate import align_aggressors, build_path_circuit, quiet_simulation
+        from repro.validate import check_bounds, format_bound_checks
 
-        state = reference.final_pass.state
-        sim_circuit = build_path_circuit(design, path, state)
-        quiet = quiet_simulation(sim_circuit, steps=1600)
-        windowed = align_aggressors(
-            sim_circuit, steps=1600, windows=state.window_snapshot()
-        )
-        print(f"\nsimulation: quiet {quiet.path_delay*1e9:.3f} ns, "
-              f"windowed worst {windowed.path_delay*1e9:.3f} ns, "
-              f"STA bound {reference.longest_delay*1e9:.3f} ns")
-        if windowed.path_delay > reference.longest_delay:
-            logger.error("BOUND VIOLATION")
-            return 1
+        runs = results if results is not None else {reference.mode: reference}
+        checks = check_bounds(design, runs, path, config.window_check)
+        print("\ncritical path re-simulated under each mode's scenario:")
+        if checks:
+            print(format_bound_checks(checks))
+        if AnalysisMode.STATIC_DOUBLED in runs:
+            print("static_doubled claims no bound: not simulated")
+        failed = [check.mode.value for check in checks.values() if not check.holds]
+        if failed:
+            logger.error("BOUND VIOLATION: %s", ", ".join(failed))
+            exit_code = 1
     return exit_code
 
 
@@ -566,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(same payload the service's net_report method returns)",
     )
     analyze.add_argument("--top", type=int, default=15)
-    analyze.add_argument("--simulate", action="store_true", help="validate the longest path")
+    analyze.add_argument("--simulate", action="store_true", help="check bounds by path simulation")
     analyze.add_argument("--json", metavar="FILE", help="write results as JSON")
     analyze.add_argument(
         "--trace",

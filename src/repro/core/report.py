@@ -2,7 +2,8 @@
 
 The paper's Tables 1-3 list, per circuit, the longest-path delay and the
 analysis runtime for the five modes, compared against a simulation of the
-longest path.  :func:`format_table` renders the same rows.
+longest path.  :func:`format_table` renders the analysis rows;
+``repro.validate.format_bound_checks`` renders the simulations.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ def result_rows(results: dict[AnalysisMode, StaResult]) -> list[TableRow]:
 def format_table(
     title: str,
     results: dict[AnalysisMode, StaResult],
-    simulation_ns: float | None = None,
     cell_count: int | None = None,
 ) -> str:
     """Render one paper-style table as text."""
@@ -72,9 +72,6 @@ def format_table(
             f"{row.label:<16} {row.delay_ns:>11.3f} {row.runtime_s:>9.2f} "
             f"{row.evaluations:>9d} {row.passes:>7d}"
         )
-    if simulation_ns is not None:
-        lines.append("-" * 56)
-        lines.append(f"{'Simulation':<16} {simulation_ns:>11.3f}")
     return "\n".join(lines)
 
 

@@ -8,18 +8,19 @@ from repro.validate.align import (
     quiet_simulation,
     simulate_path,
 )
-from repro.validate.compare import TableComparison, run_table_comparison
+from repro.validate.compare import BoundCheck, check_bounds, format_bound_checks
 from repro.validate.pathsim import AggressorHandle, PathCircuit, build_path_circuit
 
 __all__ = [
     "AggressorHandle",
     "AlignmentRecord",
+    "BoundCheck",
     "PathCircuit",
     "SimulationOutcome",
-    "TableComparison",
     "align_aggressors",
     "build_path_circuit",
+    "check_bounds",
+    "format_bound_checks",
     "quiet_simulation",
-    "run_table_comparison",
     "simulate_path",
 ]

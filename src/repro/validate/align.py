@@ -10,13 +10,22 @@ repeat until the endpoint delay stops increasing.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.spice.measure import crossing, last_crossing
 from repro.spice.transient import TransientResult, TransientSimulator
-from repro.validate.pathsim import PathCircuit
+from repro.validate.pathsim import AggressorHandle, PathCircuit
 from repro.waveform.coupling import CouplingLoad
-from repro.waveform.pwl import FALLING, RISING
+
+# Transient steps per path simulation.  On s27, 2,400 steps move each
+# simulated delay by at most 1 ps (0.15%) and take 1.5x as long (four
+# modes through check_bounds on a 2-vCPU x86 container).
+SIM_STEPS = 1600
+
+# (net, direction) -> (earliest activity, quiescent time) of an aggressor.
+Windows = Mapping[tuple[str, str], tuple[float, float]]
 
 
 @dataclass
@@ -44,10 +53,7 @@ class SimulationOutcome:
         return self.endpoint_arrival
 
 
-def simulate_path(
-    circuit: PathCircuit,
-    steps: int = 2400,
-) -> SimulationOutcome:
+def simulate_path(circuit: PathCircuit, steps: int = SIM_STEPS) -> SimulationOutcome:
     """One transient run of the path circuit as currently configured."""
     sim = TransientSimulator(circuit.sim)
     dt = circuit.t_horizon / steps
@@ -70,28 +76,48 @@ def simulate_path(
     )
 
 
-def quiet_simulation(circuit: PathCircuit, steps: int = 2400) -> SimulationOutcome:
+def quiet_simulation(circuit: PathCircuit, steps: int = SIM_STEPS) -> SimulationOutcome:
     """Simulate with all aggressors held at their initial rails (coupling
     capacitances still present, i.e. the best-case assumption)."""
-    saved = [(h.t_switch,) for h in circuit.aggressors]
+    saved = [h.t_switch for h in circuit.aggressors]
     for handle in circuit.aggressors:
-        handle.t_switch = circuit.t_horizon * 10.0  # never fires
+        handle.t_switch = circuit.t_never
     circuit.rebuild_sources()
     try:
         return simulate_path(circuit, steps)
     finally:
-        for handle, (t,) in zip(circuit.aggressors, saved):
+        for handle, t in zip(circuit.aggressors, saved):
             handle.t_switch = t
         circuit.rebuild_sources()
 
 
+def _place(
+    circuit: PathCircuit,
+    handle: AggressorHandle,
+    target: float,
+    windows: Windows | None,
+) -> float:
+    """The switching time nearest ``target`` at which the aggressor's
+    whole ramp fits its feasible window, or ``circuit.t_never`` when
+    none does."""
+    if windows is None:
+        return target
+    earliest, quiet = windows.get(
+        (handle.aggressor_net, handle.direction), (math.inf, -math.inf)
+    )
+    latest = quiet - handle.transition
+    if quiet == -math.inf or earliest > latest:
+        # Never makes this transition, or its window is too narrow for
+        # the ramp: hold it quiet.
+        return circuit.t_never
+    return min(max(target, earliest), latest)
+
+
 def align_aggressors(
     circuit: PathCircuit,
+    windows: Windows | None = None,
     max_iterations: int = 5,
-    tolerance: float = 1e-12,
-    steps: int = 2400,
-    quiet_times: dict[tuple[str, str], float] | None = None,
-    windows: dict[tuple[str, str], tuple[float, float]] | None = None,
+    steps: int = SIM_STEPS,
 ) -> SimulationOutcome:
     """Fixed-point alignment of every aggressor source.
 
@@ -101,23 +127,25 @@ def align_aggressors(
     divider drop then pulls the victim back the farthest without being
     absorbed by the driver early in the transition).
 
-    ``quiet_times`` optionally constrains each aggressor to its *feasible*
-    window: a per-(net, direction) quiescence map (from an STA pass).  An
-    aggressor whose transition cannot complete before its quiescent time
-    is pulled earlier; one that can never make the opposite transition is
-    held quiet.  ``windows`` additionally supplies the earliest possible
-    activity per (net, direction) so aggressors are also kept from firing
-    before they feasibly could (needed to validate the two-sided OVERLAP
-    check).  Unconstrained alignment validates the worst-case mode;
-    constrained alignment validates the window-based modes, whose whole
-    point is that some aggressors are provably quiet by the time the
-    victim switches.
+    ``windows`` optionally confines each aggressor to its feasible window
+    ``(earliest, quiet)`` per (net, direction), taken from an STA pass: its
+    ramp may start no earlier than ``earliest`` and must complete by
+    ``quiet``.  The paper's one-sided check is a window whose early edge
+    is minus infinity.  An aggressor with no window, or one too narrow for
+    its ramp, is held quiet.  The starting positions are placed the same
+    way, so every simulated scenario is feasible.  Unconstrained alignment
+    validates the worst-case mode; constrained alignment validates the
+    window-based modes, whose whole point is that some aggressors are
+    provably quiet by the time the victim switches.
     """
     vdd = circuit.design.process.vdd
     process = circuit.design.process
+    for handle in circuit.aggressors:
+        handle.t_switch = _place(circuit, handle, handle.t_switch, windows)
+    circuit.rebuild_sources()
+
     best: SimulationOutcome | None = None
     history: list[AlignmentRecord] = []
-
     for iteration in range(1, max_iterations + 1):
         outcome = simulate_path(circuit, steps)
         if best is None or outcome.endpoint_arrival > best.endpoint_arrival:
@@ -137,26 +165,9 @@ def align_aggressors(
                 t_trigger = crossing(outcome.result, probe, trigger, victim_dir)
             except ValueError:
                 continue
-            target = t_trigger - 0.5 * handle.transition
-            key = (handle.aggressor_net, handle.direction)
-            t_feasible_early = float("-inf")
-            t_feasible_quiet = None
-            if windows is not None:
-                t_feasible_early, t_feasible_quiet = windows.get(
-                    key, (float("inf"), float("-inf"))
-                )
-            elif quiet_times is not None:
-                t_feasible_quiet = quiet_times.get(key, float("-inf"))
-            if t_feasible_quiet is not None:
-                if t_feasible_quiet == float("-inf"):
-                    # This aggressor never makes the opposite transition.
-                    target = circuit.t_horizon * 10.0
-                else:
-                    target = min(target, t_feasible_quiet - handle.transition)
-                    target = max(target, t_feasible_early)
-                    if target > t_feasible_quiet - handle.transition:
-                        # Window too narrow for the ramp: hold quiet.
-                        target = circuit.t_horizon * 10.0
+            target = _place(
+                circuit, handle, t_trigger - 0.5 * handle.transition, windows
+            )
             moved = max(moved, abs(target - handle.t_switch))
             handle.t_switch = target
         circuit.rebuild_sources()
@@ -167,7 +178,7 @@ def align_aggressors(
                 moved=moved,
             )
         )
-        if moved < tolerance:
+        if moved < 1e-12:  # no aggressor moved: converged
             break
 
     assert best is not None

@@ -1,124 +1,101 @@
-"""STA-versus-simulation comparison (the paper's table methodology).
+"""Bound-versus-simulation harness (the paper's Section 6 methodology).
 
-For one design: run the five analysis modes, extract the longest path of
-the reference mode, simulate it quiet (coupling ignored) and with
-iteratively aligned worst-case aggressors, and assemble one record per
-paper table.
+Every analysis mode but static doubled claims an upper bound on the
+longest path under its own assumption about the aggressors.
+:func:`check_bounds` re-simulates the path once per such mode, in the
+scenario that mode's bound covers and launched from that mode's final
+timing state (stimulus, horizon, initial aggressor guesses):
+
+* best case: aggressors held quiet at their rails;
+* worst case: unconstrained aggressor alignment;
+* one step and iterative: alignment confined to the windows the mode's
+  own final state gives -- quiescent times under ``WindowCheck.QUIET``,
+  ``(t_early, t_late)`` windows under ``WindowCheck.OVERLAP``.
+
+Static doubled is not simulated: the paper shows doubling is no bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from collections.abc import Mapping
+from dataclasses import dataclass
 
-from repro.core.analyzer import CrosstalkSTA, StaResult
-from repro.core.modes import AnalysisMode
+from repro.core.analyzer import StaResult
+from repro.core.modes import AnalysisMode, WindowCheck
 from repro.core.paths import CriticalPath
+from repro.core.report import MODE_LABELS
 from repro.flow.design import Design
 from repro.validate.align import align_aggressors, quiet_simulation
 from repro.validate.pathsim import build_path_circuit
 
 
-@dataclass
-class TableComparison:
-    """Everything one paper table reports for one circuit."""
+@dataclass(frozen=True)
+class BoundCheck:
+    """One mode's bound against the simulation of its own scenario."""
 
-    design_name: str
-    cell_count: int
-    results: dict[AnalysisMode, StaResult]
-    path: CriticalPath
-    sim_quiet_delay: float | None = None
-    sim_windowed_delay: float | None = None
-    sim_worst_delay: float | None = None
-    alignment_iterations: int = 0
-
-    def delays_ns(self) -> dict[str, float]:
-        table = {
-            mode.value: res.longest_delay * 1e9 for mode, res in self.results.items()
-        }
-        if self.sim_quiet_delay is not None:
-            table["simulation_quiet"] = self.sim_quiet_delay * 1e9
-        if self.sim_windowed_delay is not None:
-            table["simulation_windowed"] = self.sim_windowed_delay * 1e9
-        if self.sim_worst_delay is not None:
-            table["simulation_worst"] = self.sim_worst_delay * 1e9
-        return table
+    mode: AnalysisMode
+    scenario: str
+    simulated: float  # seconds, endpoint arrival of the simulated path
+    bound: float  # seconds, the mode's longest delay
+    iterations: int  # alignment iterations (0 for the quiet simulation)
 
     @property
-    def coupling_impact(self) -> float:
-        """Worst-case minus best-case delay -- the paper's measure of how
-        much coupling matters (Section 6 quotes 1.4-2.8 ns)."""
-        return (
-            self.results[AnalysisMode.WORST_CASE].longest_delay
-            - self.results[AnalysisMode.BEST_CASE].longest_delay
-        )
+    def holds(self) -> bool:
+        return self.simulated <= self.bound
 
 
-def run_table_comparison(
+def check_bounds(
     design: Design,
-    sta: CrosstalkSTA | None = None,
-    reference_mode: AnalysisMode = AnalysisMode.ITERATIVE,
-    simulate: bool = True,
-    aggressor_transition: float = 10e-12,
-    sim_steps: int = 2400,
-    modes: list[AnalysisMode] | None = None,
-) -> TableComparison:
-    """Produce one paper-style table for a prepared design."""
-    if sta is None:
-        sta = CrosstalkSTA(design)
-    mode_list = modes if modes is not None else list(AnalysisMode)
-    results = {mode: sta.run(mode) for mode in mode_list}
+    results: Mapping[AnalysisMode, StaResult],
+    path: CriticalPath,
+    window_check: WindowCheck = WindowCheck.QUIET,
+) -> dict[AnalysisMode, BoundCheck]:
+    """Simulate ``path`` under each validated mode's scenario and compare
+    with that mode's bound; one record per mode in ``results`` except
+    static doubled.  ``window_check`` is the check the window-based
+    results were computed with."""
+    checks = {}
+    for mode, result in results.items():
+        if mode is AnalysisMode.STATIC_DOUBLED:
+            continue
+        assert result.final_pass is not None
+        state = result.final_pass.state
+        circuit = build_path_circuit(design, path, state)
+        if mode is AnalysisMode.BEST_CASE:
+            scenario = "quiet aggressors"
+            outcome = quiet_simulation(circuit)
+        elif mode is AnalysisMode.WORST_CASE:
+            scenario = "aligned, unconstrained"
+            outcome = align_aggressors(circuit)
+        else:
+            scenario = f"aligned, {window_check.value} check"
+            windows = state.window_snapshot()  # what _decide reads under OVERLAP
+            if window_check is WindowCheck.QUIET:
+                # The paper's one-sided check: only the quiet time binds.
+                windows = {key: (-math.inf, quiet) for key, (_, quiet) in windows.items()}
+            outcome = align_aggressors(circuit, windows=windows)
+        checks[mode] = BoundCheck(
+            mode=mode,
+            scenario=scenario,
+            simulated=outcome.path_delay,
+            bound=result.longest_delay,
+            iterations=len(outcome.history),
+        )
+    return checks
 
-    reference = results[reference_mode]
-    path = sta.critical_path(reference)
-    comparison = TableComparison(
-        design_name=design.name,
-        cell_count=design.circuit.cell_count(),
-        results=results,
-        path=path,
-    )
-    if not simulate or not path.steps:
-        return comparison
 
-    assert reference.final_pass is not None
-    state = reference.final_pass.state
-
-    # Each simulation must launch with the stimulus of the mode it
-    # validates: the bound includes the mode's own launch timing, so e.g.
-    # driving the quiet simulation with the (later, coupled) iterative
-    # launch would not be comparable to the best-case bound.
-    quiet_state = state
-    if AnalysisMode.BEST_CASE in results:
-        best = results[AnalysisMode.BEST_CASE]
-        assert best.final_pass is not None
-        quiet_state = best.final_pass.state
-    worst_state = state
-    if AnalysisMode.WORST_CASE in results:
-        worst_result = results[AnalysisMode.WORST_CASE]
-        assert worst_result.final_pass is not None
-        worst_state = worst_result.final_pass.state
-
-    # Quiet aggressors: validates the best-case row.
-    quiet_circuit = build_path_circuit(
-        design, path, quiet_state, aggressor_transition=aggressor_transition
-    )
-    comparison.sim_quiet_delay = quiet_simulation(
-        quiet_circuit, steps=sim_steps
-    ).path_delay
-
-    # Feasible-window alignment: validates the one-step/iterative rows.
-    circuit = build_path_circuit(
-        design, path, state, aggressor_transition=aggressor_transition
-    )
-    windowed = align_aggressors(
-        circuit, steps=sim_steps, quiet_times=state.quiet_snapshot()
-    )
-    comparison.sim_windowed_delay = windowed.path_delay
-
-    # Unconstrained alignment: validates the worst-case row.
-    worst_circuit = build_path_circuit(
-        design, path, worst_state, aggressor_transition=aggressor_transition
-    )
-    worst = align_aggressors(worst_circuit, steps=sim_steps)
-    comparison.sim_worst_delay = worst.path_delay
-    comparison.alignment_iterations = len(worst.history)
-    return comparison
+def format_bound_checks(checks: Mapping[AnalysisMode, BoundCheck]) -> str:
+    """Render the records as text, one row per validated mode."""
+    lines = [
+        f"{'Mode':<16} {'Simulated scenario':<24} {'Sim [ns]':>9} "
+        f"{'Bound [ns]':>11} {'Iter':>5}  Holds",
+        "-" * 76,
+    ]
+    for check in checks.values():
+        lines.append(
+            f"{MODE_LABELS[check.mode]:<16} {check.scenario:<24} "
+            f"{check.simulated * 1e9:>9.3f} {check.bound * 1e9:>11.3f} "
+            f"{check.iterations:>5d}  {'yes' if check.holds else 'NO'}"
+        )
+    return "\n".join(lines)

@@ -76,6 +76,11 @@ class PathCircuit:
     initial_voltages: dict[str, float] = field(default_factory=dict)
     t_horizon: float = 0.0
 
+    @property
+    def t_never(self) -> float:
+        """A switching time past the horizon: the aggressor stays quiet."""
+        return self.t_horizon * 10.0
+
     def rebuild_sources(self) -> None:
         """Re-emit the aggressor PWL points after alignment changes.
 
@@ -100,7 +105,6 @@ def build_path_circuit(
     path: CriticalPath,
     state: ColumnTimingState,
     aggressor_transition: float = 10e-12,
-    include_aggressors: bool = True,
     distributed_coupling: bool = False,
 ) -> PathCircuit:
     """Assemble the simulation circuit for a critical path.
@@ -113,8 +117,7 @@ def build_path_circuit(
     if not path.steps:
         raise ValueError("cannot simulate an empty path")
     builder = _PathBuilder(
-        design, path, state, aggressor_transition, include_aggressors,
-        distributed_coupling,
+        design, path, state, aggressor_transition, distributed_coupling
     )
     return builder.build()
 
@@ -126,14 +129,12 @@ class _PathBuilder:
         path: CriticalPath,
         state: ColumnTimingState,
         aggressor_transition: float,
-        include_aggressors: bool,
-        distributed_coupling: bool = False,
+        distributed_coupling: bool,
     ):
         self.design = design
         self.path = path
         self.state = state
         self.aggressor_transition = aggressor_transition
-        self.include_aggressors = include_aggressors
         self.distributed_coupling = distributed_coupling
         self.process = design.process
         self.sim = SimCircuit(f"path::{path.endpoint}")
@@ -195,8 +196,7 @@ class _PathBuilder:
         self.initial[stim_node] = v0
 
         # Coupling capacitances and aggressor sources.
-        if self.include_aggressors:
-            self._add_coupling()
+        self._add_coupling()
 
         # Endpoint probe.
         last = steps[-1]

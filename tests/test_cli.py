@@ -153,6 +153,31 @@ class TestAnalyze:
         assert "best_case" in payload["modes"]
         assert payload["critical_path"]["steps"]
 
+    def test_simulate_best_case_checks_the_quiet_scenario(self, capsys):
+        assert main(
+            ["analyze", "gen:s35932", "--scale", "0.01", "--mode", "best_case", "--simulate"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "quiet aggressors" in out
+        assert "aligned" not in out
+
+    def test_simulate_static_doubled_claims_no_bound(self, capsys):
+        assert main(["analyze", "s27", "--mode", "static_doubled", "--simulate"]) == 0
+        assert "static_doubled claims no bound" in capsys.readouterr().out
+
+    def test_simulate_all_modes(self, capsys):
+        assert main(["analyze", "s27", "--all-modes", "--simulate"]) == 0
+        out = capsys.readouterr().out
+        rows = out.split("each mode's scenario:")[1].splitlines()
+        validated = [row for row in rows if row.endswith("  yes")]
+        assert [row[:16].strip() for row in validated] == [
+            "Best case",
+            "Worst case",
+            "One step",
+            "Iterative",
+        ]
+        assert "static_doubled claims no bound" in out
+
     def test_net_report_export(self, tmp_path, capsys):
         import json
 

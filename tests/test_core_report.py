@@ -24,12 +24,6 @@ class TestFormatting:
             assert label in text
         assert "(123 cells)" in text
 
-    def test_simulation_row_optional(self, results):
-        without = format_table("tiny", results)
-        with_sim = format_table("tiny", results, simulation_ns=1.234)
-        assert "Simulation" not in without
-        assert "1.234" in with_sim
-
     def test_rows_in_paper_order(self, results):
         rows = result_rows(results)
         assert [r.label for r in rows] == [

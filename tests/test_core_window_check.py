@@ -56,15 +56,13 @@ class TestOverlap:
     def test_overlap_bound_still_holds_vs_simulation(self, s27_design):
         """The tighter bound is still an upper bound for feasible-window
         simulation."""
-        from repro.validate import align_aggressors, build_path_circuit
+        from repro.validate import check_bounds
 
         config = StaConfig(mode=AnalysisMode.ITERATIVE, window_check=WindowCheck.OVERLAP)
         sta = CrosstalkSTA(s27_design, config)
         result = sta.run()
         path = sta.critical_path(result)
-        circuit = build_path_circuit(s27_design, path, result.final_pass.state)
-        outcome = align_aggressors(
-            circuit, steps=1600,
-            windows=result.final_pass.state.window_snapshot(),
+        checks = check_bounds(
+            s27_design, {AnalysisMode.ITERATIVE: result}, path, WindowCheck.OVERLAP
         )
-        assert outcome.path_delay <= result.longest_delay
+        assert checks[AnalysisMode.ITERATIVE].holds

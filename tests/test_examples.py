@@ -57,6 +57,12 @@ class TestExamples:
         assert "cold verify: bit-identical" in out
         assert "C_c" in out
 
+    def test_custom_circuit(self, capsys):
+        run_example("custom_circuit")
+        out = capsys.readouterr().out
+        assert "Longest path:" in out
+        assert "bounds hold" in out
+
     def test_plot_layout(self, tmp_path, capsys):
         target = tmp_path / "layout.svg"
         run_example("plot_layout", [str(target)])

@@ -7,65 +7,72 @@ the crosstalk-aware bounds are tight.
 
 import pytest
 
+from repro.core.analyzer import CrosstalkSTA
 from repro.core.modes import AnalysisMode
-from repro.validate import run_table_comparison
+from repro.validate import check_bounds
+
+VALIDATED = [mode for mode in AnalysisMode if mode is not AnalysisMode.STATIC_DOUBLED]
 
 
 @pytest.fixture(scope="module")
-def comparison(s27_design):
-    return run_table_comparison(s27_design, sim_steps=1600)
+def checks(s27_design):
+    sta = CrosstalkSTA(s27_design)
+    results = sta.run_all_modes()
+    path = sta.critical_path(results[AnalysisMode.ITERATIVE])
+    return check_bounds(s27_design, results, path)
 
 
 class TestBounds:
-    def test_quiet_simulation_below_best_case(self, comparison):
-        best = comparison.results[AnalysisMode.BEST_CASE].longest_delay
-        assert comparison.sim_quiet_delay <= best
+    def test_quiet_simulation_below_best_case(self, checks):
+        assert checks[AnalysisMode.BEST_CASE].holds
 
-    def test_windowed_simulation_below_iterative(self, comparison):
-        bound = comparison.results[AnalysisMode.ITERATIVE].longest_delay
-        assert comparison.sim_windowed_delay <= bound
+    def test_windowed_simulation_below_iterative(self, checks):
+        assert checks[AnalysisMode.ITERATIVE].holds
 
-    def test_windowed_simulation_below_one_step(self, comparison):
-        bound = comparison.results[AnalysisMode.ONE_STEP].longest_delay
-        assert comparison.sim_windowed_delay <= bound
+    def test_windowed_simulation_below_one_step(self, checks):
+        assert checks[AnalysisMode.ONE_STEP].holds
 
-    def test_worst_simulation_below_worst_case(self, comparison):
-        bound = comparison.results[AnalysisMode.WORST_CASE].longest_delay
-        assert comparison.sim_worst_delay <= bound
+    def test_worst_simulation_below_worst_case(self, checks):
+        assert checks[AnalysisMode.WORST_CASE].holds
 
-    def test_simulations_ordered(self, comparison):
-        assert comparison.sim_quiet_delay <= comparison.sim_windowed_delay + 1e-12
-        assert comparison.sim_windowed_delay <= comparison.sim_worst_delay + 1e-12
+    def test_simulations_ordered(self, checks):
+        quiet = checks[AnalysisMode.BEST_CASE].simulated
+        worst = checks[AnalysisMode.WORST_CASE].simulated
+        for mode in (AnalysisMode.ONE_STEP, AnalysisMode.ITERATIVE):
+            assert quiet <= checks[mode].simulated + 1e-12
+            assert checks[mode].simulated <= worst + 1e-12
 
 
 class TestTightness:
-    def test_iterative_bound_tight(self, comparison):
+    def test_iterative_bound_tight(self, checks):
         """The paper stresses "the accuracy of the estimated delay values
         in comparison to the simulations": the bound should be within a
         modest factor of the achievable delay."""
-        bound = comparison.results[AnalysisMode.ITERATIVE].longest_delay
-        assert bound <= comparison.sim_windowed_delay * 1.25
+        check = checks[AnalysisMode.ITERATIVE]
+        assert check.bound <= check.simulated * 1.25
 
-    def test_best_case_bound_tight(self, comparison):
-        bound = comparison.results[AnalysisMode.BEST_CASE].longest_delay
-        assert bound <= comparison.sim_quiet_delay * 1.25
+    def test_best_case_bound_tight(self, checks):
+        check = checks[AnalysisMode.BEST_CASE]
+        assert check.bound <= check.simulated * 1.25
 
-    def test_coupling_visible_in_simulation(self, comparison):
+    def test_coupling_visible_in_simulation(self, checks):
         """Aligned aggressors measurably slow the real (simulated) path."""
-        assert comparison.sim_worst_delay > comparison.sim_quiet_delay * 1.005
+        quiet = checks[AnalysisMode.BEST_CASE].simulated
+        assert checks[AnalysisMode.WORST_CASE].simulated > quiet * 1.005
 
 
 class TestRecord:
-    def test_delays_ns_complete(self, comparison):
-        table = comparison.delays_ns()
-        for mode in AnalysisMode:
-            assert mode.value in table
-        assert "simulation_quiet" in table
-        assert "simulation_windowed" in table
-        assert "simulation_worst" in table
+    def test_one_record_per_validated_mode(self, checks):
+        assert list(checks) == VALIDATED
+        for mode, check in checks.items():
+            assert check.mode is mode
+            assert check.simulated > 0
 
-    def test_coupling_impact_positive(self, comparison):
-        assert comparison.coupling_impact > 0
+    def test_coupling_impact_positive(self, checks):
+        impact = checks[AnalysisMode.WORST_CASE].bound - checks[AnalysisMode.BEST_CASE].bound
+        assert impact > 0
 
-    def test_alignment_ran(self, comparison):
-        assert comparison.alignment_iterations >= 1
+    def test_alignment_ran(self, checks):
+        assert checks[AnalysisMode.BEST_CASE].iterations == 0
+        for mode in VALIDATED[1:]:
+            assert checks[mode].iterations >= 1
