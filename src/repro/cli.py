@@ -128,11 +128,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         window_check=WindowCheck(args.window_check),
         esperance=args.esperance,
         arc_cache=args.arc_cache,
-        incremental=not args.no_incremental,
         strict=args.strict,
         max_degraded=args.max_degraded,
         checkpoint=args.checkpoint,
-        provenance=not args.no_provenance,
         clock_period=args.clock_period,
         setup_time=args.setup_time,
         hold_time=args.hold_time,
@@ -340,10 +338,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         window_check=WindowCheck(args.window_check),
         esperance=args.esperance,
         arc_cache=args.arc_cache,
-        incremental=not args.no_incremental,
         strict=args.strict,
         max_degraded=args.max_degraded,
-        provenance=not args.no_provenance,
         clock_period=args.clock_period,
         setup_time=args.setup_time,
         hold_time=args.hold_time,
@@ -527,12 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persistent arc-cache file reused across runs",
     )
     analyze.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="disable delta-driven reuse between iterative passes "
-        "(every pass re-solves every arc; results are identical)",
-    )
-    analyze.add_argument(
         "--strict",
         action="store_true",
         help="fail fast on internal faults instead of degrading to "
@@ -576,12 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics",
         metavar="FILE",
         help="write the per-mode metrics snapshot as JSON",
-    )
-    analyze.add_argument(
-        "--no-provenance",
-        action="store_true",
-        help="skip the per-arc provenance ledger (annotation only: delays "
-        "are bit-identical either way; 'repro explain' needs it on)",
     )
     _add_constraint_args(analyze)
     analyze.add_argument(
@@ -717,7 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--esperance", action="store_true")
     serve.add_argument("--arc-cache", metavar="FILE")
-    serve.add_argument("--no-incremental", action="store_true")
     serve.add_argument("--strict", action="store_true")
     serve.add_argument("--max-degraded", type=int, default=None, metavar="N")
     serve.add_argument(
@@ -736,12 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-dir",
         metavar="DIR",
         help="write each request's span subtree to DIR/<request_id>.jsonl",
-    )
-    serve.add_argument(
-        "--no-provenance",
-        action="store_true",
-        help="default new sessions to no provenance ledger (the 'explain' "
-        "RPC then needs a per-session override to turn it back on)",
     )
     _add_constraint_args(serve)
     serve.set_defaults(func=cmd_serve)

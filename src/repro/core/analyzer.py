@@ -52,8 +52,8 @@ class StaResult:
     degraded_arcs: list[dict] = field(default_factory=list)
     # The propagator's per-arc provenance ledger (shared across the
     # passes of this run; row ids in final_pass.state.arc_prov index into
-    # it).  None when config.provenance is off.
-    ledger: ProvenanceLedger | None = None
+    # it).
+    ledger: ProvenanceLedger = field(default_factory=ProvenanceLedger)
     # Seconds spent compiling the design into the columnar id arrays,
     # amortized once per analyzer (0.0 when the compiled design was
     # already cached).
@@ -209,12 +209,6 @@ class CrosstalkSTA:
                 config.window_check.value,
             )
         )
-        # Appended only when non-default: a ledger-off checkpoint must not
-        # resume a ledger-on run (the restored passes would have no
-        # provenance rows), but every default-config fingerprint stays
-        # what it always was.
-        if not config.provenance:
-            blob += "|provenance_off"
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def run(self, mode: AnalysisMode | None = None) -> StaResult:
@@ -227,12 +221,11 @@ class CrosstalkSTA:
         """
         config = self.config if mode is None else self.config.with_mode(mode)
         propagator = self._propagator_for(config)
-        if config.provenance:
-            # One run, one ledger: each pass's arc_prov row ids index into
-            # it, and a persistent session must not accumulate rows across
-            # re-analyses.  The previous result keeps its own (replaced,
-            # not cleared) ledger object, so its row ids stay valid.
-            propagator.ledger = ProvenanceLedger()
+        # One run, one ledger: each pass's arc_prov row ids index into it,
+        # and a persistent session must not accumulate rows across
+        # re-analyses.  The previous result keeps its own (replaced, not
+        # cleared) ledger object, so its row ids stay valid.
+        propagator.ledger = ProvenanceLedger()
         metrics_before = self.obs.metrics.snapshot()
         degraded_before = len(self.calculator.degraded)
 
@@ -253,22 +246,10 @@ class CrosstalkSTA:
                 history = iterative.history
             else:
                 final = propagator.run_pass()
+                cells = len(propagator.order)
                 history = [
-                    IterationRecord(
-                        index=1,
-                        longest_delay=final.longest_delay,
-                        waveform_evaluations=final.waveform_evaluations,
-                        seconds=time.perf_counter() - t0,
-                        recalculated_cells=len(propagator.order),
-                        total_cells=len(propagator.order),
-                        cache_evaluations=final.cache_evaluations,
-                        cache_hits=final.cache_hits,
-                        cache_dedup_hits=final.cache_dedup_hits,
-                        cache_persisted_hits=final.cache_persisted_hits,
-                        dirty_arcs=final.dirty_arcs,
-                        reused_arcs=final.reused_arcs,
-                        phase_seconds=dict(final.phase_seconds),
-                        provenance_rows=final.provenance_rows,
+                    IterationRecord.from_pass(
+                        1, final, time.perf_counter() - t0, cells, cells
                     )
                 ]
         runtime = time.perf_counter() - t0
@@ -330,7 +311,7 @@ class CrosstalkSTA:
             phase_seconds=phase_totals,
             telemetry=telemetry,
             degraded_arcs=degraded,
-            ledger=propagator.ledger if config.provenance else None,
+            ledger=propagator.ledger,
             compile_seconds=self._compile_seconds,
             slack=slack,
         )

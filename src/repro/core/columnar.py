@@ -357,8 +357,8 @@ class ColumnTimingState:
     events are final for this pass -- the "calculated" predicate of the
     one-step pseudo-code.  ``win_*`` record each winning event's arc and
     ``aprov_row`` its row in the propagator's
-    :class:`~repro.core.provenance.ProvenanceLedger` (-1 when the ledger
-    is disabled).  ``provenance``, ``arc_prov``, ``event()`` and the
+    :class:`~repro.core.provenance.ProvenanceLedger` (-1 where no row
+    was recorded, as in a min-delay pass).  ``provenance``, ``arc_prov``, ``event()`` and the
     snapshots are thin lazy views for the explain engine, reports and
     the service layer.
     """

@@ -79,11 +79,11 @@ def _stage_rows(
     last_pass = 0
     for step in path.steps:
         row_id = state.arc_prov.get((step.out_net, step.out_direction))
-        if ledger is not None and row_id is not None:
+        if row_id is not None:
             prov = ledger.row(row_id)
         else:
             # Defensive: a net whose winning row predates the ledger
-            # (it cannot happen in a fresh provenance-on run).
+            # (it cannot happen in a fresh run).
             prov = {
                 "tier": "unknown",
                 "origin": "unknown",
@@ -149,8 +149,6 @@ def _blame_table(
     """Nets ranked by the coupling-induced delay shift of their winning
     arcs (the larger of the two transition directions)."""
     ledger = result.ledger
-    if ledger is None:
-        return []
     best: dict[str, dict[str, Any]] = {}
     for (net, direction), row_id in final.state.arc_prov.items():
         row = ledger.row(row_id)
@@ -186,17 +184,11 @@ def explain_result(
 
     ``k`` worst endpoint paths are broken down (worst first -- the first
     path's delay *is* ``longest_delay``); ``top`` bounds the blame
-    table.  Requires the run to have recorded the provenance ledger
-    (``StaConfig.provenance``, the default).
+    table.
     """
     final = result.final_pass
     if final is None:
         raise InputError("result carries no final pass to explain")
-    if result.ledger is None:
-        raise InputError(
-            "result has no provenance ledger; re-run with provenance "
-            "enabled (drop --no-provenance) to explain it"
-        )
     arrivals = {(a.endpoint, a.direction): a.event.t_cross for a in final.arrivals}
     paths = []
     for path in k_worst_paths(circuit, final, k=max(k, 1)):

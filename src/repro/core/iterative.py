@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import logging
 import time
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
 from repro.core.propagation import PassResult, Propagator
+from repro.core.slack import backward_sweep
 from repro.flow.design import Design
-from repro.waveform.pwl import FALLING, RISING, opposite
+from repro.waveform.pwl import FALLING, RISING
 
 logger = logging.getLogger("repro.core.iterative")
 
@@ -65,8 +65,35 @@ class IterationRecord:
     dirty_arcs: int = 0
     reused_arcs: int = 0
     phase_seconds: dict[str, float] = field(default_factory=dict)
-    # Provenance-ledger rows appended during this pass (0 when disabled).
+    # Provenance-ledger rows appended during this pass.
     provenance_rows: int = 0
+
+    @classmethod
+    def from_pass(
+        cls,
+        index: int,
+        result: PassResult,
+        seconds: float,
+        recalculated_cells: int,
+        total_cells: int,
+    ) -> "IterationRecord":
+        """The record of one finished pass."""
+        return cls(
+            index=index,
+            longest_delay=result.longest_delay,
+            waveform_evaluations=result.waveform_evaluations,
+            seconds=seconds,
+            recalculated_cells=recalculated_cells,
+            total_cells=total_cells,
+            cache_evaluations=result.cache_evaluations,
+            cache_hits=result.cache_hits,
+            cache_dedup_hits=result.cache_dedup_hits,
+            cache_persisted_hits=result.cache_persisted_hits,
+            dirty_arcs=result.dirty_arcs,
+            reused_arcs=result.reused_arcs,
+            phase_seconds=dict(result.phase_seconds),
+            provenance_rows=result.provenance_rows,
+        )
 
     @property
     def recalc_fraction(self) -> float:
@@ -188,21 +215,8 @@ def run_iterative(
             t0 = time.perf_counter()
             current = propagator.run_pass()
             history.append(
-                IterationRecord(
-                    index=1,
-                    longest_delay=current.longest_delay,
-                    waveform_evaluations=current.waveform_evaluations,
-                    seconds=time.perf_counter() - t0,
-                    recalculated_cells=total_cells,
-                    total_cells=total_cells,
-                    cache_evaluations=current.cache_evaluations,
-                    cache_hits=current.cache_hits,
-                    cache_dedup_hits=current.cache_dedup_hits,
-                    cache_persisted_hits=current.cache_persisted_hits,
-                    dirty_arcs=current.dirty_arcs,
-                    reused_arcs=current.reused_arcs,
-                    phase_seconds=dict(current.phase_seconds),
-                    provenance_rows=current.provenance_rows,
+                IterationRecord.from_pass(
+                    1, current, time.perf_counter() - t0, total_cells, total_cells
                 )
             )
         best = current
@@ -217,29 +231,21 @@ def run_iterative(
             recalc = esperance_recalc_cells(
                 propagator.design, propagator, current, config.esperance_slack
             )
+        n_recalc = len(recalc) if recalc is not None else total_cells
         with tracer.span(
             "iterative.pass",
             index=len(history) + 1,
             full=recalc is None,
-            recalc_cells=len(recalc) if recalc is not None else total_cells,
+            recalc_cells=n_recalc,
         ):
             t0 = time.perf_counter()
             next_pass = propagator.run_pass(prev=current.state, recalc_cells=recalc)
-            record = IterationRecord(
-                index=len(history) + 1,
-                longest_delay=next_pass.longest_delay,
-                waveform_evaluations=next_pass.waveform_evaluations,
-                seconds=time.perf_counter() - t0,
-                recalculated_cells=len(recalc) if recalc is not None else total_cells,
-                total_cells=total_cells,
-                cache_evaluations=next_pass.cache_evaluations,
-                cache_hits=next_pass.cache_hits,
-                cache_dedup_hits=next_pass.cache_dedup_hits,
-                cache_persisted_hits=next_pass.cache_persisted_hits,
-                dirty_arcs=next_pass.dirty_arcs,
-                reused_arcs=next_pass.reused_arcs,
-                phase_seconds=dict(next_pass.phase_seconds),
-                provenance_rows=next_pass.provenance_rows,
+            record = IterationRecord.from_pass(
+                len(history) + 1,
+                next_pass,
+                time.perf_counter() - t0,
+                n_recalc,
+                total_cells,
             )
             history.append(record)
             g_recalc.set(record.recalc_fraction)
@@ -286,67 +292,32 @@ def esperance_recalc_cells(
     pass_result: PassResult,
     slack_fraction: float,
 ) -> set[str]:
-    """Nets on long paths, per the Esperance idea: a backward required-time
-    sweep over the *stored events* (pure arithmetic, no waveform work)
-    marks every net whose slack is within ``slack_fraction`` of the
-    longest-path delay; only their driver cells are recomputed."""
+    """Cells on long paths, per the Esperance idea: the slack engine's
+    backward required-time sweep over the *stored events* (pure
+    arithmetic, no waveform work), seeded with the longest-path delay at
+    every endpoint net that carries an event, marks every net whose
+    slack is within ``slack_fraction`` of that delay; only the cells of
+    ``propagator.order`` driving those nets are recomputed."""
     state = pass_result.state
     horizon = pass_result.longest_delay
-    threshold = slack_fraction * horizon
-    required: dict[tuple[str, str], float] = defaultdict(lambda: float("inf"))
-
-    circuit = design.circuit
-    for endpoint in circuit.timing_endpoints():
+    seeds: dict[tuple[str, str], float] = {}
+    for endpoint in design.circuit.timing_endpoints():
         net = endpoint.net
         if net is None:
             continue
         for direction in (RISING, FALLING):
             if state.event(net.name, direction) is not None:
-                key = (net.name, direction)
-                required[key] = min(required[key], horizon)
-
-    for cell in reversed(propagator.order):
-        out_net = cell.output_pin.net
-        if out_net is None:
-            continue
-        for out_direction in (RISING, FALLING):
-            out_event = state.event(out_net.name, out_direction)
-            if out_event is None:
-                continue
-            req_out = required[(out_net.name, out_direction)]
-            if req_out == float("inf"):
-                continue
-            in_pins = (
-                [cell.pins["CLK"]] if cell.is_sequential else cell.input_pins
-            )
-            for pin in in_pins:
-                in_net = pin.net
-                if in_net is None:
-                    continue
-                in_directions = (
-                    (RISING, FALLING)
-                    if cell.is_sequential
-                    else (opposite(out_direction),)
-                )
-                for in_direction in in_directions:
-                    in_event = state.event(in_net.name, in_direction)
-                    if in_event is None:
-                        continue
-                    arc_delay = out_event.t_cross - in_event.t_cross
-                    key = (in_net.name, in_direction)
-                    required[key] = min(required[key], req_out - arc_delay)
-
-    recalc: set[str] = set()
-    for (net_name, direction), req in required.items():
-        event = state.event(net_name, direction)
-        if event is None:
-            continue
-        slack = req - event.t_cross
-        if slack <= threshold:
-            net = circuit.nets.get(net_name)
-            if net is None:
-                continue
-            driver = net.driver_cell()
-            if driver is not None:
-                recalc.add(driver.name)
-    return recalc
+                seeds[(net.name, direction)] = horizon
+    net_required, _ = backward_sweep(state, seeds)
+    threshold = slack_fraction * horizon
+    long_nets = {
+        name
+        for (name, direction), required in net_required.items()
+        if required - state.event(name, direction).t_cross <= threshold
+    }
+    return {
+        cell.name
+        for cell in propagator.order
+        if cell.output_pin.net is not None
+        and cell.output_pin.net.name in long_nets
+    }

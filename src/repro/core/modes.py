@@ -125,22 +125,6 @@ class StaConfig:
         persisted after every pass; when the file already holds passes
         for this exact analysis, the run resumes from them
         (bit-identical to an uninterrupted run).
-    incremental:
-        Delta-driven re-propagation between iterative passes: each arc's
-        inputs (arrival event and decided coupling load) are
-        fingerprinted with *exact* float equality, and an arc whose
-        fingerprint is unchanged reuses the previous pass's waveform
-        instead of re-solving.  Reuse is bit-identical by construction
-        (equal inputs into a deterministic, cached calculator produce
-        equal outputs), so this is purely a performance feature; disable
-        to force every pass to pay full price (diagnosis, benchmarking
-        baselines).
-    provenance:
-        Record a per-arc provenance ledger (solver, reuse origin,
-        decided coupling, pass index, signature token) alongside the
-        timing results.  Annotation only: delays are bit-identical with
-        the ledger on or off; disabling merely drops the bookkeeping
-        (and with it ``repro explain``'s per-stage provenance).
     clock_period:
         Optional clock period (seconds).  When set, every run
         additionally performs the backward required-time pass
@@ -168,11 +152,9 @@ class StaConfig:
     slew_degradation_factor: float = 2.2
     window_check: "WindowCheck" = None  # type: ignore[assignment]
     arc_cache: str | None = None
-    incremental: bool = True
     strict: bool = False
     max_degraded: int | None = None
     checkpoint: str | None = None
-    provenance: bool = True
     # Timing constraints.  Deliberately NOT part of the checkpoint
     # fingerprint: they only drive the backward slack pass and the
     # setup/hold verdicts, never the forward pass sequence, so a

@@ -35,10 +35,10 @@ ones to one in-process vectorized integration.  A key's
 result does not depend on the batch it was solved in, so the size-based
 choice never moves a number.
 
-Between iterative passes the propagator is *delta-driven*
-(``StaConfig.incremental``): per-arc memo columns keep the last pass's
-solve-relevant inputs -- the arrival's transition and the decided
-coupling load -- together with the *origin-free relative* results
+Between iterative passes the propagator is *delta-driven*: per-arc
+memo columns keep the last pass's solve-relevant inputs -- the
+arrival's transition and the decided coupling load -- together with
+the *origin-free relative* results
 (:class:`~repro.waveform.gatedelay.ArcResult`).  An arc whose inputs are
 unchanged (exact float equality, one vectorized compare per slab)
 re-anchors the memoized relative waveform at the current arrival's time
@@ -129,8 +129,7 @@ class PassResult:
     cache_dedup_hits: int = 0
     cache_persisted_hits: int = 0
     phase_seconds: dict[str, float] = field(default_factory=dict)
-    # Rows this pass appended to the propagator's provenance ledger
-    # (0 when the ledger is disabled).
+    # Rows this pass appended to the propagator's provenance ledger.
     provenance_rows: int = 0
 
     def arrival_map(self) -> dict[tuple[str, str], float]:
@@ -197,11 +196,9 @@ _FIXED_COUPLING_KIND = {
 }
 
 
-def _memo_prov(prov: dict | None) -> dict | None:
+def _memo_prov(prov: dict) -> dict:
     """Provenance of a memo reuse: the stored solve's record with the
     origin rewritten to "memo"."""
-    if prov is None:
-        return None
     return {**prov, "origin": "memo"}
 
 
@@ -241,8 +238,6 @@ class Propagator:
         self.levels = self.compiled.levels
         self.order = self.compiled.cells
         # Per-arc provenance ledger (columnar; one row per merged arc).
-        # Pure annotation: delays are bit-identical with it on or off.
-        self._provenance = config.provenance
         self.ledger = ProvenanceLedger()
         self._pass_count = 0
         metrics = self.obs.metrics
@@ -476,8 +471,6 @@ class Propagator:
         memo), so migration preserves the incremental engine's guarantee:
         a reused arc is bit-identical to a fresh solve.
         """
-        if not self.config.incremental:
-            return
         cells = self.design.circuit.cells
         loads = self.design.loads
         old_loads = source.design.loads
@@ -559,8 +552,6 @@ class Propagator:
         tracer = self.obs.tracer
 
         overlap = config.window_check is WindowCheck.OVERLAP
-        incremental = config.incremental
-        prov_on = self._provenance
         mode = config.mode
         k_slew = config.slew_degradation_factor
         tgrid = calc.transition_grid
@@ -590,7 +581,7 @@ class Propagator:
         with tracer.span(
             "sta.pass",
             mode=mode.value,
-            incremental=recalc_cells is not None,
+            esperance=recalc_cells is not None,
         ) as pass_span:
             init_sources(state, self.design, config.input_transition)
             for level_index, level in enumerate(self.levels):
@@ -664,15 +655,12 @@ class Propagator:
                             np.ceil(np.maximum(a_tt[sl], 1e-13) / tgrid) * tgrid
                         )
                         qtt_l[lo:hi] = qtt.tolist()
-                        if incremental:
-                            attach = (
-                                live_slab
-                                & self._m_valid[sl]
-                                & (self._m_tt[sl] == a_tt[sl])
-                            )
-                            a_attach[sl] = attach
-                        else:
-                            attach = np.zeros(hi - lo, dtype=bool)
+                        attach = (
+                            live_slab
+                            & self._m_valid[sl]
+                            & (self._m_tt[sl] == a_tt[sl])
+                        )
+                        a_attach[sl] = attach
                         windowed = self._s_windowed[sl]
                         uw = live_slab & ~windowed
                         reuse_uw = (
@@ -686,8 +674,7 @@ class Propagator:
                         a_coupled[idx] = self._m_coupled[idx]
                         for a in idx.tolist():
                             a_final[a] = self._m_final[a]
-                            if prov_on:
-                                a_prov[a] = _memo_prov(self._m_prov[a])
+                            a_prov[a] = _memo_prov(self._m_prov[a])
                         w = live_slab & windowed
                         reuse_w = attach & w & self._m_has_best[sl]
                         if overlap:
@@ -696,10 +683,9 @@ class Propagator:
                         for a in idx.tolist():
                             a_best[a] = self._m_best[a]
                             a_worst[a] = self._m_worst[a]
-                            if prov_on:
-                                # Tentative: overwritten if the coupling
-                                # decision forces a fresh final solve.
-                                a_prov[a] = _memo_prov(self._m_prov[a])
+                            # Tentative: overwritten if the coupling
+                            # decision forces a fresh final solve.
+                            a_prov[a] = _memo_prov(self._m_prov[a])
                         miss = np.nonzero(
                             (uw & ~reuse_uw) | (w & ~reuse_w)
                         )[0] + lo
@@ -747,8 +733,7 @@ class Propagator:
                                     result.waveform_evaluations += 1
                                     a_eval[a] = True
                                     a_best[a] = calc.resolve_key(a_bkey[a])
-                                    if prov_on:
-                                        a_prov[a] = self._last_prov()
+                                    a_prov[a] = self._last_prov()
                                     if overlap:
                                         result.waveform_evaluations += 1
                                         a_worst[a] = calc.resolve_key(a_wkey[a])
@@ -757,8 +742,7 @@ class Propagator:
                                     a_eval[a] = True
                                     a_final[a] = calc.resolve_key(a_key[a])
                                     a_coupled[a] = self._s_plain_coupled[a]
-                                    if prov_on:
-                                        a_prov[a] = self._last_prov()
+                                    a_prov[a] = self._last_prov()
                     timers["base_waveforms"] += time.perf_counter() - t0
 
                     waves = self._coupling_waves(computed_cells)
@@ -869,8 +853,7 @@ class Propagator:
                                 if key is None:
                                     a_final[a] = self._m_final[a]
                                     a_coupled[a] = True
-                                    if prov_on:
-                                        a_prov[a] = _memo_prov(self._m_prov[a])
+                                    a_prov[a] = _memo_prov(self._m_prov[a])
                                     continue
                                 a_key[a] = key
                                 pending.append(a)
@@ -884,40 +867,36 @@ class Propagator:
                                     a_eval[a] = True
                                     a_final[a] = calc.resolve_key(a_key[a])
                                     a_coupled[a] = True
-                                    if prov_on:
-                                        a_prov[a] = self._last_prov()
+                                    a_prov[a] = self._last_prov()
                         timers["final_waveforms"] += time.perf_counter() - t0
 
                         t0 = time.perf_counter()
                         for a in wave_arcs:
                             rel = a_final[a]
-                            if prov_on:
-                                prov = a_prov[a] or {}
-                                if self._s_windowed_l[a]:
-                                    if (
-                                        a_coupled[a]
-                                        and a_best[a] is not None
-                                        and rel is not None
-                                    ):
-                                        delta = rel.t_cross - a_best[a].t_cross
-                                    else:
-                                        delta = 0.0
-                                elif mode is AnalysisMode.BEST_CASE:
-                                    delta = 0.0
+                            prov = a_prov[a]
+                            if self._s_windowed_l[a]:
+                                if (
+                                    a_coupled[a]
+                                    and a_best[a] is not None
+                                    and rel is not None
+                                ):
+                                    delta = rel.t_cross - a_best[a].t_cross
                                 else:
-                                    delta = None
-                                row = self.ledger.append(
-                                    tier="newton",
-                                    origin=prov.get("origin", "fresh"),
-                                    signature=prov.get("signature", ""),
-                                    coupling=self._a_kind[a],
-                                    aggressors_total=self._s_aggt[a],
-                                    aggressors_active=self._a_agga[a],
-                                    pass_index=self._pass_count,
-                                    coupling_delta=delta,
-                                )
+                                    delta = 0.0
+                            elif mode is AnalysisMode.BEST_CASE:
+                                delta = 0.0
                             else:
-                                row = None
+                                delta = None
+                            row = self.ledger.append(
+                                tier="newton",
+                                origin=prov["origin"],
+                                signature=prov["signature"],
+                                coupling=self._a_kind[a],
+                                aggressors_total=self._s_aggt[a],
+                                aggressors_active=self._a_agga[a],
+                                pass_index=self._pass_count,
+                                coupling_delta=delta,
+                            )
                             ts = ts_l[a]
                             tc = ts + rel.t_cross
                             tr = rel.transition
@@ -951,36 +930,34 @@ class Propagator:
                                 state.win_arc[d, out] = a
                                 state.win_coupled[d, out] = a_coupled[a]
                                 state.win_prov_dir[d, out] = a_prov_dir[a]
-                                if row is not None:
-                                    state.aprov_row[d, out] = row
+                                state.aprov_row[d, out] = row
                             if a_eval[a]:
                                 result.dirty_arcs += 1
                             else:
                                 result.reused_arcs += 1
-                            if incremental:
-                                self._m_valid[a] = True
-                                self._m_tt[a] = a_tt[a]
-                                self._m_coupled[a] = a_coupled[a]
-                                best = a_best[a]
-                                self._m_best[a] = best
-                                self._m_has_best[a] = best is not None
-                                worst = a_worst[a]
-                                self._m_worst[a] = worst
-                                self._m_has_worst[a] = worst is not None
-                                self._m_final[a] = rel
-                                self._m_prov[a] = a_prov[a]
-                                if a_flhas[a]:
-                                    self._m_cg[a] = a_flcg[a]
-                                    self._m_ca[a] = a_flca[a]
-                                    self._m_cp[a] = a_flcp[a]
-                                elif not self._s_windowed_l[a]:
-                                    self._m_cg[a] = self._s_plain_cg[a]
-                                    self._m_ca[a] = self._s_plain_ca[a]
-                                    self._m_cp[a] = 0.0
-                                else:
-                                    self._m_cg[a] = np.nan
-                                    self._m_ca[a] = np.nan
-                                    self._m_cp[a] = np.nan
+                            self._m_valid[a] = True
+                            self._m_tt[a] = a_tt[a]
+                            self._m_coupled[a] = a_coupled[a]
+                            best = a_best[a]
+                            self._m_best[a] = best
+                            self._m_has_best[a] = best is not None
+                            worst = a_worst[a]
+                            self._m_worst[a] = worst
+                            self._m_has_worst[a] = worst is not None
+                            self._m_final[a] = rel
+                            self._m_prov[a] = a_prov[a]
+                            if a_flhas[a]:
+                                self._m_cg[a] = a_flcg[a]
+                                self._m_ca[a] = a_flca[a]
+                                self._m_cp[a] = a_flcp[a]
+                            elif not self._s_windowed_l[a]:
+                                self._m_cg[a] = self._s_plain_cg[a]
+                                self._m_ca[a] = self._s_plain_ca[a]
+                                self._m_cp[a] = 0.0
+                            else:
+                                self._m_cg[a] = np.nan
+                                self._m_ca[a] = np.nan
+                                self._m_cp[a] = np.nan
                         # Wave barrier: these events now count as calculated
                         # for the later waves' and levels' decisions.
                         for cell in wave:

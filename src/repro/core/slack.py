@@ -87,9 +87,6 @@ class SlackResult:
     def worst_slack_ps(self) -> float:
         return self.worst_slack * 1e12
 
-    def slack_of(self, net: str, direction: str) -> float | None:
-        return self.net_slack.get((net, direction))
-
     def worst_net_slack(self, net: str) -> float | None:
         """The net's slack, worst transition direction (None when the
         net carries no required time)."""
@@ -148,11 +145,19 @@ def _seed_required(
     return seeds
 
 
-def _sweep(
+def backward_sweep(
     state: ColumnTimingState,
     seeds: dict[tuple[str, str], float],
 ) -> tuple[dict[tuple[str, str], float], dict[tuple[str, str, str], float]]:
-    """Vectorized backward relaxation over the compiled level slabs."""
+    """Vectorized backward relaxation over the compiled level slabs.
+
+    Seeds required times at ``(net, direction)`` keys and relaxes them
+    across every arc whose two events the pass recorded.  Returns the
+    finite required times per net and the slack of every relaxed arc.
+    :func:`compute_slack` seeds it from the endpoint setup checks; the
+    Esperance selection (:mod:`repro.core.iterative`) seeds it with the
+    longest-path delay and reads only the net required times.
+    """
     compiled = state.compiled
     n = compiled.n_nets
     req = np.full((2, n), _INF, dtype=np.float64)
@@ -243,7 +248,7 @@ def compute_slack(
     state = pass_result.state
     report = check_setup(pass_result, clock_period, setup_time)
     seeds = _seed_required(design, pass_result, report)
-    net_required, arc_slack = _sweep(state, seeds)
+    net_required, arc_slack = backward_sweep(state, seeds)
 
     net_slack: dict[tuple[str, str], float] = {}
     for (name, direction), required in net_required.items():

@@ -55,14 +55,8 @@ class Design:
     def name(self) -> str:
         return self.circuit.name
 
-    def load_of(self, net: Net) -> NetLoad:
-        return self.loads[net.name]
-
     def coupling_cap_total(self) -> float:
         return sum(load.c_coupling_total for load in self.loads.values()) / 2.0
-
-    def wire_cap_total(self) -> float:
-        return self.extraction.total_ground_cap()
 
 
 def prepare_design(

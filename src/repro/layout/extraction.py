@@ -58,9 +58,6 @@ class ExtractionResult:
     def total_coupling_cap(self) -> float:
         return sum(cap for _, _, cap in self.coupling_pairs())
 
-    def total_ground_cap(self) -> float:
-        return sum(p.c_wire_ground for p in self.nets.values())
-
 
 def extract(
     routing: RoutingResult,

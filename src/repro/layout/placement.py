@@ -47,11 +47,6 @@ class Placement:
             return pos
         raise KeyError(f"unknown terminal {terminal!r}")
 
-    def row_of(self, y: float) -> int:
-        """Row index containing the given y coordinate."""
-        pitch = self.row_pitch or self.technology.row_height
-        return max(0, min(self.n_rows - 1, int(y / pitch)))
-
     def total_wirelength_estimate(self) -> float:
         """Half-perimeter wirelength estimate over all nets (um)."""
         total = 0.0

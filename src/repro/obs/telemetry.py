@@ -37,10 +37,6 @@ class Observability:
         """Metrics plus an active span tracer."""
         return cls(tracer=Tracer(process_name), metrics=MetricsRegistry())
 
-    @property
-    def tracing_enabled(self) -> bool:
-        return self.tracer.enabled
-
 
 @dataclass
 class RunTelemetry:

@@ -52,12 +52,10 @@ _CONFIG_OVERRIDES = {
     "esperance_slack": float,
     "strict": bool,
     "max_degraded": lambda v: None if v is None else int(v),
-    "incremental": bool,
     "input_transition": float,
     "guard": float,
     "max_iterations": int,
     "convergence_tolerance": float,
-    "provenance": bool,
     "clock_period": lambda v: None if v is None else float(v),
     "setup_time": float,
     "hold_time": float,
@@ -415,7 +413,6 @@ class Session:
             "coupling_pairs": coupling_pairs,
             "mode": self.config.mode.value,
             "window_check": self.config.window_check.value,
-            "incremental": self.config.incremental,
             "checkpoint": self.checkpoint_path,
             "analyzed_modes": sorted(m.value for m in self.results),
             "queries": self.queries,

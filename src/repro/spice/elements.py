@@ -83,9 +83,6 @@ class PwlSource:
             return v1
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
-    def breakpoints(self) -> list[float]:
-        return list(self._times)
-
     @staticmethod
     def step(a: str, v0: float, v1: float, t_step: float, ramp: float) -> "PwlSource":
         """Convenience: a single ramp from ``v0`` to ``v1`` starting at

@@ -58,10 +58,6 @@ class InputRamp:
             return vdd * frac
         return vdd * (1.0 - frac)
 
-    def t_cross_half(self, vdd: float) -> float:
-        """Time the input crosses V_DD/2."""
-        return self.t_start + 0.5 * self.transition
-
 
 @dataclass
 class StageResult:

@@ -131,10 +131,6 @@ VARIANTS: dict[str, dict] = {
         "mode": AnalysisMode.ITERATIVE,
         "window_check": WindowCheck.OVERLAP,
     },
-    "iterative-no-incremental": {
-        "mode": AnalysisMode.ITERATIVE,
-        "incremental": False,
-    },
     "iterative-esperance": {"mode": AnalysisMode.ITERATIVE, "esperance": True},
     "one_step-clock": {
         "mode": AnalysisMode.ONE_STEP,

@@ -70,9 +70,10 @@ class TestParser:
                 build_parser().parse_args([verb, *target, f"--{removed}", "batch"])
 
     def test_process_pool_flags_rejected(self):
-        """Batched solves run in-process only and every arc is an exact
-        Newton solve: the process pool's and the screened solver tier's
-        flags are usage errors."""
+        """Batched solves run in-process only, every arc is an exact
+        Newton solve, and the memo and the provenance ledger always run:
+        the process pool's, the screened solver tier's and the memo and
+        ledger off-switches' flags are usage errors."""
         tier_flags = (
             ["--solver-tier", "screened"],
             ["--screen-tolerance", "1e-10"],
@@ -87,6 +88,11 @@ class TestParser:
                 [*verb, *flag]
                 for verb in (["analyze", "s27"], ["explain", "s27"], ["serve"])
                 for flag in tier_flags
+            ),
+            *(
+                [*verb, flag]
+                for verb in (["analyze", "s27"], ["serve"])
+                for flag in ("--no-incremental", "--no-provenance")
             ),
         ):
             with pytest.raises(SystemExit) as exc:

@@ -99,13 +99,8 @@ class TestCheckpointFingerprint:
                 "65aa248c4e4aec189ea2b5cf783f5d4e"
                 "4712d41ec56a1bbb67b95f7098ab64b9",
             ),
-            (
-                {"provenance": False},
-                "b5f9130fa6e88db82835c5ac83b9f744"
-                "9c88b8a45a1045fafe13abb826987537",
-            ),
         ],
-        ids=["iterative", "overlap-esperance", "provenance-off"],
+        ids=["iterative", "overlap-esperance"],
     )
     def test_fingerprint_pinned(self, s27_design, overrides, expected):
         sta = CrosstalkSTA(s27_design, StaConfig(**overrides))

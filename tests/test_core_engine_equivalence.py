@@ -7,8 +7,8 @@ combinations existed and agreed ``float.hex()``-exactly on every
 endpoint arrival, pass and counter, so they stand in for the deleted
 reference paths: the tests below re-derive them through every
 composition the old pairwise checks covered -- an analyzer shared
-across modes, incremental reuse on and off, checkpoint resume, warm
-starts and the level look-ahead.
+across modes, the pass-to-pass memo, checkpoint resume, warm starts and
+the level look-ahead.
 """
 
 import pytest
@@ -80,61 +80,11 @@ class TestEngineEquivalence:
         assert stats["batched_solves"] > 0
 
 
-class TestIncrementalEquivalence:
-    """Delta-driven reuse must be invisible in the numbers: the memoized
-    relative results re-anchor to exactly what a fresh solve would
-    return, so every mode's bound is bit-identical (hex-equal), not
-    merely within tolerance."""
-
-    @pytest.fixture(scope="class")
-    def pair(self, s27_design):
-        out = {}
-        for incremental in (True, False):
-            sta = CrosstalkSTA(s27_design, StaConfig(incremental=incremental))
-            out[incremental] = {mode: sta.run(mode) for mode in AnalysisMode}
-        return out
-
-    @pytest.mark.parametrize("mode", list(AnalysisMode))
-    def test_longest_delay_bit_identical(self, pair, mode):
-        inc, full = pair[True][mode], pair[False][mode]
-        assert inc.longest_delay.hex() == full.longest_delay.hex()
-        assert inc.critical_endpoint == full.critical_endpoint
-        assert inc.critical_direction == full.critical_direction
-
-    @pytest.mark.parametrize("mode", list(AnalysisMode))
-    def test_every_pass_bit_identical(self, pair, mode):
-        inc, full = pair[True][mode], pair[False][mode]
-        assert len(inc.history) == len(full.history)
-        for ri, rf in zip(inc.history, full.history):
-            assert ri.longest_delay.hex() == rf.longest_delay.hex()
-
-    @pytest.mark.parametrize("mode", list(AnalysisMode))
-    def test_every_endpoint_arrival_bit_identical(self, pair, mode):
-        inc = pair[True][mode].arrival_map()
-        full = pair[False][mode].arrival_map()
-        assert set(inc) == set(full)
-        for key in inc:
-            assert inc[key].hex() == full[key].hex(), key
-
-    def test_iterative_later_passes_reuse(self, pair):
-        """Once windows and ramp shapes stabilize, later passes skip the
-        waveform work entirely on this small design."""
-        history = pair[True][AnalysisMode.ITERATIVE].history
-        assert len(history) >= 2
-        assert history[1].waveform_evaluations == 0
-        assert history[1].reused_arcs > 0
-        assert history[1].dirty_arcs == 0
-        # The non-incremental run pays the full pass every time.
-        full_history = pair[False][AnalysisMode.ITERATIVE].history
-        assert full_history[1].waveform_evaluations > 0
-        assert full_history[1].reused_arcs == 0
-
-
 class TestColumnarCoreEquivalence:
     """The digests were recorded while the object core still agreed with
     the columnar one; a fresh analyzer per mode reproduces every field
-    (provenance ledger included) in every composition: incremental on
-    and off, checkpoint resume, warm start."""
+    (provenance ledger included) in every composition: the pass-to-pass
+    memo, checkpoint resume, warm start."""
 
     @pytest.fixture(scope="class")
     def fresh(self, s27_design):
@@ -158,14 +108,13 @@ class TestColumnarCoreEquivalence:
 
     @pytest.mark.parametrize("mode", list(AnalysisMode))
     def test_provenance_ledger_identical(self, s27_design, fresh, mode):
-        assert fresh[mode].ledger is not None
         assert _golden(s27_design, f"s27/{mode.value}", fresh[mode], ["ledger"]) == []
 
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_incremental_composition_identical(self, s27_design, incremental):
-        variant = "iterative" if incremental else "iterative-no-incremental"
-        result = run_variant(s27_design, variant)
-        assert _golden(s27_design, f"s27/{variant}", result) == []
+    def test_incremental_composition_identical(self, s27_design):
+        """The iterative run's later passes reuse the memo; the digest
+        pins their numbers and their dirty/reused split."""
+        result = run_variant(s27_design, "iterative")
+        assert _golden(s27_design, "s27/iterative", result) == []
 
     def test_checkpoint_cross_core_resume(self, s27_design, tmp_path):
         """A checkpoint stores each pass by name and decodes into the
@@ -219,7 +168,6 @@ class TestLookaheadExactness:
         *(mode.value for mode in AnalysisMode),
         "one_step-overlap",
         "iterative-overlap",
-        "iterative-no-incremental",
     ]
 
     @pytest.mark.parametrize("name", NAMES)

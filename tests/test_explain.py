@@ -15,7 +15,6 @@ from repro.core import (
 )
 from repro.core.explain import EXPLAIN_SCHEMA, _exact_increment
 from repro.core.provenance import ORIGINS, ProvenanceLedger
-from repro.errors import InputError
 
 
 @pytest.fixture(scope="module", params=list(AnalysisMode))
@@ -145,13 +144,6 @@ class TestExplainSemantics:
         counts = result.ledger.counts()["origin"]
         assert counts.get("memo", 0) > 0
 
-    def test_provenance_off_raises_input_error(self, s27_design):
-        config = StaConfig(mode=AnalysisMode.ONE_STEP, provenance=False)
-        result = CrosstalkSTA(s27_design, config).run()
-        assert result.ledger is None
-        with pytest.raises(InputError):
-            explain_result(s27_design.circuit, result)
-
     def test_validate_rejects_tampered_payload(self, s27_design):
         result = CrosstalkSTA(s27_design, StaConfig(mode=AnalysisMode.ONE_STEP)).run()
         payload = explain_result(s27_design.circuit, result)
@@ -165,19 +157,6 @@ class TestExplainSemantics:
     def test_validate_rejects_wrong_schema(self):
         with pytest.raises(ValueError):
             validate_explain({"schema": "something/else"})
-
-
-class TestProvenanceOffHexIdentity:
-    def test_delays_identical_with_ledger_off(self, s27_design):
-        for mode in AnalysisMode:
-            on = CrosstalkSTA(s27_design, StaConfig(mode=mode)).run()
-            off = CrosstalkSTA(
-                s27_design, StaConfig(mode=mode, provenance=False)
-            ).run()
-            assert on.longest_delay.hex() == off.longest_delay.hex()
-            assert on.arrival_map() == off.arrival_map()
-            assert off.final_pass.provenance_rows == 0
-            assert not off.final_pass.state.arc_prov
 
 
 class TestLedger:

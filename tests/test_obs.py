@@ -240,6 +240,17 @@ class TestInstrumentedAnalysis:
         assert "phase.base_waveforms" in names
         assert validate_chrome_trace(obs.tracer.chrome_payload()) == []
 
+    def test_pass_span_marks_esperance_passes(self, s27_design):
+        """``sta.pass`` carries ``esperance=True`` exactly on the passes
+        Esperance restricts: every pass after the first."""
+        obs = Observability.tracing()
+        CrosstalkSTA(s27_design, StaConfig(esperance=True), obs=obs).run()
+        flags = [
+            e["args"]["esperance"] for e in obs.tracer.events if e["name"] == "sta.pass"
+        ]
+        assert len(flags) >= 2
+        assert flags == [False] + [True] * (len(flags) - 1)
+
     def test_run_telemetry_attached(self, traced_run):
         obs, result = traced_run
         telemetry = result.telemetry

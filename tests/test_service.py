@@ -164,9 +164,9 @@ class TestSessionConfig:
         assert config.strict
 
     def test_core_override(self):
-        """The propagation core, the waveform engine, the process pool
-        and the screened solver tier are no longer choices: overriding
-        any is an unknown key."""
+        """The propagation core, the waveform engine, the process pool,
+        the screened solver tier and the memo and ledger switches are no
+        longer choices: overriding any is an unknown key."""
         for key, value in (
             ("core", "columnar"),
             ("engine", "batch"),
@@ -174,11 +174,18 @@ class TestSessionConfig:
             ("solver_tier", "screened"),
             ("screen_tolerance", 1e-10),
             ("screen_slack_margin", 0.1),
+            ("incremental", False),
+            ("provenance", False),
         ):
             with pytest.raises(InputError, match="unknown config override"):
                 session_config(ONE_STEP, {key: value})
-        with pytest.raises(TypeError):
-            StaConfig(solver_tier="exact")
+        for field, value in (
+            ("solver_tier", "exact"),
+            ("incremental", False),
+            ("provenance", False),
+        ):
+            with pytest.raises(TypeError):
+                StaConfig(**{field: value})
 
     def test_unknown_key(self):
         with pytest.raises(InputError):

@@ -72,18 +72,21 @@ class TestExplainRpc:
         finally:
             service.close()
 
-    def test_provenance_override_disables_explain(self):
+    def test_ledger_and_memo_overrides_rejected(self):
+        """Every session records the ledger and runs the memo: turning
+        either off is an unknown override (422), so explain always has a
+        ledger to read."""
+        from repro.service import ServiceCallError
+        from repro.service.protocol import ERR_INPUT
+
         service = _service()
         client = InProcessClient(service)
         try:
-            sid = client.open_session("s27", config={"provenance": False})[
-                "session"
-            ]
-            from repro.service import ServiceCallError
-
-            with pytest.raises(ServiceCallError) as exc:
-                client.explain(sid)
-            assert "provenance" in str(exc.value)
+            for key in ("provenance", "incremental"):
+                with pytest.raises(ServiceCallError) as exc:
+                    client.open_session("s27", config={key: False})
+                assert exc.value.code == ERR_INPUT
+                assert f"unknown config override {key!r}" in str(exc.value)
         finally:
             service.close()
 
