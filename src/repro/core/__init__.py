@@ -31,7 +31,7 @@ from repro.core.iterative import (
     esperance_recalc_cells,
     run_iterative,
 )
-from repro.core.modes import AnalysisMode, ClockAggressorModel, StaConfig, WindowCheck
+from repro.core.modes import AnalysisMode, StaConfig, WindowCheck
 from repro.core.minpath import (
     MinAnalysisMode,
     MinPropagator,
@@ -44,7 +44,6 @@ from repro.core.paths import (
     PathStep,
     extract_critical_path,
     k_worst_paths,
-    report_timing,
 )
 from repro.core.propagation import (
     EndpointArrival,
@@ -64,7 +63,6 @@ from repro.core.slack import (
 
 __all__ = [
     "AnalysisMode",
-    "ClockAggressorModel",
     "ConstraintReport",
     "CriticalPath",
     "CrosstalkSTA",
@@ -101,7 +99,6 @@ __all__ = [
     "format_slack",
     "format_table",
     "merge_earliest",
-    "report_timing",
     "results_to_dict",
     "save_json",
     "sta_result_to_dict",

@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 
 from repro.core.checkpoint import CheckpointManager
 from repro.core.iterative import IterationRecord, run_iterative
-from repro.core.modes import AnalysisMode, StaConfig
+from repro.core.modes import (
+    CONVERGENCE_TOLERANCE,
+    ESPERANCE_SLACK,
+    SLEW_DEGRADATION_FACTOR,
+    AnalysisMode,
+    StaConfig,
+)
 from repro.core.paths import CriticalPath, extract_critical_path
 from repro.core.propagation import PassResult, Propagator
 from repro.core.provenance import ProvenanceLedger
@@ -201,11 +207,13 @@ class CrosstalkSTA:
                 config.input_transition,
                 config.guard,
                 config.max_iterations,
-                config.convergence_tolerance,
+                CONVERGENCE_TOLERANCE,
                 config.esperance,
-                config.esperance_slack,
-                config.clock_model.value,
-                config.slew_degradation_factor,
+                ESPERANCE_SLACK,
+                # The clock-aggressor model, a choice once; the blob keeps
+                # its place so committed checkpoints still resume.
+                "settled",
+                SLEW_DEGRADATION_FACTOR,
                 config.window_check.value,
             )
         )

@@ -76,16 +76,14 @@ class CompiledDesign:
         self.n_nets = n_nets
         self.net_c_fixed = np.zeros(n_nets, dtype=np.float64)
         self.net_cc_total = np.zeros(n_nets, dtype=np.float64)
-        self.net_is_clock = np.zeros(n_nets, dtype=bool)
 
         # Coupling CSR, preserving each load's dict order (the float
         # accumulation order of aggregate_load depends on it).
         coup_counts = np.zeros(n_nets, dtype=np.int64)
         coup_net_rows: list[list[int]] = [[] for _ in range(n_nets)]
         coup_cap_rows: list[list[float]] = [[] for _ in range(n_nets)]
-        for name, net in circuit.nets.items():
+        for name in circuit.nets:
             i = self.net_id[name]
-            self.net_is_clock[i] = net.is_clock
             load = loads.get(name)
             if load is None:
                 continue

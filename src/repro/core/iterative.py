@@ -34,6 +34,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
+from repro.core.modes import CONVERGENCE_TOLERANCE, ESPERANCE_SLACK
 from repro.core.propagation import PassResult, Propagator
 from repro.core.slack import backward_sweep
 from repro.flow.design import Design
@@ -229,7 +230,7 @@ def run_iterative(
         recalc = None
         if config.esperance and len(history) >= 1:
             recalc = esperance_recalc_cells(
-                propagator.design, propagator, current, config.esperance_slack
+                propagator.design, propagator, current, ESPERANCE_SLACK
             )
         n_recalc = len(recalc) if recalc is not None else total_cells
         with tracer.span(
@@ -250,7 +251,7 @@ def run_iterative(
             history.append(record)
             g_recalc.set(record.recalc_fraction)
             g_dirty.set(record.dirty_fraction)
-        improved = next_pass.longest_delay < best.longest_delay - config.convergence_tolerance
+        improved = next_pass.longest_delay < best.longest_delay - CONVERGENCE_TOLERANCE
         # Each pass is individually a valid upper bound, so a delay that
         # climbs back *above* the best bound means the coupling decisions
         # are cycling between passes, not converging.  The loop stops
@@ -259,7 +260,7 @@ def run_iterative(
         oscillating = (
             not improved
             and next_pass.longest_delay
-            > best.longest_delay + config.convergence_tolerance
+            > best.longest_delay + CONVERGENCE_TOLERANCE
         )
         if next_pass.longest_delay < best.longest_delay:
             best = next_pass

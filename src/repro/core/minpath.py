@@ -38,7 +38,7 @@ from repro.circuit.netlist import Cell, Pin
 from repro.core import columnar
 from repro.core.columnar import DIR_INDEX, ColumnTimingState
 from repro.core.graph import evaluation_order
-from repro.core.modes import ClockAggressorModel, StaConfig
+from repro.core.modes import CONVERGENCE_TOLERANCE, StaConfig
 from repro.core.propagation import EndpointArrival, ideal_ramp_event, init_sources
 from repro.flow.design import Design
 from repro.waveform.coupling import CouplingLoad
@@ -143,9 +143,6 @@ class MinPropagator:
             compiled if compiled is not None else columnar.compile_design(design)
         )
         self.order = evaluation_order(design.circuit)
-        self._clock_nets = {
-            name for name, net in design.circuit.nets.items() if net.is_clock
-        }
 
     # -- pass driver -----------------------------------------------------------
 
@@ -187,7 +184,7 @@ class MinPropagator:
                 passes += 1
                 improved = (
                     nxt.shortest_delay
-                    > best.shortest_delay + self.config.convergence_tolerance
+                    > best.shortest_delay + CONVERGENCE_TOLERANCE
                 )
                 if nxt.shortest_delay > best.shortest_delay:
                     best = nxt
@@ -332,11 +329,6 @@ class MinPropagator:
         return helping
 
     def _aggressor_window(self, net_name, direction, state, prev_windows):
-        if (
-            net_name in self._clock_nets
-            and self.config.clock_model is ClockAggressorModel.ALWAYS
-        ):
-            return float("-inf"), float("inf")
         net = self.compiled.net_id.get(net_name)
         if net is not None and state.processed_mask[net]:
             event = state.event_at(DIR_INDEX[direction], net)

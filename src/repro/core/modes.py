@@ -55,17 +55,16 @@ class WindowCheck(Enum):
     OVERLAP = "overlap"
 
 
-class ClockAggressorModel(Enum):
-    """How clock-tree nets behave as aggressors.
-
-    ``SETTLED``: the clock nets switch once at the launch edge and are
-    quiet afterwards (single-edge analysis window; the return edge lies
-    outside it).  ``ALWAYS``: clock nets may switch at any time --
-    maximally conservative.
-    """
-
-    SETTLED = "settled"
-    ALWAYS = "always"
+# Longest-path improvement below which the iterative passes stop
+# (seconds).
+CONVERGENCE_TOLERANCE = 1e-12
+# Esperance: slack threshold, as a fraction of the longest-path delay,
+# below which a net counts as "on a long path".
+ESPERANCE_SLACK = 0.15
+# Factor on the Elmore delay added linearly to the transition time at a
+# sink (wire slew degradation; linear addition upper-bounds the
+# RC-filtered sink slew, unlike the quadrature PERI form).
+SLEW_DEGRADATION_FACTOR = 2.2
 
 
 @dataclass(frozen=True)
@@ -84,20 +83,9 @@ class StaConfig:
         conservative side.
     max_iterations:
         Pass budget of the iterative mode (including the first two).
-    convergence_tolerance:
-        Longest-path improvement below which iteration stops (seconds).
     esperance:
         Iterative mode only: recompute only nets on long paths
         (the Esperance speed-up of Benkoski et al. [11]).
-    esperance_slack:
-        Slack threshold (as a fraction of the longest-path delay) below
-        which a net counts as "on a long path".
-    clock_model:
-        Aggressor behaviour of clock nets.
-    slew_degradation_factor:
-        Factor on the Elmore delay added linearly to the transition time
-        at a sink (wire slew degradation; linear addition upper-bounds
-        the RC-filtered sink slew, unlike the quadrature PERI form).
     window_check:
         How the one-step/iterative modes decide whether an aggressor can
         couple.  ``QUIET`` is the paper's one-sided test (aggressor quiet
@@ -144,12 +132,7 @@ class StaConfig:
     input_transition: float = 100e-12
     guard: float = 5e-12
     max_iterations: int = 10
-    convergence_tolerance: float = 1e-12
     esperance: bool = False
-    esperance_slack: float = 0.15
-    clock_model: ClockAggressorModel = ClockAggressorModel.SETTLED
-
-    slew_degradation_factor: float = 2.2
     window_check: "WindowCheck" = None  # type: ignore[assignment]
     arc_cache: str | None = None
     strict: bool = False

@@ -95,46 +95,6 @@ def k_worst_paths(
     return paths
 
 
-def report_timing(
-    circuit: Circuit,
-    result: PassResult,
-    k: int = 3,
-) -> str:
-    """Text timing report: the K worst paths with per-stage breakdown
-    (arrival, incremental delay, transition, coupling flag)."""
-    ranked = sorted(result.arrivals, key=lambda a: a.event.t_cross, reverse=True)
-    blocks: list[str] = []
-    for arrival in ranked[:k]:
-        path = extract_critical_path(
-            circuit, result, arrival.endpoint, arrival.direction
-        )
-        lines = [
-            f"Path to {arrival.endpoint} ({arrival.direction}), "
-            f"arrival {arrival.event.t_cross * 1e12:.1f} ps",
-            f"{'stage':<22} {'net':<18} {'dir':<5} {'arrive [ps]':>12} "
-            f"{'incr [ps]':>10} {'tran [ps]':>10} {'SI':>3}",
-            "-" * 86,
-        ]
-        previous = 0.0
-        for step in path.steps:
-            arrive = step.event.t_cross * 1e12
-            lines.append(
-                f"{step.cell:<22} {step.out_net:<18} {step.out_direction:<5} "
-                f"{arrive:>12.1f} {arrive - previous:>10.1f} "
-                f"{step.event.transition * 1e12:>10.1f} "
-                f"{'*' if step.coupled else '':>3}"
-            )
-            previous = arrive
-        wire = arrival.event.t_cross * 1e12 - previous
-        if abs(wire) > 1e-3:
-            lines.append(
-                f"{'(wire to endpoint)':<22} {'':<18} {'':<5} "
-                f"{arrival.event.t_cross * 1e12:>12.1f} {wire:>10.1f}"
-            )
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks)
-
-
 def extract_critical_path(
     circuit: Circuit,
     result: PassResult,

@@ -77,8 +77,8 @@ from repro.circuit.netlist import Cell, Pin
 from repro.core import columnar
 from repro.core.columnar import DIR_INDEX, DIRECTIONS, ColumnTimingState
 from repro.core.modes import (
+    SLEW_DEGRADATION_FACTOR,
     AnalysisMode,
-    ClockAggressorModel,
     StaConfig,
     WindowCheck,
 )
@@ -316,7 +316,6 @@ class Propagator:
         self._coup_indptr = cp.coup_indptr.tolist()
         self._coup_net = cp.coup_net.tolist()
         self._coup_cap = cp.coup_cap.tolist()
-        self._net_is_clock = cp.net_is_clock.tolist()
 
         # Ledger annotation columns.  Unwindowed arcs keep their static
         # values; the decision phase rewrites windowed entries each pass.
@@ -383,12 +382,13 @@ class Propagator:
         An aggressor may couple when its window can overlap the victim's
         guarded activity window.  Its window is this pass's once its net
         is calculated (``state.processed_mask``), else the previous
-        pass's (``prev``), else unknown (always switching).  Reads
-        ``state`` only, so the level look-ahead and the wave loop share
-        it.
+        pass's (``prev``), else unknown (always switching).  Clock nets
+        are windowed like any other: they switch once, at the launch
+        edge, and the return edge lies outside the analysis window.
+        Reads ``state`` only, so the level look-ahead and the wave loop
+        share it.
         """
         guard = self.config.guard
-        clock_always = self.config.clock_model is ClockAggressorModel.ALWAYS
         tb_g = (ts + best.t_early) - guard
         tvl_g = (ts + worst.t_late) + guard if worst is not None else float("inf")
         agg_d = self._s_indir[a]
@@ -399,9 +399,7 @@ class Propagator:
         for j in range(self._coup_indptr[out], self._coup_indptr[out + 1]):
             other = self._coup_net[j]
             cap = self._coup_cap[j]
-            if other >= 0 and (clock_always and self._net_is_clock[other]):
-                te, tq = float("-inf"), float("inf")
-            elif other >= 0 and state.processed_mask[other]:
+            if other >= 0 and state.processed_mask[other]:
                 if state.valid[agg_d, other]:
                     te = state.ev_te[agg_d, other]
                     tq = state.ev_tl[agg_d, other]
@@ -553,7 +551,7 @@ class Propagator:
 
         overlap = config.window_check is WindowCheck.OVERLAP
         mode = config.mode
-        k_slew = config.slew_degradation_factor
+        k_slew = SLEW_DEGRADATION_FACTOR
         tgrid = calc.transition_grid
 
         # Per-pass arc columns.
@@ -1089,8 +1087,7 @@ class Propagator:
         if elmore <= 0.0:
             return event
         shifted = event.shifted(elmore)
-        k = self.config.slew_degradation_factor
-        degraded = event.transition + k * elmore
+        degraded = event.transition + SLEW_DEGRADATION_FACTOR * elmore
         return shifted.with_transition(degraded)
 
     def _collect_arrivals(self, state, result: PassResult) -> None:

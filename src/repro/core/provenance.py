@@ -12,8 +12,8 @@ crossing; ``None`` where no quiescent solve exists).
 
 Storage is columnar — parallel lists keyed by row id — matching the
 ROADMAP's structure-of-arrays direction and keeping the per-arc cost to
-a handful of list appends.  The ledger is pure annotation: delays are
-bit-identical with it on or off.
+a handful of list appends.  The ledger is pure annotation: every pass
+records it, and no delay reads it.
 """
 
 from __future__ import annotations

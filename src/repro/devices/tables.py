@@ -8,13 +8,13 @@ fine grid and expose both the interpolated current and its partial
 derivative with respect to the output voltage, which is exactly what the
 Newton loop of the waveform engine needs.
 
-Two table flavours are provided:
-
-* :class:`DeviceTable` -- ``I_D(V_GS, V_DS)`` for one transistor.
-* :class:`StageTable` -- the *net* output-node current
-  ``I(V_in, V_out) = I_pullup - I_pulldown`` of a collapsed CMOS stage.
-  Collapsing the stage into one table halves the interpolation work per
-  Newton iteration, the dominant cost of the whole analysis.
+The table is :class:`StageTable`: the *net* output-node current
+``I(V_in, V_out) = I_pullup - I_pulldown`` of a collapsed CMOS stage,
+sampled from the analytic device model of :mod:`repro.devices.mosfet`.
+Collapsing the stage into one table halves the interpolation work per
+Newton iteration, the dominant cost of the whole analysis.  The
+validation simulator (:mod:`repro.spice`) evaluates the same analytic
+model directly, without a table.
 """
 
 from __future__ import annotations
@@ -163,7 +163,8 @@ class _BilinearGrid:
         return value, dvalue_dy
 
     def lookup_array(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Vectorised bilinear interpolation (used by the simulator)."""
+        """Vectorised bilinear interpolation (what
+        :meth:`StageTable.current_array` reads)."""
         return self.lookup_many(x, y)
 
 
@@ -270,63 +271,6 @@ class GridBank:
         np.multiply(v00, one_m_ty, out=v00)
         v00 += np.multiply(v01, ty, out=v01)  # value = lo*(1-ty) + hi*ty
         return v00, dvalue_dy
-
-
-class DeviceTable:
-    """Tabulated ``I_D(V_GS, V_DS)`` for one MOSFET.
-
-    The grid spans ``[v_min, v_max]`` on both axes, covering the full rail
-    range plus a small margin so that coupling overshoots never leave the
-    table.
-    """
-
-    DEFAULT_POINTS = 121
-
-    def __init__(
-        self,
-        device: Mosfet,
-        points: int = DEFAULT_POINTS,
-        margin: float = 0.3,
-    ):
-        self.device = device
-        process = device.process
-        lo = -margin
-        hi = process.vdd + margin
-        if device.params.polarity < 0:
-            lo, hi = -hi, -lo
-        axis = np.linspace(lo, hi, points)
-        vgs_grid, vds_grid = np.meshgrid(axis, axis, indexing="ij")
-        currents = device.ids_array(vgs_grid, vds_grid)
-        self._grid = _BilinearGrid(axis, axis, currents)
-
-    def ids(self, vgs: float, vds: float) -> float:
-        """Interpolated drain current."""
-        return self._grid.lookup(vgs, vds)
-
-    def ids_with_gds(self, vgs: float, vds: float) -> tuple[float, float]:
-        """Interpolated drain current and output conductance."""
-        return self._grid.lookup_with_dy(vgs, vds)
-
-    def ids_array(self, vgs: np.ndarray, vds: np.ndarray) -> np.ndarray:
-        """Vectorised interpolated drain current."""
-        return self._grid.lookup_array(vgs, vds)
-
-    @property
-    def axis(self) -> np.ndarray:
-        return self._grid.x_axis
-
-    def max_interpolation_error(self, samples: int = 40) -> float:
-        """Worst absolute error against the analytic model on off-grid
-        sample points, normalised by the device on-current."""
-        axis = self._grid.x_axis
-        mid = 0.5 * (axis[:-1] + axis[1:])
-        step = max(1, mid.size // samples)
-        probe = mid[::step]
-        vgs, vds = np.meshgrid(probe, probe, indexing="ij")
-        exact = self.device.ids_array(vgs, vds)
-        approx = self._grid.lookup_array(vgs, vds)
-        scale = max(self.device.saturation_current(), 1e-12)
-        return float(np.max(np.abs(exact - approx)) / scale)
 
 
 class StageTable:

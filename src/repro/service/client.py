@@ -333,13 +333,7 @@ class InProcessClient(_CallSurface):
                 method=method,
             )
         except Exception as exc:
-            error = error_payload(exc)
-            raise ServiceCallError(
-                code=error["code"],
-                kind=error["kind"],
-                message=error["message"],
-                data=error["data"],
-            ) from exc
+            raise ServiceCallError.from_wire(error_payload(exc)) from exc
 
     def close(self) -> None:  # symmetry with ServiceClient
         pass

@@ -86,6 +86,17 @@ class ServiceCallError(ReproError):
         self.message = message
         self.data = data or {}
 
+    @classmethod
+    def from_wire(cls, error: dict) -> "ServiceCallError":
+        """Rebuild from a wire error object; a field the object lacks
+        takes the internal-fault default."""
+        return cls(
+            code=error.get("code", ERR_INTERNAL),
+            kind=error.get("kind", "internal_fault"),
+            message=error.get("message", ""),
+            data=error.get("data") or {},
+        )
+
     @property
     def retry_after(self) -> float | None:
         value = self.data.get("retry_after")
@@ -172,10 +183,5 @@ def decode_response(line: bytes | str) -> tuple[Any, dict]:
         raise ServiceCallError(ERR_BAD_REQUEST, "bad_request", "response is not an object")
     error = payload.get("error")
     if error is not None:
-        raise ServiceCallError(
-            code=error.get("code", ERR_INTERNAL),
-            kind=error.get("kind", "internal_fault"),
-            message=error.get("message", ""),
-            data=error.get("data") or {},
-        )
+        raise ServiceCallError.from_wire(error)
     return payload.get("id"), payload.get("result", {})

@@ -43,19 +43,17 @@ import contextlib
 import itertools
 import json
 import math
-import threading
 import time
 from typing import Any, Callable
 
 from repro import __version__
 from repro.errors import InputError
-from repro.obs import Observability, render_prometheus
+from repro.obs import Observability
 from repro.service.fleet import Fleet, HashRing, placement_key
+from repro.service.frontend import JsonlLog, LineServer
 from repro.service.handoff import decode_handoff, encode_handoff
 from repro.service.protocol import (
-    ERR_BAD_REQUEST,
     ERR_BUSY,
-    ERR_INTERNAL,
     ERR_UNKNOWN_METHOD,
     ERR_UNKNOWN_SESSION,
     FLEET_PROTOCOL_VERSION,
@@ -69,6 +67,7 @@ from repro.service.protocol import (
     encode_response,
     error_payload,
 )
+from repro.service.server import metrics_result
 
 
 class ShardLinkDown(ServiceTransportError):
@@ -118,14 +117,7 @@ class ShardLink:
                     continue
                 error = payload.get("error")
                 if error is not None:
-                    future.set_exception(
-                        ServiceCallError(
-                            code=error.get("code", ERR_INTERNAL),
-                            kind=error.get("kind", "internal_fault"),
-                            message=error.get("message", ""),
-                            data=error.get("data") or {},
-                        )
-                    )
+                    future.set_exception(ServiceCallError.from_wire(error))
                 else:
                     future.set_result(payload.get("result", {}))
         except (OSError, asyncio.IncompleteReadError, ValueError):
@@ -217,8 +209,7 @@ class FleetRouter:
         self.fleet = fleet
         self.options = fleet.options
         self.obs = obs if obs is not None else Observability.disabled()
-        self.access_log = access_log
-        self._access_lock = threading.Lock()
+        self._access = JsonlLog(access_log)
         self.ring = HashRing(ring_replicas)
         for index in fleet.shards:
             self.ring.add(index)
@@ -235,9 +226,7 @@ class FleetRouter:
         self.shard_deaths = 0
         self.handoff_retries = 0
         self._request_ids = itertools.count(1)
-        self._server: asyncio.AbstractServer | None = None
-        self._client_writers: set[asyncio.StreamWriter] = set()
-        self._connections: set[asyncio.Task] = set()
+        self.frontend = LineServer(self._handle_line)
         self.host = ""
         self.port = 0
         metrics = self.obs.metrics
@@ -588,15 +577,7 @@ class FleetRouter:
         }
 
     async def _m_metrics(self, params: dict) -> dict:
-        fmt = params.get("format", "json")
-        snapshot = self.obs.metrics.snapshot()
-        if fmt == "prometheus":
-            return {"exposition": render_prometheus(snapshot)}
-        if fmt != "json":
-            raise InputError(
-                f"unknown metrics format {fmt!r}; have ['json', 'prometheus']"
-            )
-        return {"snapshot": snapshot}
+        return metrics_result(self.obs, params)
 
     async def _m_shutdown(self, params: dict) -> dict:
         self.stopping = True
@@ -607,80 +588,16 @@ class FleetRouter:
     # -- socket front end ----------------------------------------------------
 
     async def start_server(self, host: str = "127.0.0.1", port: int = 0) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_client, host=host, port=port, limit=2**20
-        )
+        self.port = await self.frontend.listen(host, port)
         self.host = host
-        self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop_server(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # Close client connections so their read loops see EOF and exit
-        # cleanly instead of being cancelled with the loop.
-        for writer in list(self._client_writers):
-            with contextlib.suppress(Exception):
-                writer.close()
-        if self._connections:
-            with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(
-                    asyncio.gather(*self._connections, return_exceptions=True),
-                    10.0,
-                )
+        await self.frontend.close(drain_timeout=10.0)
         for link in list(self.links.values()):
             await link.close()
         self.links.clear()
 
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        write_lock = asyncio.Lock()
-        tasks: set[asyncio.Task] = set()
-        connection = asyncio.current_task()
-        if connection is not None:
-            self._connections.add(connection)
-        self._client_writers.add(writer)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    await self._write(
-                        writer, write_lock,
-                        encode_error(None, ServiceError(
-                            ERR_BAD_REQUEST, "request line too long"
-                        )),
-                    )
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                task = asyncio.ensure_future(
-                    self._handle_line(line, writer, write_lock)
-                )
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self._client_writers.discard(writer)
-            if connection is not None:
-                self._connections.discard(connection)
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-            with contextlib.suppress(Exception):
-                writer.close()
-                await writer.wait_closed()
-
-    async def _handle_line(
-        self,
-        line: bytes,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-    ) -> None:
+    async def _handle_line(self, line: bytes) -> bytes:
         request_id: Any = None
         rid = f"fleet-req-{next(self._request_ids)}"
         method: str | None = None
@@ -701,7 +618,7 @@ class FleetRouter:
         record = (
             self.sessions.get(session_param) if session_param is not None else None
         )
-        self._log_access({
+        self._access.append({
             "ts": time.time(),
             "request_id": rid,
             "method": method,
@@ -711,25 +628,7 @@ class FleetRouter:
             "outcome": outcome,
             "code": code,
         })
-        with contextlib.suppress(ConnectionResetError, BrokenPipeError):
-            await self._write(writer, write_lock, payload)
+        return payload
 
     def _log_event(self, record: dict) -> None:
-        record = {"ts": time.time(), **record}
-        self._log_access(record)
-
-    def _log_access(self, record: dict) -> None:
-        if self.access_log is None:
-            return
-        text = json.dumps(record, sort_keys=True) + "\n"
-        with self._access_lock:
-            with open(self.access_log, "a") as handle:
-                handle.write(text)
-
-    @staticmethod
-    async def _write(
-        writer: asyncio.StreamWriter, lock: asyncio.Lock, payload: bytes
-    ) -> None:
-        async with lock:
-            writer.write(payload)
-            await writer.drain()
+        self._access.append({"ts": time.time(), **record})

@@ -6,13 +6,12 @@ registry over a :class:`~repro.service.session.SessionManager` and a
 in-process client calls directly and what the socket server feeds.
 
 :class:`TimingServer` speaks the newline-delimited JSON protocol of
-:mod:`repro.service.protocol` over TCP or a Unix socket.  Each request
-line becomes its own task, so one connection can pipeline requests and
-receive responses out of order (matched by ``id``); writes per
-connection are serialized.  Every failure -- malformed line, unknown
-method, engine error, deadline, backpressure -- is answered with a
-structured error object; the server never answers a request by
-disconnecting.
+:mod:`repro.service.protocol` over TCP or a Unix socket, through the
+front end it shares with the fleet router
+(:mod:`repro.service.frontend`: pipelining, half-close, drain then
+close).  Every failure -- malformed line, unknown method, engine error,
+deadline, backpressure -- is answered with a structured error object;
+the server never answers a request by disconnecting.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import itertools
 import json
 import os
 import signal
-import threading
 import time
 from typing import Any, Callable
 
@@ -33,6 +31,7 @@ from repro.core.netreport import net_report_payload
 from repro.errors import InputError
 from repro.obs import Observability, render_prometheus
 from repro.service.executor import RequestExecutor
+from repro.service.frontend import JsonlLog, LineServer
 from repro.service.handoff import decode_handoff
 from repro.service.protocol import (
     ERR_BAD_REQUEST,
@@ -63,6 +62,20 @@ def _param(params: dict, key: str, types, default=_MISSING):
         want = types.__name__ if isinstance(types, type) else "value"
         raise InputError(f"parameter {key!r} must be a {want}")
     return value
+
+
+def metrics_result(obs: Observability, params: dict) -> dict:
+    """The ``metrics`` method of the server and the fleet router: the
+    metrics snapshot as JSON, or rendered as Prometheus text."""
+    fmt = _param(params, "format", str, "json")
+    snapshot = obs.metrics.snapshot()
+    if fmt == "prometheus":
+        return {"exposition": render_prometheus(snapshot)}
+    if fmt != "json":
+        raise InputError(
+            f"unknown metrics format {fmt!r}; have ['json', 'prometheus']"
+        )
+    return {"snapshot": snapshot}
 
 
 class TimingService:
@@ -111,7 +124,7 @@ class TimingService:
             "export_session": self._m_export_session,
             "import_session": self._m_import_session,
             "close_session": self._m_close_session,
-            "metrics": self._m_metrics,
+            "metrics": lambda params: metrics_result(self.obs, params),
             "stats": self._m_stats,
             "shutdown": self._m_shutdown,
         }
@@ -286,17 +299,6 @@ class TimingService:
     def _m_close_session(self, params: dict) -> dict:
         return self.sessions.close(_param(params, "session", str))
 
-    def _m_metrics(self, params: dict) -> dict:
-        fmt = _param(params, "format", str, "json")
-        snapshot = self.obs.metrics.snapshot()
-        if fmt == "prometheus":
-            return {"exposition": render_prometheus(snapshot)}
-        if fmt != "json":
-            raise InputError(
-                f"unknown metrics format {fmt!r}; have ['json', 'prometheus']"
-            )
-        return {"snapshot": snapshot}
-
     def _m_stats(self, params: dict) -> dict:
         """Service introspection: sessions with their warm-state sizes,
         executor depth, and registry size."""
@@ -343,7 +345,8 @@ class TimingService:
 
 
 class TimingServer:
-    """Asyncio front-end: newline-delimited JSON over TCP or Unix socket."""
+    """Asyncio front-end: newline-delimited JSON over TCP or Unix socket
+    (the socket handling is :class:`~repro.service.frontend.LineServer`)."""
 
     def __init__(
         self,
@@ -360,19 +363,15 @@ class TimingServer:
         self.socket_path = socket_path
         # Structured JSONL access log: one record per request with the
         # request id, method, session, queue wait, solve time, outcome.
-        self.access_log = access_log
-        self._access_lock = threading.Lock()
+        self._access = JsonlLog(access_log)
         # Per-request span-subtree export: <trace_dir>/<request_id>.jsonl
         # (request ids are unique, so concurrent sessions never clobber
         # or interleave each other's streams).
         self.trace_dir = trace_dir
         if trace_dir is not None:
             os.makedirs(trace_dir, exist_ok=True)
-        self._server: asyncio.AbstractServer | None = None
+        self.frontend = LineServer(self._handle_line)
         self._stop = asyncio.Event()
-        self._tasks: set[asyncio.Task] = set()
-        self._connections: set[asyncio.Task] = set()
-        self._writers: set[asyncio.StreamWriter] = set()
         service.on_shutdown = self._request_stop_threadsafe
         self._loop: asyncio.AbstractEventLoop | None = None
 
@@ -394,95 +393,24 @@ class TimingServer:
 
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
-        if self.socket_path is not None:
-            self._server = await asyncio.start_unix_server(
-                self._handle_client, path=self.socket_path, limit=2**20
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_client, host=self.host, port=self.port, limit=2**20
-            )
-            self.port = self._server.sockets[0].getsockname()[1]
+        port = await self.frontend.listen(self.host, self.port, self.socket_path)
+        if port is not None:
+            self.port = port
 
     async def serve_until_shutdown(self) -> None:
         """Serve until a ``shutdown`` request (or :meth:`stop`) arrives,
         then drain in-flight requests and close."""
-        if self._server is None:
+        if self._loop is None:
             await self.start()
         await self._stop.wait()
         await self.stop()
 
     async def stop(self, drain_timeout: float = 30.0) -> None:
         self._stop.set()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self._tasks:
-            with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(
-                    asyncio.gather(*self._tasks, return_exceptions=True),
-                    drain_timeout,
-                )
-        # Close every connection so the per-client read loops see EOF and
-        # exit on their own (no task is left to be cancelled by the loop).
-        for writer in list(self._writers):
-            with contextlib.suppress(Exception):
-                writer.close()
-        if self._connections:
-            with contextlib.suppress(asyncio.TimeoutError):
-                await asyncio.wait_for(
-                    asyncio.gather(*self._connections, return_exceptions=True),
-                    drain_timeout,
-                )
+        await self.frontend.close(drain_timeout)
         self.service.close()
 
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        write_lock = asyncio.Lock()
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-        self._writers.add(writer)
-        try:
-            while not self._stop.is_set():
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    await self._write(
-                        writer,
-                        write_lock,
-                        encode_error(
-                            None, ServiceError(ERR_BAD_REQUEST, "request line too long")
-                        ),
-                    )
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                task = asyncio.ensure_future(
-                    self._handle_line(line, writer, write_lock)
-                )
-                self._tasks.add(task)
-                task.add_done_callback(self._tasks.discard)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            self._writers.discard(writer)
-            if task is not None:
-                self._connections.discard(task)
-            with contextlib.suppress(Exception):
-                writer.close()
-                await writer.wait_closed()
-
-    async def _handle_line(
-        self,
-        line: bytes,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-    ) -> None:
+    async def _handle_line(self, line: bytes) -> bytes:
         request_id: Any = None
         rid = self.service.next_request_id()
         method: str | None = None
@@ -521,36 +449,18 @@ class TimingServer:
             payload = encode_error(request_id, exc)
             outcome = "error"
             code = error_payload(exc)["code"]
-        self._log_access(rid, method, session_param, info, outcome, code)
-        self._export_request_trace(rid)
-        with contextlib.suppress(ConnectionResetError, BrokenPipeError):
-            await self._write(writer, write_lock, payload)
-
-    def _log_access(
-        self,
-        rid: str,
-        method: str | None,
-        session: str | None,
-        info: dict,
-        outcome: str,
-        code: int | None,
-    ) -> None:
-        if self.access_log is None:
-            return
-        record = {
+        self._access.append({
             "ts": time.time(),
             "request_id": rid,
             "method": method,
-            "session": session,
+            "session": session_param,
             "queue_wait_s": info.get("queue_wait_s"),
             "solve_s": info.get("solve_s"),
             "outcome": outcome,
             "code": code,
-        }
-        text = json.dumps(record, sort_keys=True) + "\n"
-        with self._access_lock:
-            with open(self.access_log, "a") as handle:
-                handle.write(text)
+        })
+        self._export_request_trace(rid)
+        return payload
 
     def _export_request_trace(self, rid: str) -> None:
         """Write this request's span subtree to its own JSONL file.
@@ -588,14 +498,6 @@ class TimingServer:
         with open(path, "w") as handle:
             for event in selected:
                 handle.write(json.dumps(event, sort_keys=True) + "\n")
-
-    @staticmethod
-    async def _write(
-        writer: asyncio.StreamWriter, lock: asyncio.Lock, payload: bytes
-    ) -> None:
-        async with lock:
-            writer.write(payload)
-            await writer.drain()
 
 
 def install_signal_handlers(server: TimingServer) -> None:

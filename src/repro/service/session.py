@@ -49,13 +49,9 @@ _CONFIG_OVERRIDES = {
     "mode": lambda v: AnalysisMode(v),
     "window_check": lambda v: WindowCheck(v),
     "esperance": bool,
-    "esperance_slack": float,
     "strict": bool,
     "max_degraded": lambda v: None if v is None else int(v),
-    "input_transition": float,
-    "guard": float,
     "max_iterations": int,
-    "convergence_tolerance": float,
     "clock_period": lambda v: None if v is None else float(v),
     "setup_time": float,
     "hold_time": float,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.analyzer import CrosstalkSTA
-from repro.core.modes import AnalysisMode, ClockAggressorModel, StaConfig
+from repro.core.modes import AnalysisMode, StaConfig
 from repro.core.propagation import Propagator, ideal_ramp_event
 from repro.errors import EngineError
 from repro.waveform.pwl import FALLING, RISING
@@ -131,16 +131,3 @@ class TestEvaluationCounts:
         config = StaConfig(mode=AnalysisMode.BEST_CASE)
         result = Propagator(small_design, config).run_pass()
         assert result.waveform_evaluations == result.arcs_processed
-
-
-class TestClockModel:
-    def test_always_model_is_more_pessimistic(self, small_design):
-        settled = Propagator(
-            small_design,
-            StaConfig(mode=AnalysisMode.ONE_STEP, clock_model=ClockAggressorModel.SETTLED),
-        ).run_pass()
-        always = Propagator(
-            small_design,
-            StaConfig(mode=AnalysisMode.ONE_STEP, clock_model=ClockAggressorModel.ALWAYS),
-        ).run_pass()
-        assert always.longest_delay >= settled.longest_delay - 1e-15

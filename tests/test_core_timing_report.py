@@ -1,10 +1,11 @@
-"""Tests for K-worst-path extraction and the timing report."""
+"""Tests for K-worst-path extraction and its per-stage report."""
 
 import pytest
 
 from repro.core.analyzer import CrosstalkSTA
 from repro.core.modes import AnalysisMode
-from repro.core.paths import k_worst_paths, report_timing
+from repro.core.explain import explain_result
+from repro.core.paths import k_worst_paths
 
 
 @pytest.fixture(scope="module")
@@ -33,34 +34,15 @@ class TestKWorstPaths:
         paths = k_worst_paths(design.circuit, result.final_pass, k=total + 50)
         assert len(paths) == total
 
-
-class TestReportTiming:
-    def test_report_structure(self, analysis):
-        design, result = analysis
-        text = report_timing(design.circuit, result.final_pass, k=2)
-        assert text.count("Path to") == 2
-        assert "incr [ps]" in text
-
-    def test_increments_sum_to_arrival(self, analysis):
-        design, result = analysis
-        text = report_timing(design.circuit, result.final_pass, k=1)
-        lines = [
-            line
-            for line in text.splitlines()
-            if line and not line.startswith(("Path", "stage", "-"))
-        ]
-        incr_total = sum(float(line.split()[-3 if "*" in line else -2]) for line in lines if "wire" not in line)
-        header = text.splitlines()[0]
-        arrival = float(header.rsplit("arrival", 1)[1].split()[0])
-        # Wire residue line (if present) also counts.
-        wire_lines = [l for l in lines if "wire" in l]
-        if wire_lines:
-            incr_total += float(wire_lines[0].split()[-1])
-        assert incr_total == pytest.approx(arrival, abs=0.5)
-
     def test_si_flag_marks_coupled_stages(self, analysis):
+        """The per-stage report of these paths (``repro explain --paths
+        K``) flags exactly the stages whose winning arc coupled."""
         design, result = analysis
-        paths = k_worst_paths(design.circuit, result.final_pass, k=1)
-        text = report_timing(design.circuit, result.final_pass, k=1)
-        coupled_stages = sum(1 for s in paths[0].steps if s.coupled)
-        assert text.count("*") == coupled_stages
+        paths = k_worst_paths(design.circuit, result.final_pass, k=3)
+        paths = [path for path in paths if path.steps]
+        payload = explain_result(design.circuit, result, k=3)
+        assert len(payload["paths"]) == len(paths)
+        for path, explained in zip(paths, payload["paths"]):
+            gates = [s for s in explained["stages"] if s["kind"] == "gate"]
+            assert [s["coupled"] for s in gates] == [step.coupled for step in path.steps]
+        assert any(step.coupled for path in paths for step in path.steps)

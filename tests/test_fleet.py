@@ -36,6 +36,7 @@ from repro.service import (
 from repro.service.client import _CallSurface
 from repro.service.fleet import HashRing, placement_key
 from repro.testing.faults import corrupt_handoff, drop_links, hang_shard
+from tests.test_service import pipeline_half_closed
 
 ONE_STEP = {"mode": "one_step"}
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -405,6 +406,21 @@ class TestFleetBasics:
                 assert sid in client.list_sessions()
                 assert client.close_session(sid)["session"] == sid
                 assert client.list_sessions() == []
+
+    def test_half_closed_client_gets_every_answer(self, tmp_path):
+        """The router shares the shard server's front end: pipelined
+        requests from a half-closed client are all answered, and the
+        closed connection is released."""
+        with _fleet(tmp_path, shards=1).start() as runtime:
+            answers = pipeline_half_closed(
+                runtime.address, ["ping", "list_sessions", "stats", "ping"]
+            )
+            assert sorted(answer["id"] for answer in answers) == [1, 2, 3, 4]
+            assert all("result" in answer for answer in answers)
+            deadline = time.monotonic() + 10.0
+            while runtime.router.frontend.connections and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert runtime.router.frontend.connections == 0
 
 
 class TestFleetFailover:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import socket
 import threading
 import time
 
@@ -166,7 +167,9 @@ class TestSessionConfig:
     def test_core_override(self):
         """The propagation core, the waveform engine, the process pool,
         the screened solver tier and the memo and ledger switches are no
-        longer choices: overriding any is an unknown key."""
+        longer choices, and the convergence tolerance, Esperance slack,
+        input transition and guard are not a client's to set: overriding
+        any is an unknown key."""
         for key, value in (
             ("core", "columnar"),
             ("engine", "batch"),
@@ -176,6 +179,10 @@ class TestSessionConfig:
             ("screen_slack_margin", 0.1),
             ("incremental", False),
             ("provenance", False),
+            ("convergence_tolerance", 1e-12),
+            ("esperance_slack", 0.15),
+            ("input_transition", 100e-12),
+            ("guard", 5e-12),
         ):
             with pytest.raises(InputError, match="unknown config override"):
                 session_config(ONE_STEP, {key: value})
@@ -183,6 +190,10 @@ class TestSessionConfig:
             ("solver_tier", "exact"),
             ("incremental", False),
             ("provenance", False),
+            ("clock_model", "always"),
+            ("slew_degradation_factor", 2.2),
+            ("convergence_tolerance", 1e-12),
+            ("esperance_slack", 0.15),
         ):
             with pytest.raises(TypeError):
                 StaConfig(**{field: value})
@@ -444,6 +455,21 @@ class TestExecutor:
         executor.shutdown()
 
 
+def pipeline_half_closed(address: str, methods: list[str]) -> list[dict]:
+    """Send one request per method (ids 1, 2, ...) on one raw TCP
+    connection, half-close it, and read answers until the server closes."""
+    host, _, port = address.rpartition(":")
+    with socket.create_connection((host, int(port)), timeout=30) as sock:
+        sock.sendall(
+            b"".join(encode_request(i, m) for i, m in enumerate(methods, 1))
+        )
+        sock.shutdown(socket.SHUT_WR)
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    return [json.loads(line) for line in data.splitlines()]
+
+
 def _start_server(service):
     server = TimingServer(service, host="127.0.0.1", port=0)
     ready = threading.Event()
@@ -557,3 +583,38 @@ class TestSocketServer:
         with ServiceClient(server.address) as c:
             c.call_with_retry("shutdown")
         thread.join(20)
+
+    def test_half_closed_client_gets_every_answer(self):
+        """A client may pipeline its requests and half-close: every
+        request read before end of input is answered before the server
+        closes the connection."""
+        service = TimingService(config=ONE_STEP, workers=1, queue_limit=8)
+        server, thread = _start_server(service)
+        try:
+            answers = pipeline_half_closed(
+                server.address, ["ping", "list_sessions", "ping", "stats"]
+            )
+            assert sorted(answer["id"] for answer in answers) == [1, 2, 3, 4]
+            assert all("result" in answer for answer in answers)
+        finally:
+            with ServiceClient(server.address) as client:
+                client.shutdown()
+            thread.join(20)
+        assert not thread.is_alive()
+
+    def test_closed_connections_are_released(self):
+        service = TimingService(config=ONE_STEP, workers=1, queue_limit=2)
+        server, thread = _start_server(service)
+        try:
+            for _ in range(20):
+                with ServiceClient(server.address) as client:
+                    client.ping()
+            deadline = time.monotonic() + 10.0
+            while server.frontend.connections and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server.frontend.connections == 0
+        finally:
+            with ServiceClient(server.address) as client:
+                client.shutdown()
+            thread.join(20)
+        assert not thread.is_alive()
