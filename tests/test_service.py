@@ -602,6 +602,40 @@ class TestSocketServer:
             thread.join(20)
         assert not thread.is_alive()
 
+    def test_stop_answers_requests_in_flight(self):
+        """Stopping the front end stops listening, lets the requests in
+        flight answer, and only then closes their connections."""
+        from repro.service.frontend import LineServer
+
+        async def scenario():
+            started, release = asyncio.Event(), asyncio.Event()
+
+            async def echo_when_released(line: bytes) -> bytes:
+                started.set()
+                await release.wait()
+                return line
+
+            front = LineServer(echo_when_released)
+            port = await front.listen("127.0.0.1", 0)
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b'{"id": 1}\n')
+            await writer.drain()
+            await asyncio.wait_for(started.wait(), 10.0)
+            closing = asyncio.create_task(front.close(drain_timeout=10.0))
+            await asyncio.sleep(0.05)
+            draining = not closing.done()
+            with pytest.raises(OSError):
+                await asyncio.open_connection("127.0.0.1", port)
+            release.set()
+            await asyncio.wait_for(closing, 10.0)
+            answer = await asyncio.wait_for(reader.read(), 10.0)
+            writer.close()
+            return draining, answer
+
+        draining, answer = asyncio.run(scenario())
+        assert draining
+        assert answer == b'{"id": 1}\n'
+
     def test_closed_connections_are_released(self):
         service = TimingService(config=ONE_STEP, workers=1, queue_limit=2)
         server, thread = _start_server(service)
