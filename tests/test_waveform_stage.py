@@ -1,15 +1,26 @@
 """Tests for the transistor-level stage solver."""
 
+from dataclasses import dataclass, field
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.devices.mosfet import nmos, pmos
+from repro.devices.newton import solve_newton
 from repro.devices.params import default_process
-from repro.devices.tables import StageTable
+from repro.devices.tables import StageTable, _BilinearGrid
 from repro.waveform.coupling import CouplingLoad
-from repro.waveform.pwl import FALLING, RISING
-from repro.waveform.stage import InputRamp, StageSolver, StageSolverError
+from repro.waveform.gatedelay import GateDelayCalculator
+from repro.waveform.pwl import FALLING, RISING, Waveform, opposite
+from repro.waveform.stage import (
+    InputRamp,
+    StageSolver,
+    StageSolverError,
+    _monotone_clean,
+    measure_stage_waveform,
+)
 
 PROCESS = default_process()
 VDD = PROCESS.vdd
@@ -162,3 +173,311 @@ class TestCoupled:
             CouplingLoad(c_ground=c_gnd, c_couple_active=c_act),
         )
         assert active.t_cross >= base.t_cross - 1e-14
+
+
+# -- oracle: the settle-at-the-rail loop -------------------------------------
+
+
+@dataclass
+class SettleTrace:
+    """What the settle loop saw on the way: every Newton root, the time of
+    each extension and the (clamped) trigger."""
+
+    roots: list = field(default_factory=list)
+    extensions_at: list = field(default_factory=list)
+    trigger: float | None = None
+
+
+def settle_loop_solve(solver, input_ramp, load, out_direction=None, aiding=False):
+    """A copy of the scalar loop as it stood before it stopped at its last
+    marker: it integrates until the output settles within 2% of V_DD of
+    the rail and the input ramp is over, each step solved by
+    :func:`solve_newton` on :meth:`StageTable.current_with_dvout`.
+
+    Returns the measured :class:`StageResult` and a :class:`SettleTrace`.
+    """
+    process = solver.process
+    vdd = process.vdd
+    if out_direction is None:
+        out_direction = opposite(input_ramp.direction)
+    rising = out_direction == RISING
+    c_total = load.c_total
+    v_from = 0.0 if rising else vdd
+    v_to = vdd if rising else 0.0
+    settle_band = solver.settle_fraction * vdd
+    tau = c_total * vdd / solver._drive_current(out_direction)
+    dt = (input_ramp.transition + 4.0 * tau) / (2.0 * solver.steps_per_phase)
+    dt = max(dt, 1e-15)
+    trace = SettleTrace()
+
+    trigger = None
+    if load.has_active_coupling:
+        if aiding:
+            trigger = load.restart_voltage(out_direction, process)
+        else:
+            trigger = load.trigger_voltage(out_direction, process)
+        if rising:
+            trigger = min(trigger, vdd - 2.0 * settle_band)
+        else:
+            trigger = max(trigger, 2.0 * settle_band)
+    trace.trigger = trigger
+    if aiding and load.has_active_coupling:
+        drop = load.divider_drop(process)
+        if rising:
+            restart = min(trigger + drop, vdd)
+        else:
+            restart = max(trigger - drop, 0.0)
+    else:
+        restart = load.restart_voltage(out_direction, process)
+
+    t = input_ramp.t_start
+    v = v_from
+    times = [t]
+    values = [v]
+    fired = False
+    t_drop = None
+    newton_total = 0
+    newton_bisections = 0
+    max_steps = 2 * solver.steps_per_phase
+    extensions = 0
+    step = 0
+    lo, hi = -0.4, vdd + 0.4
+    while True:
+        step += 1
+        if step > max_steps:
+            if extensions >= solver.max_extensions:
+                raise StageSolverError("output failed to settle")
+            extensions += 1
+            trace.extensions_at.append(t)
+            dt *= 2.0
+            step = 0
+            continue
+
+        t_next = t + dt
+        vin_next = input_ramp.voltage_at(t_next, vdd)
+        coeff = dt / c_total
+        v_prev = v
+
+        def residual(x):
+            current, dcurrent = solver.table.current_with_dvout(vin_next, x)
+            return x - v_prev - coeff * current, 1.0 - coeff * dcurrent
+
+        result = solve_newton(residual, x0=v_prev, tol=1e-7, lo=lo, hi=hi)
+        newton_total += result.iterations
+        if result.used_bisection:
+            newton_bisections += 1
+        v_next = result.root
+        trace.roots.append(v_next)
+
+        crossed = False
+        if trigger is not None and not fired:
+            if rising and v_prev < trigger <= v_next:
+                crossed = True
+            elif not rising and v_prev > trigger >= v_next:
+                crossed = True
+        if crossed:
+            if v_next != v_prev:
+                frac = (trigger - v_prev) / (v_next - v_prev)
+            else:
+                frac = 1.0
+            t_drop = t + frac * dt
+            fired = True
+            t = t_drop
+            v = restart
+            times = [t]
+            values = [v]
+            continue
+
+        t = t_next
+        v = v_next
+        times.append(t)
+        values.append(v)
+        done_voltage = abs(v - v_to) <= settle_band
+        input_done = t >= input_ramp.t_start + input_ramp.transition
+        if done_voltage and input_done:
+            break
+
+    waveform = _monotone_clean(Waveform(np.array(times), np.array(values), out_direction))
+    result = measure_stage_waveform(
+        process, waveform, out_direction, fired, t_drop, newton_total, newton_bisections
+    )
+    return result, trace
+
+
+ORACLE_FIELDS = ("direction", "t_cross", "transition", "t_early", "t_late", "coupled", "t_drop")
+
+
+def assert_matches_settle_loop(solver, ramp, load, aiding=False):
+    """``solver.solve`` equals the settle loop bit for bit on every marker
+    and on ``coupled``; returns the settle loop's trace."""
+    got = solver.solve(ramp, load, aiding=aiding)
+    ref, trace = settle_loop_solve(solver, ramp, load, aiding=aiding)
+    for name in ORACLE_FIELDS:
+        assert getattr(got, name) == getattr(ref, name), (name, ramp, load, aiding)
+    return trace
+
+
+class SyntheticTable(StageTable):
+    """A stage table with hand-set currents on hand-set axes, for the
+    lanes no real cell reaches (clamped roots, flat Newton derivatives,
+    exhausted step budgets)."""
+
+    def __init__(self, x_axis, y_axis, values):
+        self.process = default_process()
+        self.pull_up = self.pull_down = None
+        self._grid = _BilinearGrid(
+            np.asarray(x_axis, float), np.asarray(y_axis, float), np.asarray(values, float)
+        )
+
+
+GRID_AXIS = np.linspace(-0.3, VDD + 0.3, StageTable.DEFAULT_POINTS)
+
+
+def _tabulate(current):
+    """Sample ``current(vin, vout)`` on the default stage-table grid."""
+    vin, vout = np.meshgrid(GRID_AXIS, GRID_AXIS, indexing="ij")
+    return SyntheticTable(GRID_AXIS, GRID_AXIS, current(vin, vout))
+
+
+def _overdriven_table(out_rising):
+    """While the input is in its first half, a strong current pushes the
+    output the wrong way, toward a point 0.35 V beyond its start rail.
+    The table ends 0.3 V beyond the rails, and past its edge the clamped
+    cell fraction holds the current at its edge value, which still
+    pushes: the step's root is clamped at the Newton bound 0.4 V beyond
+    the rail.  (An unclamped fraction would extrapolate to the point at
+    0.35 V instead.)  In the second half a conductance pulls the output
+    from there to the rail it heads for, through every marker threshold.
+    """
+    push, g = 0.1, 1e-3
+
+    def pull(distance):
+        return g * distance * (1.0 + distance)
+
+    if out_rising:
+        return _tabulate(
+            lambda vin, vout: np.where(
+                vin > 0.5 * VDD, -push * (vout + 0.35), pull(VDD - vout)
+            )
+        )
+    return _tabulate(
+        lambda vin, vout: np.where(
+            vin < 0.5 * VDD, -push * (vout - VDD - 0.35), -pull(vout)
+        )
+    )
+
+
+def _weak_tail_table():
+    """A falling output whose pull-down is strong above 1 V and 50x weaker
+    below: the step budget, sized from the strong drive, runs out before
+    the output reaches its last marker."""
+    strong = 1e-3
+    return _tabulate(
+        lambda vin, vout: np.where(vout > 1.0, -strong, -0.02 * strong * vout)
+    )
+
+
+# A load of 1/16 fF on a drive of tens of mA puts the time step at its
+# 1e-15 s floor, so the backward-Euler factor dt / C is exactly 16.
+FLAT_LOAD = CouplingLoad(c_ground=1e-15 / 16)
+
+
+def _flat_derivative_table():
+    """A falling output whose very first Newton iterate meets a zero
+    derivative, ``1 - coeff * dI/dV_out == 0.0`` exactly, under
+    :data:`FLAT_LOAD`.
+
+    The input switches instantly, so every step reads the table at
+    ``V_in = V_DD``, the end of a two-point x-axis (x-fraction exactly
+    1).  The y-axis pitch is 1/16 V.  Off one cell the current is a
+    conductance to ground; the cell holding V_DD rises by exactly 1/256
+    A, a slope of 1/16 A/V, so ``16 * dI/dV_out`` is exactly 1.
+    """
+    dy = 1.0 / 16.0
+    y_axis = -0.5 + dy * np.arange(65)
+    cell = int((VDD + 0.5) / dy)
+    values = -0.01 * y_axis
+    values[cell] = -1.0 / 32.0
+    values[cell + 1:] = -1.0 / 32.0 + 1.0 / 256.0
+    return SyntheticTable([0.0, VDD], y_axis, np.vstack([values, values]))
+
+
+REAL_ARCS = (("INV_X1", "A"), ("NAND2_X1", "A"), ("NOR3_X2", "B"), ("AOI21_X4", "C"))
+
+
+@pytest.fixture(scope="module")
+def real_solvers(library):
+    calc = GateDelayCalculator()
+    return [calc.solver_for(library[name], pin) for name, pin in REAL_ARCS]
+
+
+class TestSettleLoopOracle:
+    """Stopping at the last marker threshold leaves every marker where the
+    settle-at-the-rail loop put it: the measurement reads, per threshold,
+    only the first sample at or past it and its predecessor."""
+
+    @given(
+        index=st.integers(0, len(REAL_ARCS) - 1),
+        direction=st.sampled_from([RISING, FALLING]),
+        tt=st.one_of(st.just(0.0), st.floats(1e-12, 800e-12)),
+        t_start=st.sampled_from([0.0, 1e-9]),
+        c_ground=st.floats(0.3e-15, 150e-15),
+        c_active=st.one_of(st.just(0.0), st.floats(0.3e-15, 40e-15)),
+        aiding=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_settle_loop_bitwise(
+        self, real_solvers, index, direction, tt, t_start, c_ground, c_active, aiding
+    ):
+        assert_matches_settle_loop(
+            real_solvers[index],
+            InputRamp(direction, t_start, tt),
+            CouplingLoad(c_ground=c_ground, c_couple_active=c_active),
+            aiding=aiding,
+        )
+
+    def test_root_clamped_at_lo(self):
+        solver = StageSolver(_overdriven_table(out_rising=True))
+        trace = assert_matches_settle_loop(
+            solver, falling_input(100e-12), CouplingLoad(c_ground=10e-15)
+        )
+        assert -0.4 in trace.roots
+
+    def test_root_clamped_at_hi(self):
+        solver = StageSolver(_overdriven_table(out_rising=False))
+        trace = assert_matches_settle_loop(
+            solver, rising_input(100e-12), CouplingLoad(c_ground=10e-15)
+        )
+        assert VDD + 0.4 in trace.roots
+
+    def test_zero_derivative_bisects(self):
+        load = FLAT_LOAD
+        solver = StageSolver(_flat_derivative_table())
+        ramp = rising_input(0.0)
+        assert_matches_settle_loop(solver, ramp, load)
+        ref, _ = settle_loop_solve(solver, ramp, load)
+        assert ref.newton_bisections >= 1
+        assert solver.solve(ramp, load).newton_bisections >= 1
+
+    def test_exhausted_budget_extends(self):
+        solver = StageSolver(_weak_tail_table())
+        ramp = rising_input(50e-12)
+        load = CouplingLoad(c_ground=10e-15)
+        trace = assert_matches_settle_loop(solver, ramp, load)
+        ref, _ = settle_loop_solve(solver, ramp, load)
+        # The budget ran out before the last marker, so both loops extend.
+        assert trace.extensions_at and trace.extensions_at[0] < ref.t_late
+
+    @pytest.mark.parametrize("direction", [RISING, FALLING])
+    @pytest.mark.parametrize("index", [0, 2])
+    def test_trigger_clamped_inside_the_settle_band(self, real_solvers, index, direction):
+        """Coupling this strong puts the trigger past the last marker
+        threshold; the clamp at ``2 * settle band`` from the rail keeps the
+        drop firing, after the output passed that threshold."""
+        solver = real_solvers[index]
+        load = CouplingLoad(c_ground=1e-15, c_couple_active=10e-15)
+        trace = assert_matches_settle_loop(solver, InputRamp(direction, 0.0, 80e-12), load)
+        band = solver.settle_fraction * VDD
+        out_rising = direction == FALLING
+        assert trace.trigger == (VDD - 2.0 * band if out_rising else 2.0 * band)
+        assert solver.solve(InputRamp(direction, 0.0, 80e-12), load).coupled
