@@ -2,7 +2,8 @@
 
 Runs every analysis mode on the s35932-like circuit and records
 wall-clock, arcs/second and the per-pass work series (how the
-delta-driven engine's work decays over the iterative passes).  A second
+delta-driven engine's work decays over the iterative passes), then the
+four min-delay modes, each on a cold calculator.  A second
 section times the scalar stage solver against the batch solver per key
 at batch sizes 1-64, the evidence behind ``MIN_BATCH``.  A third
 sweeps the circuit scale (0.05 / 0.2 / 1.0 -- the last is the paper's
@@ -33,6 +34,7 @@ import pytest
 
 from repro.circuit import s35932_like
 from repro.core.analyzer import CrosstalkSTA
+from repro.core.minpath import MinAnalysisMode, MinPropagator
 from repro.core.modes import AnalysisMode, StaConfig
 from repro.flow import design as flow_design
 from repro.flow import prepare_design
@@ -42,7 +44,7 @@ BENCH_JSON = Path(__file__).parent.parent / "BENCH_sta_runtime.json"
 
 # The solver crossover's batch sizes, timing repeats (the median is
 # recorded) and sampling seed.
-CROSSOVER_SIZES = (1, 2, 3, 4, 6, 8, 16, 64)
+CROSSOVER_SIZES = (1, 2, 3, 4, 6, 8, 16, 24, 32, 48, 64)
 CROSSOVER_REPEATS = 5
 CROSSOVER_SEED = 1000
 
@@ -162,6 +164,55 @@ def mode_runs(scale, record_result):
         )
         + "\n"
     )
+    return rows
+
+
+@pytest.fixture(scope="module")
+def min_delay_runs(scale, record_result, mode_runs):
+    """The four min-delay modes, each on a fresh propagator (a cold arc
+    cache).  Min-delay resolves every arc through ``compute_arc_relative``,
+    so each of its solves is a scalar one.  Depends on ``mode_runs`` so
+    the BENCH_JSON graft lands on its payload."""
+    design = prepare_design(s35932_like(scale=scale))
+    compiled = CrosstalkSTA(design).compiled_design()
+    rows = []
+    for mode in MinAnalysisMode:
+        propagator = MinPropagator(design, compiled=compiled)
+        t0 = time.perf_counter()
+        result = propagator.run(mode)
+        seconds = time.perf_counter() - t0
+        stats = propagator.calculator.cache_stats()
+        rows.append(
+            {
+                "mode": mode.value,
+                "seconds": seconds,
+                "shortest_delay": result.shortest_delay,
+                "shortest_delay_hex": result.shortest_delay.hex(),
+                "waveform_evaluations": result.waveform_evaluations,
+                "solves": stats["evaluations"],
+                "batched_solves": stats["batched_solves"],
+                "passes": result.passes,
+            }
+        )
+
+    lines = [
+        f"Min-delay modes (s35932-like at scale {scale}, cold calculator each)",
+        "",
+        f"{'mode':<16} {'seconds':>8} {'evals':>7} {'solves':>7} {'passes':>7} "
+        f"{'shortest ns':>12}",
+        "-" * 62,
+    ]
+    for row in rows:
+        lines.append(
+            f"{row['mode']:<16} {row['seconds']:>8.2f} "
+            f"{row['waveform_evaluations']:>7} {row['solves']:>7} "
+            f"{row['passes']:>7} {row['shortest_delay'] * 1e9:>12.3f}"
+        )
+    record_result("perf_min_delay", "\n".join(lines))
+
+    payload = json.loads(BENCH_JSON.read_text())
+    payload["min_delay"] = rows
+    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
     return rows
 
 
@@ -286,6 +337,16 @@ def test_solver_crossover_ends(solver_crossover, benchmark):
     single, wide = by_size[1], by_size[64]
     assert single["scalar_ms_per_key"] < single["batch_ms_per_key"], single
     assert wide["batch_ms_per_key"] < wide["scalar_ms_per_key"], wide
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+
+
+def test_min_delay_modes_ordered(min_delay_runs, benchmark):
+    """Min-delay ordering: all-helping coupling gives the earliest bound,
+    the window modes tighten it, no coupling is latest."""
+    delay = {row["mode"]: row["shortest_delay"] for row in min_delay_runs}
+    assert delay["min_worst"] <= delay["min_one_step"] + 1e-12
+    assert delay["min_one_step"] <= delay["min_iterative"] + 1e-12
+    assert delay["min_iterative"] <= delay["min_no_coupling"] + 1e-12
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 

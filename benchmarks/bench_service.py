@@ -38,7 +38,7 @@ import pytest
 from repro.core.analyzer import CrosstalkSTA
 from repro.core.constraints import minimum_period
 from repro.core.modes import AnalysisMode, StaConfig
-from repro.flow.edits import edit_nets
+from repro.flow.edits import apply_edit, edit_nets
 from repro.flow.optimizer import validate_repair
 from repro.service import (
     FleetOptions,
@@ -49,7 +49,6 @@ from repro.service import (
     SessionManager,
     TimingServer,
     TimingService,
-    apply_edit,
     backoff_delay,
 )
 

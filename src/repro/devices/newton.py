@@ -28,7 +28,6 @@ class NewtonResult:
 
     root: float
     iterations: int
-    residual: float
     used_bisection: bool = False
 
 
@@ -75,8 +74,7 @@ def solve_newton(
         if hi is not None and x_new > hi:
             x_new = hi
         if abs(x_new - x) <= tol:
-            f_new, _ = func(x_new)
-            return NewtonResult(root=x_new, iterations=iteration, residual=abs(f_new))
+            return NewtonResult(root=x_new, iterations=iteration)
         x = x_new
         f, df = func(x)
 
@@ -252,9 +250,9 @@ def _bisect(
     f_lo, _ = func(lo)
     f_hi, _ = func(hi)
     if f_lo == 0.0:
-        return NewtonResult(root=lo, iterations=start_iter, residual=0.0, used_bisection=True)
+        return NewtonResult(root=lo, iterations=start_iter, used_bisection=True)
     if f_hi == 0.0:
-        return NewtonResult(root=hi, iterations=start_iter, residual=0.0, used_bisection=True)
+        return NewtonResult(root=hi, iterations=start_iter, used_bisection=True)
     if f_lo * f_hi > 0.0:
         raise NewtonError(
             f"bisection fallback has no bracket: f({lo})={f_lo}, f({hi})={f_hi}"
@@ -265,13 +263,11 @@ def _bisect(
         mid = 0.5 * (lo + hi)
         f_mid, _ = func(mid)
         if f_mid == 0.0:
-            return NewtonResult(root=mid, iterations=iterations, residual=0.0, used_bisection=True)
+            return NewtonResult(root=mid, iterations=iterations, used_bisection=True)
         if f_lo * f_mid < 0.0:
             hi = mid
         else:
             lo, f_lo = mid, f_mid
         if iterations > 200:
             break
-    root = 0.5 * (lo + hi)
-    f_root, _ = func(root)
-    return NewtonResult(root=root, iterations=iterations, residual=abs(f_root), used_bisection=True)
+    return NewtonResult(root=0.5 * (lo + hi), iterations=iterations, used_bisection=True)

@@ -38,8 +38,10 @@ def _cell_locate(f, n: int):
 
     Accepts a python float (returns ``(int, float)``) or a numpy array
     (returns ``(int array, float array)``); the scalar branch stays pure
-    python because it sits inside the per-time-step Newton loop of the
-    reference solver.
+    python because it sits inside every Newton iteration of the scalar
+    stage solver, which calls it directly (once per time step for the
+    input voltage, once per iteration for the output voltage) instead of
+    going through :meth:`_BilinearGrid.lookup_with_dy`.
     """
     if isinstance(f, np.ndarray):
         # Explicit maximum/minimum rather than np.clip: same arithmetic

@@ -16,9 +16,9 @@ formula, same damped Newton update, same drop/restart logic -- and the
 vectorized measurement reproduces
 :func:`repro.waveform.stage.measure_stage_waveform`, so every element's
 markers equal the scalar solver's bit for bit; the property tests pin
-the agreement.  Only the markers are produced, so an element stops at
-its last marker threshold instead of settling at the rail (see
-:meth:`BatchStageSolver._integrate`).
+the agreement.  Only the markers are produced, and an element stops
+where the scalar solver stops: at its last marker threshold, once no
+drop is pending (see :meth:`BatchStageSolver._integrate`).
 """
 
 from __future__ import annotations
@@ -35,20 +35,14 @@ from repro.waveform.coupling import CouplingLoad
 from repro.waveform.pwl import FALLING, RISING, Waveform, opposite
 from repro.waveform import stage as stage_defaults
 from repro.waveform.stage import (
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
     StageResult,
     StageSolverError,
+    _marker_thresholds,
     _monotone_clean,
     measure_stage_waveform,
 )
-
-
-def _marker_thresholds(process: ProcessParams) -> tuple[float, ...]:
-    """The voltages the compact measurement reads crossings of: 50%,
-    10% and 90% of V_DD, then V_th and V_DD - V_th (the same values
-    :func:`measure_stage_waveform` uses)."""
-    vdd = process.vdd
-    v_th = process.v_th_model
-    return 0.5 * vdd, 0.1 * vdd, 0.9 * vdd, v_th, vdd - v_th
 
 
 @dataclass
@@ -413,7 +407,9 @@ class BatchStageSolver:
                 np.subtract(1.0, dcurrent, out=dcurrent)
                 return f, dcurrent
 
-            solved = solve_newton_many(residual, x0=v_prev, tol=1e-7, lo=lo, hi=hi)
+            solved = solve_newton_many(
+                residual, x0=v_prev, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER, lo=lo, hi=hi
+            )
             newton += solved.iterations
             bisect += solved.used_bisection
             v_next = solved.roots

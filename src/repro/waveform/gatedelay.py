@@ -29,10 +29,14 @@ Two solvers fill the cache, chosen per batch by size alone
   ``MIN_BATCH`` simultaneously, in-process;
 * the scalar :class:`~repro.waveform.stage.StageSolver` solves smaller
   batches, keys resolved without priming, degraded arcs and the batch
-  solver's fallback, one arc at a time.
+  solver's fallback, one arc at a time.  Its fixed cost per key is small
+  where a lockstep batch pays about the same per-call cost however
+  narrow it is, so it is the cheaper one below the measured crossover.
 
-Both integrate the same stage tables with the same numerics, so a key's
-result does not depend on which solver (or which batch) produced it.
+Both integrate the same stage tables with the same numerics and stop an
+arc at its last marker threshold, so a key's result (and its Newton
+iteration count) does not depend on which solver (or which batch)
+produced it.
 
 The cache can persist across runs (:meth:`save_cache_file` /
 :meth:`load_cache_file`): a JSON file keyed by a fingerprint of the
@@ -92,8 +96,10 @@ logger = logging.getLogger("repro.waveform.gatedelay")
 CACHE_FORMAT = 3
 
 # Below this many distinct situations a batched solve does not amortize
-# its setup; fall through to the scalar reference path.
-MIN_BATCH = 4
+# its setup and the scalar solver takes each key: the batch solver is
+# first cheaper per key at 24 keys in the committed ``solver_crossover``
+# row of BENCH_sta_runtime.json (bench_perf_baseline.py).
+MIN_BATCH = 24
 
 
 @dataclass(frozen=True)
@@ -673,9 +679,9 @@ class GateDelayCalculator:
         """Solve the deduplicated cache misses.
 
         The one place the solver is chosen, by batch size alone: below
-        ``MIN_BATCH`` a vectorized solve does not amortize its setup and
-        the scalar solver takes each key; larger batches go to one
-        vectorized integration.
+        ``MIN_BATCH`` (the measured crossover) a vectorized solve costs
+        more per key than the scalar solver, which takes each key; larger
+        batches go to one vectorized integration.
         """
         if not misses:
             return 0
@@ -764,7 +770,9 @@ class GateDelayCalculator:
         input_ramp: InputRamp,
         load: CouplingLoad,
     ) -> StageResult:
-        """Uncached full-waveform stage solve (diagnostics, validation)."""
+        """Uncached stage solve with its waveform, which ends at the first
+        sample at or past the last marker threshold (diagnostics,
+        validation)."""
         return self.solver_for(ctype, pin).solve(input_ramp, load)
 
     # -- persistence ----------------------------------------------------------

@@ -9,6 +9,13 @@ tabulated stage current (paper, Section 3).  Supports the coupling model's
 mid-transition drop event (Section 2): when the output reaches the trigger
 voltage, it is reset to the restart value and the pre-drop waveform is
 discarded.
+
+Only the markers of :func:`measure_stage_waveform` are wanted, so the
+integration stops once no drop is pending and the newest sample is at or
+past the furthest marker threshold (:func:`_marker_thresholds`); the
+measurement reads, per threshold, only the first sample at or past it and
+that sample's predecessor, so later samples could not move a marker.  The
+batch solver (:mod:`repro.waveform.batchstage`) stops under the same rule.
 """
 
 from __future__ import annotations
@@ -17,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.devices.newton import solve_newton
+from repro.devices.newton import NewtonResult, solve_newton
 from repro.devices.params import ProcessParams, default_process
-from repro.devices.tables import StageTable
+from repro.devices.tables import StageTable, _cell_locate
 from repro.errors import SolverError
 from repro.waveform.coupling import CouplingLoad
 from repro.waveform.pwl import FALLING, RISING, Waveform, opposite
@@ -31,10 +38,23 @@ class StageSolverError(SolverError):
 
 # Integration defaults, shared by the scalar and batch solvers and part of
 # the persistent arc-cache fingerprint (changing them invalidates cached
-# arc results).
+# arc results).  SETTLE_FRACTION no longer ends an integration; it sets the
+# band (2% of V_DD) that keeps a clamped coupling trigger off the rail.
 STEPS_PER_PHASE = 60
 SETTLE_FRACTION = 0.02
 MAX_EXTENSIONS = 24
+# Newton settings of every time step (the batch solver uses the same).
+NEWTON_TOL = 1e-7
+NEWTON_MAX_ITER = 50
+
+
+def _marker_thresholds(process: ProcessParams) -> tuple[float, ...]:
+    """The voltages the measurement reads crossings of: 50%, 10% and 90%
+    of V_DD, then V_th and V_DD - V_th.  The one definition behind
+    :func:`measure_stage_waveform` and both solvers' stop rule."""
+    vdd = process.vdd
+    v_th = process.v_th_model
+    return 0.5 * vdd, 0.1 * vdd, 0.9 * vdd, v_th, vdd - v_th
 
 
 @dataclass(frozen=True)
@@ -65,8 +85,10 @@ class StageResult:
 
     The waveform is the *reported* one: if the coupling drop fired, it
     starts at the restart voltage at the drop time and the glitch before
-    it is discarded.  ``t_early``/``t_late`` follow the convention of
-    :class:`repro.waveform.ramp.RampEvent`.
+    it is discarded.  It ends at the first sample at or past the last
+    marker threshold.  ``t_early``/``t_late`` follow the convention of
+    :class:`repro.waveform.ramp.RampEvent`.  ``newton_iterations`` counts
+    the iterations up to that last sample.
     """
 
     waveform: Waveform
@@ -97,6 +119,9 @@ class StageSolver:
         self.steps_per_phase = steps_per_phase
         self.settle_fraction = settle_fraction
         self.max_extensions = max_extensions
+        # The stage table's values as a flat float64 memoryview: indexing
+        # it yields Python floats, with no copy of the table.
+        self._flat = memoryview(np.ascontiguousarray(table.grid.values).reshape(-1))
 
     # -- drive-strength estimate for the time step -------------------------
 
@@ -166,6 +191,24 @@ class StageSolver:
         else:
             restart = load.restart_voltage(out_direction, process)
 
+        # The stop rule: the furthest marker threshold along this output's
+        # transition.  A pending drop could still restart the waveform, so
+        # the integration may only stop once it has fired.
+        thresholds = _marker_thresholds(process)
+        last = max(thresholds) if rising else min(thresholds)
+        pending = trigger is not None
+
+        # The table as Python floats: one memoryview read per corner costs
+        # a fraction of a numpy scalar index, and the float arithmetic is
+        # the same IEEE double arithmetic.
+        grid = self.table.grid
+        flat = self._flat
+        x0, dx, nx = grid._x0, grid._dx, grid._nx
+        y0, dy, ny = grid._y0, grid._dy, grid._ny
+        ny1 = ny + 1
+        locate = _cell_locate
+        tol, max_iter = NEWTON_TOL, NEWTON_MAX_ITER
+
         t = input_ramp.t_start
         v = v_from
         times = [t]
@@ -179,6 +222,7 @@ class StageSolver:
         extensions = 0
         step = 0
         lo, hi = -0.4, vdd + 0.4
+        max_step = 0.5 * (hi - lo)
         while True:
             step += 1
             if step > max_steps:
@@ -197,23 +241,52 @@ class StageSolver:
             coeff = dt / c_total
             v_prev = v
 
-            def residual(x: float) -> tuple[float, float]:
-                current, dcurrent = self.table.current_with_dvout(vin_next, x)
-                return x - v_prev - coeff * current, 1.0 - coeff * dcurrent
+            # solve_newton's damped update on the backward-Euler residual
+            # x - v_prev - coeff * I(vin_next, x).  vin is fixed within the
+            # step, so its x-cell is located once; each iteration reads
+            # the y-cell's corners in lookup_with_dy's order.
+            ix, tx = locate((vin_next - x0) / dx, nx)
+            one_m_tx = 1.0 - tx
+            row = ix * ny
+            x = v_prev
+            iterations = 0
+            while True:
+                iy, ty = locate((x - y0) / dy, ny)
+                base = row + iy
+                i_lo = flat[base] * one_m_tx + flat[base + ny] * tx
+                i_hi = flat[base + 1] * one_m_tx + flat[base + ny1] * tx
+                current = i_lo * (1.0 - ty) + i_hi * ty
+                df = 1.0 - coeff * ((i_hi - i_lo) / dy)
+                iterations += 1
+                if df == 0.0 or iterations > max_iter:
+                    # Bisection territory: solve_newton redoes the step
+                    # from its start, so the fallback and its count stay
+                    # solve_newton's.
+                    result = self._solve_step(vin_next, v_prev, coeff, lo, hi)
+                    x_new = float(result.root)
+                    iterations = result.iterations
+                    if result.used_bisection:
+                        newton_bisections += 1
+                    break
+                delta = (x - v_prev - coeff * current) / df
+                if delta > max_step:
+                    delta = max_step
+                elif delta < -max_step:
+                    delta = -max_step
+                x_new = x - delta
+                if x_new < lo:
+                    x_new = lo
+                if x_new > hi:
+                    x_new = hi
+                if abs(x_new - x) <= tol:
+                    break
+                x = x_new
+            newton_total += iterations
+            v_next = x_new
 
-            result = solve_newton(residual, x0=v_prev, tol=1e-7, lo=lo, hi=hi)
-            newton_total += result.iterations
-            if result.used_bisection:
-                newton_bisections += 1
-            v_next = result.root
-
-            crossed = False
-            if trigger is not None and not fired:
-                if rising and v_prev < trigger <= v_next:
-                    crossed = True
-                elif not rising and v_prev > trigger >= v_next:
-                    crossed = True
-            if crossed:
+            if pending and (
+                v_prev < trigger <= v_next if rising else v_prev > trigger >= v_next
+            ):
                 # Locate the crossing inside the step, fire the drop and
                 # restart the reported waveform from the restart voltage.
                 if v_next != v_prev:
@@ -222,6 +295,7 @@ class StageSolver:
                     frac = 1.0
                 t_drop = t + frac * dt
                 fired = True
+                pending = False
                 t = t_drop
                 v = restart
                 times = [t]
@@ -232,10 +306,7 @@ class StageSolver:
             v = v_next
             times.append(t)
             values.append(v)
-
-            done_voltage = abs(v - v_to) <= settle_band
-            input_done = t >= input_ramp.t_start + input_ramp.transition
-            if done_voltage and input_done:
+            if not pending and (v >= last if rising else v <= last):
                 break
 
         waveform = _monotone_clean(
@@ -243,6 +314,22 @@ class StageSolver:
         )
         return self._measure(
             waveform, out_direction, fired, t_drop, newton_total, newton_bisections
+        )
+
+    def _solve_step(
+        self, vin: float, v_prev: float, coeff: float, lo: float, hi: float
+    ) -> NewtonResult:
+        """One time step through :func:`solve_newton` on
+        :meth:`StageTable.current_with_dvout`: the reference the inline
+        update reproduces, run for the steps that need its bisection."""
+        table = self.table
+
+        def residual(x: float) -> tuple[float, float]:
+            current, dcurrent = table.current_with_dvout(vin, x)
+            return x - v_prev - coeff * current, 1.0 - coeff * dcurrent
+
+        return solve_newton(
+            residual, x0=v_prev, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER, lo=lo, hi=hi
         )
 
     def _measure(
@@ -279,23 +366,18 @@ def measure_stage_waveform(
     Shared by the scalar and batch solvers so both report identical
     measurements for identical waveforms.
     """
-    vdd = process.vdd
-    v_th = process.v_th_model
-    lo_thr, hi_thr = 0.1 * vdd, 0.9 * vdd
-    half = 0.5 * vdd
+    half, lo_thr, hi_thr, near, far = _marker_thresholds(process)
 
     t_half = waveform.crossing_time(half)
+    t_lo = waveform.crossing_time(lo_thr)
+    t_hi = waveform.crossing_time(hi_thr)
     if out_direction == RISING:
-        t_lo = waveform.crossing_time(lo_thr)
-        t_hi = waveform.crossing_time(hi_thr)
-        t_early = waveform.crossing_time(v_th)
-        t_late = waveform.crossing_time(vdd - v_th)
+        t_early = waveform.crossing_time(near)
+        t_late = waveform.crossing_time(far)
         transition = (t_hi - t_lo) / 0.8
     else:
-        t_hi = waveform.crossing_time(hi_thr)
-        t_lo = waveform.crossing_time(lo_thr)
-        t_early = waveform.crossing_time(vdd - v_th)
-        t_late = waveform.crossing_time(v_th)
+        t_early = waveform.crossing_time(far)
+        t_late = waveform.crossing_time(near)
         transition = (t_lo - t_hi) / 0.8
     return StageResult(
         waveform=waveform,

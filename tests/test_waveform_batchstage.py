@@ -1,8 +1,8 @@
 """Batch stage solver vs the scalar reference.
 
 The batch solver re-implements the scalar backward-Euler/Newton loop over
-a batch axis with identical arithmetic and stops each element at its last
-marker threshold; these tests pin the agreement of the markers on
+a batch axis with identical arithmetic and, like it, stops each element at
+its last marker threshold; these tests pin the agreement of the markers on
 randomized electrical situations (both directions, uncoupled, opposing
 and aiding coupling), on situations that put the coupling trigger past
 the last threshold, and check the batching machinery itself.
@@ -185,8 +185,7 @@ class TestStopRule:
     @pytest.mark.parametrize("case", sorted(STOP_RULE_CASES))
     def test_markers_match_scalar_past_last_threshold(self, harness, case):
         """Both output directions on two cells, solved in one batch:
-        every marker and ``coupled`` equal the scalar solver's, which
-        integrates until the output settles at the rail."""
+        every marker and ``coupled`` equal the scalar solver's."""
         solvers, batch = harness
         load, transition, aiding = STOP_RULE_CASES[case]
         specs = [
@@ -204,20 +203,29 @@ class TestStopRule:
         _assert_matches_scalar(solvers, specs, got)
         assert bool(got.coupled.all()) == load.has_active_coupling
 
-    def test_stops_before_the_scalar_settle(self, harness):
-        """An uncoupled arc takes fewer Newton iterations on the batch
-        path (stopped at its last threshold) than the scalar solver
-        spends settling at the rail."""
+    def test_stops_where_the_scalar_solver_stops(self, harness):
+        """Both solvers stop under one rule, so an arc takes as many
+        Newton iterations (and bisections) on the batch path as on the
+        scalar one: uncoupled, opposing and aiding, with the trigger
+        before or past the last threshold."""
         solvers, batch = harness
-        spec = BatchArcSpec(
-            table_index=0,
-            input_direction=RISING,
-            transition=80e-12,
-            load=CouplingLoad(c_ground=10e-15),
-        )
-        got = batch.solve_many_compact([spec])
-        ref = _scalar(solvers, spec)
-        assert got.newton_iterations[0] < ref.newton_iterations
+        specs = _random_specs(16, seed=5) + [
+            BatchArcSpec(
+                table_index=cell,
+                input_direction=direction,
+                transition=transition,
+                load=load,
+                aiding=aiding,
+            )
+            for load, transition, aiding in STOP_RULE_CASES.values()
+            for cell in STOP_RULE_CELLS
+            for direction in (RISING, FALLING)
+        ]
+        got = batch.solve_many_compact(specs)
+        for i, spec in enumerate(specs):
+            ref = _scalar(solvers, spec)
+            assert got.newton_iterations[i] == ref.newton_iterations, spec
+            assert got.newton_bisections[i] == ref.newton_bisections, spec
 
 
 class TestLockstepCounter:

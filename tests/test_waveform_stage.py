@@ -309,12 +309,12 @@ ORACLE_FIELDS = ("direction", "t_cross", "transition", "t_early", "t_late", "cou
 
 def assert_matches_settle_loop(solver, ramp, load, aiding=False):
     """``solver.solve`` equals the settle loop bit for bit on every marker
-    and on ``coupled``; returns the settle loop's trace."""
+    and on ``coupled``; returns both results and the settle loop's trace."""
     got = solver.solve(ramp, load, aiding=aiding)
     ref, trace = settle_loop_solve(solver, ramp, load, aiding=aiding)
     for name in ORACLE_FIELDS:
         assert getattr(got, name) == getattr(ref, name), (name, ramp, load, aiding)
-    return trace
+    return got, ref, trace
 
 
 class SyntheticTable(StageTable):
@@ -324,7 +324,6 @@ class SyntheticTable(StageTable):
 
     def __init__(self, x_axis, y_axis, values):
         self.process = default_process()
-        self.pull_up = self.pull_down = None
         self._grid = _BilinearGrid(
             np.asarray(x_axis, float), np.asarray(y_axis, float), np.asarray(values, float)
         )
@@ -377,7 +376,7 @@ def _weak_tail_table():
     )
 
 
-# A load of 1/16 fF on a drive of tens of mA puts the time step at its
+# A load of 1/16 fF on a drive of 16.5 mA puts the time step at its
 # 1e-15 s floor, so the backward-Euler factor dt / C is exactly 16.
 FLAT_LOAD = CouplingLoad(c_ground=1e-15 / 16)
 
@@ -438,33 +437,29 @@ class TestSettleLoopOracle:
 
     def test_root_clamped_at_lo(self):
         solver = StageSolver(_overdriven_table(out_rising=True))
-        trace = assert_matches_settle_loop(
+        _, _, trace = assert_matches_settle_loop(
             solver, falling_input(100e-12), CouplingLoad(c_ground=10e-15)
         )
         assert -0.4 in trace.roots
 
     def test_root_clamped_at_hi(self):
         solver = StageSolver(_overdriven_table(out_rising=False))
-        trace = assert_matches_settle_loop(
+        _, _, trace = assert_matches_settle_loop(
             solver, rising_input(100e-12), CouplingLoad(c_ground=10e-15)
         )
         assert VDD + 0.4 in trace.roots
 
     def test_zero_derivative_bisects(self):
-        load = FLAT_LOAD
         solver = StageSolver(_flat_derivative_table())
-        ramp = rising_input(0.0)
-        assert_matches_settle_loop(solver, ramp, load)
-        ref, _ = settle_loop_solve(solver, ramp, load)
+        got, ref, _ = assert_matches_settle_loop(solver, rising_input(0.0), FLAT_LOAD)
         assert ref.newton_bisections >= 1
-        assert solver.solve(ramp, load).newton_bisections >= 1
+        assert got.newton_bisections >= 1
 
     def test_exhausted_budget_extends(self):
         solver = StageSolver(_weak_tail_table())
         ramp = rising_input(50e-12)
         load = CouplingLoad(c_ground=10e-15)
-        trace = assert_matches_settle_loop(solver, ramp, load)
-        ref, _ = settle_loop_solve(solver, ramp, load)
+        _, ref, trace = assert_matches_settle_loop(solver, ramp, load)
         # The budget ran out before the last marker, so both loops extend.
         assert trace.extensions_at and trace.extensions_at[0] < ref.t_late
 
@@ -476,8 +471,10 @@ class TestSettleLoopOracle:
         drop firing, after the output passed that threshold."""
         solver = real_solvers[index]
         load = CouplingLoad(c_ground=1e-15, c_couple_active=10e-15)
-        trace = assert_matches_settle_loop(solver, InputRamp(direction, 0.0, 80e-12), load)
+        got, _, trace = assert_matches_settle_loop(
+            solver, InputRamp(direction, 0.0, 80e-12), load
+        )
         band = solver.settle_fraction * VDD
         out_rising = direction == FALLING
         assert trace.trigger == (VDD - 2.0 * band if out_rising else 2.0 * band)
-        assert solver.solve(InputRamp(direction, 0.0, 80e-12), load).coupled
+        assert got.coupled
