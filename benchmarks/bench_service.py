@@ -25,6 +25,7 @@ Numbers go to ``BENCH_service.json`` at the repo root.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import platform
 import statistics
@@ -63,6 +64,35 @@ FLEET_CLIENTS = 16
 FLEET_REQUESTS_PER_CLIENT = 6
 
 
+@contextlib.contextmanager
+def _captured_runs():
+    """Collect the results of every analysis run inside the block (a
+    what-if's response carries only its summary; the row shows its pass
+    split too)."""
+    results = []
+    original = CrosstalkSTA.run
+
+    def run(self, mode=None):
+        result = original(self, mode)
+        results.append(result)
+        return result
+
+    CrosstalkSTA.run = run
+    try:
+        yield results
+    finally:
+        CrosstalkSTA.run = original
+
+
+PHASE_LABELS = (
+    ("gather", "gath"),
+    ("base_waveforms", "base"),
+    ("coupling_decisions", "dec"),
+    ("final_waveforms", "final"),
+    ("merge", "merge"),
+)
+
+
 @pytest.fixture(scope="module")
 def whatif_comparison(scale, record_result):
     manager = SessionManager(config=StaConfig(mode=MODE))
@@ -95,9 +125,11 @@ def whatif_comparison(scale, record_result):
 
     rows = []
     for edit in edits:
-        t0 = time.perf_counter()
-        payload = session.whatif(edit, mode=MODE.value)
-        warm_seconds = time.perf_counter() - t0
+        with _captured_runs() as runs:
+            t0 = time.perf_counter()
+            payload = session.whatif(edit, mode=MODE.value)
+            warm_seconds = time.perf_counter() - t0
+        warm = runs[-1]
 
         edited, _ = apply_edit(session.design, edit)
         t0 = time.perf_counter()
@@ -112,6 +144,12 @@ def whatif_comparison(scale, record_result):
                 "ratio": warm_seconds / cold_seconds,
                 "dirty_arcs": payload["after"]["dirty_arcs"],
                 "reused_arcs": payload["after"]["reused_arcs"],
+                # The warm pass walks only the edit's cone; the rest of
+                # its arcs are carried from the session's last pass.
+                "walked_cells": warm.final_pass.walked_cells,
+                "carried_arcs": warm.final_pass.carried_arcs,
+                "analysis_seconds": warm.runtime_seconds,
+                "phase_seconds": dict(warm.phase_seconds),
                 "bit_identical": payload["after"]["longest_delay_hex"]
                 == float(cold.longest_delay).hex(),
             }
@@ -124,18 +162,36 @@ def whatif_comparison(scale, record_result):
         f"first analyze (cold session): {first_analyze_seconds:.2f} s",
         "",
         f"{'edit':<14} {'warm s':>8} {'cold s':>8} {'ratio':>7} "
-        f"{'dirty':>6} {'reused':>7} {'bit-id':>7}",
-        "-" * 64,
+        f"{'dirty':>6} {'reused':>7} {'walked':>7} {'carried':>8} {'bit-id':>7}",
+        "-" * 82,
     ]
     for row in rows:
         lines.append(
             f"{row['edit']['action']:<14} {row['warm_seconds']:>8.3f} "
             f"{row['cold_seconds']:>8.3f} {row['ratio']:>7.2f} "
             f"{row['dirty_arcs']:>6d} {row['reused_arcs']:>7d} "
+            f"{row['walked_cells']:>7d} {row['carried_arcs']:>8d} "
             f"{'yes' if row['bit_identical'] else 'NO':>7}"
         )
-    lines.append("-" * 64)
+    lines.append("-" * 82)
     lines.append(f"median warm/cold ratio: {median_ratio:.2f}")
+    lines += [
+        "",
+        "Warm what-if pass split (ms; walked cells of "
+        f"{len(session.sta.compiled_design().cells)})",
+        "",
+        f"{'edit':<14} {'pass':>7} "
+        + " ".join(f"{label:>7}" for _, label in PHASE_LABELS),
+        "-" * 62,
+    ]
+    for row in rows:
+        lines.append(
+            f"{row['edit']['action']:<14} {row['analysis_seconds'] * 1e3:>7.1f} "
+            + " ".join(
+                f"{row['phase_seconds'][phase] * 1e3:>7.1f}"
+                for phase, _ in PHASE_LABELS
+            )
+        )
     record_result("service_whatif", "\n".join(lines))
 
     return {
@@ -573,6 +629,16 @@ def test_warm_whatif_beats_cold_analyze(persisted, benchmark):
 def test_warm_whatif_is_bit_identical(persisted, benchmark):
     for row in persisted["whatif"]["rows"]:
         assert row["bit_identical"], row
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+
+
+def test_warm_whatif_carries_cells_outside_the_cone(persisted, benchmark):
+    """A one-step what-if walks only the cells its edit can reach; a
+    drop_coupling reaches a minority of them."""
+    for row in persisted["whatif"]["rows"]:
+        assert row["carried_arcs"] <= row["reused_arcs"], row
+        if row["edit"]["action"] == "drop_coupling":
+            assert row["carried_arcs"] > row["dirty_arcs"], row
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.checkpoint import CheckpointManager
 from repro.core.iterative import IterationRecord, run_iterative
@@ -156,10 +156,16 @@ class CrosstalkSTA:
         The designs may differ -- this is the what-if path of a design
         session: the edited design's propagator adopts every memo entry
         whose arc is electrically unchanged and re-solves only the dirty
-        cone (see :meth:`Propagator.warm_start_from`).  Reuse is
-        bit-identical to a cold analysis by construction.
+        cone, and a single-pass one walks only the cells the edit can
+        reach (see :meth:`Propagator.warm_start_from`).  Reuse is
+        bit-identical to a cold analysis by construction.  Sources match
+        by config without its checkpoint path, which names a file, not
+        an analysis.
         """
-        self._warm_sources = dict(other._propagators)
+        self._warm_sources = {
+            replace(config, checkpoint=None): propagator
+            for config, propagator in other._propagators.items()
+        }
 
     def _propagator_for(self, config: StaConfig) -> Propagator:
         propagator = self._propagators.get(config)
@@ -172,7 +178,7 @@ class CrosstalkSTA:
             obs=self.obs,
             compiled=self.compiled_design(),
         )
-        source = self._warm_sources.get(config)
+        source = self._warm_sources.get(replace(config, checkpoint=None))
         if source is not None:
             propagator.warm_start_from(source)
         if self.keep_propagators:

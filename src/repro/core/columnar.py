@@ -203,7 +203,7 @@ class CompiledDesign:
             - self.coup_indptr[self.arc_out_net]
         )
         # Arc-identity index: the (cell, pin, direction) key of each arc
-        # id (warm-start migration across designs, slack results).
+        # id (checkpoint decoding, slack results).
         self.arc_key_index: dict[tuple[str, str, str], int] = {}
         for a in range(self.n_arcs):
             cell = self.cells[self.arc_cell[a]]
@@ -211,6 +211,45 @@ class CompiledDesign:
                 (cell.name, self.arc_pin[a], DIRECTIONS[self.arc_in_dir[a]])
             ] = a
         self.compile_seconds = time.perf_counter() - t0
+
+    def net_map(self, other: "CompiledDesign") -> np.ndarray | None:
+        """``other``'s id of each of this design's nets, when both designs
+        have the same nets (by name) and number the same cells and arcs
+        in the same levels; None otherwise.  A warm start adopts
+        another design's per-arc state by id only then (net ids may
+        differ: a cloned circuit can create its nets in another order)."""
+        if len(self.net_names) != len(other.net_names):
+            return None
+        net_map = np.array(
+            [other.net_id.get(name, -1) for name in self.net_names], dtype=np.int64
+        )
+        if (net_map < 0).any():
+            return None
+
+        def mapped(ids: np.ndarray) -> np.ndarray:
+            return np.where(ids >= 0, net_map[ids], -1)
+
+        same = (
+            [c.name for c in self.cells] == [c.name for c in other.cells]
+            and [len(level) for level in self.levels]
+            == [len(level) for level in other.levels]
+            and self.arc_pin == other.arc_pin
+            and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in (
+                    "cell_arc_begin",
+                    "cell_arc_end",
+                    "arc_cell",
+                    "arc_in_dir",
+                    "arc_is_ff",
+                )
+            )
+            and all(
+                np.array_equal(mapped(getattr(self, name)), getattr(other, name))
+                for name in ("cell_out_net", "cell_clk_net", "arc_in_net")
+            )
+        )
+        return net_map if same else None
 
 
 def compile_design(design: Design) -> CompiledDesign:
@@ -455,20 +494,70 @@ class ColumnTimingState:
         self.ev_tl[d, net] = t_late
         self._ev_cache.pop((d, net), None)
 
-    def copy_net_from(self, prev: "ColumnTimingState", net: int) -> None:
-        """Adopt one net's previous-pass events, provenance and ledger
-        row (the Esperance copy path); ``prev`` is a state over the same
-        compiled design."""
-        self.present[net] = True
-        for d in (0, 1):
-            self.valid[d, net] = prev.valid[d, net]
-            self.ev_tc[d, net] = prev.ev_tc[d, net]
-            self.ev_tr[d, net] = prev.ev_tr[d, net]
-            self.ev_te[d, net] = prev.ev_te[d, net]
-            self.ev_tl[d, net] = prev.ev_tl[d, net]
-            self.win_arc[d, net] = prev.win_arc[d, net]
-            self.win_prov_dir[d, net] = prev.win_prov_dir[d, net]
-            self.win_coupled[d, net] = prev.win_coupled[d, net]
-            self.aprov_row[d, net] = prev.aprov_row[d, net]
-            self._ev_cache.pop((d, net), None)
-        self.processed_mask[net] = True
+    def renumbered(
+        self, compiled: CompiledDesign, net_map: np.ndarray
+    ) -> "ColumnTimingState":
+        """This state over ``compiled``, whose net ``i`` is this state's
+        net ``net_map[i]`` (same cells and arcs)."""
+        state = ColumnTimingState(compiled)
+        for name in ("present", "processed_mask"):
+            setattr(state, name, getattr(self, name)[net_map])
+        for name in (
+            "valid",
+            "ev_tc",
+            "ev_tr",
+            "ev_te",
+            "ev_tl",
+            "win_arc",
+            "win_prov_dir",
+            "win_coupled",
+            "aprov_row",
+        ):
+            setattr(state, name, getattr(self, name)[:, net_map])
+        return state
+
+    def copy_nets_from(
+        self, prev: "ColumnTimingState", nets, row_shift=0
+    ) -> None:
+        """Adopt some nets' events, provenance and ledger rows from
+        another pass over the same compiled design (the Esperance copy
+        path and the warm what-if's carried cells); the caller marks
+        them calculated.  ``nets`` is one id or an id array; the adopted
+        ledger rows move by ``row_shift`` (a scalar, or one shift per
+        net)."""
+        self.present[nets] = True
+        for name in (
+            "valid",
+            "ev_tc",
+            "ev_tr",
+            "ev_te",
+            "ev_tl",
+            "win_arc",
+            "win_prov_dir",
+            "win_coupled",
+        ):
+            getattr(self, name)[:, nets] = getattr(prev, name)[:, nets]
+        self.shift_rows_from(prev, nets, row_shift)
+        if self._ev_cache:
+            for net in np.atleast_1d(nets).tolist():
+                self._ev_cache.pop((0, net), None)
+                self._ev_cache.pop((1, net), None)
+
+    def shift_rows_from(self, prev: "ColumnTimingState", nets, row_shift) -> None:
+        """The winners' ledger rows of ``prev``'s ``nets``, moved by
+        ``row_shift``."""
+        rows = prev.aprov_row[:, nets]
+        self.aprov_row[:, nets] = np.where(rows >= 0, rows + row_shift, -1)
+
+    def clear_net(self, net: int) -> None:
+        """Forget a net's events and winners (a carried net about to be
+        walked after all)."""
+        self.valid[:, net] = False
+        for name in ("ev_tc", "ev_tr", "ev_te", "ev_tl"):
+            getattr(self, name)[:, net] = 0.0
+        self.win_arc[:, net] = -1
+        self.win_prov_dir[:, net] = 0
+        self.win_coupled[:, net] = False
+        self.aprov_row[:, net] = -1
+        self._ev_cache.pop((0, net), None)
+        self._ev_cache.pop((1, net), None)

@@ -48,8 +48,28 @@ reused event is bit-for-bit what a fresh solve returns.  The arrival's
 crossing time is not part of the fingerprint -- it only chooses the
 origin -- so an arc whose arrival merely shifted stays clean, and
 dirtiness propagates only through genuine shape changes.  The cheap
-parts of the pass (gathering, window comparisons, merging) always run
-in full, so coupling decisions are re-derived every pass.
+parts of the pass (gathering, window comparisons, merging) run in full
+on every cold and iterative pass, so coupling decisions are re-derived
+every pass.
+
+A warm what-if walks less.  :meth:`Propagator.warm_start_from` keeps
+the source's last pass as the *base* of the first single-pass run, and
+that pass walks only the cells the edit can reach: the *seeds* (a new
+cell type, a new output :class:`~repro.flow.design.NetLoad`, a moved
+sink Elmore delay on an input pin), the readers of every net whose
+events differ bit for bit from the base's, the cells whose decisions
+read such a net once it counts as calculated, and the same-level
+coupled neighbours of every cell dirty at its level's start.  Every
+other cell is *carried*: its events, winners and ledger rows are copied
+from the base and counted exactly as a walk would count them.  That is
+exact because a decision reads an aggressor's window only once its net
+is calculated (before that it counts as switching, whatever its value).
+Between two coupled cells of one level, which one sees the other
+depends only on their order, which no edit changes; a cell counts as
+calculated at its gather when it has no live arc, else at its wave's
+barrier, and its live-ness moves only with its inputs -- the same-level
+rule covers that.  A carried cell reuses its memo and touches no
+calculator, so every delay, counter and ledger row stays the same.
 
 The pass also looks ahead across each level's coupling waves: the
 coupled final keys the waves will probably need are solved in one batch
@@ -69,7 +89,7 @@ that is meant to move a number.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -131,9 +151,28 @@ class PassResult:
     phase_seconds: dict[str, float] = field(default_factory=dict)
     # Rows this pass appended to the propagator's provenance ledger.
     provenance_rows: int = 0
+    # Cells whose live arcs this pass decided and merged, and live arcs
+    # it carried from a warm start's base instead (counted as reused).
+    walked_cells: int = 0
+    carried_arcs: int = 0
 
     def arrival_map(self) -> dict[tuple[str, str], float]:
         return {(a.endpoint, a.direction): a.event.t_cross for a in self.arrivals}
+
+
+@dataclass
+class _PassTrace:
+    """What a later pass needs to carry cells over from this one: its
+    final state, the ledger it wrote, the first ledger row of each
+    cell's arcs (-1 where none merged), each level's first row (one
+    entry more than levels: the end) and each level's coupling-wave
+    count."""
+
+    state: ColumnTimingState
+    ledger: ProvenanceLedger
+    cell_row: np.ndarray
+    level_row: np.ndarray
+    level_waves: list[int]
 
 
 def ideal_ramp_event(
@@ -196,6 +235,14 @@ _FIXED_COUPLING_KIND = {
 }
 
 
+def _csr(keys: np.ndarray, values: np.ndarray, n: int) -> tuple[list[int], np.ndarray]:
+    """``values`` grouped by ``keys`` (ids below ``n``): row pointers and
+    the grouped values."""
+    pointers = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n), out=pointers[1:])
+    return pointers.tolist(), values[np.argsort(keys, kind="stable")]
+
+
 def _memo_prov(prov: dict) -> dict:
     """Provenance of a memo reuse: the stored solve's record with the
     origin rewritten to "memo"."""
@@ -240,6 +287,11 @@ class Propagator:
         # Per-arc provenance ledger (columnar; one row per merged arc).
         self.ledger = ProvenanceLedger()
         self._pass_count = 0
+        # The last pass, and a warm start's base for the next one with
+        # its seed cells (see warm_start_from).
+        self._trace: _PassTrace | None = None
+        self._base: _PassTrace | None = None
+        self._seed: np.ndarray | None = None
         metrics = self.obs.metrics
         self._c_phase = {
             phase: metrics.counter("propagation.phase_seconds", phase=phase)
@@ -251,6 +303,7 @@ class Propagator:
         self._c_coupled = metrics.counter("propagation.coupled_arcs")
         self._c_dirty = metrics.counter("propagation.dirty_arcs")
         self._c_reused = metrics.counter("propagation.reused_arcs")
+        self._c_carried = metrics.counter("propagation.carried_arcs")
         self._c_waves = metrics.counter("propagation.coupling_waves")
         # Level look-ahead: keys it solved ahead of their wave, and keys
         # the waves still had to solve in levels where it ran (its
@@ -345,9 +398,14 @@ class Propagator:
         self._m_worst: list[ArcResult | None] = [None] * n
         self._m_final: list[ArcResult | None] = [None] * n
         self._m_prov: list[dict | None] = [None] * n
+        # The level look-ahead's last prediction per windowed arc
+        # ``(n_active, active_sum, passive_sum)``, or None once a pass
+        # walked the arc without one (see run_pass).
+        self._p: list[tuple | None] = [None] * n
 
-        # Per-level cell records: (cell, out net id, arc slab range, is_ff).
-        self._lvl_cells: list[list[tuple[Cell, int, int, int, bool]]] = []
+        # Per-level cell records: (cell, cell id, out net id, arc slab
+        # range, is_ff), and each level's cell and out-net ids.
+        self._lvl_cells: list[list[tuple[Cell, int, int, int, int, bool]]] = []
         for level in self.levels:
             records = []
             for cell in level:
@@ -358,6 +416,7 @@ class Propagator:
                 records.append(
                     (
                         cell,
+                        ci,
                         oi,
                         int(cp.cell_arc_begin[ci]),
                         int(cp.cell_arc_end[ci]),
@@ -365,6 +424,14 @@ class Propagator:
                     )
                 )
             self._lvl_cells.append(records)
+        self._lvl_ci = [
+            np.array([r[1] for r in records], dtype=np.int64)
+            for records in self._lvl_cells
+        ]
+        self._lvl_out = [
+            np.array([r[2] for r in records], dtype=np.int64)
+            for records in self._lvl_cells
+        ]
 
     def _token(self, a: int) -> str:
         """The arc's interned stage-signature token, resolved lazily on
@@ -453,49 +520,66 @@ class Propagator:
         return int(self._m_valid.sum())
 
     def warm_start_from(self, source: "Propagator") -> None:
-        """Adopt another propagator's delta-driven memo columns (the
-        what-if path of a persistent design session).
+        """Adopt another propagator's per-arc state (the what-if path of
+        a persistent design session).
 
-        Within one design the memo fingerprints only what a solve consumes
-        beyond the arc's identity -- the arrival shape and the decided
-        load -- because a cell's type and its output net's electrical view
-        cannot change between passes.  Across designs they can, so an
-        arc's entry is copied (matched by its ``(cell, pin, direction)``
-        key) only when the driving cell kept its cell type and the output
-        net's :class:`NetLoad` (fixed load, coupling neighbours, sink
-        Elmore delays) is exactly equal.  Everything else starts dirty and
-        is re-solved.  Changes upstream of a surviving arc are caught by
-        the arrival fingerprint itself (a moved transition misses the
-        memo), so migration preserves the incremental engine's guarantee:
-        a reused arc is bit-identical to a fresh solve.
+        Every ECO edit keeps the cell and arc ids and the nets (an
+        upsize's cloned circuit numbers a few nets differently), so the
+        state is adopted by arc id, nets mapped by name, and only when
+        both compiled designs agree on them; otherwise nothing is
+        adopted and the next pass runs cold, which is always exact.
+
+        The memo fingerprints only what a solve consumes beyond the
+        arc's identity -- the arrival shape and the decided load --
+        because within one design a cell's type and its output net's
+        electrical view cannot change between passes.  Across designs
+        they can, so the arcs of a cell with a new cell type or a new
+        output :class:`NetLoad` (fixed load, coupling neighbours, sink
+        Elmore delays) lose their entries and are re-solved.  Changes
+        upstream of a surviving arc are caught by the arrival
+        fingerprint itself (a moved transition misses the memo), so a
+        reused arc stays bit-identical to a fresh solve.
+
+        A single-pass config also keeps the source's last pass as the
+        *base* of its next pass, which then walks only the cells the
+        edit can reach (see the module docstring).  Its seeds are the
+        cells above plus those whose coupling order or input-pin sink
+        Elmore delays moved.
         """
-        cells = self.design.circuit.cells
-        loads = self.design.loads
-        old_loads = source.design.loads
-        index = self.compiled.arc_key_index
-        kept: dict[str, bool] = {}
-        src: list[int] = []
-        dst: list[int] = []
-        for b in np.nonzero(source._m_valid)[0].tolist():
-            old_cell = source._s_cell[b]
-            ok = kept.get(old_cell.name)
-            if ok is None:
-                cell = cells.get(old_cell.name)
-                ok = (
-                    cell is not None
-                    and cell.ctype.name == old_cell.ctype.name
-                    and cell.output_pin.net is not None
-                    and old_cell.output_pin.net is not None
-                    and loads.get(cell.output_pin.net.name)
-                    == old_loads.get(old_cell.output_pin.net.name)
-                )
-                kept[old_cell.name] = ok
-            if not ok:
+        cp, old = self.compiled, source.compiled
+        net_map = cp.net_map(old)
+        if net_map is None:
+            return
+        loads, old_loads = self.design.loads, source.design.loads
+        kept = np.ones(cp.n_cells, dtype=bool)
+        seed = np.zeros(cp.n_cells, dtype=bool)
+        for ci, oi in enumerate(cp.cell_out_net.tolist()):
+            if oi < 0:
                 continue
-            a = index.get((old_cell.name, source._s_pin[b], source._s_dir[b]))
-            if a is not None:
-                src.append(b)
-                dst.append(a)
+            name = cp.net_names[oi]
+            load, old_load = loads.get(name), old_loads.get(name)
+            if cp.cells[ci].ctype.name != old.cells[ci].ctype.name or (
+                load is not old_load and load != old_load
+            ):
+                kept[ci] = False
+                seed[ci] = True
+            elif load is not old_load and list(load.couplings) != list(
+                old_load.couplings
+            ):
+                # Equal loads, but the decided coupling sums would
+                # accumulate in another order.
+                seed[ci] = True
+        moved = cp.arc_elmore.view(np.int64) != old.arc_elmore.view(np.int64)
+        seed[cp.arc_cell[moved]] = True
+        for ci in np.nonzero(cp.cell_clk_net >= 0)[0].tolist():
+            clk = cp.net_names[cp.cell_clk_net[ci]]
+            load, old_load = loads.get(clk), old_loads.get(clk)
+            terminal = cp.cell_clk_terminal[ci]
+            if load is not old_load and load.sink_elmore.get(
+                terminal, 0.0
+            ) != old_load.sink_elmore.get(terminal, 0.0):
+                seed[ci] = True
+
         for name in (
             "_m_valid",
             "_m_tt",
@@ -506,11 +590,70 @@ class Propagator:
             "_m_ca",
             "_m_cp",
         ):
-            getattr(self, name)[dst] = getattr(source, name)[src]
-        for name in ("_m_best", "_m_worst", "_m_final", "_m_prov"):
-            mine, theirs = getattr(self, name), getattr(source, name)
-            for a, b in zip(dst, src):
-                mine[a] = theirs[b]
+            getattr(self, name)[:] = getattr(source, name)
+        for name in ("_m_best", "_m_worst", "_m_final", "_m_prov", "_p"):
+            setattr(self, name, list(getattr(source, name)))
+        self._m_valid[~kept[cp.arc_cell]] = False
+        # The per-arc decision columns a carried arc's ledger rows
+        # repeat; seed arcs keep their own static values.
+        same = (~seed[cp.arc_cell]).tolist()
+        for name in ("_a_kind", "_a_agga"):
+            setattr(
+                self,
+                name,
+                [
+                    theirs if keep else mine
+                    for theirs, mine, keep in zip(
+                        getattr(source, name), getattr(self, name), same
+                    )
+                ],
+            )
+        if (
+            self.config.mode is not AnalysisMode.ITERATIVE
+            and source._trace is not None
+            and replace(source.config, checkpoint=None)
+            == replace(self.config, checkpoint=None)
+        ):
+            base = source._trace
+            if not np.array_equal(net_map, np.arange(cp.n_nets)):
+                base = replace(base, state=base.state.renumbered(cp, net_map))
+            self._base = base
+            self._seed = seed
+            self._build_cone_index()
+
+    def _build_cone_index(self) -> None:
+        """The cone's index: each net's readers and, in the window-based
+        modes, its deciders (the cells that decide against it as an
+        aggressor); each cell's same-level coupled neighbours; and the
+        nets no cell drives."""
+        cp = self.compiled
+        n_nets = cp.n_nets
+        has_out = cp.cell_out_net >= 0
+        driver = np.full(n_nets, -1, dtype=np.int64)
+        driver[cp.cell_out_net[has_out]] = np.nonzero(has_out)[0]
+        reads = cp.arc_in_net >= 0
+        self._readers = _csr(cp.arc_in_net[reads], cp.arc_cell[reads], n_nets)
+        no_cells = np.zeros(0, dtype=np.int64)
+        self._deciders = _csr(no_cells, no_cells, n_nets)
+        self._mates = _csr(no_cells, no_cells, cp.n_cells)
+        if self.config.mode.is_window_based:
+            # Coupling entry (owner net -> aggressor net): the owner's
+            # driver decides against the aggressor.
+            owner = np.repeat(np.arange(n_nets), np.diff(cp.coup_indptr))
+            decider = driver[owner]
+            aggressor = cp.coup_net
+            ok = (decider >= 0) & (aggressor >= 0)
+            decider, aggressor = decider[ok], aggressor[ok]
+            self._deciders = _csr(aggressor, decider, n_nets)
+            aggressor_driver = driver[aggressor]
+            level = np.repeat(
+                np.arange(len(self.levels)), [len(lv) for lv in self.levels]
+            )
+            same = (aggressor_driver >= 0) & (
+                level[np.maximum(aggressor_driver, 0)] == level[decider]
+            )
+            self._mates = _csr(aggressor_driver[same], decider[same], cp.n_cells)
+        self._source_nets = np.nonzero(driver < 0)[0]
 
     # -- pass driver ---------------------------------------------------------
 
@@ -527,7 +670,9 @@ class Propagator:
         (earliest activity, quiescent time).  ``recalc_cells``
         (Esperance) restricts waveform recalculation to the given cells;
         every other cell whose net ``prev`` calculated copies its events
-        from ``prev``.
+        from ``prev``.  The first pass after a warm start of a
+        single-pass config walks only the edit's cone and carries every
+        other cell from the warm start's base (see the module docstring).
         """
         cp = self.compiled
         if prev is not None and prev.compiled is not cp:
@@ -535,6 +680,8 @@ class Propagator:
                 "previous pass state belongs to another compiled design"
             )
         copy_from = prev if recalc_cells is not None else None
+        base = self._base if prev is None and recalc_cells is None else None
+        self._base = None
         calc = self.calculator
         config = self.config
         n = cp.n_arcs
@@ -576,13 +723,39 @@ class Propagator:
         qtt_l: list[float] = [0.0] * n
         ts_l: list[float] = [0.0] * n
 
+        # This pass's trace (what a later warm start carries from it).
+        cell_row = np.full(cp.n_cells, -1, dtype=np.int64)
+        level_row = np.zeros(len(self.levels) + 1, dtype=np.int64)
+        level_waves = [0] * len(self.levels)
+        # With a base, the cells to walk are the edit's cone (``dirty``),
+        # which grows as changed nets are found, with the cells whose
+        # live-ness may have moved (``flipped``); ``stepped`` marks the
+        # cone cells whose arcs went through their level's base step.
+        if base is not None:
+            dirty = self._seed.copy()
+            cone = (dirty, np.zeros(cp.n_cells, dtype=bool))
+            stepped = np.zeros(cp.n_cells, dtype=bool)
+
         with tracer.span(
             "sta.pass",
             mode=mode.value,
             esperance=recalc_cells is not None,
         ) as pass_span:
             init_sources(state, self.design, config.input_transition)
+            if base is not None:
+                self._mark_changed(state, base.state, self._source_nets, cone)
             for level_index, level in enumerate(self.levels):
+                level_row[level_index] = len(self.ledger)
+                if base is not None and not self._cone_reaches(level_index, cone):
+                    with tracer.span(
+                        "sta.level", index=level_index, cells=len(level), carried=True
+                    ):
+                        t0 = time.perf_counter()
+                        self._carry_level(
+                            level_index, base, state, result, cell_row, level_waves
+                        )
+                        timers["merge"] += time.perf_counter() - t0
+                    continue
                 with tracer.span(
                     "sta.level", index=level_index, cells=len(level)
                 ) as level_span:
@@ -593,18 +766,19 @@ class Propagator:
                     active_records = []
                     gate_any = False
                     for record in records:
-                        cell, oi, b, e, is_ff = record
+                        cell, ci, oi, b, e, is_ff = record
                         if (
                             copy_from is not None
                             and cell.name not in recalc_cells
                             and copy_from.processed_mask[oi]
                         ):
-                            state.copy_net_from(copy_from, oi)
+                            state.copy_nets_from(copy_from, oi)
+                            state.processed_mask[oi] = True
                             continue
                         state.present[oi] = True
                         active_records.append(record)
                         if is_ff:
-                            self._gather_flip_flop(record, state, a_live, a_tt, a_ts, a_prov_dir, ts_l)
+                            self._gather_flip_flop(record, state, a_live, a_tt, a_ts, a_prov_dir)
                         elif b < e:
                             a_live[b:e] = True  # candidate; pruned below
                             gate_any = True
@@ -624,20 +798,33 @@ class Propagator:
                         tc = np.where(shift, tc + el, tc)
                         tr = np.where(shift, tr + k_slew * el, tr)
                         a_tt[live_idx] = tr
-                        ts = tc - 0.5 * tr
-                        a_ts[live_idx] = ts
-                        for a, value in zip(live_idx.tolist(), ts.tolist()):
-                            ts_l[a] = value
-                    computed_cells: list[Cell] = []
-                    tasks_of_ranges: dict[str, tuple[int, int]] = {}
-                    for cell, oi, b, e, is_ff in active_records:
-                        if is_ff or bool(a_live[b:e].any()):
-                            computed_cells.append(cell)
-                            tasks_of_ranges[cell.name] = (b, e)
+                        a_ts[live_idx] = tc - 0.5 * tr
+                    ts_l[lo:hi] = a_ts[lo:hi].tolist()
+                    live_l = a_live[lo:hi].tolist()
+                    computed: list[tuple] = []
+                    quiet_walked: list[int] = []
+                    for record in active_records:
+                        _, ci, oi, b, e, is_ff = record
+                        if is_ff or any(live_l[b - lo : e - lo]):
+                            computed.append(record)
                         else:
                             # No launch events reach this cell: its output
                             # stays quiet this pass.
                             state.processed_mask[oi] = True
+                            if base is not None and dirty[ci]:
+                                quiet_walked.append(oi)
+                    if quiet_walked:
+                        self._mark_changed(state, base.state, quiet_walked, cone)
+                    if base is not None:
+                        # The cells the cone has not reached keep the
+                        # base's events from the start (decisions read
+                        # them only once their nets count as calculated);
+                        # their ledger rows follow in wave order.
+                        level_ci = self._lvl_ci[level_index]
+                        stepped[level_ci] = dirty[level_ci]
+                        state.copy_nets_from(
+                            base.state, self._lvl_out[level_index][~stepped[level_ci]]
+                        )
                     timers["gather"] += time.perf_counter() - t0
 
                     live_slab = a_live[lo:hi]
@@ -649,6 +836,11 @@ class Propagator:
                     with tracer.span("phase.base_waveforms", tasks=n_live):
                         result.arcs_processed += n_live
                         sl = slice(lo, hi)
+                        if base is not None:
+                            walk = live_slab & stepped[cp.arc_cell[sl]]
+                        else:
+                            walk = live_slab
+                        walk_l = walk.tolist()
                         qtt = (
                             np.ceil(np.maximum(a_tt[sl], 1e-13) / tgrid) * tgrid
                         )
@@ -660,7 +852,7 @@ class Propagator:
                         )
                         a_attach[sl] = attach
                         windowed = self._s_windowed[sl]
-                        uw = live_slab & ~windowed
+                        uw = walk & ~windowed
                         reuse_uw = (
                             attach
                             & uw
@@ -674,7 +866,8 @@ class Propagator:
                             a_final[a] = self._m_final[a]
                             a_prov[a] = _memo_prov(self._m_prov[a])
                         w = live_slab & windowed
-                        reuse_w = attach & w & self._m_has_best[sl]
+                        ww = w & walk
+                        reuse_w = attach & ww & self._m_has_best[sl]
                         if overlap:
                             reuse_w &= self._m_has_worst[sl]
                         idx = np.nonzero(reuse_w)[0] + lo
@@ -685,7 +878,7 @@ class Propagator:
                             # decision forces a fresh final solve.
                             a_prov[a] = _memo_prov(self._m_prov[a])
                         miss = np.nonzero(
-                            (uw & ~reuse_uw) | (w & ~reuse_w)
+                            (uw & ~reuse_uw) | (ww & ~reuse_w)
                         )[0] + lo
                         miss_l = miss.tolist()
                         if miss_l:
@@ -743,7 +936,8 @@ class Propagator:
                                     a_prov[a] = self._last_prov()
                     timers["base_waveforms"] += time.perf_counter() - t0
 
-                    waves = self._coupling_waves(computed_cells)
+                    waves = self._coupling_waves(computed)
+                    level_waves[level_index] = len(waves)
                     self._c_waves.inc(len(waves))
                     self._h_waves.observe(len(waves))
                     level_span.set(tasks=n_live, waves=len(waves))
@@ -756,8 +950,10 @@ class Propagator:
                     # still decides and merges alone, so a right guess
                     # is a cache hit and a wrong one a catch-up solve.
                     # Only levels where some windowed arc missed its memo
-                    # (warm what-ifs mostly skip it).
-                    lookahead = len(waves) >= 2 and bool((w & ~reuse_w).any())
+                    # (warm what-ifs mostly skip it).  Carried arcs are
+                    # decided too, from their memo: their predictions
+                    # solve what a full walk's would.
+                    lookahead = len(waves) >= 2 and bool((ww & ~reuse_w).any())
                     if lookahead:
                         t0 = time.perf_counter()
                         w_arcs = (np.nonzero(w)[0] + lo).tolist()
@@ -768,14 +964,24 @@ class Propagator:
                         ):
                             keys = []
                             for a in w_arcs:
-                                n_active, active_sum, passive_sum = self._decide(
-                                    a,
-                                    ts_l[a],
-                                    a_best[a],
-                                    a_worst[a],
-                                    state,
-                                    prev,
-                                )
+                                # A carried arc's prediction is the one its
+                                # last look-ahead made: it sees the same
+                                # pre-wave state.
+                                decision = None if walk_l[a - lo] else self._p[a]
+                                if decision is None:
+                                    if a_best[a] is None:
+                                        a_best[a] = self._m_best[a]
+                                        a_worst[a] = self._m_worst[a]
+                                    decision = self._decide(
+                                        a,
+                                        ts_l[a],
+                                        a_best[a],
+                                        a_worst[a],
+                                        state,
+                                        prev,
+                                    )
+                                    self._p[a] = decision
+                                n_active, active_sum, passive_sum = decision
                                 if not n_active:
                                     continue
                                 key = self._final_key(
@@ -795,14 +1001,33 @@ class Propagator:
                         ):
                             self._c_lookahead.inc(calc.prefetch_keys(keys))
                         timers["final_waveforms"] += time.perf_counter() - t0
+                    carried_nets: list[int] = []
+                    carried_shift: list[int] = []
                     for wave_index, wave in enumerate(waves):
-                        wave_arcs = [
-                            a
-                            for cell in wave
-                            for a in range(*tasks_of_ranges[cell.name])
-                            if a_live[a]
-                        ]
                         t0 = time.perf_counter()
+                        # Which of the wave's cells walk: a cone cell a
+                        # changed net reached after its base step reuses
+                        # its memo now (its inputs are unchanged).
+                        if base is not None:
+                            walks = [bool(dirty[record[1]]) for record in wave]
+                            for record, walked in zip(wave, walks):
+                                if walked and not stepped[record[1]]:
+                                    stepped[record[1]] = True
+                                    state.clear_net(record[2])
+                                    self._reuse_memo(
+                                        record, live_l, lo, a_best, a_worst,
+                                        a_final, a_coupled, a_prov,
+                                    )
+                        else:
+                            walks = [True] * len(wave)
+                        plan = []
+                        for record, walked in zip(wave, walks):
+                            _, _, _, b, e, _ = record
+                            plan.append(
+                                (record, walked, [a for a in range(b, e) if live_l[a - lo]])
+                            )
+                        wave_arcs = [a for _, walked, arcs in plan if walked for a in arcs]
+                        result.walked_cells += sum(walks)
                         with tracer.span(
                             "phase.coupling_decisions",
                             wave=wave_index,
@@ -822,6 +1047,8 @@ class Propagator:
                                 )
                                 self._a_kind[a] = "overlap" if n_active else "quiet"
                                 self._a_agga[a] = n_active
+                                if not lookahead:
+                                    self._p[a] = None
                                 if n_active:
                                     a_flhas[a] = True
                                     a_flcg[a] = self._s_cfix[self._s_out[a]]
@@ -869,106 +1096,124 @@ class Propagator:
                         timers["final_waveforms"] += time.perf_counter() - t0
 
                         t0 = time.perf_counter()
-                        for a in wave_arcs:
-                            rel = a_final[a]
-                            prov = a_prov[a]
-                            if self._s_windowed_l[a]:
-                                if (
-                                    a_coupled[a]
-                                    and a_best[a] is not None
-                                    and rel is not None
-                                ):
-                                    delta = rel.t_cross - a_best[a].t_cross
-                                else:
+                        walked_nets = []
+                        for record, walked, arcs in plan:
+                            _, ci, oi, _, _, _ = record
+                            if not walked:
+                                carried_shift.append(
+                                    self._carry_cell(record, len(arcs), base, result, cell_row)
+                                )
+                                carried_nets.append(oi)
+                                continue
+                            walked_nets.append(oi)
+                            cell_row[ci] = len(self.ledger)
+                            for a in arcs:
+                                rel = a_final[a]
+                                prov = a_prov[a]
+                                if self._s_windowed_l[a]:
+                                    if (
+                                        a_coupled[a]
+                                        and a_best[a] is not None
+                                        and rel is not None
+                                    ):
+                                        delta = rel.t_cross - a_best[a].t_cross
+                                    else:
+                                        delta = 0.0
+                                elif mode is AnalysisMode.BEST_CASE:
                                     delta = 0.0
-                            elif mode is AnalysisMode.BEST_CASE:
-                                delta = 0.0
-                            else:
-                                delta = None
-                            row = self.ledger.append(
-                                tier="newton",
-                                origin=prov["origin"],
-                                signature=prov["signature"],
-                                coupling=self._a_kind[a],
-                                aggressors_total=self._s_aggt[a],
-                                aggressors_active=self._a_agga[a],
-                                pass_index=self._pass_count,
-                                coupling_delta=delta,
-                            )
-                            ts = ts_l[a]
-                            tc = ts + rel.t_cross
-                            tr = rel.transition
-                            te = ts + rel.t_early
-                            tl = ts + rel.t_late
-                            d = self._s_outd[a]
-                            out = self._s_out[a]
-                            if state.valid[d, out]:
-                                cur_tc = state.ev_tc[d, out]
-                                winner = tc > cur_tc
-                                # Pointwise-worst merge (merge_worst):
-                                # each component keeps the current value
-                                # on ties, like python max/min.
-                                if not cur_tc >= tc:
+                                else:
+                                    delta = None
+                                row = self.ledger.append(
+                                    tier="newton",
+                                    origin=prov["origin"],
+                                    signature=prov["signature"],
+                                    coupling=self._a_kind[a],
+                                    aggressors_total=self._s_aggt[a],
+                                    aggressors_active=self._a_agga[a],
+                                    pass_index=self._pass_count,
+                                    coupling_delta=delta,
+                                )
+                                ts = ts_l[a]
+                                tc = ts + rel.t_cross
+                                tr = rel.transition
+                                te = ts + rel.t_early
+                                tl = ts + rel.t_late
+                                d = self._s_outd[a]
+                                out = self._s_out[a]
+                                if state.valid[d, out]:
+                                    cur_tc = state.ev_tc[d, out]
+                                    winner = tc > cur_tc
+                                    # Pointwise-worst merge (merge_worst):
+                                    # each component keeps the current value
+                                    # on ties, like python max/min.
+                                    if not cur_tc >= tc:
+                                        state.ev_tc[d, out] = tc
+                                    if not state.ev_tr[d, out] >= tr:
+                                        state.ev_tr[d, out] = tr
+                                    if not state.ev_te[d, out] <= te:
+                                        state.ev_te[d, out] = te
+                                    if not state.ev_tl[d, out] >= tl:
+                                        state.ev_tl[d, out] = tl
+                                    state._ev_cache.pop((d, out), None)
+                                else:
+                                    state.valid[d, out] = True
                                     state.ev_tc[d, out] = tc
-                                if not state.ev_tr[d, out] >= tr:
                                     state.ev_tr[d, out] = tr
-                                if not state.ev_te[d, out] <= te:
                                     state.ev_te[d, out] = te
-                                if not state.ev_tl[d, out] >= tl:
                                     state.ev_tl[d, out] = tl
-                                state._ev_cache.pop((d, out), None)
-                            else:
-                                state.valid[d, out] = True
-                                state.ev_tc[d, out] = tc
-                                state.ev_tr[d, out] = tr
-                                state.ev_te[d, out] = te
-                                state.ev_tl[d, out] = tl
-                                winner = True
-                            if winner:
-                                state.win_arc[d, out] = a
-                                state.win_coupled[d, out] = a_coupled[a]
-                                state.win_prov_dir[d, out] = a_prov_dir[a]
-                                state.aprov_row[d, out] = row
-                            if a_eval[a]:
-                                result.dirty_arcs += 1
-                            else:
-                                result.reused_arcs += 1
-                            self._m_valid[a] = True
-                            self._m_tt[a] = a_tt[a]
-                            self._m_coupled[a] = a_coupled[a]
-                            best = a_best[a]
-                            self._m_best[a] = best
-                            self._m_has_best[a] = best is not None
-                            worst = a_worst[a]
-                            self._m_worst[a] = worst
-                            self._m_has_worst[a] = worst is not None
-                            self._m_final[a] = rel
-                            self._m_prov[a] = a_prov[a]
-                            if a_flhas[a]:
-                                self._m_cg[a] = a_flcg[a]
-                                self._m_ca[a] = a_flca[a]
-                                self._m_cp[a] = a_flcp[a]
-                            elif not self._s_windowed_l[a]:
-                                self._m_cg[a] = self._s_plain_cg[a]
-                                self._m_ca[a] = self._s_plain_ca[a]
-                                self._m_cp[a] = 0.0
-                            else:
-                                self._m_cg[a] = np.nan
-                                self._m_ca[a] = np.nan
-                                self._m_cp[a] = np.nan
+                                    winner = True
+                                if winner:
+                                    state.win_arc[d, out] = a
+                                    state.win_coupled[d, out] = a_coupled[a]
+                                    state.win_prov_dir[d, out] = a_prov_dir[a]
+                                    state.aprov_row[d, out] = row
+                                if a_eval[a]:
+                                    result.dirty_arcs += 1
+                                else:
+                                    result.reused_arcs += 1
+                                self._m_valid[a] = True
+                                self._m_tt[a] = a_tt[a]
+                                self._m_coupled[a] = a_coupled[a]
+                                best = a_best[a]
+                                self._m_best[a] = best
+                                self._m_has_best[a] = best is not None
+                                worst = a_worst[a]
+                                self._m_worst[a] = worst
+                                self._m_has_worst[a] = worst is not None
+                                self._m_final[a] = rel
+                                self._m_prov[a] = a_prov[a]
+                                if a_flhas[a]:
+                                    self._m_cg[a] = a_flcg[a]
+                                    self._m_ca[a] = a_flca[a]
+                                    self._m_cp[a] = a_flcp[a]
+                                elif not self._s_windowed_l[a]:
+                                    self._m_cg[a] = self._s_plain_cg[a]
+                                    self._m_ca[a] = self._s_plain_ca[a]
+                                    self._m_cp[a] = 0.0
+                                else:
+                                    self._m_cg[a] = np.nan
+                                    self._m_ca[a] = np.nan
+                                    self._m_cp[a] = np.nan
+                        if base is not None and walked_nets:
+                            self._mark_changed(state, base.state, walked_nets, cone)
                         # Wave barrier: these events now count as calculated
                         # for the later waves' and levels' decisions.
-                        for cell in wave:
-                            state.processed_mask[
-                                cp.net_id[cell.output_pin.net.name]
-                            ] = True
+                        for record in wave:
+                            state.processed_mask[record[2]] = True
                         timers["merge"] += time.perf_counter() - t0
+                    if carried_nets:
+                        state.shift_rows_from(
+                            base.state, carried_nets, np.array(carried_shift)
+                        )
 
+            level_row[len(self.levels)] = len(self.ledger)
             self._collect_arrivals(state, result)
             pass_span.set(
                 arcs=result.arcs_processed,
                 evaluations=result.waveform_evaluations,
                 coupled_arcs=result.coupled_arcs,
+                walked_cells=result.walked_cells,
+                carried_arcs=result.carried_arcs,
                 longest_delay_ns=result.longest_delay * 1e9,
             )
 
@@ -978,24 +1223,116 @@ class Propagator:
         result.cache_persisted_hits = calc.persisted_hits - persisted_before
         result.provenance_rows = len(self.ledger) - ledger_before
         result.phase_seconds = timers
+        self._trace = _PassTrace(state, self.ledger, cell_row, level_row, level_waves)
         self._c_passes.inc()
         self._c_arcs.inc(result.arcs_processed)
         self._c_evals.inc(result.waveform_evaluations)
         self._c_coupled.inc(result.coupled_arcs)
         self._c_dirty.inc(result.dirty_arcs)
         self._c_reused.inc(result.reused_arcs)
+        self._c_carried.inc(result.carried_arcs)
         for phase, seconds in timers.items():
             self._c_phase[phase].inc(seconds)
         return result
 
-    def _gather_flip_flop(
-        self, record, state, a_live, a_tt, a_ts, a_prov_dir, ts_l
+    # -- the warm what-if's cone ------------------------------------------------
+
+    def _cone_reaches(self, level_index: int, cone) -> bool:
+        """Whether the cone reaches a cell of this level.  In the
+        window-based modes a cell whose live-ness may have moved (an
+        input net's validity moved) takes its same-level coupled
+        neighbours along: the moment its net counts as calculated for
+        them moves with its live-ness."""
+        dirty, flipped = cone
+        level_ci = self._lvl_ci[level_index]
+        if not dirty[level_ci].any():
+            return False
+        pointers, mates = self._mates
+        for ci in level_ci[flipped[level_ci]].tolist():
+            dirty[mates[pointers[ci] : pointers[ci + 1]]] = True
+        return True
+
+    def _mark_changed(self, state, base_state, nets, cone) -> None:
+        """Add to the cone the readers and deciders of every net in
+        ``nets`` whose events differ bit for bit from the base's; a
+        moved validity also flips its readers' live-ness."""
+        dirty, flipped = cone
+        nets = np.asarray(nets, dtype=np.int64)
+        valid = state.valid[:, nets]
+        flips = (valid != base_state.valid[:, nets]).any(axis=0)
+        moved = flips.copy()
+        for name in ("ev_tc", "ev_tr", "ev_te", "ev_tl"):
+            mine = getattr(state, name)[:, nets].view(np.int64)
+            theirs = getattr(base_state, name)[:, nets].view(np.int64)
+            moved |= (valid & (mine != theirs)).any(axis=0)
+        for index in (self._readers, self._deciders):
+            pointers, cells = index
+            for net in nets[moved].tolist():
+                dirty[cells[pointers[net] : pointers[net + 1]]] = True
+        pointers, cells = self._readers
+        for net in nets[flips].tolist():
+            flipped[cells[pointers[net] : pointers[net + 1]]] = True
+
+    def _reuse_memo(
+        self, record, live_l, lo, a_best, a_worst, a_final, a_coupled, a_prov
     ) -> None:
+        """The base-waveform step of a cone cell whose inputs did not
+        change: every live arc reuses its memo."""
+        _, _, _, b, e, _ = record
+        for a in range(b, e):
+            if not live_l[a - lo]:
+                continue
+            if self._s_windowed_l[a]:
+                a_best[a] = self._m_best[a]
+                a_worst[a] = self._m_worst[a]
+            else:
+                a_final[a] = self._m_final[a]
+                a_coupled[a] = self._m_coupled[a]
+            a_prov[a] = _memo_prov(self._m_prov[a])
+
+    def _carry_cell(self, record, count, base, result, cell_row) -> int:
+        """Append one carried cell's ``count`` ledger rows (its events
+        were copied from the base at its level's gather); returns the
+        shift of its rows against the base's."""
+        ci = record[1]
+        row = int(base.cell_row[ci])
+        start = len(self.ledger)
+        self.ledger.carry(base.ledger, row, row + count, self._pass_count)
+        cell_row[ci] = start
+        result.reused_arcs += count
+        result.carried_arcs += count
+        result.coupled_arcs += base.ledger.overlap_rows(row, row + count)
+        return start - row
+
+    def _carry_level(
+        self, level_index, base, state, result, cell_row, level_waves
+    ) -> None:
+        """Carry a whole level the cone does not reach: its nets' events,
+        winners and ledger rows; its coupling waves are the base's."""
+        lo, hi = (int(r) for r in base.level_row[level_index : level_index + 2])
+        start = len(self.ledger)
+        self.ledger.carry(base.ledger, lo, hi, self._pass_count)
+        nets = self._lvl_out[level_index]
+        state.copy_nets_from(base.state, nets, start - lo)
+        state.processed_mask[nets] = True
+        level_ci = self._lvl_ci[level_index]
+        rows = base.cell_row[level_ci]
+        cell_row[level_ci] = np.where(rows >= 0, rows + (start - lo), -1)
+        if hi > lo:
+            waves = base.level_waves[level_index]
+            level_waves[level_index] = waves
+            self._c_waves.inc(waves)
+            self._h_waves.observe(waves)
+            result.arcs_processed += hi - lo
+            result.reused_arcs += hi - lo
+            result.carried_arcs += hi - lo
+            result.coupled_arcs += base.ledger.overlap_rows(lo, hi)
+
+    def _gather_flip_flop(self, record, state, a_live, a_tt, a_ts, a_prov_dir) -> None:
         """Launch both Q transitions off the clock arrival at this cell."""
-        cell, oi, b, e, _ = record
+        cell, ci, oi, b, e, _ = record
         cp = self.compiled
         process = self.design.process
-        ci = cp.cell_id[cell.name]
         clk_net_id = int(cp.cell_clk_net[ci])
         clk_event = None
         if clk_net_id >= 0:
@@ -1025,13 +1362,11 @@ class Propagator:
         a_tt[b:e] = tt
         a_ts[b:e] = ts
         a_prov_dir[b:e] = DIR_INDEX[clk_arrival.direction]
-        for a in range(b, e):
-            ts_l[a] = ts
 
     # -- coupling waves ----------------------------------------------------------
 
-    def _coupling_waves(self, cells: list[Cell]) -> list[list[Cell]]:
-        """Split one level's cells into decision waves.
+    def _coupling_waves(self, records: list[tuple]) -> list[list[tuple]]:
+        """Split one level's cell records into decision waves.
 
         A cell must wait for an earlier-ordered cell of the same level
         only when that cell drives a net coupled to its own output --
@@ -1042,23 +1377,22 @@ class Propagator:
         calculated window) while keeping each wave batchable.  The
         non-window modes never read windows: everything is one wave.
         """
-        if not self.config.mode.is_window_based or len(cells) <= 1:
-            return [cells] if cells else []
-        driver_wave: dict[str, int] = {}
-        waves: list[list[Cell]] = []
-        for cell in cells:
-            out_net = cell.output_pin.net
-            load = self.design.loads.get(out_net.name)
+        if not self.config.mode.is_window_based or len(records) <= 1:
+            return [records] if records else []
+        pointers, neighbours = self._coup_indptr, self._coup_net
+        driver_wave: dict[int, int] = {}
+        waves: list[list[tuple]] = []
+        for record in records:
+            out = record[2]
             wave = 0
-            if load is not None:
-                for other in load.couplings:
-                    earlier = driver_wave.get(other)
-                    if earlier is not None:
-                        wave = max(wave, earlier + 1)
-            driver_wave[out_net.name] = wave
+            for j in range(pointers[out], pointers[out + 1]):
+                earlier = driver_wave.get(neighbours[j])
+                if earlier is not None and earlier >= wave:
+                    wave = earlier + 1
+            driver_wave[out] = wave
             if wave == len(waves):
                 waves.append([])
-            waves[wave].append(cell)
+            waves[wave].append(record)
         return waves
 
     # -- helpers -------------------------------------------------------------

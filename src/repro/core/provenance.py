@@ -98,6 +98,25 @@ class ProvenanceLedger:
         self._coupling_delta.append(coupling_delta)
         return row
 
+    def carry(
+        self, source: "ProvenanceLedger", lo: int, hi: int, pass_index: int
+    ) -> None:
+        """Append ``source``'s rows ``lo:hi`` as memo reuses of pass
+        ``pass_index`` (a warm pass's carried cells)."""
+        count = hi - lo
+        self._tier.extend(source._tier[lo:hi])
+        self._origin.extend([ORIGIN_MEMO] * count)
+        self._signature.extend(source._signature[lo:hi])
+        self._coupling.extend(source._coupling[lo:hi])
+        self._aggressors_total.extend(source._aggressors_total[lo:hi])
+        self._aggressors_active.extend(source._aggressors_active[lo:hi])
+        self._pass_index.extend([pass_index] * count)
+        self._coupling_delta.extend(source._coupling_delta[lo:hi])
+
+    def overlap_rows(self, lo: int, hi: int) -> int:
+        """Rows ``lo:hi`` whose windowed coupling decision was "overlap"."""
+        return self._coupling[lo:hi].count("overlap")
+
     def row(self, index: int) -> dict[str, Any]:
         """Materialize one row as a dict (for reports / the explain engine)."""
         return {

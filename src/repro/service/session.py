@@ -193,6 +193,9 @@ class Session:
             )
 
     # -- queries -------------------------------------------------------------
+    #
+    # Each public query counts once in ``queries``; the private helpers
+    # they share do not count.
 
     def analyze(self, mode: str | None = None, force: bool = False) -> StaResult:
         """Run (or return the cached) analysis for one mode.
@@ -202,8 +205,10 @@ class Session:
         retained propagator's warm memo, so it re-anchors rather than
         re-solves.
         """
-        resolved = self._mode(mode)
         self.queries += 1
+        return self._analyze(self._mode(mode), force)
+
+    def _analyze(self, resolved: AnalysisMode, force: bool = False) -> StaResult:
         cached = self.results.get(resolved)
         if cached is not None and not force:
             return cached
@@ -213,8 +218,11 @@ class Session:
         return result
 
     def exposures(self, mode: str | None = None) -> list:
-        resolved = self._mode(mode)
-        result = self.analyze(resolved.value)
+        self.queries += 1
+        return self._ranked(self._mode(mode))
+
+    def _ranked(self, resolved: AnalysisMode) -> list:
+        result = self._analyze(resolved)
         cached = self._exposures.get(resolved)
         if cached is None:
             cached = rank_crosstalk_nets(
@@ -229,7 +237,8 @@ class Session:
         load = self.design.loads.get(net)
         if load is None:
             raise InputError(f"unknown net {net!r}")
-        result = self.analyze(resolved.value)
+        self.queries += 1
+        result = self._analyze(resolved)
         state = result.final_pass.state
         events = {}
         quiescent = {}
@@ -247,10 +256,11 @@ class Session:
                 }
             )
             quiescent[direction] = _finite(state.quiet_time(net, direction))
-        exposure = next((e for e in self.exposures(resolved.value) if e.net == net), None)
+        ranked = self._ranked(resolved)
+        exposure = next((e for e in ranked if e.net == net), None)
         rank = None
         if exposure is not None:
-            rank = self.exposures(resolved.value).index(exposure) + 1
+            rank = ranked.index(exposure) + 1
         return {
             "session": self.session_id,
             "mode": resolved.value,
@@ -267,7 +277,8 @@ class Session:
     def query_path(self, mode: str | None = None) -> dict:
         """The worst path of one mode's analysis, as the export dict."""
         resolved = self._mode(mode)
-        result = self.analyze(resolved.value)
+        self.queries += 1
+        result = self._analyze(resolved)
         payload = path_to_dict(self.sta.critical_path(result))
         payload["session"] = self.session_id
         payload["mode"] = resolved.value
@@ -281,7 +292,8 @@ class Session:
         telescope bit-exactly onto the reported path delay.
         """
         resolved = self._mode(mode)
-        result = self.analyze(resolved.value)
+        self.queries += 1
+        result = self._analyze(resolved)
         payload = explain_result(
             self.design.circuit, result, k=paths, top=top
         )
@@ -300,7 +312,7 @@ class Session:
         """
         resolved = self._mode(mode)
         self.queries += 1
-        baseline = self.analyze(resolved.value)
+        baseline = self._analyze(resolved)
         edited_design, normalized = apply_edit(self.design, edit)
         config = replace(self.config, mode=resolved, checkpoint=None)
         after_sta = CrosstalkSTA(

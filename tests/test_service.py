@@ -240,6 +240,26 @@ class TestSessionManager:
         with pytest.raises(InputError):
             manager.open("gen:s99999")
 
+    def test_each_public_query_counts_once(self):
+        session = SessionManager(config=ONE_STEP).open("s27")
+        exposed = session.exposures()[0].net
+        neighbour = next(iter(session.design.loads[exposed].couplings))
+        calls = [
+            session.analyze,
+            session.exposures,
+            lambda: session.query_net(exposed),
+            session.query_path,
+            session.explain,
+            lambda: session.whatif(
+                {"action": "drop_coupling", "net": exposed, "neighbour": neighbour}
+            ),
+        ]
+        for call in calls:
+            before = session.queries
+            call()
+            assert session.queries == before + 1, call
+        assert session.info()["queries"] == session.stats()["queries"]
+
 
 @pytest.fixture(scope="module")
 def service():
@@ -393,6 +413,27 @@ class TestSessionCheckpoints:
         )
         assert session.checkpoint_path is None
         assert not os.path.exists(stale)
+
+    def test_checkpointed_session_whatif_runs_warm(self, tmp_path):
+        """A checkpoint path names a file, not an analysis: the what-if
+        of a session that writes checkpoints reuses its warm memo like
+        any other session's."""
+        edit = None
+        dirty = []
+        for checkpoint_dir in (None, str(tmp_path)):
+            manager = SessionManager(
+                config=StaConfig(mode=AnalysisMode.ITERATIVE),
+                checkpoint_dir=checkpoint_dir,
+            )
+            session = manager.open("gen:s35932", scale=0.01)
+            assert (session.checkpoint_path is None) == (checkpoint_dir is None)
+            session.analyze()
+            if edit is None:
+                net = session.exposures()[0].net
+                neighbour = next(iter(session.design.loads[net].couplings))
+                edit = {"action": "drop_coupling", "net": net, "neighbour": neighbour}
+            dirty.append(session.whatif(edit)["after"]["dirty_arcs"])
+        assert dirty[1] == dirty[0]
 
     def test_checkpoint_keyed_by_design(self, tmp_path):
         manager = SessionManager(

@@ -8,6 +8,13 @@ single-pass modes under both window checks, and sequences of all four
 ECO edit actions with random commits; every what-if's endpoint arrivals
 (``float.hex``) must equal a fresh analyzer's.
 
+A single-pass warm what-if walks only the cells its edit can reach and
+carries the rest from the session's last pass.  So every what-if also
+runs on a twin session whose warm pass drops that base and walks every
+cell, and the two must agree on the state columns, every pass and
+metric counter but the carried-arc count, the result summary, the
+ledger and the explain payload.
+
 Hand-built lanes pin the cases a random draw rarely reaches:
 
 * only the earlier cell of a coupled pair in one level changes;
@@ -24,6 +31,7 @@ from __future__ import annotations
 import functools
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -32,9 +40,11 @@ from repro.circuit import resolve_circuit
 from repro.circuit.netlist import Circuit
 from repro.core.analyzer import CrosstalkSTA
 from repro.core.columnar import compile_design
+from repro.core.explain import explain_result
 from repro.core.modes import AnalysisMode, StaConfig, WindowCheck
 from repro.flow import EDIT_ACTIONS, apply_edit, prepare_design
 from repro.flow.design import Design
+from repro.service.session import result_summary
 
 SINGLE_PASS_MODES = (
     AnalysisMode.BEST_CASE,
@@ -73,11 +83,13 @@ def _cold(design, config):
 class _Chain:
     """A design session's what-if path: each what-if analyzes the
     edited design on an analyzer warm-started from the current one and
-    sharing its calculator; a commit makes it the current one."""
+    sharing its calculator; a commit makes it the current one.  With
+    ``full_walk`` the warm pass drops its base and walks every cell."""
 
-    def __init__(self, design, config):
+    def __init__(self, design, config, full_walk=False):
         self.design = design
         self.config = config
+        self.full_walk = full_walk
         self.sta = CrosstalkSTA(design, config, keep_propagators=True)
         self.result = self.sta.run()
 
@@ -86,10 +98,93 @@ class _Chain:
             edited, self.config, calculator=self.sta.calculator, keep_propagators=True
         )
         sta.warm_start_from(self.sta)
+        if self.full_walk:
+            sta._propagator_for(self.config)._base = None
         result = sta.run()
         if commit:
             self.design, self.sta, self.result = edited, sta, result
         return result
+
+
+STATE_COLUMNS = (
+    "present",
+    "valid",
+    "ev_tc",
+    "ev_tr",
+    "ev_te",
+    "ev_tl",
+    "win_arc",
+    "win_coupled",
+    "win_prov_dir",
+    "aprov_row",
+)
+PASS_COUNTS = (
+    "waveform_evaluations",
+    "arcs_processed",
+    "coupled_arcs",
+    "dirty_arcs",
+    "reused_arcs",
+    "cache_evaluations",
+    "cache_hits",
+    "cache_dedup_hits",
+    "cache_persisted_hits",
+    "provenance_rows",
+)
+
+
+def _counters(result) -> dict:
+    """The run's counter deltas, without time and the carried-arc count
+    (the only counter a warm pass's cone walk moves)."""
+    return {
+        key: value
+        for key, value in result.telemetry.metrics["counters"].items()
+        if "seconds" not in key and "carried_arcs" not in key
+    }
+
+
+def _assert_same_walk(cone, full, design) -> None:
+    """A cone walk and a full walk of the same warm what-if agree on
+    everything but time and the carried-arc count."""
+    for name in STATE_COLUMNS:
+        assert np.array_equal(
+            getattr(cone.final_pass.state, name), getattr(full.final_pass.state, name)
+        ), name
+    for name in PASS_COUNTS:
+        assert getattr(cone.final_pass, name) == getattr(full.final_pass, name), name
+    assert full.final_pass.carried_arcs == 0
+    summaries = [result_summary(r) for r in (cone, full)]
+    for summary in summaries:
+        summary.pop("runtime_seconds")
+    assert summaries[0] == summaries[1]
+    assert cone.ledger.counts() == full.ledger.counts()
+    assert explain_result(design.circuit, cone, k=3) == explain_result(
+        design.circuit, full, k=3
+    )
+    assert _counters(cone) == _counters(full)
+
+
+class _Pair:
+    """Two sessions over one design taking the same what-ifs: one walks
+    each warm what-if's cone, the other every cell.  Each has its own
+    calculator, so both see the same cache history."""
+
+    def __init__(self, design, config):
+        self.cone = _Chain(design, config)
+        self.full = _Chain(design, config, full_walk=True)
+
+    @property
+    def design(self):
+        return self.cone.design
+
+    @property
+    def result(self):
+        return self.cone.result
+
+    def whatif(self, edited, commit=False):
+        cone = self.cone.whatif(edited, commit)
+        full = self.full.whatif(edited, commit)
+        _assert_same_walk(cone, full, edited)
+        return cone
 
 
 def _assert_matches_cold(result, edited, config):
@@ -146,7 +241,7 @@ def test_warm_whatif_sequences_match_cold(data):
     mode = data.draw(st.sampled_from(SINGLE_PASS_MODES), label="mode")
     check = data.draw(st.sampled_from(CHECKS), label="window_check")
     config = StaConfig(mode=mode, window_check=check)
-    chain = _Chain(_design(spec), config)
+    chain = _Pair(_design(spec), config)
     for _ in range(data.draw(st.integers(1, 3), label="whatifs")):
         edit = _draw_edit(data, chain.design)
         commit = data.draw(st.booleans(), label="commit")
@@ -203,7 +298,7 @@ def test_earlier_cell_of_a_same_level_pair_changes(config):
     design = _design("gen:s35932")
     pairs = _same_level_pairs(design)
     assert pairs, "the design must couple two cells of one level"
-    chain = _Chain(design, config)
+    chain = _Pair(design, config)
     for earlier, _later in pairs[:4]:
         load = design.loads[earlier]
         edited = _with_loads(design, **{earlier: {"c_fixed": 1.5 * load.c_fixed}})
@@ -214,7 +309,7 @@ def test_earlier_cell_of_a_same_level_pair_changes(config):
 def test_drop_coupling_inside_one_level(config):
     design = _design("gen:s35932")
     pairs = _same_level_pairs(design)
-    chain = _Chain(design, config)
+    chain = _Pair(design, config)
     for earlier, later in pairs[:4]:
         edit = {"action": "drop_coupling", "net": earlier, "neighbour": later}
         edited, _ = apply_edit(design, edit)
@@ -227,7 +322,7 @@ def test_sink_elmore_only_edit(mode):
     readers see the moved wire delays."""
     design = _design("gen:s35932")
     config = StaConfig(mode=mode)
-    chain = _Chain(design, config)
+    chain = _Pair(design, config)
     nets = sorted(
         name
         for name, load in design.loads.items()
@@ -290,7 +385,7 @@ def test_aggressor_from_an_earlier_level_moves_into_the_window(config):
     circuit.add_output("od", net_name="nd")
     base = _hand_design(circuit, {("nc", "nd"): 6e-15}, {"nc": 2e-15})
     edited = _with_loads(base, nc={"c_fixed": 60e-15})
-    chain = _Chain(base, config)
+    chain = _Pair(base, config)
     cold = _assert_matches_cold(chain.whatif(edited), edited, config)
     assert not _winner_coupled(chain.result, "nd")
     assert _winner_coupled(cold, "nd")
@@ -327,7 +422,42 @@ def test_same_level_neighbour_gains_a_live_arc(config):
         loads=dict(base.loads),
     )
     assert list(edited.circuit.nets) == list(base.circuit.nets)
-    chain = _Chain(base, config)
+    chain = _Pair(base, config)
     cold = _assert_matches_cold(chain.whatif(edited), edited, config)
     assert not _winner_coupled(chain.result, "nc")
     assert _winner_coupled(cold, "nc")
+
+
+def test_cone_walk_carries_what_the_edit_cannot_reach():
+    """The oracle is not vacuous: a warm drop_coupling (and an upsize,
+    whose cloned circuit numbers some nets differently) carries most
+    arcs, and its carried-arc counter says so; a cold pass and an
+    iterative what-if walk every cell."""
+    design = _design("gen:s35932")
+    config = StaConfig(mode=AnalysisMode.ONE_STEP)
+    chain = _Chain(design, config)
+    assert chain.result.final_pass.carried_arcs == 0
+    net = max(design.loads, key=lambda name: len(design.loads[name].couplings))
+    neighbour = max(design.loads[net].couplings, key=design.loads[net].couplings.get)
+    upsizable = sorted(
+        name
+        for name, n in design.circuit.nets.items()
+        if n.driver_cell() is not None
+        and not n.driver_cell().is_sequential
+        and n.driver_cell().ctype.name.endswith("_X1")
+    )
+    for edit in (
+        {"action": "drop_coupling", "net": net, "neighbour": neighbour},
+        {"action": "upsize", "nets": upsizable[:1]},
+    ):
+        edited, _ = apply_edit(design, edit)
+        final = chain.whatif(edited).final_pass
+        assert 0 < final.carried_arcs < final.arcs_processed
+        assert final.walked_cells < len(chain.sta.compiled_design().cells)
+        counters = chain.whatif(edited).telemetry.metrics["counters"]
+        assert counters["propagation.carried_arcs"] == final.carried_arcs
+    iterative = _Chain(design, StaConfig(mode=AnalysisMode.ITERATIVE))
+    edited, _ = apply_edit(design, {"action": "drop_coupling", "net": net, "neighbour": neighbour})
+    result = iterative.whatif(edited)
+    assert all(r.reused_arcs for r in result.history[:1])
+    assert result.final_pass.carried_arcs == 0
