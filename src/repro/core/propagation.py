@@ -594,20 +594,6 @@ class Propagator:
         for name in ("_m_best", "_m_worst", "_m_final", "_m_prov", "_p"):
             setattr(self, name, list(getattr(source, name)))
         self._m_valid[~kept[cp.arc_cell]] = False
-        # The per-arc decision columns a carried arc's ledger rows
-        # repeat; seed arcs keep their own static values.
-        same = (~seed[cp.arc_cell]).tolist()
-        for name in ("_a_kind", "_a_agga"):
-            setattr(
-                self,
-                name,
-                [
-                    theirs if keep else mine
-                    for theirs, mine, keep in zip(
-                        getattr(source, name), getattr(self, name), same
-                    )
-                ],
-            )
         if (
             self.config.mode is not AnalysisMode.ITERATIVE
             and source._trace is not None
