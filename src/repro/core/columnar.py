@@ -525,6 +525,7 @@ class ColumnTimingState:
         them calculated.  ``nets`` is one id or an id array; the adopted
         ledger rows move by ``row_shift`` (a scalar, or one shift per
         net)."""
+        nets = np.asarray(nets)
         self.present[nets] = True
         for name in (
             "valid",
@@ -537,27 +538,10 @@ class ColumnTimingState:
             "win_coupled",
         ):
             getattr(self, name)[:, nets] = getattr(prev, name)[:, nets]
-        self.shift_rows_from(prev, nets, row_shift)
+        rows = prev.aprov_row[:, nets]
+        self.aprov_row[:, nets] = np.where(rows >= 0, rows + row_shift, -1)
         if self._ev_cache:
-            for net in np.atleast_1d(nets).tolist():
+            for net in nets.reshape(-1).tolist():
                 self._ev_cache.pop((0, net), None)
                 self._ev_cache.pop((1, net), None)
 
-    def shift_rows_from(self, prev: "ColumnTimingState", nets, row_shift) -> None:
-        """The winners' ledger rows of ``prev``'s ``nets``, moved by
-        ``row_shift``."""
-        rows = prev.aprov_row[:, nets]
-        self.aprov_row[:, nets] = np.where(rows >= 0, rows + row_shift, -1)
-
-    def clear_net(self, net: int) -> None:
-        """Forget a net's events and winners (a carried net about to be
-        walked after all)."""
-        self.valid[:, net] = False
-        for name in ("ev_tc", "ev_tr", "ev_te", "ev_tl"):
-            getattr(self, name)[:, net] = 0.0
-        self.win_arc[:, net] = -1
-        self.win_prov_dir[:, net] = 0
-        self.win_coupled[:, net] = False
-        self.aprov_row[:, net] = -1
-        self._ev_cache.pop((0, net), None)
-        self._ev_cache.pop((1, net), None)

@@ -802,15 +802,8 @@ class Propagator:
                     if quiet_walked:
                         self._mark_changed(state, base.state, quiet_walked, cone)
                     if base is not None:
-                        # The cells the cone has not reached keep the
-                        # base's events from the start (decisions read
-                        # them only once their nets count as calculated);
-                        # their ledger rows follow in wave order.
                         level_ci = self._lvl_ci[level_index]
                         stepped[level_ci] = dirty[level_ci]
-                        state.copy_nets_from(
-                            base.state, self._lvl_out[level_index][~stepped[level_ci]]
-                        )
                     timers["gather"] += time.perf_counter() - t0
 
                     live_slab = a_live[lo:hi]
@@ -987,8 +980,6 @@ class Propagator:
                         ):
                             self._c_lookahead.inc(calc.prefetch_keys(keys))
                         timers["final_waveforms"] += time.perf_counter() - t0
-                    carried_nets: list[int] = []
-                    carried_shift: list[int] = []
                     for wave_index, wave in enumerate(waves):
                         t0 = time.perf_counter()
                         # Which of the wave's cells walk: a cone cell a
@@ -999,7 +990,6 @@ class Propagator:
                             for record, walked in zip(wave, walks):
                                 if walked and not stepped[record[1]]:
                                     stepped[record[1]] = True
-                                    state.clear_net(record[2])
                                     self._reuse_memo(
                                         record, live_l, lo, a_best, a_worst,
                                         a_final, a_coupled, a_prov,
@@ -1083,6 +1073,8 @@ class Propagator:
 
                         t0 = time.perf_counter()
                         walked_nets = []
+                        carried_nets = []
+                        carried_shift = []
                         for record, walked, arcs in plan:
                             _, ci, oi, _, _, _ = record
                             if not walked:
@@ -1180,6 +1172,10 @@ class Propagator:
                                     self._m_cg[a] = np.nan
                                     self._m_ca[a] = np.nan
                                     self._m_cp[a] = np.nan
+                        if carried_nets:
+                            state.copy_nets_from(
+                                base.state, carried_nets, np.array(carried_shift)
+                            )
                         if base is not None and walked_nets:
                             self._mark_changed(state, base.state, walked_nets, cone)
                         # Wave barrier: these events now count as calculated
@@ -1187,10 +1183,6 @@ class Propagator:
                         for record in wave:
                             state.processed_mask[record[2]] = True
                         timers["merge"] += time.perf_counter() - t0
-                    if carried_nets:
-                        state.shift_rows_from(
-                            base.state, carried_nets, np.array(carried_shift)
-                        )
 
             level_row[len(self.levels)] = len(self.ledger)
             self._collect_arrivals(state, result)
@@ -1277,8 +1269,8 @@ class Propagator:
             a_prov[a] = _memo_prov(self._m_prov[a])
 
     def _carry_cell(self, record, count, base, result, cell_row) -> int:
-        """Append one carried cell's ``count`` ledger rows (its events
-        were copied from the base at its level's gather); returns the
+        """Append one carried cell's ``count`` ledger rows (the caller
+        copies its net's events at its wave's barrier); returns the
         shift of its rows against the base's."""
         ci = record[1]
         row = int(base.cell_row[ci])
