@@ -73,9 +73,10 @@ calculator, so every delay, counter and ledger row stays the same.
 
 The pass also looks ahead across each level's coupling waves: the
 coupled final keys the waves will probably need are solved in one batch
-before wave 0 instead of one batch per wave.  The waves still decide and
-merge alone, so this changes when keys are solved, never what they
-resolve to.
+before wave 0 instead of one batch per wave.  Wave 0 takes the
+look-ahead's decisions, which are its own (nothing of the level has
+merged yet); the later waves still decide and merge alone, so this
+changes when keys are solved, never what they resolve to.
 
 The regression oracle is ``tests/golden/propagation.json``:
 ``float.hex()`` digests of every endpoint arrival, pass and counter over
@@ -923,15 +924,15 @@ class Propagator:
                     # Look-ahead: decide every windowed arc of the level
                     # against the pre-wave state and solve the coupled
                     # keys in one batch instead of one batch per wave.
-                    # Wave 0's decisions are exact; later waves' are
-                    # predictions (an earlier wave's aggressor still
-                    # counts as not calculated).  The wave loop below
-                    # still decides and merges alone, so a right guess
-                    # is a cache hit and a wrong one a catch-up solve.
-                    # Only levels where some windowed arc missed its memo
-                    # (warm what-ifs mostly skip it).  Carried arcs are
-                    # decided too, from their memo: their predictions
-                    # solve what a full walk's would.
+                    # Wave 0's decisions are exact (wave 0 reuses them);
+                    # later waves' are predictions (an earlier wave's
+                    # aggressor still counts as not calculated).  The
+                    # later waves still decide and merge alone, so a
+                    # right guess is a cache hit and a wrong one a
+                    # catch-up solve.  Only levels where some windowed arc
+                    # missed its memo (warm what-ifs mostly skip it).
+                    # Carried arcs count too: their predictions solve
+                    # what a full walk's would.
                     lookahead = len(waves) >= 2 and bool((ww & ~reuse_w).any())
                     if lookahead:
                         t0 = time.perf_counter()
@@ -1009,18 +1010,24 @@ class Propagator:
                             wave=wave_index,
                             tasks=len(wave_arcs),
                         ):
+                            # Wave 0 decides against the pre-wave state:
+                            # exactly the look-ahead's decisions.
+                            ahead = lookahead and wave_index == 0
                             for a in wave_arcs:
                                 if not self._s_windowed_l[a]:
                                     continue
                                 best = a_best[a]
-                                n_active, active_sum, passive_sum = self._decide(
-                                    a,
-                                    ts_l[a],
-                                    best,
-                                    a_worst[a],
-                                    state,
-                                    prev,
-                                )
+                                if ahead:
+                                    n_active, active_sum, passive_sum = self._p[a]
+                                else:
+                                    n_active, active_sum, passive_sum = self._decide(
+                                        a,
+                                        ts_l[a],
+                                        best,
+                                        a_worst[a],
+                                        state,
+                                        prev,
+                                    )
                                 self._a_kind[a] = "overlap" if n_active else "quiet"
                                 self._a_agga[a] = n_active
                                 if not lookahead:
@@ -1398,9 +1405,14 @@ class Propagator:
         elmore = self.design.loads[net_name].sink_elmore.get(terminal, 0.0)
         if elmore <= 0.0:
             return event
-        shifted = event.shifted(elmore)
-        degraded = event.transition + SLEW_DEGRADATION_FACTOR * elmore
-        return shifted.with_transition(degraded)
+        # event.shifted(elmore).with_transition(...), built in one step.
+        return RampEvent(
+            direction=event.direction,
+            t_cross=event.t_cross + elmore,
+            transition=event.transition + SLEW_DEGRADATION_FACTOR * elmore,
+            t_early=event.t_early + elmore,
+            t_late=event.t_late + elmore,
+        )
 
     def _collect_arrivals(self, state, result: PassResult) -> None:
         for endpoint in self.design.circuit.timing_endpoints():

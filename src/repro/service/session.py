@@ -205,8 +205,9 @@ class Session:
         retained propagator's warm memo, so it re-anchors rather than
         re-solves.
         """
+        resolved = self._mode(mode)
         self.queries += 1
-        return self._analyze(self._mode(mode), force)
+        return self._analyze(resolved, force)
 
     def _analyze(self, resolved: AnalysisMode, force: bool = False) -> StaResult:
         cached = self.results.get(resolved)
@@ -218,8 +219,9 @@ class Session:
         return result
 
     def exposures(self, mode: str | None = None) -> list:
+        resolved = self._mode(mode)
         self.queries += 1
-        return self._ranked(self._mode(mode))
+        return self._ranked(resolved)
 
     def _ranked(self, resolved: AnalysisMode) -> list:
         result = self._analyze(resolved)
