@@ -58,18 +58,19 @@ that pass walks only the cells the edit can reach: the *seeds* (a new
 cell type, a new output :class:`~repro.flow.design.NetLoad`, a moved
 sink Elmore delay on an input pin), the readers of every net whose
 events differ bit for bit from the base's, the cells whose decisions
-read such a net once it counts as calculated, and the same-level
-coupled neighbours of every cell dirty at its level's start.  Every
-other cell is *carried*: its events, winners and ledger rows are copied
-from the base and counted exactly as a walk would count them.  That is
-exact because a decision reads an aggressor's window only once its net
-is calculated (before that it counts as switching, whatever its value).
-Between two coupled cells of one level, which one sees the other
-depends only on their order, which no edit changes; a cell counts as
-calculated at its gather when it has no live arc, else at its wave's
-barrier, and its live-ness moves only with its inputs -- the same-level
-rule covers that.  A carried cell reuses its memo and touches no
-calculator, so every delay, counter and ledger row stays the same.
+read such a net once it counts as calculated, and, where a net's
+validity moved, the same-level coupled neighbours of its readers.
+Every other cell is *carried*: its events, winners and ledger rows are
+copied from the base and counted exactly as a walk would count them.
+That is exact because a decision reads an aggressor's window only once
+its net is calculated (before that it counts as switching, whatever its
+value).  Between two coupled cells of one level, which one sees the
+other depends only on their order, which no edit changes; a cell counts
+as calculated at its gather when it has no live arc, else at its wave's
+barrier, and its live-ness moves only with its inputs' validity -- the
+same-level rule covers that.  A carried cell reuses its memo (and its
+last look-ahead prediction) and touches no calculator, so every delay,
+counter and ledger row stays the same.
 
 The pass also looks ahead across each level's coupling waves: the
 coupled final keys the waves will probably need are solved in one batch
