@@ -36,9 +36,9 @@ result does not depend on the batch it was solved in, so the size-based
 choice never moves a number.
 
 Between iterative passes the propagator is *delta-driven*: per-arc
-memo columns keep the last pass's solve-relevant inputs -- the
-arrival's transition and the decided coupling load -- together with
-the *origin-free relative* results
+memo columns keep only what a solve consumes and returns -- the
+arrival's transition, the load of the final solve, and the
+*origin-free relative* results
 (:class:`~repro.waveform.gatedelay.ArcResult`).  An arc whose inputs are
 unchanged (exact float equality, one vectorized compare per slab)
 re-anchors the memoized relative waveform at the current arrival's time
@@ -52,6 +52,13 @@ parts of the pass (gathering, window comparisons, merging) run in full
 on every cold and iterative pass, so coupling decisions are re-derived
 every pass.
 
+The ledger row is the one record of what a pass did with an arc: every
+live arc gets exactly one, and its origin is "memo" unless the pass
+resolved one of the arc's keys.  The pass's arc counts are tallies of
+its rows (:meth:`~repro.core.provenance.ProvenanceLedger.tally`):
+``arcs_processed`` counts them, ``reused_arcs`` the memo rows,
+``dirty_arcs`` the others and ``coupled_arcs`` the "overlap" rows.
+
 A warm what-if walks less.  :meth:`Propagator.warm_start_from` keeps
 the source's last pass as the *base* of the first single-pass run, and
 that pass walks only the cells the edit can reach: the *seeds* (a new
@@ -61,16 +68,19 @@ events differ bit for bit from the base's, the cells whose decisions
 read such a net once it counts as calculated, and, where a net's
 validity moved, the same-level coupled neighbours of its readers.
 Every other cell is *carried*: its events, winners and ledger rows are
-copied from the base and counted exactly as a walk would count them.
+copied from the base, its rows as memo reuses.
 That is exact because a decision reads an aggressor's window only once
 its net is calculated (before that it counts as switching, whatever its
 value).  Between two coupled cells of one level, which one sees the
 other depends only on their order, which no edit changes; a cell counts
 as calculated at its gather when it has no live arc, else at its wave's
 barrier, and its live-ness moves only with its inputs' validity -- the
-same-level rule covers that.  A carried cell reuses its memo (and its
-last look-ahead prediction) and touches no calculator, so every delay,
-counter and ledger row stays the same.
+same-level rule covers that.  A cell outside the cone reads the base's
+inputs and load, so every live arc of a walked level still looks up its
+memo in the base step and a cell outside the cone always hits it; a
+carried cell reuses its memo (and its last look-ahead prediction) and
+touches no calculator, so every delay, counter and ledger row stays the
+same.
 
 The pass also looks ahead across each level's coupling waves: the
 coupled final keys the waves will probably need are solved in one batch
@@ -104,7 +114,7 @@ from repro.core.modes import (
     StaConfig,
     WindowCheck,
 )
-from repro.core.provenance import ProvenanceLedger
+from repro.core.provenance import ORIGIN_MEMO, ProvenanceLedger
 from repro.errors import EngineError
 from repro.flow.design import Design
 from repro.obs.metrics import SMALL_COUNT_BUCKETS
@@ -245,12 +255,6 @@ def _csr(keys: np.ndarray, values: np.ndarray, n: int) -> tuple[list[int], np.nd
     return pointers.tolist(), values[np.argsort(keys, kind="stable")]
 
 
-def _memo_prov(prov: dict) -> dict:
-    """Provenance of a memo reuse: the stored solve's record with the
-    origin rewritten to "memo"."""
-    return {**prov, "origin": "memo"}
-
-
 class Propagator:
     """Runs single STA passes over a compiled design."""
 
@@ -343,6 +347,9 @@ class Propagator:
         self._s_plain_cg = plain_cg
         self._s_plain_ca = plain_ca
         self._s_plain_coupled = (plain_ca > 0.0).tolist()
+        # A windowed arc's decided coupled load: c_fixed plus its
+        # (active, passive) pair.
+        self._s_cf = cf.tolist()
         # Pre-quantized cache-key loads (python floats: the keys are
         # JSON-serialized by the persistent cache).  The vectorized ceil
         # is bit-identical to the scalar math.ceil path: the quotients
@@ -367,7 +374,6 @@ class Propagator:
         self._s_out = cp.arc_out_net.tolist()
         self._s_windowed_l = self._s_windowed.tolist()
         self._tokens: list[str | None] = [None] * n
-        self._s_cfix = cp.net_c_fixed.tolist()
         self._coup_indptr = cp.coup_indptr.tolist()
         self._coup_net = cp.coup_net.tolist()
         self._coup_cap = cp.coup_cap.tolist()
@@ -383,23 +389,21 @@ class Propagator:
             else [0] * n
         )
 
-        # Delta-driven memo columns: the last pass's arrival transition
-        # (``_m_tt``), decided final load and relative results per arc.
-        # Loads are (c_ground, c_couple_active, c_couple_passive) triples;
-        # NaN encodes "no load" (the windowed quiet short-circuit), which
-        # correctly never compares equal to a real load.
+        # Delta-driven memo columns: what an arc's last solves consumed
+        # -- the arrival transition (``_m_tt``) and the final load -- and
+        # what they returned.  Loads are (c_ground, c_couple_active,
+        # c_couple_passive) triples; NaN encodes "no load" (the windowed
+        # quiet short-circuit), which correctly never compares equal to a
+        # real load.  A valid windowed entry always holds its best-case
+        # result, and under OVERLAP its all-active one.
         self._m_valid = np.zeros(n, dtype=bool)
         self._m_tt = np.zeros(n, dtype=np.float64)
-        self._m_coupled = np.zeros(n, dtype=bool)
-        self._m_has_best = np.zeros(n, dtype=bool)
-        self._m_has_worst = np.zeros(n, dtype=bool)
         self._m_cg = np.full(n, np.nan)
         self._m_ca = np.full(n, np.nan)
         self._m_cp = np.full(n, np.nan)
         self._m_best: list[ArcResult | None] = [None] * n
         self._m_worst: list[ArcResult | None] = [None] * n
         self._m_final: list[ArcResult | None] = [None] * n
-        self._m_prov: list[dict | None] = [None] * n
         # The level look-ahead's last prediction per windowed arc
         # ``(n_active, active_sum, passive_sum)``, or None once a pass
         # walked the arc without one (see run_pass).
@@ -492,26 +496,24 @@ class Propagator:
                 passive_sum += cap
         return n_active, active_sum, passive_sum
 
-    def _final_key(self, a, attached, qtt, cg, active_sum, passive_sum):
-        """The cache key of arc ``a``'s coupled final solve under a
-        decided load, or None when its memo already holds that load's
-        result.  Shared by the look-ahead and the wave loop, so a right
+    def _key(self, a, qtt, q_passive, q_active) -> tuple:
+        """The cache key of one of arc ``a``'s solves: its stage token
+        (so every key an arc resolves starts with it), its direction, the
+        quantized slew and the quantized loads."""
+        return (self._token(a), self._s_dir[a], qtt, q_passive, q_active, False)
+
+    def _final_key(self, a, attached, qtt, load):
+        """The cache key of arc ``a``'s coupled final solve under its
+        decided ``(active, passive)`` load, or None when its memo already
+        holds that load's result (its ground part is the arc's static
+        c_fixed).  Shared by the look-ahead and the wave loop, so a right
         prediction is exactly the key the wave resolves."""
-        if (
-            attached
-            and self._m_cg[a] == cg
-            and self._m_ca[a] == active_sum
-            and self._m_cp[a] == passive_sum
-        ):
+        active_sum, passive_sum = load
+        if attached and self._m_ca[a] == active_sum and self._m_cp[a] == passive_sum:
             return None
         q_cap = self.calculator._q_cap
-        return (
-            self._token(a),
-            self._s_dir[a],
-            qtt,
-            q_cap(cg + passive_sum),
-            q_cap(active_sum),
-            False,
+        return self._key(
+            a, qtt, q_cap(self._s_cf[a] + passive_sum), q_cap(active_sum)
         )
 
     # -- session reuse -------------------------------------------------------
@@ -582,18 +584,9 @@ class Propagator:
             ) != old_load.sink_elmore.get(terminal, 0.0):
                 seed[ci] = True
 
-        for name in (
-            "_m_valid",
-            "_m_tt",
-            "_m_coupled",
-            "_m_has_best",
-            "_m_has_worst",
-            "_m_cg",
-            "_m_ca",
-            "_m_cp",
-        ):
+        for name in ("_m_valid", "_m_tt", "_m_cg", "_m_ca", "_m_cp"):
             getattr(self, name)[:] = getattr(source, name)
-        for name in ("_m_best", "_m_worst", "_m_final", "_m_prov", "_p"):
+        for name in ("_m_best", "_m_worst", "_m_final", "_p"):
             setattr(self, name, list(getattr(source, name)))
         self._m_valid[~kept[cp.arc_cell]] = False
         if (
@@ -689,25 +682,20 @@ class Propagator:
         k_slew = SLEW_DEGRADATION_FACTOR
         tgrid = calc.transition_grid
 
-        # Per-pass arc columns.
+        # Per-pass arc columns.  Every arc starts from its memo's results
+        # and origin "memo"; a miss replaces them with the keys this pass
+        # resolves.  A windowed arc decided coupled gets its (active,
+        # passive) load.
         a_live = np.zeros(n, dtype=bool)
         a_tt = np.zeros(n, dtype=np.float64)
         a_ts = np.zeros(n, dtype=np.float64)
         a_prov_dir = cp.arc_in_dir.astype(np.int8)
-        a_eval = np.zeros(n, dtype=bool)
-        a_coupled = np.zeros(n, dtype=bool)
         a_attach = np.zeros(n, dtype=bool)
-        a_flhas = np.zeros(n, dtype=bool)
-        a_flcg = np.zeros(n, dtype=np.float64)
-        a_flca = np.zeros(n, dtype=np.float64)
-        a_flcp = np.zeros(n, dtype=np.float64)
-        a_best: list[ArcResult | None] = [None] * n
-        a_worst: list[ArcResult | None] = [None] * n
-        a_final: list[ArcResult | None] = [None] * n
-        a_prov: list[dict | None] = [None] * n
-        a_key: dict[int, tuple] = {}
-        a_bkey: dict[int, tuple] = {}
-        a_wkey: dict[int, tuple] = {}
+        a_best = list(self._m_best)
+        a_worst = list(self._m_worst)
+        a_final = list(self._m_final)
+        a_origin: list[str] = [ORIGIN_MEMO] * n
+        a_load: list[tuple[float, float] | None] = [None] * n
         qtt_l: list[float] = [0.0] * n
         ts_l: list[float] = [0.0] * n
 
@@ -717,12 +705,10 @@ class Propagator:
         level_waves = [0] * len(self.levels)
         # With a base, the cells to walk are the edit's cone (``dirty``),
         # which grows as changed nets are found, with the cells whose
-        # live-ness may have moved (``flipped``); ``stepped`` marks the
-        # cone cells whose arcs went through their level's base step.
+        # live-ness may have moved (``flipped``).
         if base is not None:
             dirty = self._seed.copy()
             cone = (dirty, np.zeros(cp.n_cells, dtype=bool))
-            stepped = np.zeros(cp.n_cells, dtype=bool)
 
         with tracer.span(
             "sta.pass",
@@ -803,9 +789,6 @@ class Propagator:
                                 quiet_walked.append(oi)
                     if quiet_walked:
                         self._mark_changed(state, base.state, quiet_walked, cone)
-                    if base is not None:
-                        level_ci = self._lvl_ci[level_index]
-                        stepped[level_ci] = dirty[level_ci]
                     timers["gather"] += time.perf_counter() - t0
 
                     live_slab = a_live[lo:hi]
@@ -813,15 +796,13 @@ class Propagator:
                     if n_live == 0:
                         continue
 
+                    # Every live arc looks up its memo, walked or not: a
+                    # cell outside the cone reads the base's inputs and
+                    # load, so it always hits, and a cell the cone reaches
+                    # later in the level holds its memo's results.
                     t0 = time.perf_counter()
                     with tracer.span("phase.base_waveforms", tasks=n_live):
-                        result.arcs_processed += n_live
                         sl = slice(lo, hi)
-                        if base is not None:
-                            walk = live_slab & stepped[cp.arc_cell[sl]]
-                        else:
-                            walk = live_slab
-                        walk_l = walk.tolist()
                         qtt = (
                             np.ceil(np.maximum(a_tt[sl], 1e-13) / tgrid) * tgrid
                         )
@@ -833,88 +814,49 @@ class Propagator:
                         )
                         a_attach[sl] = attach
                         windowed = self._s_windowed[sl]
-                        uw = walk & ~windowed
-                        reuse_uw = (
-                            attach
-                            & uw
-                            & (self._m_cg[sl] == self._s_plain_cg[sl])
-                            & (self._m_ca[sl] == self._s_plain_ca[sl])
-                            & (self._m_cp[sl] == 0.0)
+                        # A valid windowed entry holds its base results;
+                        # an unwindowed one is reused only under the plain
+                        # load it was solved with.
+                        hit = attach & (
+                            windowed
+                            | (
+                                (self._m_cg[sl] == self._s_plain_cg[sl])
+                                & (self._m_ca[sl] == self._s_plain_ca[sl])
+                                & (self._m_cp[sl] == 0.0)
+                            )
                         )
-                        idx = np.nonzero(reuse_uw)[0] + lo
-                        a_coupled[idx] = self._m_coupled[idx]
-                        for a in idx.tolist():
-                            a_final[a] = self._m_final[a]
-                            a_prov[a] = _memo_prov(self._m_prov[a])
-                        w = live_slab & windowed
-                        ww = w & walk
-                        reuse_w = attach & ww & self._m_has_best[sl]
-                        if overlap:
-                            reuse_w &= self._m_has_worst[sl]
-                        idx = np.nonzero(reuse_w)[0] + lo
-                        for a in idx.tolist():
-                            a_best[a] = self._m_best[a]
-                            a_worst[a] = self._m_worst[a]
-                            # Tentative: overwritten if the coupling
-                            # decision forces a fresh final solve.
-                            a_prov[a] = _memo_prov(self._m_prov[a])
-                        miss = np.nonzero(
-                            (uw & ~reuse_uw) | (ww & ~reuse_w)
-                        )[0] + lo
-                        miss_l = miss.tolist()
+                        miss_l = (np.nonzero(live_slab & ~hit)[0] + lo).tolist()
                         if miss_l:
                             keys = []
                             for a in miss_l:
-                                token = self._token(a)
-                                if self._s_windowed_l[a]:
-                                    key = (
-                                        token,
-                                        self._s_dir[a],
-                                        qtt_l[a],
-                                        self._qp_best_p[a],
-                                        0.0,
-                                        False,
-                                    )
-                                    a_bkey[a] = key
-                                    keys.append(key)
-                                    if overlap:
-                                        key = (
-                                            token,
-                                            self._s_dir[a],
-                                            qtt_l[a],
-                                            self._qp_worst_p[a],
-                                            self._qp_worst_a[a],
-                                            False,
+                                q = qtt_l[a]
+                                if not self._s_windowed_l[a]:
+                                    keys.append(
+                                        self._key(
+                                            a, q, self._qp_plain_p[a], self._qp_plain_a[a]
                                         )
-                                        a_wkey[a] = key
-                                        keys.append(key)
-                                else:
-                                    key = (
-                                        token,
-                                        self._s_dir[a],
-                                        qtt_l[a],
-                                        self._qp_plain_p[a],
-                                        self._qp_plain_a[a],
-                                        False,
                                     )
-                                    a_key[a] = key
-                                    keys.append(key)
+                                    continue
+                                keys.append(self._key(a, q, self._qp_best_p[a], 0.0))
+                                if overlap:
+                                    keys.append(
+                                        self._key(
+                                            a, q, self._qp_worst_p[a], self._qp_worst_a[a]
+                                        )
+                                    )
                             calc.prime_keys(keys)
+                            result.waveform_evaluations += len(keys)
+                            # Resolved in the order they were primed.
+                            resolving = iter(keys)
                             for a in miss_l:
-                                if self._s_windowed_l[a]:
-                                    result.waveform_evaluations += 1
-                                    a_eval[a] = True
-                                    a_best[a] = calc.resolve_key(a_bkey[a])
-                                    a_prov[a] = self._last_prov()
-                                    if overlap:
-                                        result.waveform_evaluations += 1
-                                        a_worst[a] = calc.resolve_key(a_wkey[a])
-                                else:
-                                    result.waveform_evaluations += 1
-                                    a_eval[a] = True
-                                    a_final[a] = calc.resolve_key(a_key[a])
-                                    a_coupled[a] = self._s_plain_coupled[a]
-                                    a_prov[a] = self._last_prov()
+                                rel = calc.resolve_key(next(resolving))
+                                a_origin[a] = calc.last_origin
+                                if not self._s_windowed_l[a]:
+                                    a_final[a] = rel
+                                    continue
+                                a_best[a] = rel
+                                if overlap:
+                                    a_worst[a] = calc.resolve_key(next(resolving))
                     timers["base_waveforms"] += time.perf_counter() - t0
 
                     waves = self._coupling_waves(computed)
@@ -934,25 +876,25 @@ class Propagator:
                     # missed its memo (warm what-ifs mostly skip it).
                     # Carried arcs count too: their predictions solve
                     # what a full walk's would.
-                    lookahead = len(waves) >= 2 and bool((ww & ~reuse_w).any())
+                    w = live_slab & windowed
+                    lookahead = len(waves) >= 2 and bool((w & ~hit).any())
                     if lookahead:
                         t0 = time.perf_counter()
                         w_arcs = (np.nonzero(w)[0] + lo).tolist()
+                        # Which of them are in the cone as the level starts.
+                        fresh = w if base is None else w & dirty[cp.arc_cell[sl]]
                         with tracer.span(
                             "phase.coupling_decisions",
                             lookahead=True,
                             tasks=len(w_arcs),
                         ):
                             keys = []
-                            for a in w_arcs:
+                            for a, decides in zip(w_arcs, fresh[w].tolist()):
                                 # A carried arc's prediction is the one its
                                 # last look-ahead made: it sees the same
                                 # pre-wave state.
-                                decision = None if walk_l[a - lo] else self._p[a]
+                                decision = None if decides else self._p[a]
                                 if decision is None:
-                                    if a_best[a] is None:
-                                        a_best[a] = self._m_best[a]
-                                        a_worst[a] = self._m_worst[a]
                                     decision = self._decide(
                                         a,
                                         ts_l[a],
@@ -966,12 +908,7 @@ class Propagator:
                                 if not n_active:
                                     continue
                                 key = self._final_key(
-                                    a,
-                                    a_attach[a],
-                                    qtt_l[a],
-                                    self._s_cfix[self._s_out[a]],
-                                    active_sum,
-                                    passive_sum,
+                                    a, a_attach[a], qtt_l[a], (active_sum, passive_sum)
                                 )
                                 if key is not None:
                                     keys.append(key)
@@ -984,18 +921,10 @@ class Propagator:
                         timers["final_waveforms"] += time.perf_counter() - t0
                     for wave_index, wave in enumerate(waves):
                         t0 = time.perf_counter()
-                        # Which of the wave's cells walk: a cone cell a
-                        # changed net reached after its base step reuses
-                        # its memo now (its inputs are unchanged).
+                        # Which of the wave's cells walk: the cone as it
+                        # stands now (every other cell is carried).
                         if base is not None:
                             walks = [bool(dirty[record[1]]) for record in wave]
-                            for record, walked in zip(wave, walks):
-                                if walked and not stepped[record[1]]:
-                                    stepped[record[1]] = True
-                                    self._reuse_memo(
-                                        record, live_l, lo, a_best, a_worst,
-                                        a_final, a_coupled, a_prov,
-                                    )
                         else:
                             walks = [True] * len(wave)
                         plan = []
@@ -1034,13 +963,9 @@ class Propagator:
                                 if not lookahead:
                                     self._p[a] = None
                                 if n_active:
-                                    a_flhas[a] = True
-                                    a_flcg[a] = self._s_cfix[self._s_out[a]]
-                                    a_flca[a] = active_sum
-                                    a_flcp[a] = passive_sum
+                                    a_load[a] = (active_sum, passive_sum)
                                 else:
                                     a_final[a] = best
-                                    a_coupled[a] = False
                         timers["coupling_decisions"] += time.perf_counter() - t0
 
                         t0 = time.perf_counter()
@@ -1048,35 +973,23 @@ class Propagator:
                             pending: list[int] = []
                             keys = []
                             for a in wave_arcs:
-                                if not a_flhas[a]:
+                                load = a_load[a]
+                                if load is None:
                                     continue
-                                result.coupled_arcs += 1
-                                key = self._final_key(
-                                    a,
-                                    a_attach[a],
-                                    qtt_l[a],
-                                    a_flcg[a],
-                                    a_flca[a],
-                                    a_flcp[a],
-                                )
-                                if key is None:
-                                    a_final[a] = self._m_final[a]
-                                    a_coupled[a] = True
-                                    a_prov[a] = _memo_prov(self._m_prov[a])
-                                    continue
-                                a_key[a] = key
-                                pending.append(a)
-                                keys.append(key)
+                                # No key: the memo's final, which the base
+                                # step took, was solved under this load.
+                                key = self._final_key(a, a_attach[a], qtt_l[a], load)
+                                if key is not None:
+                                    pending.append(a)
+                                    keys.append(key)
                             if pending:
                                 solved = calc.prime_keys(keys)
                                 if lookahead:
                                     self._c_catchup.inc(solved)
-                                for a in pending:
-                                    result.waveform_evaluations += 1
-                                    a_eval[a] = True
-                                    a_final[a] = calc.resolve_key(a_key[a])
-                                    a_coupled[a] = True
-                                    a_prov[a] = self._last_prov()
+                                result.waveform_evaluations += len(keys)
+                                for a, key in zip(pending, keys):
+                                    a_final[a] = calc.resolve_key(key)
+                                    a_origin[a] = calc.last_origin
                         timers["final_waveforms"] += time.perf_counter() - t0
 
                         t0 = time.perf_counter()
@@ -1095,24 +1008,20 @@ class Propagator:
                             cell_row[ci] = len(self.ledger)
                             for a in arcs:
                                 rel = a_final[a]
-                                prov = a_prov[a]
-                                if self._s_windowed_l[a]:
-                                    if (
-                                        a_coupled[a]
-                                        and a_best[a] is not None
-                                        and rel is not None
-                                    ):
-                                        delta = rel.t_cross - a_best[a].t_cross
-                                    else:
-                                        delta = 0.0
-                                elif mode is AnalysisMode.BEST_CASE:
-                                    delta = 0.0
+                                load = a_load[a]
+                                windowed_arc = self._s_windowed_l[a]
+                                if windowed_arc:
+                                    coupled = load is not None
+                                    delta = (
+                                        rel.t_cross - a_best[a].t_cross if coupled else 0.0
+                                    )
                                 else:
-                                    delta = None
+                                    coupled = self._s_plain_coupled[a]
+                                    delta = 0.0 if mode is AnalysisMode.BEST_CASE else None
                                 row = self.ledger.append(
                                     tier="newton",
-                                    origin=prov["origin"],
-                                    signature=prov["signature"],
+                                    origin=a_origin[a],
+                                    signature=self._token(a),
                                     coupling=self._a_kind[a],
                                     aggressors_total=self._s_aggt[a],
                                     aggressors_active=self._a_agga[a],
@@ -1150,36 +1059,23 @@ class Propagator:
                                     winner = True
                                 if winner:
                                     state.win_arc[d, out] = a
-                                    state.win_coupled[d, out] = a_coupled[a]
+                                    state.win_coupled[d, out] = coupled
                                     state.win_prov_dir[d, out] = a_prov_dir[a]
                                     state.aprov_row[d, out] = row
-                                if a_eval[a]:
-                                    result.dirty_arcs += 1
-                                else:
-                                    result.reused_arcs += 1
                                 self._m_valid[a] = True
                                 self._m_tt[a] = a_tt[a]
-                                self._m_coupled[a] = a_coupled[a]
-                                best = a_best[a]
-                                self._m_best[a] = best
-                                self._m_has_best[a] = best is not None
-                                worst = a_worst[a]
-                                self._m_worst[a] = worst
-                                self._m_has_worst[a] = worst is not None
+                                self._m_best[a] = a_best[a]
+                                self._m_worst[a] = a_worst[a]
                                 self._m_final[a] = rel
-                                self._m_prov[a] = a_prov[a]
-                                if a_flhas[a]:
-                                    self._m_cg[a] = a_flcg[a]
-                                    self._m_ca[a] = a_flca[a]
-                                    self._m_cp[a] = a_flcp[a]
-                                elif not self._s_windowed_l[a]:
+                                if load is not None:
+                                    self._m_cg[a] = self._s_cf[a]
+                                    self._m_ca[a], self._m_cp[a] = load
+                                elif windowed_arc:
+                                    self._m_cg[a] = self._m_ca[a] = self._m_cp[a] = np.nan
+                                else:
                                     self._m_cg[a] = self._s_plain_cg[a]
                                     self._m_ca[a] = self._s_plain_ca[a]
                                     self._m_cp[a] = 0.0
-                                else:
-                                    self._m_cg[a] = np.nan
-                                    self._m_ca[a] = np.nan
-                                    self._m_cp[a] = np.nan
                         if carried_nets:
                             state.copy_nets_from(
                                 base.state, carried_nets, np.array(carried_shift)
@@ -1193,6 +1089,13 @@ class Propagator:
                         timers["merge"] += time.perf_counter() - t0
 
             level_row[len(self.levels)] = len(self.ledger)
+            # The arc counts are tallies of this pass's rows: one per live
+            # arc, walked or carried.
+            rows, memo, coupled_rows = self.ledger.tally(ledger_before)
+            result.arcs_processed = result.provenance_rows = rows
+            result.reused_arcs = memo
+            result.dirty_arcs = rows - memo
+            result.coupled_arcs = coupled_rows
             self._collect_arrivals(state, result)
             pass_span.set(
                 arcs=result.arcs_processed,
@@ -1207,7 +1110,6 @@ class Propagator:
         result.cache_hits = calc.cache_hits - hits_before
         result.cache_dedup_hits = calc.dedup_hits - dedup_before
         result.cache_persisted_hits = calc.persisted_hits - persisted_before
-        result.provenance_rows = len(self.ledger) - ledger_before
         result.phase_seconds = timers
         self._trace = _PassTrace(state, self.ledger, cell_row, level_row, level_waves)
         self._c_passes.inc()
@@ -1259,23 +1161,6 @@ class Propagator:
         for net in nets[flips].tolist():
             flipped[cells[pointers[net] : pointers[net + 1]]] = True
 
-    def _reuse_memo(
-        self, record, live_l, lo, a_best, a_worst, a_final, a_coupled, a_prov
-    ) -> None:
-        """The base-waveform step of a cone cell whose inputs did not
-        change: every live arc reuses its memo."""
-        _, _, _, b, e, _ = record
-        for a in range(b, e):
-            if not live_l[a - lo]:
-                continue
-            if self._s_windowed_l[a]:
-                a_best[a] = self._m_best[a]
-                a_worst[a] = self._m_worst[a]
-            else:
-                a_final[a] = self._m_final[a]
-                a_coupled[a] = self._m_coupled[a]
-            a_prov[a] = _memo_prov(self._m_prov[a])
-
     def _carry_cell(self, record, count, base, result, cell_row) -> int:
         """Append one carried cell's ``count`` ledger rows (the caller
         copies its net's events at its wave's barrier); returns the
@@ -1285,9 +1170,7 @@ class Propagator:
         start = len(self.ledger)
         self.ledger.carry(base.ledger, row, row + count, self._pass_count)
         cell_row[ci] = start
-        result.reused_arcs += count
         result.carried_arcs += count
-        result.coupled_arcs += base.ledger.overlap_rows(row, row + count)
         return start - row
 
     def _carry_level(
@@ -1309,10 +1192,7 @@ class Propagator:
             level_waves[level_index] = waves
             self._c_waves.inc(waves)
             self._h_waves.observe(waves)
-            result.arcs_processed += hi - lo
-            result.reused_arcs += hi - lo
             result.carried_arcs += hi - lo
-            result.coupled_arcs += base.ledger.overlap_rows(lo, hi)
 
     def _gather_flip_flop(self, record, state, a_live, a_tt, a_ts, a_prov_dir) -> None:
         """Launch both Q transitions off the clock arrival at this cell."""
@@ -1382,15 +1262,6 @@ class Propagator:
         return waves
 
     # -- helpers -------------------------------------------------------------
-
-    def _last_prov(self) -> dict:
-        """The calculator's provenance surfaces for the key it just
-        resolved (captured immediately after a ``resolve_key``)."""
-        calc = self.calculator
-        return {
-            "origin": calc.last_origin,
-            "signature": calc.last_signature,
-        }
 
     def _arrival_at_pin(self, event: RampEvent, net_name: str, terminal: str) -> RampEvent:
         """Shift a driver-output event to a sink terminal: Elmore wire

@@ -113,9 +113,15 @@ class ProvenanceLedger:
         self._pass_index.extend([pass_index] * count)
         self._coupling_delta.extend(source._coupling_delta[lo:hi])
 
-    def overlap_rows(self, lo: int, hi: int) -> int:
-        """Rows ``lo:hi`` whose windowed coupling decision was "overlap"."""
-        return self._coupling[lo:hi].count("overlap")
+    def tally(self, lo: int) -> tuple[int, int, int]:
+        """The rows from ``lo`` on (one pass's): how many, how many are
+        memo reuses, and how many decided an active aggressor
+        ("overlap")."""
+        return (
+            len(self._tier) - lo,
+            self._origin[lo:].count(ORIGIN_MEMO),
+            self._coupling[lo:].count("overlap"),
+        )
 
     def row(self, index: int) -> dict[str, Any]:
         """Materialize one row as a dict (for reports / the explain engine)."""

@@ -263,16 +263,14 @@ class GateDelayCalculator:
         self._c_lockstep = self.metrics.counter("solver.lockstep_iterations")
         self._c_batch_fallbacks = self.metrics.counter("engine.batch_fallbacks")
         self._c_cache_quarantined = self.metrics.counter("arc_cache.quarantined")
-        # Provenance surfaces: every compute_arc_relative call reports
+        # Provenance surface: every compute_arc_relative call reports
         # where its result came from (``last_origin``, one of
         # repro.core.provenance.ORIGINS -- string literals here to keep
-        # waveform/ free of core/ imports) and the signature token it
-        # resolved through (``last_signature``).  ``_fresh_keys`` holds
-        # keys solved by prime_keys whose first consumer has not yet
-        # claimed them as "fresh"; ``_degraded_keys`` marks conservative
+        # waveform/ free of core/ imports).  ``_fresh_keys`` holds keys
+        # solved by prime_keys whose first consumer has not yet claimed
+        # them as "fresh"; ``_degraded_keys`` marks conservative
         # substitute bounds.
         self.last_origin = "fresh"
-        self.last_signature = ""
         self._fresh_keys: set[tuple] = set()
         self._degraded_keys: set[tuple] = set()
         # Set while prefetch_keys primes predicted keys (see there).
@@ -465,7 +463,6 @@ class GateDelayCalculator:
         Newton solve.  It stays because callers that wrap this method
         (the benchmark's tracing calculator) still forward it.
         """
-        self.last_signature = key[0]
         cached = self._arc_cache.get(key)
         if cached is not None:
             self._record_hit(key)
