@@ -57,7 +57,10 @@ live arc gets exactly one, and its origin is "memo" unless the pass
 resolved one of the arc's keys.  The pass's arc counts are tallies of
 its rows (:meth:`~repro.core.provenance.ProvenanceLedger.tally`):
 ``arcs_processed`` counts them, ``reused_arcs`` the memo rows,
-``dirty_arcs`` the others and ``coupled_arcs`` the "overlap" rows.
+``dirty_arcs`` the others and ``coupled_arcs`` the rows with an active
+aggressor (the "overlap" decisions of the window-based modes, every arc
+with a coupling neighbour in worst_case, none where coupling is
+grounded).
 
 A warm what-if walks less.  :meth:`Propagator.warm_start_from` keeps
 the source's last pass as the *base* of the first single-pass run, and

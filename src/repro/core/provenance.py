@@ -115,12 +115,12 @@ class ProvenanceLedger:
 
     def tally(self, lo: int) -> tuple[int, int, int]:
         """The rows from ``lo`` on (one pass's): how many, how many are
-        memo reuses, and how many decided an active aggressor
-        ("overlap")."""
+        memo reuses, and how many have an active aggressor."""
+        active = self._aggressors_active[lo:]
         return (
-            len(self._tier) - lo,
+            len(active),
             self._origin[lo:].count(ORIGIN_MEMO),
-            self._coupling[lo:].count("overlap"),
+            len(active) - active.count(0),
         )
 
     def row(self, index: int) -> dict[str, Any]:

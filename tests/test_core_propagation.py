@@ -131,3 +131,26 @@ class TestEvaluationCounts:
         config = StaConfig(mode=AnalysisMode.BEST_CASE)
         result = Propagator(small_design, config).run_pass()
         assert result.waveform_evaluations == result.arcs_processed
+
+
+class TestCoupledArcs:
+    """``coupled_arcs`` counts the pass's ledger rows with an active
+    aggressor, in every mode."""
+
+    def test_worst_case_counts_every_arc_with_a_neighbour(self, s27_design):
+        result = CrosstalkSTA(s27_design, StaConfig(mode=AnalysisMode.WORST_CASE)).run()
+        assert result.arcs_processed == 48
+        assert result.coupled_arcs == 42
+        assert result.ledger.counts()["coupling"] == {"all_active": 48}
+
+    @pytest.mark.parametrize(
+        "mode", [AnalysisMode.BEST_CASE, AnalysisMode.STATIC_DOUBLED]
+    )
+    def test_grounded_coupling_counts_none(self, s27_design, mode):
+        result = CrosstalkSTA(s27_design, StaConfig(mode=mode)).run()
+        assert result.coupled_arcs == 0
+
+    def test_one_step_counts_the_overlap_decisions(self, small_design):
+        result = CrosstalkSTA(small_design, StaConfig(mode=AnalysisMode.ONE_STEP)).run()
+        assert result.coupled_arcs == result.ledger.counts()["coupling"]["overlap"]
+        assert 0 < result.coupled_arcs < result.arcs_processed
