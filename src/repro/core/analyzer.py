@@ -354,9 +354,6 @@ class CrosstalkSTA:
                 self.config,
                 calculator=GateDelayCalculator(
                     process=calc.process,
-                    transition_grid=calc.transition_grid,
-                    cap_grid=calc.cap_grid,
-                    table_points=calc.table_points,
                     metrics=self.obs.metrics,
                     strict=calc.strict,
                 ),

@@ -122,7 +122,12 @@ from repro.errors import EngineError
 from repro.flow.design import Design
 from repro.obs.metrics import SMALL_COUNT_BUCKETS
 from repro.obs.telemetry import Observability
-from repro.waveform.gatedelay import ArcResult, GateDelayCalculator
+from repro.waveform.gatedelay import (
+    CAP_GRID,
+    TRANSITION_GRID,
+    ArcResult,
+    GateDelayCalculator,
+)
 from repro.waveform.pwl import FALLING, RISING
 from repro.waveform.ramp import RampEvent
 
@@ -357,10 +362,8 @@ class Propagator:
         # JSON-serialized by the persistent cache).  The vectorized ceil
         # is bit-identical to the scalar math.ceil path: the quotients
         # are small enough that the ceiling integer is exact in float64.
-        grid = self.calculator.cap_grid
-
         def qcap(values: np.ndarray) -> list[float]:
-            return (np.ceil(np.maximum(values, 0.0) / grid) * grid).tolist()
+            return (np.ceil(np.maximum(values, 0.0) / CAP_GRID) * CAP_GRID).tolist()
 
         self._qp_plain_p = qcap(plain_cg)
         self._qp_plain_a = qcap(plain_ca)
@@ -683,7 +686,6 @@ class Propagator:
         overlap = config.window_check is WindowCheck.OVERLAP
         mode = config.mode
         k_slew = SLEW_DEGRADATION_FACTOR
-        tgrid = calc.transition_grid
 
         # Per-pass arc columns.  Every arc starts from its memo's results
         # and origin "memo"; a miss replaces them with the keys this pass
@@ -807,7 +809,8 @@ class Propagator:
                     with tracer.span("phase.base_waveforms", tasks=n_live):
                         sl = slice(lo, hi)
                         qtt = (
-                            np.ceil(np.maximum(a_tt[sl], 1e-13) / tgrid) * tgrid
+                            np.ceil(np.maximum(a_tt[sl], 1e-13) / TRANSITION_GRID)
+                            * TRANSITION_GRID
                         )
                         qtt_l[lo:hi] = qtt.tolist()
                         attach = (

@@ -101,6 +101,12 @@ CACHE_FORMAT = 3
 # row of BENCH_sta_runtime.json (bench_perf_baseline.py).
 MIN_BATCH = 24
 
+# Cache-key quantization grids (input slew, load capacitance) and the
+# stage-table resolution.  Each is part of the library fingerprint.
+TRANSITION_GRID = 2e-12
+CAP_GRID = 0.2e-15
+TABLE_POINTS = 121
+
 
 @dataclass(frozen=True)
 class ArcResult:
@@ -157,13 +163,7 @@ def _signature_token(params: tuple) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def library_fingerprint(
-    process: ProcessParams,
-    cell_types: Iterable[CellType],
-    transition_grid: float,
-    cap_grid: float,
-    table_points: int,
-) -> str:
+def library_fingerprint(process: ProcessParams, cell_types: Iterable[CellType]) -> str:
     """Hash of everything that determines an arc result.
 
     Two runs with equal fingerprints may share cached arcs: the process
@@ -184,9 +184,9 @@ def library_fingerprint(
         cells[ctype.name] = pins
     payload = {
         "process": dataclasses.asdict(process),
-        "transition_grid": transition_grid,
-        "cap_grid": cap_grid,
-        "table_points": table_points,
+        "transition_grid": TRANSITION_GRID,
+        "cap_grid": CAP_GRID,
+        "table_points": TABLE_POINTS,
         "solver": {
             "steps_per_phase": STEPS_PER_PHASE,
             "settle_fraction": SETTLE_FRACTION,
@@ -204,16 +204,10 @@ class GateDelayCalculator:
     def __init__(
         self,
         process: ProcessParams | None = None,
-        transition_grid: float = 2e-12,
-        cap_grid: float = 0.2e-15,
-        table_points: int = 121,
         metrics: MetricsRegistry | None = None,
         strict: bool = False,
     ):
         self.process = process if process is not None else default_process()
-        self.transition_grid = transition_grid
-        self.cap_grid = cap_grid
-        self.table_points = table_points
         # Fault-tolerance policy: ``strict`` restores fail-fast solves and
         # turns corrupt-cache quarantine into a CacheError.
         self.strict = strict
@@ -345,7 +339,7 @@ class GateDelayCalculator:
                 Mosfet(MosfetParams(*pd), self.process) if pd is not None else None
             )
             table = StageTable(
-                pull_up, pull_down, process=self.process, points=self.table_points
+                pull_up, pull_down, process=self.process, points=TABLE_POINTS
             )
             self._stage_tables[token] = table
             self._table_order.append(token)
@@ -370,11 +364,11 @@ class GateDelayCalculator:
 
     def _q_time(self, value: float, down: bool = False) -> float:
         rounder = math.floor if down else math.ceil
-        return rounder(max(value, 1e-13) / self.transition_grid) * self.transition_grid
+        return rounder(max(value, 1e-13) / TRANSITION_GRID) * TRANSITION_GRID
 
     def _q_cap(self, value: float, down: bool = False) -> float:
         rounder = math.floor if down else math.ceil
-        return rounder(max(value, 0.0) / self.cap_grid) * self.cap_grid
+        return rounder(max(value, 0.0) / CAP_GRID) * CAP_GRID
 
     def _quantized_key(self, request: ArcRequest) -> tuple:
         """The canonical cache key of a request: the interned stage
@@ -395,7 +389,7 @@ class GateDelayCalculator:
             request.load.c_couple_active, down=down and not request.aiding
         )
         if down and c_passive + c_active <= 0.0:
-            c_passive = self.cap_grid  # keep the stage integrable
+            c_passive = CAP_GRID  # keep the stage integrable
         return (
             self.signature(request.ctype, request.pin),
             request.input_direction,
@@ -596,7 +590,7 @@ class GateDelayCalculator:
         out_direction = opposite(input_direction)
         margin = self._BOUND_MARGIN
         span = vdd + margin - self.process.v_th_model
-        c_total = max(c_passive + c_active, self.cap_grid)
+        c_total = max(c_passive + c_active, CAP_GRID)
 
         i_min = 0.0
         table = self._stage_tables.get(token)
@@ -776,13 +770,7 @@ class GateDelayCalculator:
 
     def fingerprint(self, cell_types: Iterable[CellType]) -> str:
         """The compatibility fingerprint of this calculator's results."""
-        return library_fingerprint(
-            self.process,
-            cell_types,
-            self.transition_grid,
-            self.cap_grid,
-            self.table_points,
-        )
+        return library_fingerprint(self.process, cell_types)
 
     def save_cache_file(self, path: str, cell_types: Iterable[CellType]) -> int:
         """Write the arc cache as JSON keyed by the library fingerprint.

@@ -8,6 +8,7 @@ from repro.waveform.coupling import CouplingLoad
 from repro.waveform.gatedelay import GateDelayCalculator
 from repro.waveform.pwl import FALLING, RISING
 from repro.waveform.ramp import RampEvent
+from repro.waveform.stage import InputRamp
 
 
 @pytest.fixture()
@@ -42,8 +43,8 @@ class TestCaching:
     def test_quantization_rounds_load_up(self, calc, library):
         """Quantizing up can only slow the modelled arc (conservative)."""
         inv = library["INV_X1"]
-        exact = GateDelayCalculator(cap_grid=1e-21).compute_arc_relative(
-            inv, "A", RISING, 100e-12, CouplingLoad(30.05e-15)
+        exact = calc.solver_for(inv, "A").solve(
+            InputRamp(RISING, 0.0, 100e-12), CouplingLoad(30.05e-15)
         )
         quantized = calc.compute_arc_relative(
             inv, "A", RISING, 100e-12, CouplingLoad(30.05e-15)
@@ -108,8 +109,6 @@ class TestArcs:
         assert arc.coupled
 
     def test_raw_solve_returns_waveform(self, calc, library):
-        from repro.waveform.stage import InputRamp
-
         result = calc.solve_stage_raw(
             library["INV_X1"], "A", InputRamp(RISING, 0.0, 100e-12), LOAD
         )
