@@ -801,10 +801,10 @@ class Propagator:
                     if n_live == 0:
                         continue
 
-                    # Every live arc looks up its memo, walked or not: a
+                    # Every live arc checks its memo, walked or not: a
                     # cell outside the cone reads the base's inputs and
                     # load, so it always hits, and a cell the cone reaches
-                    # later in the level holds its memo's results.
+                    # later in the level walks on its memo's results.
                     t0 = time.perf_counter()
                     with tracer.span("phase.base_waveforms", tasks=n_live):
                         sl = slice(lo, hi)
@@ -982,8 +982,8 @@ class Propagator:
                                 load = a_load[a]
                                 if load is None:
                                     continue
-                                # No key: the memo's final, which the base
-                                # step took, was solved under this load.
+                                # No key: the memo's final, which the pass
+                                # started from, was solved under this load.
                                 key = self._final_key(a, a_attach[a], qtt_l[a], load)
                                 if key is not None:
                                     pending.append(a)
