@@ -688,9 +688,9 @@ class Propagator:
         k_slew = SLEW_DEGRADATION_FACTOR
 
         # Per-pass arc columns.  Every arc starts from its memo's results
-        # and origin "memo"; a miss replaces them with the keys this pass
-        # resolves.  A windowed arc decided coupled gets its (active,
-        # passive) load.
+        # and origin "memo"; a miss replaces them with what the keys this
+        # pass resolves return.  A windowed arc decided coupled gets its
+        # (active, passive) load.
         a_live = np.zeros(n, dtype=bool)
         a_tt = np.zeros(n, dtype=np.float64)
         a_ts = np.zeros(n, dtype=np.float64)
