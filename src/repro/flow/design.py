@@ -85,6 +85,21 @@ def prepare_design(
 
 
 def _net_load(net: Net, extraction: ExtractionResult, proc: ProcessParams) -> NetLoad:
+    c_fixed = _fixed_cap(net, extraction, proc)
+    pnet = extraction.nets.get(net.name)
+    if pnet is None:
+        return NetLoad(net=net.name, c_fixed=c_fixed)
+    return NetLoad(
+        net=net.name,
+        c_fixed=c_fixed,
+        couplings=dict(pnet.couplings),
+        sink_elmore=sink_delays(pnet.rc_tree),
+    )
+
+
+def _fixed_cap(net: Net, extraction: ExtractionResult, proc: ProcessParams) -> float:
+    """The net's ``NetLoad.c_fixed``: wire ground capacitance (when
+    routed), sink pin capacitances and the driver's junction capacitance."""
     c_pins = 0.0
     for sink in net.sinks:
         if isinstance(sink, Pin):
@@ -96,10 +111,5 @@ def _net_load(net: Net, extraction: ExtractionResult, proc: ProcessParams) -> Ne
 
     pnet = extraction.nets.get(net.name)
     if pnet is None:
-        return NetLoad(net=net.name, c_fixed=c_pins + c_driver)
-    return NetLoad(
-        net=net.name,
-        c_fixed=pnet.c_wire_ground + c_pins + c_driver,
-        couplings=dict(pnet.couplings),
-        sink_elmore=sink_delays(pnet.rc_tree),
-    )
+        return c_pins + c_driver
+    return pnet.c_wire_ground + c_pins + c_driver

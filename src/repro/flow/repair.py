@@ -12,7 +12,9 @@ analyze -> rank -> fix -> re-analyze loop over them.
 
 from __future__ import annotations
 
-from repro.flow.design import Design, NetLoad, _net_load
+from dataclasses import replace
+
+from repro.flow.design import Design, NetLoad, _fixed_cap, _net_load
 from repro.layout.extraction import extract
 from repro.layout.routing import reroute_nets
 
@@ -102,10 +104,15 @@ def upsize_drivers(design: Design, nets: list[str], steps: int = 1) -> Design:
     The other classic crosstalk fix: a stronger victim driver recovers
     from the coupling glitch faster (and is harder to deflect in the
     first place).  The circuit is cloned with the affected cells swapped
-    to their higher-drive variants and the whole physical flow re-runs
-    (cell footprints change, so placement must be redone).
+    to their higher-drive variants.  A drive variant keeps its family's
+    transistor count, so its footprint: the placement, routing and
+    extraction are kept (so is any committed respace), and only the nets
+    on the upsized cells' pins take a new fixed load, since their pin
+    and driver caps move; they keep their coupling and wire-delay views.
+    An upsize that would change a footprint raises :class:`InputError`.
     """
-    from repro.flow.design import prepare_design
+    from repro.circuit.netlist import Circuit
+    from repro.errors import InputError
 
     source = design.circuit
     upsized: dict[str, str] = {}
@@ -125,8 +132,6 @@ def upsize_drivers(design: Design, nets: list[str], steps: int = 1) -> Design:
         if new_drive != drive:
             upsized[driver.name] = f"{base}_{new_drive}"
 
-    from repro.circuit.netlist import Circuit
-
     clone = Circuit(source.name, source.library)
     for name, port in source.inputs.items():
         if port.net is not None and port.net.is_clock:
@@ -145,4 +150,35 @@ def upsize_drivers(design: Design, nets: list[str], steps: int = 1) -> Design:
         if net.is_clock and name in clone.nets:
             clone.nets[name].is_clock = True
 
-    return prepare_design(clone, design.technology, design.process)
+    tech = design.technology
+    touched: set[str] = set()
+    for cell_name in upsized:
+        before, after = source.cells[cell_name].ctype, clone.cells[cell_name].ctype
+        if tech.cell_width(after.transistor_count()) != tech.cell_width(
+            before.transistor_count()
+        ):
+            raise InputError(
+                f"upsizing {cell_name!r} to {after.name} changes its footprint"
+            )
+        touched.update(
+            pin.net.name
+            for pin in clone.cells[cell_name].pins.values()
+            if pin.net is not None
+        )
+
+    edited = Design(
+        circuit=clone,
+        placement=replace(design.placement, circuit=clone),
+        routing=design.routing,
+        extraction=design.extraction,
+        process=design.process,
+        technology=tech,
+    )
+    for name, net in clone.nets.items():
+        load = design.loads[name]
+        if name in touched:
+            load = replace(
+                load, c_fixed=_fixed_cap(net, design.extraction, design.process)
+            )
+        edited.loads[name] = load
+    return edited
