@@ -125,6 +125,9 @@ class CrosstalkSTA:
         self._warm_sources: dict[StaConfig, Propagator] = {}
         self._compiled = None
         self._compile_seconds = 0.0
+        # A warm source's compilation over the same circuit, from which
+        # this analyzer's is derived (see warm_start_from).
+        self._compile_source = None
         if obs is not None:
             self.obs = obs
         else:
@@ -161,11 +164,18 @@ class CrosstalkSTA:
         bit-identical to a cold analysis by construction.  Sources match
         by config without its checkpoint path, which names a file, not
         an analysis.
+
+        An edit that keeps the circuit (a coupling edit or a respace)
+        also derives this analyzer's compiled design from ``other``'s:
+        the circuit-derived structure is shared and only the load
+        columns are recomputed (:meth:`CompiledDesign.with_loads`).
         """
         self._warm_sources = {
             replace(config, checkpoint=None): propagator
             for config, propagator in other._propagators.items()
         }
+        if other.design.circuit is self.design.circuit:
+            self._compile_source = other._compiled
 
     def _propagator_for(self, config: StaConfig) -> Propagator:
         propagator = self._propagators.get(config)
@@ -195,7 +205,10 @@ class CrosstalkSTA:
             with self.obs.tracer.span(
                 "sta.compile_design", design=self.design.name
             ):
-                compiled = compile_design(self.design)
+                if self._compile_source is not None:
+                    compiled = self._compile_source.with_loads(self.design)
+                else:
+                    compiled = compile_design(self.design)
             self._compiled = compiled
             self._compile_seconds += compiled.compile_seconds
         return compiled

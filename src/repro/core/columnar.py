@@ -65,45 +65,13 @@ class CompiledDesign:
         t0 = time.perf_counter()
         self.design = design
         circuit = design.circuit
-        loads = design.loads
 
         # -- net id space ---------------------------------------------------
         self.net_names: list[str] = list(circuit.nets.keys())
         self.net_id: dict[str, int] = {
             name: i for i, name in enumerate(self.net_names)
         }
-        n_nets = len(self.net_names)
-        self.n_nets = n_nets
-        self.net_c_fixed = np.zeros(n_nets, dtype=np.float64)
-        self.net_cc_total = np.zeros(n_nets, dtype=np.float64)
-
-        # Coupling CSR, preserving each load's dict order (the float
-        # accumulation order of aggregate_load depends on it).
-        coup_counts = np.zeros(n_nets, dtype=np.int64)
-        coup_net_rows: list[list[int]] = [[] for _ in range(n_nets)]
-        coup_cap_rows: list[list[float]] = [[] for _ in range(n_nets)]
-        for name in circuit.nets:
-            i = self.net_id[name]
-            load = loads.get(name)
-            if load is None:
-                continue
-            self.net_c_fixed[i] = load.c_fixed
-            # Same accumulation as NetLoad.c_coupling_total (dict order).
-            self.net_cc_total[i] = sum(load.couplings.values())
-            coup_counts[i] = len(load.couplings)
-            for other, cap in load.couplings.items():
-                coup_net_rows[i].append(self.net_id.get(other, -1))
-                coup_cap_rows[i].append(cap)
-        self.coup_indptr = np.zeros(n_nets + 1, dtype=np.int64)
-        np.cumsum(coup_counts, out=self.coup_indptr[1:])
-        nnz = int(self.coup_indptr[-1])
-        self.coup_net = np.empty(nnz, dtype=np.int64)
-        self.coup_cap = np.empty(nnz, dtype=np.float64)
-        for i in range(n_nets):
-            lo = int(self.coup_indptr[i])
-            hi = int(self.coup_indptr[i + 1])
-            self.coup_net[lo:hi] = coup_net_rows[i]
-            self.coup_cap[lo:hi] = coup_cap_rows[i]
+        self.n_nets = len(self.net_names)
 
         # -- cell id space (flattened topological levels) -------------------
         self.levels = evaluation_levels(circuit)
@@ -126,11 +94,13 @@ class CompiledDesign:
         arc_out_net: list[int] = []
         arc_in_net: list[int] = []
         arc_in_dir: list[int] = []
-        arc_elmore: list[float] = []
         arc_is_ff: list[bool] = []
         self.arc_pin: list[str] = []
         self.arc_prov_pin: list[str] = []
         self.arc_prov_net: list[str] = []
+        # The input pin's terminal name, keying its net's sink Elmore
+        # delay (None on flip-flop arcs, which carry no wire delay).
+        self.arc_terminal: list[str | None] = []
         level_counts: list[int] = []
         for level in self.levels:
             level_start = len(arc_cell)
@@ -162,30 +132,27 @@ class CompiledDesign:
                             else -1
                         )
                         arc_in_dir.append(1 - DIR_INDEX[out_direction])
-                        arc_elmore.append(0.0)
                         arc_is_ff.append(True)
                         self.arc_pin.append("A")
                         self.arc_prov_pin.append("CLK")
                         self.arc_prov_net.append(clk_name)
+                        self.arc_terminal.append(None)
                 else:
                     for pin in cell.input_pins:
                         in_net = pin.net
                         if in_net is None:
                             continue
-                        elmore = loads[in_net.name].sink_elmore.get(
-                            pin.full_name, 0.0
-                        )
                         ii = self.net_id[in_net.name]
                         for direction in DIRECTIONS:
                             arc_cell.append(ci)
                             arc_out_net.append(oi)
                             arc_in_net.append(ii)
                             arc_in_dir.append(DIR_INDEX[direction])
-                            arc_elmore.append(elmore)
                             arc_is_ff.append(False)
                             self.arc_pin.append(pin.name)
                             self.arc_prov_pin.append(pin.name)
                             self.arc_prov_net.append(in_net.name)
+                            self.arc_terminal.append(pin.full_name)
                 self.cell_arc_end[ci] = len(arc_cell)
             level_counts.append(len(arc_cell) - level_start)
 
@@ -194,14 +161,9 @@ class CompiledDesign:
         self.arc_out_net = np.asarray(arc_out_net, dtype=np.int64)
         self.arc_in_net = np.asarray(arc_in_net, dtype=np.int64)
         self.arc_in_dir = np.asarray(arc_in_dir, dtype=np.int64)
-        self.arc_elmore = np.asarray(arc_elmore, dtype=np.float64)
         self.arc_is_ff = np.asarray(arc_is_ff, dtype=bool)
         self.level_indptr = np.zeros(len(self.levels) + 1, dtype=np.int64)
         np.cumsum(np.asarray(level_counts, dtype=np.int64), out=self.level_indptr[1:])
-        self.arc_n_coup = (
-            self.coup_indptr[self.arc_out_net + 1]
-            - self.coup_indptr[self.arc_out_net]
-        )
         # Arc-identity index: the (cell, pin, direction) key of each arc
         # id (checkpoint decoding, slack results).
         self.arc_key_index: dict[tuple[str, str, str], int] = {}
@@ -210,7 +172,72 @@ class CompiledDesign:
             self.arc_key_index[
                 (cell.name, self.arc_pin[a], DIRECTIONS[self.arc_in_dir[a]])
             ] = a
+        self._compile_loads()
         self.compile_seconds = time.perf_counter() - t0
+
+    def _compile_loads(self) -> None:
+        """The columns the design's net loads determine: each net's fixed
+        and total coupling load, the coupling CSR, and each arc's sink
+        Elmore delay and coupling count."""
+        loads = self.design.loads
+        n_nets = self.n_nets
+        self.net_c_fixed = np.zeros(n_nets, dtype=np.float64)
+        self.net_cc_total = np.zeros(n_nets, dtype=np.float64)
+
+        # Coupling CSR, preserving each load's dict order (the float
+        # accumulation order of aggregate_load depends on it).
+        coup_counts = np.zeros(n_nets, dtype=np.int64)
+        coup_net_rows: list[list[int]] = [[] for _ in range(n_nets)]
+        coup_cap_rows: list[list[float]] = [[] for _ in range(n_nets)]
+        for i, name in enumerate(self.net_names):
+            load = loads.get(name)
+            if load is None:
+                continue
+            self.net_c_fixed[i] = load.c_fixed
+            # Same accumulation as NetLoad.c_coupling_total (dict order).
+            self.net_cc_total[i] = sum(load.couplings.values())
+            coup_counts[i] = len(load.couplings)
+            for other, cap in load.couplings.items():
+                coup_net_rows[i].append(self.net_id.get(other, -1))
+                coup_cap_rows[i].append(cap)
+        self.coup_indptr = np.zeros(n_nets + 1, dtype=np.int64)
+        np.cumsum(coup_counts, out=self.coup_indptr[1:])
+        nnz = int(self.coup_indptr[-1])
+        self.coup_net = np.empty(nnz, dtype=np.int64)
+        self.coup_cap = np.empty(nnz, dtype=np.float64)
+        for i in range(n_nets):
+            lo = int(self.coup_indptr[i])
+            hi = int(self.coup_indptr[i + 1])
+            self.coup_net[lo:hi] = coup_net_rows[i]
+            self.coup_cap[lo:hi] = coup_cap_rows[i]
+
+        self.arc_elmore = np.asarray(
+            [
+                0.0
+                if terminal is None
+                else loads[net].sink_elmore.get(terminal, 0.0)
+                for net, terminal in zip(self.arc_prov_net, self.arc_terminal)
+            ],
+            dtype=np.float64,
+        )
+        self.arc_n_coup = (
+            self.coup_indptr[self.arc_out_net + 1]
+            - self.coup_indptr[self.arc_out_net]
+        )
+
+    def with_loads(self, design: Design) -> "CompiledDesign":
+        """The compilation of ``design``, an edit of this design that keeps
+        its circuit (a coupling edit or a respace): it shares every
+        circuit-derived field with this one -- id spaces, levels, cells,
+        the arc table and its index -- and recomputes only the load
+        columns, so each array is what :func:`compile_design` builds."""
+        t0 = time.perf_counter()
+        derived = object.__new__(CompiledDesign)
+        derived.__dict__.update(self.__dict__)
+        derived.design = design
+        derived._compile_loads()
+        derived.compile_seconds = time.perf_counter() - t0
+        return derived
 
     def net_map(self, other: "CompiledDesign") -> np.ndarray | None:
         """``other``'s id of each of this design's nets, when both designs
@@ -218,6 +245,9 @@ class CompiledDesign:
         in the same levels; None otherwise.  A warm start adopts
         another design's per-arc state by id only then (net ids may
         differ: a cloned circuit can create its nets in another order)."""
+        if self.net_names is other.net_names and self.cells is other.cells:
+            # One circuit's compilation, shared (with_loads).
+            return np.arange(self.n_nets)
         if len(self.net_names) != len(other.net_names):
             return None
         net_map = np.array(
