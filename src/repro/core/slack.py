@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -59,11 +60,17 @@ _INF = float("inf")
 class SlackResult:
     """Outcome of one backward required-time pass.
 
+    The endpoint check (worst slack, TNS, violations) is computed with
+    the result.  ``net_required``/``net_slack``/``arc_slack`` come from
+    the backward sweep, which runs once, on the first read of any of
+    them: a what-if summary reads only the endpoint check.
+
     ``net_required``/``net_slack`` are keyed ``(net name, direction)``
     and cover every net with a finite required time; ``arc_slack`` is
     keyed by the arc's identity ``(cell, input pin, input direction)``
     -- the key of the compiled design's ``arc_key_index``.  All values
-    are plain Python floats.
+    are plain Python floats.  ``runtime_seconds`` counts the endpoint
+    check, plus the sweep once it has run.
     """
 
     clock_period: float
@@ -74,10 +81,42 @@ class SlackResult:
     total_negative_slack: float
     violations: int
     endpoints: ConstraintReport
-    net_required: dict[tuple[str, str], float] = field(default_factory=dict)
-    net_slack: dict[tuple[str, str], float] = field(default_factory=dict)
-    arc_slack: dict[tuple[str, str, str], float] = field(default_factory=dict)
+    # The analysis the sweep reads.
+    design: Design = field(repr=False, compare=False)
+    pass_result: PassResult = field(repr=False, compare=False)
     runtime_seconds: float = 0.0
+
+    @cached_property
+    def _swept(
+        self,
+    ) -> tuple[
+        dict[tuple[str, str], float],
+        dict[tuple[str, str], float],
+        dict[tuple[str, str, str], float],
+    ]:
+        t0 = time.perf_counter()
+        state = self.pass_result.state
+        seeds = _seed_required(self.design, self.pass_result, self.endpoints)
+        net_required, arc_slack = backward_sweep(state, seeds)
+        net_slack: dict[tuple[str, str], float] = {}
+        for (name, direction), required in net_required.items():
+            event = state.event(name, direction)
+            if event is not None:
+                net_slack[(name, direction)] = required - event.t_cross
+        self.runtime_seconds += time.perf_counter() - t0
+        return net_required, net_slack, arc_slack
+
+    @property
+    def net_required(self) -> dict[tuple[str, str], float]:
+        return self._swept[0]
+
+    @property
+    def net_slack(self) -> dict[tuple[str, str], float]:
+        return self._swept[1]
+
+    @property
+    def arc_slack(self) -> dict[tuple[str, str, str], float]:
+        return self._swept[2]
 
     @property
     def met(self) -> bool:
@@ -234,7 +273,9 @@ def compute_slack(
     clock_period: float,
     setup_time: float = 100e-12,
 ) -> SlackResult:
-    """Run the backward required-time pass against a finished analysis.
+    """Check the endpoints of a finished analysis against a clock
+    period; the backward required-time pass runs when a per-net or
+    per-arc slack is first read (see :class:`SlackResult`).
 
     ``result`` is a :class:`~repro.core.analyzer.StaResult` or a bare
     :class:`~repro.core.propagation.PassResult`.
@@ -245,17 +286,7 @@ def compute_slack(
     if pass_result is None:
         raise InputError("result carries no final pass to compute slack from")
     t0 = time.perf_counter()
-    state = pass_result.state
     report = check_setup(pass_result, clock_period, setup_time)
-    seeds = _seed_required(design, pass_result, report)
-    net_required, arc_slack = backward_sweep(state, seeds)
-
-    net_slack: dict[tuple[str, str], float] = {}
-    for (name, direction), required in net_required.items():
-        event = state.event(name, direction)
-        if event is not None:
-            net_slack[(name, direction)] = required - event.t_cross
-
     if report.slacks:
         worst = report.worst
         worst_slack = worst.slack
@@ -282,9 +313,8 @@ def compute_slack(
         total_negative_slack=tns,
         violations=violations,
         endpoints=report,
-        net_required=net_required,
-        net_slack=net_slack,
-        arc_slack=arc_slack,
+        design=design,
+        pass_result=pass_result,
         runtime_seconds=time.perf_counter() - t0,
     )
 

@@ -4,7 +4,8 @@ The invariants pinned here: per-arc slacks telescope bit-exactly onto
 the endpoint slack in every analysis mode, and the vectorized sweep
 reproduces the slack digests in ``tests/golden/propagation.json``,
 recorded while an object-graph reference sweep still agreed with it
-``float.hex()``-wise.
+``float.hex()``-wise.  The sweep runs on demand: its dicts equal an eager
+sweep's, and a what-if's summary runs none.
 """
 
 from __future__ import annotations
@@ -20,8 +21,11 @@ from repro.core.analyzer import CrosstalkSTA
 from repro.core.constraints import check_hold, check_setup
 from repro.core.minpath import MinAnalysisMode, MinPropagator
 from repro.core.modes import AnalysisMode, StaConfig
+from repro.core import slack as slack_module
 from repro.core.slack import (
     SLACK_SCHEMA,
+    _seed_required,
+    backward_sweep,
     compute_slack,
     format_slack,
     slack_payload,
@@ -29,6 +33,8 @@ from repro.core.slack import (
 )
 from repro.errors import InputError
 from repro.flow import prepare_design
+from repro.obs import Observability
+from repro.service.session import Session
 from tests.golden.make_golden import SLACK_PERIODS, load_golden, slack_digest
 
 ALL_MODES = list(AnalysisMode)
@@ -189,3 +195,84 @@ class TestConstraintConfig:
         for label, period in SLACK_PERIODS.items():
             slack = compute_slack(design, resumed, period)
             assert slack_digest(slack) == golden[label], label
+
+
+def _eager(design, result, period):
+    """The per-net and per-arc dicts the way compute_slack built them
+    before the sweep ran on demand: seeds, sweep and net slacks at once."""
+    final = result.final_pass
+    report = check_setup(final, period, 100e-12)
+    net_required, arc_slack = backward_sweep(
+        final.state, _seed_required(design, final, report)
+    )
+    net_slack = {}
+    for (name, direction), required in net_required.items():
+        event = final.state.event(name, direction)
+        if event is not None:
+            net_slack[(name, direction)] = required - event.t_cross
+    return net_required, net_slack, arc_slack
+
+
+def _hexed(values: dict) -> list:
+    return [(key, float(v).hex()) for key, v in values.items()]
+
+
+class TestOnDemandSweep:
+    """compute_slack checks the endpoints at once; the backward sweep
+    runs once, on the first read of a per-net or per-arc dict."""
+
+    @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)
+    @pytest.mark.parametrize("period", ["met", "violated"])
+    def test_on_demand_dicts_equal_an_eager_sweep(self, design, results, mode, period):
+        slack = compute_slack(design, results[mode], SLACK_PERIODS[period])
+        want = _eager(design, results[mode], SLACK_PERIODS[period])
+        assert _hexed(slack.net_required) == _hexed(want[0])
+        assert _hexed(slack.net_slack) == _hexed(want[1])
+        assert _hexed(slack.arc_slack) == _hexed(want[2])
+
+    def test_sweep_runs_once_on_first_read(self, design, results, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            slack_module,
+            "backward_sweep",
+            lambda *args: calls.append(1) or backward_sweep(*args),
+        )
+        slack = compute_slack(design, results[AnalysisMode.ONE_STEP], 0.4e-9)
+        assert slack.violations > 0 and not slack.met
+        assert slack.total_negative_slack <= slack.worst_slack < 0.0
+        assert calls == []
+        checked = slack.runtime_seconds
+        assert slack.arc_slack and slack.net_slack and slack.net_required
+        assert calls == [1]
+        assert slack.runtime_seconds > checked
+
+    def test_whatif_summary_runs_no_sweep(self, monkeypatch):
+        """An uncommitted what-if and its summary never sweep; a
+        committed result sweeps once, for its first reader."""
+        calls = []
+        monkeypatch.setattr(
+            slack_module,
+            "backward_sweep",
+            lambda *args: calls.append(1) or backward_sweep(*args),
+        )
+        session = Session(
+            session_id="t",
+            spec="s27",
+            design=prepare_design(s27()),
+            config=StaConfig(mode=AnalysisMode.ONE_STEP, clock_period=0.4e-9),
+            obs=Observability.disabled(),
+        )
+        net = max(
+            session.design.loads,
+            key=lambda n: session.design.loads[n].c_coupling_total,
+        )
+        edit = {"action": "respace", "nets": [net]}
+        payload = session.whatif(edit)
+        assert "worst_slack_hex" in payload["after"]
+        assert calls == []
+        payload = session.whatif(edit, commit=True)
+        assert calls == []
+        session.query_net(net)
+        session.explain()
+        session.exposures()
+        assert calls == [1]
