@@ -138,7 +138,6 @@ def _per_arc_bookkeeping_seconds() -> float:
             prov = {"origin": "fresh", "signature": "nand2:a:rising"}
             memo_copy = {**prov, "origin": "memo"}
             ledger.append(
-                tier="newton",
                 origin=memo_copy["origin"],
                 signature=memo_copy["signature"],
                 coupling="overlap",

@@ -1025,7 +1025,6 @@ class Propagator:
                                     coupled = self._s_plain_coupled[a]
                                     delta = 0.0 if mode is AnalysisMode.BEST_CASE else None
                                 row = self.ledger.append(
-                                    tier="newton",
                                     origin=a_origin[a],
                                     signature=self._token(a),
                                     coupling=self._a_kind[a],

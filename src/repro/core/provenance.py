@@ -1,14 +1,15 @@
 """Per-arc provenance ledger.
 
 Every arc that wins a (net, direction) slot during propagation gets one
-row recording *how* its number was produced: the solver that answered
-(always ``newton``, the transistor-table solve; explain's wire rows say
-``elmore``), where the result came from (``fresh`` solve, in-run
-``dedup``, ``persisted`` cache file, pass-to-pass ``memo``, or a
-``degraded`` conservative substitute), the decided coupling treatment
-with aggressor counts, the pass index, the interned stage-signature
-token, and the coupling delta (coupled minus quiescent half-V_DD
-crossing; ``None`` where no quiescent solve exists).
+row recording *how* its number was produced: where the result came from
+(``fresh`` solve, in-run ``dedup``, ``persisted`` cache file,
+pass-to-pass ``memo``, or a ``degraded`` conservative substitute), the
+decided coupling treatment with aggressor counts, the pass index, the
+interned stage-signature token, and the coupling delta (coupled minus
+quiescent half-V_DD crossing; ``None`` where no quiescent solve exists).
+Every row's solver is the transistor-table solve, so no row stores it: a
+materialized row says ``tier`` ``newton`` (explain's wire rows say
+``elmore``).
 
 Storage is columnar — parallel lists keyed by row id — matching the
 ROADMAP's structure-of-arrays direction and keeping the per-arc cost to
@@ -36,8 +37,10 @@ ORIGINS = (
     ORIGIN_DEGRADED,
 )
 
+# The solver of every ledger row.
+TIER_NEWTON = "newton"
+
 _COLUMNS = (
-    "tier",
     "origin",
     "signature",
     "coupling",
@@ -62,7 +65,6 @@ class ProvenanceLedger:
     __slots__ = tuple(f"_{c}" for c in _COLUMNS)
 
     def __init__(self) -> None:
-        self._tier: list[str] = []
         self._origin: list[str] = []
         self._signature: list[str] = []
         self._coupling: list[str] = []
@@ -72,12 +74,11 @@ class ProvenanceLedger:
         self._coupling_delta: list[float | None] = []
 
     def __len__(self) -> int:
-        return len(self._tier)
+        return len(self._origin)
 
     def append(
         self,
         *,
-        tier: str,
         origin: str,
         signature: str,
         coupling: str,
@@ -87,8 +88,7 @@ class ProvenanceLedger:
         coupling_delta: float | None,
     ) -> int:
         """Record one arc; returns its row id."""
-        row = len(self._tier)
-        self._tier.append(sys.intern(tier))
+        row = len(self._origin)
         self._origin.append(sys.intern(origin))
         self._signature.append(sys.intern(signature))
         self._coupling.append(sys.intern(coupling))
@@ -104,7 +104,6 @@ class ProvenanceLedger:
         """Append ``source``'s rows ``lo:hi`` as memo reuses of pass
         ``pass_index`` (a warm pass's carried cells)."""
         count = hi - lo
-        self._tier.extend(source._tier[lo:hi])
         self._origin.extend([ORIGIN_MEMO] * count)
         self._signature.extend(source._signature[lo:hi])
         self._coupling.extend(source._coupling[lo:hi])
@@ -126,7 +125,7 @@ class ProvenanceLedger:
     def row(self, index: int) -> dict[str, Any]:
         """Materialize one row as a dict (for reports / the explain engine)."""
         return {
-            "tier": self._tier[index],
+            "tier": TIER_NEWTON,
             "origin": self._origin[index],
             "signature": self._signature[index],
             "coupling": self._coupling[index],
@@ -137,13 +136,16 @@ class ProvenanceLedger:
         }
 
     def rows(self) -> Iterator[dict[str, Any]]:
-        for i in range(len(self._tier)):
+        for i in range(len(self._origin)):
             yield self.row(i)
 
     def counts(self) -> dict[str, dict[str, int]]:
-        """Histogram of the categorical columns (tier / origin / coupling)."""
-        out: dict[str, dict[str, int]] = {}
-        for column in ("tier", "origin", "coupling"):
+        """Histogram of the categorical columns (origin / coupling), plus
+        the tier every row has."""
+        out: dict[str, dict[str, int]] = {
+            "tier": {TIER_NEWTON: len(self)} if len(self) else {}
+        }
+        for column in ("origin", "coupling"):
             tally: dict[str, int] = {}
             for value in getattr(self, f"_{column}"):
                 tally[value] = tally.get(value, 0) + 1
@@ -153,7 +155,6 @@ class ProvenanceLedger:
     def to_payload(self) -> dict[str, Any]:
         """JSON-safe columnar payload (floats as hex for exactness)."""
         return {
-            "tier": list(self._tier),
             "origin": list(self._origin),
             "signature": list(self._signature),
             "coupling": list(self._coupling),
@@ -165,8 +166,11 @@ class ProvenanceLedger:
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "ProvenanceLedger":
+        """The ledger of a ``to_payload`` dict.  Columns it no longer has
+        (``tier``, ``escalation``, carried by format-2 checkpoints) are
+        ignored."""
         ledger = cls()
-        n = len(payload["tier"])
+        n = len(payload["origin"])
         for column in _COLUMNS:
             values = payload[column]
             if len(values) != n:
@@ -176,7 +180,6 @@ class ProvenanceLedger:
                 )
         for i in range(n):
             ledger.append(
-                tier=payload["tier"][i],
                 origin=payload["origin"][i],
                 signature=payload["signature"][i],
                 coupling=payload["coupling"][i],

@@ -188,10 +188,23 @@ class TestLedger:
         clone = ProvenanceLedger.from_payload(payload)
         assert list(clone.rows()) == list(result.ledger.rows())
 
+    def test_payload_with_old_tier_column_loads(self, s27_design):
+        """Format-2 checkpoints carry a per-row ``tier`` column, which
+        the ledger no longer stores: it loads row for row, and every row
+        and the histogram still say ``newton``."""
+        result = CrosstalkSTA(s27_design, StaConfig(mode=AnalysisMode.ONE_STEP)).run()
+        payload = result.ledger.to_payload()
+        assert "tier" not in payload
+        payload["tier"] = ["newton"] * len(result.ledger)
+        clone = ProvenanceLedger.from_payload(payload)
+        assert list(clone.rows()) == list(result.ledger.rows())
+        assert {row["tier"] for row in clone.rows()} == {"newton"}
+        assert clone.counts()["tier"] == {"newton": len(result.ledger)}
+        assert ProvenanceLedger().counts()["tier"] == {}
+
     def test_payload_rejects_ragged_columns(self):
         ledger = ProvenanceLedger()
         ledger.append(
-            tier="newton",
             origin="fresh",
             signature="sig",
             coupling="none",
@@ -201,7 +214,7 @@ class TestLedger:
             coupling_delta=None,
         )
         payload = ledger.to_payload()
-        payload["tier"] = []
+        payload["signature"] = []
         with pytest.raises(ValueError):
             ProvenanceLedger.from_payload(payload)
 
@@ -209,7 +222,6 @@ class TestLedger:
         ledger = ProvenanceLedger()
         for origin in ("fresh", "fresh", "dedup"):
             ledger.append(
-                tier="newton",
                 origin=origin,
                 signature="s",
                 coupling="overlap",
