@@ -42,7 +42,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from repro.circuit.netlist import Cell
+from repro.circuit.netlist import Cell, Pin
 from repro.core.graph import Provenance, evaluation_levels
 from repro.flow.design import Design
 from repro.waveform.pwl import FALLING, RISING
@@ -98,9 +98,9 @@ class CompiledDesign:
         self.arc_pin: list[str] = []
         self.arc_prov_pin: list[str] = []
         self.arc_prov_net: list[str] = []
-        # The input pin's terminal name, keying its net's sink Elmore
-        # delay (None on flip-flop arcs, which carry no wire delay).
-        self.arc_terminal: list[str | None] = []
+        # The input pin, whose net's sink Elmore delay the arc adds
+        # (None on flip-flop arcs, which carry no wire delay).
+        self.arc_in_pin: list[Pin | None] = []
         level_counts: list[int] = []
         for level in self.levels:
             level_start = len(arc_cell)
@@ -136,7 +136,7 @@ class CompiledDesign:
                         self.arc_pin.append("A")
                         self.arc_prov_pin.append("CLK")
                         self.arc_prov_net.append(clk_name)
-                        self.arc_terminal.append(None)
+                        self.arc_in_pin.append(None)
                 else:
                     for pin in cell.input_pins:
                         in_net = pin.net
@@ -152,7 +152,7 @@ class CompiledDesign:
                             self.arc_pin.append(pin.name)
                             self.arc_prov_pin.append(pin.name)
                             self.arc_prov_net.append(in_net.name)
-                            self.arc_terminal.append(pin.full_name)
+                            self.arc_in_pin.append(pin)
                 self.cell_arc_end[ci] = len(arc_cell)
             level_counts.append(len(arc_cell) - level_start)
 
@@ -214,9 +214,9 @@ class CompiledDesign:
         self.arc_elmore = np.asarray(
             [
                 0.0
-                if terminal is None
-                else loads[net].sink_elmore.get(terminal, 0.0)
-                for net, terminal in zip(self.arc_prov_net, self.arc_terminal)
+                if pin is None
+                else loads[pin.net.name].sink_elmore.get(pin.full_name, 0.0)
+                for pin in self.arc_in_pin
             ],
             dtype=np.float64,
         )
