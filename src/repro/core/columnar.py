@@ -180,36 +180,34 @@ class CompiledDesign:
         and total coupling load, the coupling CSR, and each arc's sink
         Elmore delay and coupling count."""
         loads = self.design.loads
-        n_nets = self.n_nets
-        self.net_c_fixed = np.zeros(n_nets, dtype=np.float64)
-        self.net_cc_total = np.zeros(n_nets, dtype=np.float64)
-
+        net_id = self.net_id
+        c_fixed: list[float] = []
+        cc_total: list[float] = []
         # Coupling CSR, preserving each load's dict order (the float
         # accumulation order of aggregate_load depends on it).
-        coup_counts = np.zeros(n_nets, dtype=np.int64)
-        coup_net_rows: list[list[int]] = [[] for _ in range(n_nets)]
-        coup_cap_rows: list[list[float]] = [[] for _ in range(n_nets)]
-        for i, name in enumerate(self.net_names):
+        coup_counts: list[int] = []
+        coup_net: list[int] = []
+        coup_cap: list[float] = []
+        for name in self.net_names:
             load = loads.get(name)
             if load is None:
+                c_fixed.append(0.0)
+                cc_total.append(0.0)
+                coup_counts.append(0)
                 continue
-            self.net_c_fixed[i] = load.c_fixed
+            couplings = load.couplings
+            c_fixed.append(load.c_fixed)
             # Same accumulation as NetLoad.c_coupling_total (dict order).
-            self.net_cc_total[i] = sum(load.couplings.values())
-            coup_counts[i] = len(load.couplings)
-            for other, cap in load.couplings.items():
-                coup_net_rows[i].append(self.net_id.get(other, -1))
-                coup_cap_rows[i].append(cap)
-        self.coup_indptr = np.zeros(n_nets + 1, dtype=np.int64)
-        np.cumsum(coup_counts, out=self.coup_indptr[1:])
-        nnz = int(self.coup_indptr[-1])
-        self.coup_net = np.empty(nnz, dtype=np.int64)
-        self.coup_cap = np.empty(nnz, dtype=np.float64)
-        for i in range(n_nets):
-            lo = int(self.coup_indptr[i])
-            hi = int(self.coup_indptr[i + 1])
-            self.coup_net[lo:hi] = coup_net_rows[i]
-            self.coup_cap[lo:hi] = coup_cap_rows[i]
+            cc_total.append(sum(couplings.values()))
+            coup_counts.append(len(couplings))
+            coup_net.extend([net_id.get(other, -1) for other in couplings])
+            coup_cap.extend(couplings.values())
+        self.net_c_fixed = np.asarray(c_fixed, dtype=np.float64)
+        self.net_cc_total = np.asarray(cc_total, dtype=np.float64)
+        self.coup_indptr = np.zeros(self.n_nets + 1, dtype=np.int64)
+        np.cumsum(np.asarray(coup_counts, dtype=np.int64), out=self.coup_indptr[1:])
+        self.coup_net = np.asarray(coup_net, dtype=np.int64)
+        self.coup_cap = np.asarray(coup_cap, dtype=np.float64)
 
         self.arc_elmore = np.asarray(
             [
