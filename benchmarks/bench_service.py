@@ -7,7 +7,9 @@ Two claims are measured and pinned:
   paper's Table-1 circuit, a what-if (ECO edit + incremental re-analysis
   through the migrated arc memo and shared arc cache) costs a fraction
   of a cold analysis of the same edited design -- while returning
-  bit-identical delays.
+  bit-identical delays.  Each row splits the what-if into its pass
+  phases and the layers around the pass: the edit, the compile, the
+  endpoint check and the rest of the request.
 * **Overload never drops silently.**  Under a 1/4/16-client burst the
   server may reject with ``busy`` (429), but every rejection carries
   ``retry_after`` and every request eventually completes.
@@ -39,8 +41,10 @@ import pytest
 from repro.core.analyzer import CrosstalkSTA
 from repro.core.constraints import minimum_period
 from repro.core.modes import AnalysisMode, StaConfig
+from repro.core.netreport import rank_crosstalk_nets
 from repro.flow.edits import apply_edit, edit_nets
 from repro.flow.optimizer import validate_repair
+from repro.service import session as session_module
 from repro.service import (
     FleetOptions,
     FleetRuntime,
@@ -57,6 +61,9 @@ BENCH_JSON = Path(__file__).parent.parent / "BENCH_service.json"
 
 MODE = AnalysisMode.ONE_STEP
 N_EDITS = 5
+# A loose clock (the eco-session stream's), so each what-if also checks
+# its endpoints and the row shows the slack layer.
+WHATIF_CLOCK_PERIOD = 5e-9
 CLIENT_COUNTS = (1, 4, 16)
 REQUESTS_PER_CLIENT = 12
 FLEET_SHARDS = 4
@@ -65,23 +72,32 @@ FLEET_REQUESTS_PER_CLIENT = 6
 
 
 @contextlib.contextmanager
-def _captured_runs():
-    """Collect the results of every analysis run inside the block (a
-    what-if's response carries only its summary; the row shows its pass
-    split too)."""
-    results = []
-    original = CrosstalkSTA.run
+def _captured_whatifs():
+    """Collect the analysis results and the edit-application seconds of
+    the what-ifs inside the block (a what-if's response carries only its
+    summary; the row shows its pass split and the layers around it)."""
+    results: list = []
+    edit_seconds: list[float] = []
+    run, apply = CrosstalkSTA.run, session_module.apply_edit
 
-    def run(self, mode=None):
-        result = original(self, mode)
+    def captured_run(self, mode=None):
+        result = run(self, mode)
         results.append(result)
         return result
 
-    CrosstalkSTA.run = run
+    def timed_apply(design, edit):
+        t0 = time.perf_counter()
+        applied = apply(design, edit)
+        edit_seconds.append(time.perf_counter() - t0)
+        return applied
+
+    CrosstalkSTA.run = captured_run
+    session_module.apply_edit = timed_apply
     try:
-        yield results
+        yield results, edit_seconds
     finally:
-        CrosstalkSTA.run = original
+        CrosstalkSTA.run = run
+        session_module.apply_edit = apply
 
 
 PHASE_LABELS = (
@@ -92,15 +108,28 @@ PHASE_LABELS = (
     ("merge", "merge"),
 )
 
+# A warm what-if's seconds outside its pass; "other" is the rest of the
+# request (analyzer set-up, the propagator's warm start, the summaries).
+LAYER_LABELS = (
+    ("edit_seconds", "edit"),
+    ("compile_seconds", "compile"),
+    ("slack_seconds", "slack"),
+    ("other_seconds", "other"),
+)
+
 
 @pytest.fixture(scope="module")
 def whatif_comparison(scale, record_result):
     manager = SessionManager(config=StaConfig(mode=MODE))
-    session = manager.open("gen:s35932", scale=scale)
+    session = manager.open(
+        "gen:s35932", scale=scale, config={"clock_period": WHATIF_CLOCK_PERIOD}
+    )
     t0 = time.perf_counter()
-    session.analyze(MODE.value)
+    baseline = session.analyze(MODE.value)
     first_analyze_seconds = time.perf_counter() - t0
-    exposures = session.exposures(MODE.value)
+    # Ranked by coupling exposure alone (not weighted by the clock's
+    # slack), so the edits stay those of the unclocked recordings.
+    exposures = rank_crosstalk_nets(session.design, baseline.final_pass, top=None)
 
     edits = []
     for exposure in exposures:
@@ -122,14 +151,32 @@ def whatif_comparison(scale, record_result):
                 {"action": "respace", "nets": [exposure.net], "guard_tracks": 1}
             )
     assert len(edits) == N_EDITS
+    # One upsize of the most exposed net with an upsizable driver.
+    edits.append(
+        next(
+            {"action": "upsize", "nets": [exposure.net], "steps": 1}
+            for exposure in exposures
+            if (driver := session.design.circuit.nets[exposure.net].driver_cell())
+            is not None
+            and driver.ctype.drive != "X4"
+        )
+    )
 
     rows = []
     for edit in edits:
-        with _captured_runs() as runs:
+        with _captured_whatifs() as (runs, edit_seconds):
             t0 = time.perf_counter()
             payload = session.whatif(edit, mode=MODE.value)
             warm_seconds = time.perf_counter() - t0
         warm = runs[-1]
+        layers = {
+            "edit_seconds": edit_seconds[-1],
+            "compile_seconds": warm.compile_seconds,
+            "slack_seconds": warm.slack.runtime_seconds,
+        }
+        layers["other_seconds"] = (
+            warm_seconds - warm.runtime_seconds - sum(layers.values())
+        )
 
         edited, _ = apply_edit(session.design, edit)
         t0 = time.perf_counter()
@@ -150,6 +197,7 @@ def whatif_comparison(scale, record_result):
                 "carried_arcs": warm.final_pass.carried_arcs,
                 "analysis_seconds": warm.runtime_seconds,
                 "phase_seconds": dict(warm.phase_seconds),
+                **layers,
                 "bit_identical": payload["after"]["longest_delay_hex"]
                 == float(cold.longest_delay).hex(),
             }
@@ -157,7 +205,8 @@ def whatif_comparison(scale, record_result):
 
     median_ratio = statistics.median(r["ratio"] for r in rows)
     lines = [
-        f"Warm what-if vs cold analyze (s35932-like at scale {scale}, {MODE.value})",
+        f"Warm what-if vs cold analyze (s35932-like at scale {scale}, {MODE.value}, "
+        f"clock {WHATIF_CLOCK_PERIOD * 1e9:g} ns)",
         "",
         f"first analyze (cold session): {first_analyze_seconds:.2f} s",
         "",
@@ -191,6 +240,20 @@ def whatif_comparison(scale, record_result):
                 f"{row['phase_seconds'][phase] * 1e3:>7.1f}"
                 for phase, _ in PHASE_LABELS
             )
+        )
+    lines += [
+        "",
+        "Warm what-if layers outside the pass (ms)",
+        "",
+        f"{'edit':<14} {'warm':>7} {'pass':>7} "
+        + " ".join(f"{label:>7}" for _, label in LAYER_LABELS),
+        "-" * 54,
+    ]
+    for row in rows:
+        lines.append(
+            f"{row['edit']['action']:<14} {row['warm_seconds'] * 1e3:>7.1f} "
+            f"{row['analysis_seconds'] * 1e3:>7.1f} "
+            + " ".join(f"{row[key] * 1e3:>7.1f}" for key, _ in LAYER_LABELS)
         )
     record_result("service_whatif", "\n".join(lines))
 
