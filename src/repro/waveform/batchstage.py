@@ -14,9 +14,9 @@ so a single fancy-indexed lookup covers the whole batch.
 The numerics mirror the scalar solver step for step -- same time-step
 formula, same damped Newton update, same drop/restart logic -- and the
 vectorized measurement reproduces
-:func:`repro.waveform.stage.measure_stage_waveform`, so every element's
-markers equal the scalar solver's bit for bit; the property tests pin
-the agreement.  Only the markers are produced, and an element stops
+:func:`repro.waveform.stage.measure_samples`, so every element's markers
+equal the scalar solver's bit for bit; the property tests pin the
+agreement.  Only the markers are produced, and an element stops
 where the scalar solver stops: at its last marker threshold, once no
 drop is pending (see :meth:`BatchStageSolver._integrate`).
 """
@@ -32,7 +32,7 @@ from repro.devices.params import ProcessParams, default_process
 from repro.devices.tables import GridBank, StageTable
 from repro.obs.metrics import NEWTON_ITER_BUCKETS, MetricsRegistry
 from repro.waveform.coupling import CouplingLoad
-from repro.waveform.pwl import FALLING, RISING, Waveform, opposite
+from repro.waveform.pwl import RISING, opposite
 from repro.waveform import stage as stage_defaults
 from repro.waveform.stage import (
     NEWTON_MAX_ITER,
@@ -40,8 +40,7 @@ from repro.waveform.stage import (
     StageResult,
     StageSolverError,
     _marker_thresholds,
-    _monotone_clean,
-    measure_stage_waveform,
+    measure_samples,
 )
 
 
@@ -184,8 +183,8 @@ class BatchStageSolver:
         """Solve all specs and return marker columns only.
 
         The measurement runs vectorized over the recorded sample matrices
-        and is bit-identical to :func:`measure_stage_waveform` applied to
-        the scalar solver's waveform (the equivalence tests pin this).
+        and is bit-identical to :func:`measure_samples` applied to the
+        scalar solver's samples (the equivalence tests pin this).
         Elements whose waveform never reaches a threshold fall back to
         the per-element path so they raise the identical error.
         """
@@ -490,21 +489,21 @@ class BatchStageSolver:
 
     # -- measurement: per-element reference path ---------------------------
 
-    def _element_waveform(self, setup: _BatchSetup, trace: _BatchTrace, i: int) -> Waveform:
-        """Reconstruct and clean element ``i``'s reported waveform."""
-        sel = trace.mask_mat[trace.reset_snap[i]:, i]
-        times = np.concatenate(
-            ([trace.start_t[i]], trace.times_mat[trace.reset_snap[i]:, i][sel])
-        )
-        values = np.concatenate(
-            ([trace.start_v[i]], trace.values_mat[trace.reset_snap[i]:, i][sel])
-        )
-        return _monotone_clean(Waveform(times, values, setup.out_directions[i]))
+    def _element_samples(
+        self, trace: _BatchTrace, i: int
+    ) -> tuple[list[float], list[float]]:
+        """Element ``i``'s reported samples: its start point and every
+        sample it advanced since its drop-reset snapshot."""
+        snap = trace.reset_snap[i]
+        sel = trace.mask_mat[snap:, i]
+        times = [float(trace.start_t[i])] + trace.times_mat[snap:, i][sel].tolist()
+        values = [float(trace.start_v[i])] + trace.values_mat[snap:, i][sel].tolist()
+        return times, values
 
     def _measure_element(self, setup: _BatchSetup, trace: _BatchTrace, i: int) -> StageResult:
-        return measure_stage_waveform(
+        return measure_samples(
             self.process,
-            self._element_waveform(setup, trace, i),
+            *self._element_samples(trace, i),
             setup.out_directions[i],
             bool(trace.fired[i]),
             float(trace.t_drop[i]) if trace.fired[i] else None,
@@ -518,8 +517,7 @@ class BatchStageSolver:
         """Vectorized marker extraction over the recorded sample matrices.
 
         Reproduces, element for element, exactly what
-        ``_monotone_clean`` + :func:`measure_stage_waveform` compute on
-        the reconstructed waveform:
+        :func:`measure_samples` computes on the element's samples:
 
         * the reported waveform of element ``i`` is its start point
           followed by the *advanced* samples at or after its drop-reset
@@ -534,7 +532,7 @@ class BatchStageSolver:
           with the identical expression the scalar path uses.
 
         Elements that never reach a threshold (the scalar path raises)
-        fall back to :func:`measure_stage_waveform` per element.
+        fall back to :func:`measure_samples` per element.
         """
         n = setup.k.size
         cols = np.arange(n)

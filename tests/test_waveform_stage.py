@@ -16,10 +16,10 @@ from repro.waveform.gatedelay import GateDelayCalculator
 from repro.waveform.pwl import FALLING, RISING, Waveform, opposite
 from repro.waveform.stage import (
     InputRamp,
+    StageResult,
     StageSolver,
     StageSolverError,
-    _monotone_clean,
-    measure_stage_waveform,
+    _marker_thresholds,
 )
 
 PROCESS = default_process()
@@ -176,6 +176,56 @@ class TestCoupled:
 
 
 # -- oracle: the settle-at-the-rail loop -------------------------------------
+
+
+def measure_stage_waveform(
+    process,
+    waveform,
+    out_direction,
+    fired,
+    t_drop,
+    newton_total,
+    newton_bisections=0,
+):
+    """The reference measurement: the ramp-event markers of a solved stage
+    waveform, each read by :meth:`Waveform.crossing_time` (a copy of the
+    measurement the solvers shared before it moved onto sample lists)."""
+    half, lo_thr, hi_thr, near, far = _marker_thresholds(process)
+
+    t_half = waveform.crossing_time(half)
+    t_lo = waveform.crossing_time(lo_thr)
+    t_hi = waveform.crossing_time(hi_thr)
+    if out_direction == RISING:
+        t_early = waveform.crossing_time(near)
+        t_late = waveform.crossing_time(far)
+        transition = (t_hi - t_lo) / 0.8
+    else:
+        t_early = waveform.crossing_time(far)
+        t_late = waveform.crossing_time(near)
+        transition = (t_lo - t_hi) / 0.8
+    return StageResult(
+        waveform=waveform,
+        direction=out_direction,
+        t_cross=t_half,
+        transition=max(transition, 0.0),
+        t_early=t_early,
+        t_late=t_late,
+        coupled=fired,
+        t_drop=t_drop,
+        newton_iterations=newton_total,
+        newton_bisections=newton_bisections,
+    )
+
+
+def _monotone_clean(waveform):
+    """The reference clean: clamp sub-tolerance numerical wiggles to the
+    running maximum (rising) or minimum (falling)."""
+    values = waveform.values.copy()
+    if waveform.direction == RISING:
+        np.maximum.accumulate(values, out=values)
+    else:
+        np.minimum.accumulate(values, out=values)
+    return Waveform(waveform.times, values, waveform.direction)
 
 
 @dataclass
