@@ -316,7 +316,9 @@ class Session:
         self.queries += 1
         baseline = self._analyze(resolved)
         edited_design, normalized = apply_edit(self.design, edit)
-        config = replace(self.config, mode=resolved, checkpoint=None)
+        # A commit changes the design, not the session's mode: the
+        # failover handoff replays the open-time config and the edits.
+        config = replace(self.config, checkpoint=None)
         after_sta = CrosstalkSTA(
             edited_design,
             config,
@@ -325,7 +327,7 @@ class Session:
             keep_propagators=True,
         )
         after_sta.warm_start_from(self.sta)
-        after = after_sta.run()
+        after = after_sta.run(resolved)
         self.whatifs += 1
         dirty = sum(r.dirty_arcs for r in after.history)
         reused = sum(r.reused_arcs for r in after.history)

@@ -173,6 +173,34 @@ class TestSessionRestore:
             result.longest_delay
         ).hex()
 
+    def test_commit_with_explicit_mode_keeps_session_mode(self):
+        """A what-if committed under another mode changes the design, not
+        the session's default mode, so the live session and its restored
+        replacement answer a mode-less analyze alike."""
+        donor = SessionManager(max_sessions=4)
+        session = donor.open("s27", scale=0.05, config=ONE_STEP)
+        net, neighbour, _ = max(
+            (
+                (name, other, cap)
+                for name, load in session.design.loads.items()
+                for other, cap in load.couplings.items()
+            ),
+            key=lambda pair: pair[2],
+        )
+        edit = {"action": "drop_coupling", "net": net, "neighbour": neighbour}
+        session.whatif(edit, mode="worst_case", commit=True)
+        assert session.info()["mode"] == "one_step"
+
+        restored = SessionManager(max_sessions=4).restore(
+            decode_handoff(session.handoff())
+        )
+        live = session.analyze()
+        assert live.mode.value == "one_step"
+        assert (
+            float(live.longest_delay).hex()
+            == float(restored.analyze().longest_delay).hex()
+        )
+
     def test_corrupt_import_leaves_live_session_usable(self):
         service = TimingService(workers=2, queue_limit=4)
         try:
