@@ -11,8 +11,9 @@ from repro.devices.mosfet import nmos, pmos
 from repro.devices.newton import solve_newton
 from repro.devices.params import default_process
 from repro.devices.tables import StageTable, _BilinearGrid
+from repro.errors import InputError
 from repro.waveform.coupling import CouplingLoad
-from repro.waveform.gatedelay import GateDelayCalculator
+from repro.waveform.gatedelay import CAP_GRID, TRANSITION_GRID, GateDelayCalculator
 from repro.waveform.pwl import FALLING, RISING, Waveform, opposite
 from repro.waveform.stage import (
     InputRamp,
@@ -451,6 +452,32 @@ def _flat_derivative_table():
     return SyntheticTable([0.0, VDD], y_axis, np.vstack([values, values]))
 
 
+def _rail_flat_derivative_table():
+    """:func:`_flat_derivative_table` with the input axis's first row
+    negated: while the input is between its rails, the two rows cancel
+    (an input ramp of 2 fs is halfway after its first 1 fs step, and the
+    x-fraction is exactly 0.5), so the output holds at V_DD; on the
+    rail, the second row alone meets the zero derivative."""
+    table = _flat_derivative_table()
+    values = table.grid.values.copy()
+    values[0] = -values[1]
+    return SyntheticTable(table.grid.x_axis, table.grid.y_axis, values)
+
+
+def _short_axis_table():
+    """An inverter-like stage tabulated for inputs in [0.5 V, 2.5 V] only:
+    a conductance to ground grows, and one to V_DD shrinks, across that
+    span.  Both input rails lie off the axis, so the rail column's cell
+    index and fraction clamp (the fraction to 1 at V_DD, to 0 at 0 V)."""
+    g = 1e-3
+    x_axis = np.linspace(0.5, 2.5, StageTable.DEFAULT_POINTS)
+    vin, vout = np.meshgrid(x_axis, GRID_AXIS, indexing="ij")
+    on = (vin - 0.5) / 2.0
+    return SyntheticTable(
+        x_axis, GRID_AXIS, -g * on * vout + g * (1.0 - on) * (VDD - vout)
+    )
+
+
 REAL_ARCS = (("INV_X1", "A"), ("NAND2_X1", "A"), ("NOR3_X2", "B"), ("AOI21_X4", "C"))
 
 
@@ -458,6 +485,25 @@ REAL_ARCS = (("INV_X1", "A"), ("NAND2_X1", "A"), ("NOR3_X2", "B"), ("AOI21_X4", 
 def real_solvers(library):
     calc = GateDelayCalculator()
     return [calc.solver_for(library[name], pin) for name, pin in REAL_ARCS]
+
+
+@pytest.fixture(scope="module")
+def signature_solvers(library):
+    """One solver per distinct stage signature of the library."""
+    calc = GateDelayCalculator()
+    solvers = {}
+    for ctype in library:
+        for pin in ctype.inputs:
+            try:
+                token = calc.signature(ctype, pin)
+            except InputError:
+                continue  # a pin that gates no transistor (flip-flops)
+            solvers.setdefault(token, calc.solver_for(ctype, pin))
+    return list(solvers.values())
+
+
+def _hex(value):
+    return value.hex() if isinstance(value, float) else value
 
 
 class TestSettleLoopOracle:
@@ -528,3 +574,72 @@ class TestSettleLoopOracle:
         out_rising = direction == FALLING
         assert trace.trigger == (VDD - 2.0 * band if out_rising else 2.0 * band)
         assert got.coupled
+
+    @pytest.mark.parametrize("aiding", [False, True])
+    @pytest.mark.parametrize("direction", [RISING, FALLING])
+    @pytest.mark.parametrize("index", range(len(REAL_ARCS)))
+    def test_zero_transition_runs_on_the_rail(self, real_solvers, index, direction, aiding):
+        """An instant input is on its rail from the first step."""
+        for load in (
+            CouplingLoad(c_ground=30e-15),
+            CouplingLoad(c_ground=20e-15, c_couple_active=10e-15),
+        ):
+            assert_matches_settle_loop(
+                real_solvers[index], InputRamp(direction, 0.0, 0.0), load, aiding=aiding
+            )
+
+    @pytest.mark.parametrize("direction", [RISING, FALLING])
+    def test_rail_column_clamps_off_the_axis(self, direction):
+        solver = StageSolver(_short_axis_table())
+        grid = solver.table.grid
+        assert grid.x_axis[0] > 0.0 and grid.x_axis[-1] < VDD
+        ramp = InputRamp(direction, 0.0, 20e-12)
+        got, _, _ = assert_matches_settle_loop(solver, ramp, CouplingLoad(c_ground=50e-15))
+        # The output is still on its way when the ramp ends.
+        assert got.t_cross > ramp.transition
+
+    def test_zero_derivative_on_the_rail_bisects(self):
+        solver = StageSolver(_rail_flat_derivative_table())
+        got, ref, trace = assert_matches_settle_loop(solver, rising_input(2e-15), FLAT_LOAD)
+        # The ramp step left the output on V_DD; the rail step met the
+        # zero derivative there and bisected.
+        assert trace.roots[0] == VDD
+        assert ref.newton_bisections >= 1
+        assert got.newton_bisections == ref.newton_bisections
+
+    @given(
+        data=st.data(),
+        direction=st.sampled_from([RISING, FALLING]),
+        tt_steps=st.integers(1, 400),
+        passive_steps=st.integers(1, 750),
+        active_steps=st.one_of(st.just(0), st.integers(1, 200)),
+        aiding=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_quantized_signatures_match_reference_measurement(
+        self, signature_solvers, data, direction, tt_steps, passive_steps,
+        active_steps, aiding,
+    ):
+        """Every stage signature at quantized arc-cache keys: the markers
+        equal the settle loop's, and the reported waveform and markers
+        equal the reference clean and measurement, by hex."""
+        solver = data.draw(st.sampled_from(signature_solvers))
+        ramp = InputRamp(direction, 0.0, tt_steps * TRANSITION_GRID)
+        load = CouplingLoad(
+            c_ground=passive_steps * CAP_GRID, c_couple_active=active_steps * CAP_GRID
+        )
+        got = solver.solve(ramp, load, aiding=aiding)
+        ref, _ = settle_loop_solve(solver, ramp, load, aiding=aiding)
+        for name in ORACLE_FIELDS:
+            assert _hex(getattr(got, name)) == _hex(getattr(ref, name)), name
+
+        n = got.waveform.times.size
+        assert got.waveform.times.tobytes() == ref.waveform.times[:n].tobytes()
+        assert got.waveform.values.tobytes() == ref.waveform.values[:n].tobytes()
+        measured = measure_stage_waveform(
+            PROCESS, _monotone_clean(got.waveform), got.direction, got.coupled,
+            got.t_drop, got.newton_iterations, got.newton_bisections,
+        )
+        assert measured.waveform.values.tobytes() == got.waveform.values.tobytes()
+        for name in ORACLE_FIELDS + ("newton_iterations", "newton_bisections"):
+            assert _hex(getattr(got, name)) == _hex(getattr(measured, name)), name
