@@ -15,7 +15,11 @@ numbers that should survive machine changes:
   algorithm, not the machine, so it must stay within ``--reuse-tol``
   (default 0.15 absolute) of the committed figure.
 
-Exit status 0 when both hold, 1 otherwise.  Run from the repo root:
+It also checks that ``MIN_BATCH``, the solver crossover the code uses,
+is the one the committed ``solver_crossover`` row recorded
+(``min_batch``): a re-recorded crossover and the constant move together.
+
+Exit status 0 when all hold, 1 otherwise.  Run from the repo root:
 
     python benchmarks/check_perf_trajectory.py
 """
@@ -111,6 +115,21 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 1
 
+    failures: list[str] = []
+    from repro.waveform.gatedelay import MIN_BATCH
+
+    recorded_min_batch = baseline.get("solver_crossover", {}).get("min_batch")
+    print(
+        f"MIN_BATCH: code {MIN_BATCH}, committed solver_crossover.min_batch "
+        f"{recorded_min_batch}"
+    )
+    if recorded_min_batch != MIN_BATCH:
+        failures.append(
+            f"MIN_BATCH drifted from its record: repro.waveform.gatedelay."
+            f"MIN_BATCH = {MIN_BATCH}, but {args.baseline.name}'s "
+            f"solver_crossover.min_batch = {recorded_min_batch}"
+        )
+
     scale = baseline.get("scale", 0.05)
     print(
         f"fresh run: {baseline.get('circuit', 's35932_like')} at scale "
@@ -123,7 +142,6 @@ def main(argv: list[str] | None = None) -> int:
     committed_reuse = _pass2_reuse(committed)
     fresh_reuse = _pass2_reuse(fresh)
 
-    failures: list[str] = []
     aps_floor = committed_aps * args.aps_floor
     print(
         f"arcs_per_second: committed {committed_aps:,.0f}, fresh "
