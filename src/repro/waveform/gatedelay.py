@@ -95,10 +95,13 @@ logger = logging.getLogger("repro.waveform.gatedelay")
 # replaced the (cell, pin) key prefix with the canonical stage signature.
 CACHE_FORMAT = 3
 
-# Below this many distinct situations a batched solve does not amortize
-# its setup and the scalar solver takes each key: the batch solver is
-# first cheaper per key at 24 keys in the committed ``solver_crossover``
-# row of BENCH_sta_runtime.json (bench_perf_baseline.py).
+# Below this many distinct situations the scalar solver takes each key
+# and the level look-ahead prefetches nothing.  BENCH_sta_runtime.json's
+# ``solver_crossover`` row (bench_perf_baseline.py) records it as
+# ``min_batch`` (benchmarks/check_perf_trajectory.py holds the two
+# equal); in that row the batch solver is first cheaper per key at 64
+# keys.  The constant stays lower because it also sizes the look-ahead's
+# smallest prefetch (docs/ALGORITHMS.md §8).
 MIN_BATCH = 24
 
 # Cache-key quantization grids (input slew, load capacitance) and the
@@ -670,9 +673,9 @@ class GateDelayCalculator:
         """Solve the deduplicated cache misses.
 
         The one place the solver is chosen, by batch size alone: below
-        ``MIN_BATCH`` (the measured crossover) a vectorized solve costs
-        more per key than the scalar solver, which takes each key; larger
-        batches go to one vectorized integration.
+        ``MIN_BATCH`` a vectorized solve costs more per key than the
+        scalar solver, which takes each key; larger batches go to one
+        vectorized integration.
         """
         if not misses:
             return 0
