@@ -119,6 +119,25 @@ class TestBatchVsScalar:
                 assert getattr(full, marker)[i] == value, (spec, marker)
                 assert getattr(part, marker)[j] == value, (spec, marker)
 
+    def test_per_element_measurement_matches_scalar(self, harness):
+        """The per-element path (what an element that never reaches a
+        threshold falls back to) measures each element's recorded samples
+        as the scalar solver measures its own: same waveform bytes, same
+        markers and counts."""
+        solvers, batch = harness
+        specs = _random_specs(40, seed=11)
+        setup = batch._setup(specs)
+        trace = batch._integrate(setup)
+        for i, spec in enumerate(specs):
+            got = batch._measure_element(setup, trace, i)
+            ref = _scalar(solvers, spec)
+            assert got.waveform.times.tobytes() == ref.waveform.times.tobytes(), spec
+            assert got.waveform.values.tobytes() == ref.waveform.values.tobytes(), spec
+            for name in MARKERS + (
+                "direction", "coupled", "t_drop", "newton_iterations", "newton_bisections"
+            ):
+                assert getattr(got, name) == getattr(ref, name), (spec, name)
+
     def test_batch_of_one(self, harness):
         solvers, batch = harness
         spec = BatchArcSpec(
