@@ -37,11 +37,13 @@ def _cell_locate(f, n: int):
     the fraction is ``f - index`` clamped to ``[0, 1]``.
 
     Accepts a python float (returns ``(int, float)``) or a numpy array
-    (returns ``(int array, float array)``); the scalar branch stays pure
-    python because it sits inside every Newton iteration of the scalar
-    stage solver, which calls it directly (once per time step for the
-    input voltage, once per iteration for the output voltage) instead of
-    going through :meth:`_BilinearGrid.lookup_with_dy`.
+    (returns ``(int array, float array)``).  The scalar stage solver
+    calls the scalar branch once per solver and input rail, for its rail
+    columns; its step loop inlines the same clamp, for the input voltage
+    once per time step of the ramp and for the output voltage once per
+    Newton iteration, and
+    ``tests/test_waveform_stage.py::TestSettleLoopOracle`` holds that
+    copy bit for bit to :meth:`_BilinearGrid.lookup_with_dy`.
     """
     if isinstance(f, np.ndarray):
         # Explicit maximum/minimum rather than np.clip: same arithmetic
