@@ -5,11 +5,19 @@ a time; the dominant cost of the whole analysis is its per-time-step
 Newton iteration over tabulated stage currents, paid arc by arc in pure
 python.  This module generalizes the same algorithm over a *batch axis*:
 one backward-Euler loop advances all arcs of a topological level at once,
-with per-element time steps, per-element Newton convergence masks
-(:func:`repro.devices.newton.solve_newton_many`), and per-element handling
-of the coupling drop event and the extension phases via masking.  Tables
-of different cells are served by a :class:`repro.devices.tables.GridBank`
-so a single fancy-indexed lookup covers the whole batch.
+with per-element time steps, per-element Newton convergence, and
+per-element handling of the coupling drop event and the extension phases
+via masking.  Tables of different cells are served by a
+:class:`repro.devices.tables.GridBank` so a single fancy-indexed lookup
+covers the whole batch.  A batch arrives as columns
+(:class:`BatchArcColumns`), the fields of the calculator's cache keys,
+and its setup is one vectorized pass over them.
+
+Each lockstep row runs :func:`repro.devices.newton.solve_newton_many`'s
+damped Newton update inline, with the table lookup of
+:meth:`GridBank.gradient_many_prepared` in its body; that function stays
+the row's reference and its fallback, redoing a row that meets a zero
+derivative or exhausts the iteration budget.
 
 The numerics mirror the scalar solver step for step -- same time-step
 formula, same damped Newton update, same drop/restart logic -- and the
@@ -24,6 +32,7 @@ drop is pending (see :meth:`BatchStageSolver._integrate`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +41,7 @@ from repro.devices.params import ProcessParams, default_process
 from repro.devices.tables import GridBank, StageTable
 from repro.obs.metrics import NEWTON_ITER_BUCKETS, MetricsRegistry
 from repro.waveform.coupling import CouplingLoad
-from repro.waveform.pwl import RISING, opposite
+from repro.waveform.pwl import FALLING, RISING, opposite
 from repro.waveform import stage as stage_defaults
 from repro.waveform.stage import (
     NEWTON_MAX_ITER,
@@ -110,7 +119,8 @@ class BatchArcSpec:
     """One element of a batched stage solve.
 
     ``table_index`` selects the stage table inside the solver's bank;
-    the remaining fields mirror the scalar solver's arguments.
+    the remaining fields mirror the scalar solver's arguments.  A batch
+    of specs becomes :class:`BatchArcColumns` (:meth:`~BatchArcColumns.from_specs`).
     """
 
     table_index: int
@@ -122,13 +132,63 @@ class BatchArcSpec:
     aiding: bool = False
 
 
+@dataclass
+class BatchArcColumns:
+    """A batch of stage solves as columns, one entry per element.
+
+    What :meth:`BatchStageSolver.solve_many_compact` integrates: the
+    stage table's index in the solver's bank, the input direction, the
+    input slew, the passive (grounded) and the active coupling
+    capacitance, and the aiding flag -- an arc-cache key's fields.
+    ``t_start`` (default 0) and ``out_rising`` (default: the opposite of
+    the input) serve the specs.
+    """
+
+    table_index: np.ndarray
+    input_rising: np.ndarray
+    transition: np.ndarray
+    c_passive: np.ndarray
+    c_active: np.ndarray
+    aiding: np.ndarray
+    t_start: np.ndarray | None = None
+    out_rising: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return self.table_index.size
+
+    @classmethod
+    def from_specs(cls, specs: Sequence[BatchArcSpec]) -> "BatchArcColumns":
+        """The columns of a list of specs.  A load's passive coupling
+        counts as passive capacitance, as in the arc-cache key; the
+        calculator's loads carry none."""
+        return cls(
+            table_index=np.array([s.table_index for s in specs], dtype=int),
+            input_rising=np.array([s.input_direction == RISING for s in specs], dtype=bool),
+            transition=np.array([s.transition for s in specs], dtype=float),
+            c_passive=np.array(
+                [s.load.c_ground + s.load.c_couple_passive for s in specs], dtype=float
+            ),
+            c_active=np.array([s.load.c_couple_active for s in specs], dtype=float),
+            aiding=np.array([s.aiding for s in specs], dtype=bool),
+            t_start=np.array([s.t_start for s in specs], dtype=float),
+            out_rising=np.array(
+                [
+                    (s.out_direction if s.out_direction is not None
+                     else opposite(s.input_direction)) == RISING
+                    for s in specs
+                ],
+                dtype=bool,
+            ),
+        )
+
+
 class BatchStageSolver:
     """Integrates many stage outputs simultaneously.
 
     Construct with the list of distinct :class:`StageTable` objects the
     batch may reference (all built from the same process and point count,
     hence congruent grids), then call :meth:`solve_many_compact` with
-    specs whose ``table_index`` points into that list.
+    columns (or specs) whose table index points into that list.
     """
 
     def __init__(
@@ -157,30 +217,23 @@ class BatchStageSolver:
             self._h_newton = None
             self._c_bisect = None
             self._c_lockstep = None
-        self._drive_cache: dict[tuple[int, str], float] = {}
-        self._drive_keepalive: list[StageTable] = []
+        # The scalar solver's drive-strength estimate per table (rows) and
+        # output direction (column 0 falling, 1 rising).
+        vdd = self.process.vdd
+        self._drive = np.array(
+            [
+                [
+                    max(abs(-table.current(vdd, 0.5 * vdd)), 1e-9),
+                    max(abs(table.current(0.0, 0.5 * vdd)), 1e-9),
+                ]
+                for table in tables
+            ]
+        )
 
-    # -- drive-strength estimate (same formula as the scalar solver) -------
-
-    def _drive_current(self, table: StageTable, out_direction: str) -> float:
-        # Pure in (table, direction): memoized, the scalar table lookups
-        # otherwise dominate batch setup.
-        key = (id(table), out_direction)
-        cached = self._drive_cache.get(key)
-        if cached is None:
-            vdd = self.process.vdd
-            if out_direction == RISING:
-                current = table.current(0.0, 0.5 * vdd)
-            else:
-                current = -table.current(vdd, 0.5 * vdd)
-            cached = max(abs(current), 1e-9)
-            self._drive_cache[key] = cached
-            # Keep the table alive so its id() cannot be recycled.
-            self._drive_keepalive.append(table)
-        return cached
-
-    def solve_many_compact(self, specs: list[BatchArcSpec]) -> CompactStageResults:
-        """Solve all specs and return marker columns only.
+    def solve_many_compact(
+        self, batch: BatchArcColumns | Sequence[BatchArcSpec]
+    ) -> CompactStageResults:
+        """Solve every element of ``batch`` and return marker columns only.
 
         The measurement runs vectorized over the recorded sample matrices
         and is bit-identical to :func:`measure_samples` applied to the
@@ -188,14 +241,14 @@ class BatchStageSolver:
         Elements whose waveform never reaches a threshold fall back to
         the per-element path so they raise the identical error.
         """
-        if not specs:
+        if not len(batch):
             empty_f = np.empty(0)
             empty_i = np.empty(0, dtype=int)
             return CompactStageResults(
                 [], empty_f, empty_f.copy(), empty_f.copy(), empty_f.copy(),
                 np.empty(0, dtype=bool), empty_f.copy(), empty_i, empty_i.copy(),
             )
-        setup = self._setup(specs)
+        setup = self._setup(batch)
         trace = self._integrate(setup)
         results = self._measure_compact(setup, trace)
         self._observe(trace)
@@ -209,84 +262,71 @@ class BatchStageSolver:
                 self._c_bisect.inc(fallbacks)
             self._c_lockstep.inc(trace.times_mat.shape[0])
 
-    def _setup(self, specs: list[BatchArcSpec]) -> _BatchSetup:
+    def _setup(self, batch: BatchArcColumns | Sequence[BatchArcSpec]) -> _BatchSetup:
+        """The integration inputs of every element, in one vectorized pass.
+
+        Each column is the scalar solver's expression, in its order:
+        ``c_total`` is :attr:`CouplingLoad.c_total`, the drop, trigger
+        and restart are :meth:`CouplingLoad.divider_drop`,
+        :meth:`~CouplingLoad.trigger_voltage` and
+        :meth:`~CouplingLoad.restart_voltage`, and the time step and the
+        trigger's settle-band clamp are :meth:`StageSolver.solve`'s.
+        """
+        if not isinstance(batch, BatchArcColumns):
+            batch = BatchArcColumns.from_specs(batch)
         process = self.process
         vdd = process.vdd
+        v_th = process.v_th_model
         settle_band = self.settle_fraction * vdd
-        n = len(specs)
+        n = len(batch)
 
-        # -- per-element setup (cheap python loop) -------------------------
-        k = np.empty(n, dtype=int)
-        in_rising = np.empty(n, dtype=bool)
-        out_rising = np.empty(n, dtype=bool)
-        t_start = np.empty(n)
-        tt = np.empty(n)
-        c_total = np.empty(n)
-        v_from = np.empty(n)
-        v_to = np.empty(n)
-        dt = np.empty(n)
-        trigger = np.full(n, np.nan)
-        restart = np.empty(n)
-        has_trigger = np.zeros(n, dtype=bool)
-        out_directions: list[str] = []
+        k = batch.table_index
+        in_rising = batch.input_rising
+        out_rising = ~in_rising if batch.out_rising is None else batch.out_rising
+        c_active = batch.c_active
+        c_total = batch.c_passive + c_active
+        if np.count_nonzero(c_total <= 0):
+            raise StageSolverError("stage load must have positive capacitance")
+        drive = self._drive[k, out_rising.astype(int)]
+        tau = c_total * vdd / drive
+        dt = np.maximum(
+            (batch.transition + 4.0 * tau) / (2.0 * self.steps_per_phase), 1e-15
+        )
 
-        for i, spec in enumerate(specs):
-            load = spec.load
-            if load.c_total <= 0:
-                raise StageSolverError("stage load must have positive capacitance")
-            out_direction = (
-                spec.out_direction
-                if spec.out_direction is not None
-                else opposite(spec.input_direction)
-            )
-            out_directions.append(out_direction)
-            rising = out_direction == RISING
-            table = self.tables[spec.table_index]
-            k[i] = spec.table_index
-            in_rising[i] = spec.input_direction == RISING
-            out_rising[i] = rising
-            t_start[i] = spec.t_start
-            tt[i] = spec.transition
-            c_total[i] = load.c_total
-            v_from[i] = 0.0 if rising else vdd
-            v_to[i] = vdd if rising else 0.0
-            tau = load.c_total * vdd / self._drive_current(table, out_direction)
-            dt[i] = max((spec.transition + 4.0 * tau) / (2.0 * self.steps_per_phase), 1e-15)
-
-            if load.has_active_coupling:
-                if spec.aiding:
-                    trig = load.restart_voltage(out_direction, process)
-                else:
-                    trig = load.trigger_voltage(out_direction, process)
-                if rising:
-                    trig = min(trig, vdd - 2.0 * settle_band)
-                else:
-                    trig = max(trig, 2.0 * settle_band)
-                trigger[i] = trig
-                has_trigger[i] = True
-            if spec.aiding and load.has_active_coupling:
-                drop = load.divider_drop(process)
-                if rising:
-                    restart[i] = min(trigger[i] + drop, vdd)
-                else:
-                    restart[i] = max(trigger[i] - drop, 0.0)
-            else:
-                restart[i] = load.restart_voltage(out_direction, process)
+        has_trigger = c_active > 0.0
+        drop = np.minimum(vdd * c_active / c_total, vdd)
+        restart = np.where(out_rising, v_th, vdd - v_th)
+        trigger = np.where(
+            batch.aiding, restart, np.where(out_rising, v_th + drop, vdd - v_th - drop)
+        )
+        # With overwhelming coupling the trigger may sit inside the settle
+        # band; clamped so the event still fires.
+        trigger = np.where(
+            out_rising,
+            np.minimum(trigger, vdd - 2.0 * settle_band),
+            np.maximum(trigger, 2.0 * settle_band),
+        )
+        trigger[~has_trigger] = np.nan
+        # An aiding drop jumps forward from the trigger.
+        jump = np.where(
+            out_rising, np.minimum(trigger + drop, vdd), np.maximum(trigger - drop, 0.0)
+        )
+        restart = np.where(batch.aiding & has_trigger, jump, restart)
 
         return _BatchSetup(
             k=k,
             in_rising=in_rising,
             out_rising=out_rising,
-            t_start=t_start,
-            tt=tt,
+            t_start=np.zeros(n) if batch.t_start is None else batch.t_start,
+            tt=batch.transition,
             c_total=c_total,
-            v_from=v_from,
-            v_to=v_to,
+            v_from=np.where(out_rising, 0.0, vdd),
+            v_to=np.where(out_rising, vdd, 0.0),
             dt=dt,
             trigger=trigger,
             restart=restart,
             has_trigger=has_trigger,
-            out_directions=out_directions,
+            out_directions=[(FALLING, RISING)[r] for r in out_rising.tolist()],
         )
 
     def _integrate(self, setup: _BatchSetup) -> _BatchTrace:
@@ -305,6 +345,14 @@ class BatchStageSolver:
         lockstep iteration costs a fixed number of array operations
         whatever the batch mix.  Every element-wise operation is the
         scalar solver's, in the scalar solver's order.
+
+        Each lockstep row runs :func:`solve_newton_many`'s damped Newton
+        update inline, on the residual
+        :meth:`GridBank.gradient_many_prepared` and the backward-Euler
+        step define: a converged lane keeps its root while the others
+        iterate.  A row that meets a zero derivative, or runs past
+        ``NEWTON_MAX_ITER``, is redone from its start by
+        :func:`solve_newton_many` itself, which owns the bisection.
         """
         vdd = self.process.vdd
         max_steps = 2 * self.steps_per_phase
@@ -345,18 +393,40 @@ class BatchStageSolver:
         stop = np.where(setup.has_trigger, np.inf, last)
         armed = bool(setup.has_trigger.any())
         newton = np.zeros(n, dtype=int)
-        bisect = np.zeros(n, dtype=int)
-        # Input-ramp columns, dropped once every ramp is over.
-        ramp: tuple | None = (
-            setup.k, setup.t_start, setup.tt > 0.0,
-            np.where(setup.tt > 0.0, setup.tt, 1.0), setup.in_rising,
-        )
-        prepared: tuple = ()
+        # Input-ramp columns: InputRamp.voltage_at.  Every calculator key
+        # has a slew of at least one grid step, so frac is one divide;
+        # a zero-slew element (a step input) takes the general form.
+        bank = self.bank
+        ramp_start = setup.t_start
+        in_rising = setup.in_rising
+        k_offset = setup.k * (bank._nx * bank._ny)
+        sloped = bool((setup.tt > 0.0).all())
+        if sloped:
+            ramp = (ramp_start, setup.tt, in_rising, k_offset)
+        else:
+            tt_pos = setup.tt > 0.0
+            ramp = (ramp_start, np.where(tt_pos, setup.tt, 1.0), in_rising, k_offset, tt_pos)
+
+        # Table geometry and loop constants; 0-d arrays are the cheapest
+        # scalar operands numpy takes, and the arithmetic is the same.
+        flat, flat_x1 = bank._flat, bank._flat_x1
+        flat_y1, flat_x1y1 = bank._flat_y1, bank._flat_x1y1
+        ny = bank._ny
+        x0, dx, nx2 = np.array(bank._x0), np.array(bank._dx), np.array(bank._nx - 2)
+        y0, dy, ny2 = np.array(bank._y0), np.array(bank._dy), np.array(ny - 2)
+        zero, one, izero = np.array(0.0), np.array(1.0), np.array(0)
+        vdd_a = np.array(vdd)
+        lo, hi = -0.4, vdd + 0.4
+        lo_a, hi_a = np.array(lo), np.array(hi)
+        max_step = np.array(0.5 * (hi - lo))
+        neg_max_step = -max_step
+        tol = np.array(NEWTON_TOL)
+        max_iter = NEWTON_MAX_ITER
+        subtract, multiply, divide = np.subtract, np.multiply, np.divide
+        maximum, minimum, count_nonzero = np.maximum, np.minimum, np.count_nonzero
 
         step = 0
         extensions = 0
-        lo, hi = -0.4, vdd + 0.4
-        gradient = self.bank.gradient_many_prepared
         while idx.size:
             # Every element started together and advances once per
             # iteration, so all of them exhaust the step budget at once:
@@ -378,40 +448,130 @@ class BatchStageSolver:
                 continue
 
             t_next = t + dt
-            if ramp is not None:
-                k_r, t_start_r, tt_pos, tt_safe, in_rising_r = ramp
-                # Input ramp voltage at t_next (saturated rail-to-rail).
+            # Input ramp voltage at t_next (saturated rail-to-rail).
+            if sloped:
+                t_start_r, tt_r, in_rising_r, k_offset_r = ramp
+                frac = subtract(t_next, t_start_r)
+                divide(frac, tt_r, out=frac)
+                maximum(frac, zero, out=frac)
+                minimum(frac, one, out=frac)
+            else:
+                t_start_r, tt_safe, in_rising_r, k_offset_r, tt_pos = ramp
                 frac = np.where(
                     tt_pos,
                     np.minimum(np.maximum((t_next - t_start_r) / tt_safe, 0.0), 1.0),
                     (t_next >= t_start_r).astype(float),
                 )
-                vin_next = np.where(in_rising_r, vdd * frac, vdd * (1.0 - frac))
-                # vin is fixed across the Newton iterations of this step,
-                # so the x-side table locate happens once per step.
-                prepared = self.bank.prepare_x(k_r, vin_next)
-                # t never moves backwards, so once every ramp is over
-                # frac stays exactly 1.0 and the x-side stays valid.
-                if frac.min() == 1.0:
-                    ramp = None
-            row_g, tx_g, one_m_tx_g = prepared
+            vin = multiply(vdd_a, np.where(in_rising_r, frac, subtract(one, frac)))
+            # vin is fixed across the Newton iterations of this step, so
+            # its x-cell is located once: _cell_locate's clamp, inline.
+            fx = subtract(vin, x0)
+            divide(fx, dx, out=fx)
+            row = fx.astype(int)
+            maximum(row, izero, out=row)
+            minimum(row, nx2, out=row)
+            tx = subtract(fx, row)
+            maximum(tx, zero, out=tx)
+            minimum(tx, one, out=tx)
+            one_m_tx = subtract(one, tx)
+            multiply(row, ny, out=row)
+            row += k_offset_r  # (k * nx + ix) * ny
             v_prev = v
+            m = idx.size
 
-            def residual(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                current, dcurrent = gradient(row_g, tx_g, one_m_tx_g, x)
-                np.multiply(current, coeff, out=current)
-                f = x - v_prev
-                f -= current
-                np.multiply(dcurrent, coeff, out=dcurrent)
-                np.subtract(1.0, dcurrent, out=dcurrent)
-                return f, dcurrent
+            # solve_newton_many, inline: while no lane has converged every
+            # lane takes x_new; after that x holds each converged lane's
+            # root, and only the active lanes move.
+            x = v_prev
+            it = 0
+            active = None
+            redo = False
+            while True:
+                it += 1
+                if it > max_iter:
+                    redo = True
+                    break
+                # The residual x - v_prev - coeff * I(vin, x) and its
+                # derivative, in gradient_many_prepared's order.
+                fy = subtract(x, y0)
+                divide(fy, dy, out=fy)
+                iy = fy.astype(int)
+                maximum(iy, izero, out=iy)
+                minimum(iy, ny2, out=iy)
+                ty = subtract(fy, iy)
+                maximum(ty, zero, out=ty)
+                minimum(ty, one, out=ty)
+                iy += row
+                v00 = flat[iy]
+                v10 = flat_x1[iy]
+                v01 = flat_y1[iy]
+                v11 = flat_x1y1[iy]
+                multiply(v00, one_m_tx, out=v00)
+                v00 += multiply(v10, tx, out=v10)  # lo = v00*(1-tx) + v10*tx
+                multiply(v01, one_m_tx, out=v01)
+                v01 += multiply(v11, tx, out=v11)  # hi = v01*(1-tx) + v11*tx
+                df = subtract(v01, v00)
+                divide(df, dy, out=df)  # dI/dy = (hi - lo) / dy
+                multiply(v00, subtract(one, ty), out=v00)
+                v00 += multiply(v01, ty, out=v01)  # I = lo*(1-ty) + hi*ty
+                multiply(v00, coeff, out=v00)
+                f = subtract(x, v_prev)
+                f -= v00
+                multiply(df, coeff, out=df)
+                subtract(one, df, out=df)
+                if count_nonzero(df) != m:
+                    redo = True
+                    break
+                # The damped, clamped update and the convergence test.
+                divide(f, df, out=f)
+                maximum(f, neg_max_step, out=f)
+                minimum(f, max_step, out=f)
+                x_new = subtract(x, f)
+                maximum(x_new, lo_a, out=x_new)
+                minimum(x_new, hi_a, out=x_new)
+                gap = subtract(x_new, x)
+                np.abs(gap, out=gap)
+                conv = np.less_equal(gap, tol)
+                if active is None:
+                    converged = count_nonzero(conv)
+                    x = x_new
+                    if converged == m:
+                        newton += it
+                        break
+                    if converged:
+                        active = ~conv
+                        remaining = m - converged
+                        iterations = conv * it
+                    continue
+                conv &= active
+                np.copyto(x, x_new, where=active)
+                converged = count_nonzero(conv)
+                if converged:
+                    iterations += conv * it
+                    remaining -= converged
+                    if not remaining:
+                        newton += iterations
+                        break
+                    active ^= conv
+            if redo:
+                # Zero derivative or budget exhausted: the reference
+                # redoes the whole row from v_prev and owns the bisection.
+                def residual(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                    current, dcurrent = bank.gradient_many_prepared(row, tx, one_m_tx, y)
+                    np.multiply(current, coeff, out=current)
+                    f = y - v_prev
+                    f -= current
+                    np.multiply(dcurrent, coeff, out=dcurrent)
+                    np.subtract(1.0, dcurrent, out=dcurrent)
+                    return f, dcurrent
 
-            solved = solve_newton_many(
-                residual, x0=v_prev, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER, lo=lo, hi=hi
-            )
-            newton += solved.iterations
-            bisect += solved.used_bisection
-            v_next = solved.roots
+                solved = solve_newton_many(
+                    residual, x0=v_prev, tol=NEWTON_TOL, max_iter=max_iter, lo=lo, hi=hi
+                )
+                x = solved.roots
+                newton += solved.iterations
+                bisect_total[idx] += solved.used_bisection
+            v_next = x
             sv_next = v_next * sign
             done = sv_next >= stop
 
@@ -447,19 +607,15 @@ class BatchStageSolver:
 
             rec.append(advanced)
             t, v, sv = t_next, v_next, sv_next
-            if np.count_nonzero(done):
+            if count_nonzero(done):
                 fin = idx[done]
                 newton_total[fin] = newton[done]
-                bisect_total[fin] = bisect[done]
                 keep = ~done
-                idx, sign, t, v, sv, dt, coeff, strig, stop, newton, bisect = (
-                    col[keep]
-                    for col in (idx, sign, t, v, sv, dt, coeff, strig, stop, newton, bisect)
+                idx, sign, t, v, sv, dt, coeff, strig, stop, newton = (
+                    col.compress(keep)
+                    for col in (idx, sign, t, v, sv, dt, coeff, strig, stop, newton)
                 )
-                if ramp is None:
-                    prepared = tuple(col[keep] for col in prepared)
-                else:
-                    ramp = tuple(col[keep] for col in ramp)
+                ramp = tuple(col.compress(keep) for col in ramp)
                 if armed:
                     armed = bool((strig < np.inf).any())
 

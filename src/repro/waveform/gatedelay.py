@@ -76,7 +76,7 @@ from repro.devices.params import ProcessParams, default_process
 from repro.devices.tables import StageTable
 from repro.errors import CacheError, InputError, SolverError
 from repro.obs.metrics import NEWTON_ITER_BUCKETS, MetricsRegistry
-from repro.waveform.batchstage import BatchArcSpec, BatchStageSolver
+from repro.waveform.batchstage import BatchArcColumns, BatchStageSolver
 from repro.waveform.coupling import CouplingLoad
 from repro.waveform.pwl import RISING, opposite
 from repro.waveform.ramp import RampEvent
@@ -720,42 +720,49 @@ class GateDelayCalculator:
     def _batch_solve(self, misses: list[tuple]) -> None:
         """Solve ``misses`` in one lockstep integration and cache them;
         raises :class:`SolverError` with nothing cached."""
+        n = len(misses)
+        tokens, directions, tt, c_passive, c_active, aiding = zip(*misses)
         # Materialise tables first so the bank covers every signature.
-        for key in misses:
-            self._solver_for_token(key[0])
+        for token in set(tokens):
+            self._solver_for_token(token)
         solver = self._batch_solver_current()
         index_of = {token: i for i, token in enumerate(self._table_order)}
-        specs = [
-            BatchArcSpec(
-                table_index=index_of[token],
-                input_direction=direction,
-                transition=tt,
-                load=CouplingLoad(c_ground=c_passive, c_couple_active=c_active),
-                aiding=aiding,
+        k = np.fromiter(map(index_of.__getitem__, tokens), int, n)
+        results = solver.solve_many_compact(
+            BatchArcColumns(
+                table_index=k,
+                input_rising=np.fromiter(map(RISING.__eq__, directions), bool, n),
+                transition=np.array(tt, dtype=float),
+                c_passive=np.array(c_passive, dtype=float),
+                c_active=np.array(c_active, dtype=float),
+                aiding=np.array(aiding, dtype=bool),
             )
-            for (token, direction, tt, c_passive, c_active, aiding) in misses
-        ]
-        results = solver.solve_many_compact(specs)
-        directions = results.directions
-        t_cross = results.t_cross
-        transition = results.transition
-        t_early = results.t_early
-        t_late = results.t_late
-        coupled = results.coupled
+        )
+        self._arc_cache.update(
+            zip(
+                misses,
+                map(
+                    ArcResult,
+                    results.directions,
+                    results.t_cross.tolist(),
+                    results.transition.tolist(),
+                    results.t_early.tolist(),
+                    results.t_late.tolist(),
+                    results.coupled.tolist(),
+                ),
+            )
+        )
+        # Per-signature Newton cost (_observe_cost), summed per table.
         iterations = results.newton_iterations
-        for j, key in enumerate(misses):
-            arc = ArcResult(
-                direction=directions[j],
-                t_cross=float(t_cross[j]),
-                transition=float(transition[j]),
-                t_early=float(t_early[j]),
-                t_late=float(t_late[j]),
-                coupled=bool(coupled[j]),
-            )
-            self._arc_cache[key] = arc
-            self._observe_cost(key[0], int(iterations[j]))
-        self._c_evaluations.inc(len(misses))
-        self._c_batched.inc(len(misses))
+        solves = np.bincount(k, minlength=len(index_of))
+        totals = np.bincount(k, weights=iterations, minlength=len(index_of))
+        for i in np.flatnonzero(solves).tolist():
+            token = self._table_order[i]
+            stats = self._sig_cost.setdefault(token, [0, 0])
+            stats[0] += int(solves[i])
+            stats[1] += int(totals[i])
+        self._c_evaluations.inc(n)
+        self._c_batched.inc(n)
 
     def solve_stage_raw(
         self,
