@@ -19,6 +19,13 @@ It also checks that ``MIN_BATCH``, the solver crossover the code uses,
 is the one the committed ``solver_crossover`` row recorded
 (``min_batch``): a re-recorded crossover and the constant move together.
 
+And it holds the fresh run's solver counts to the committed row's,
+exactly: ``solver.lockstep_iterations``, ``arc_cache.batched_solves``
+and the sum of the ``newton.iterations_per_arc`` histogram.  They do
+not depend on the host, and they move whenever the solver does more or
+less work for the same results -- a row the stop rule wastes moves no
+golden digest, but it moves these counts.
+
 Exit status 0 when all hold, 1 otherwise.  Run from the repo root:
 
     python benchmarks/check_perf_trajectory.py
@@ -53,6 +60,18 @@ def _pass2_reuse(row: dict) -> float | None:
     return p2["reused_arcs"] / total
 
 
+def _solver_counts(row: dict) -> dict[str, float | None]:
+    """The host-independent solver counts of a row's metrics."""
+    metrics = row.get("metrics", {})
+    counters = metrics.get("counters", {})
+    newton = metrics.get("histograms", {}).get("newton.iterations_per_arc", {})
+    return {
+        "solver.lockstep_iterations": counters.get("solver.lockstep_iterations"),
+        "arc_cache.batched_solves": counters.get("arc_cache.batched_solves"),
+        "newton.iterations_per_arc sum": newton.get("sum"),
+    }
+
+
 def _fresh_measurement(scale: float, mode: str) -> dict:
     from repro.circuit import s35932_like
     from repro.core.analyzer import CrosstalkSTA
@@ -73,6 +92,7 @@ def _fresh_measurement(scale: float, mode: str) -> dict:
             {"dirty_arcs": r.dirty_arcs, "reused_arcs": r.reused_arcs}
             for r in result.history
         ],
+        "metrics": result.telemetry.metrics if result.telemetry else {},
     }
 
 
@@ -171,6 +191,17 @@ def main(argv: list[str] | None = None) -> int:
                 f"pass-2 reuse fraction drifted: {fresh_reuse:.3f} vs "
                 f"committed {committed_reuse:.3f} "
                 f"(tolerance +/-{args.reuse_tol})"
+            )
+
+    fresh_counts = _solver_counts(fresh)
+    for name, committed_count in _solver_counts(committed).items():
+        fresh_count = fresh_counts[name]
+        print(f"{name}: committed {committed_count}, fresh {fresh_count}")
+        if fresh_count != committed_count:
+            failures.append(
+                f"{name} drifted: fresh {fresh_count}, committed "
+                f"{committed_count} (the solver did different work for the "
+                "committed row's run)"
             )
 
     if failures:
