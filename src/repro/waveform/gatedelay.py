@@ -99,7 +99,7 @@ CACHE_FORMAT = 3
 # and the level look-ahead prefetches nothing.  BENCH_sta_runtime.json's
 # ``solver_crossover`` row (bench_perf_baseline.py) records it as
 # ``min_batch`` (benchmarks/check_perf_trajectory.py holds the two
-# equal); in that row the batch solver is first cheaper per key at 64
+# equal); in that row the batch solver is first cheaper per key at 48
 # keys.  The constant stays lower because it also sizes the look-ahead's
 # smallest prefetch (docs/ALGORITHMS.md §8).
 MIN_BATCH = 24
