@@ -723,7 +723,7 @@ class GateDelayCalculator:
         n = len(misses)
         tokens, directions, tt, c_passive, c_active, aiding = zip(*misses)
         # Materialise tables first so the bank covers every signature.
-        for token in set(tokens):
+        for token in dict.fromkeys(tokens):
             self._solver_for_token(token)
         solver = self._batch_solver_current()
         index_of = {token: i for i, token in enumerate(self._table_order)}
