@@ -487,15 +487,12 @@ class GateDelayCalculator:
             origin = "degraded"
         self.last_origin = origin
 
-    def _observe_cost(self, token: str, iterations: int) -> None:
-        """Feed one solved arc's Newton iteration count into the
+    def _observe_cost(self, token: str, iterations: int, solves: int = 1) -> None:
+        """Feed solved arcs' Newton iteration count into the
         per-signature cost totals (:attr:`_sig_cost`)."""
-        stats = self._sig_cost.get(token)
-        if stats is None:
-            self._sig_cost[token] = [1, iterations]
-        else:
-            stats[0] += 1
-            stats[1] += iterations
+        stats = self._sig_cost.setdefault(token, [0, 0])
+        stats[0] += solves
+        stats[1] += iterations
 
     def _solve_key(self, key: tuple) -> ArcResult:
         """Scalar (reference) solve of one canonical arc situation."""
@@ -752,15 +749,11 @@ class GateDelayCalculator:
                 ),
             )
         )
-        # Per-signature Newton cost (_observe_cost), summed per table.
-        iterations = results.newton_iterations
-        solves = np.bincount(k, minlength=len(index_of))
-        totals = np.bincount(k, weights=iterations, minlength=len(index_of))
+        # The Newton cost, summed per table.
+        solves = np.bincount(k)
+        totals = np.bincount(k, weights=results.newton_iterations)
         for i in np.flatnonzero(solves).tolist():
-            token = self._table_order[i]
-            stats = self._sig_cost.setdefault(token, [0, 0])
-            stats[0] += int(solves[i])
-            stats[1] += int(totals[i])
+            self._observe_cost(self._table_order[i], int(totals[i]), int(solves[i]))
         self._c_evaluations.inc(n)
         self._c_batched.inc(n)
 
