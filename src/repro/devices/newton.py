@@ -6,6 +6,12 @@ successive chord method proposed in [TETA]" and reports no convergence
 problems thanks to finely discretised tables.  We add light damping and a
 bisection fallback so the solver is robust even on coarse tables, without
 changing behaviour on well-conditioned problems.
+
+The stage solvers run these updates inline on their tabulated currents
+and keep the functions here as their reference and fallback: a step (or,
+in the batch solver, a lockstep row of :func:`solve_newton_many`) that
+meets a zero derivative or exhausts the iteration budget is redone here
+from its start, bisection included.
 """
 
 from __future__ import annotations
