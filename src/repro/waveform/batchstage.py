@@ -138,16 +138,16 @@ class BatchArcColumns:
 
     What :meth:`BatchStageSolver.solve_many_compact` integrates: the
     stage table's index in the solver's bank, the input direction, the
-    input slew, the passive (grounded) and the active coupling
-    capacitance, and the aiding flag -- an arc-cache key's fields.
-    ``t_start`` (default 0) and ``out_rising`` (default: the opposite of
-    the input) serve the specs.
+    input slew, the load's total capacitance (:attr:`CouplingLoad.c_total`,
+    summed in its order) and active coupling capacitance, and the aiding
+    flag.  ``t_start`` (default 0) and ``out_rising`` (default: the
+    opposite of the input) serve the specs.
     """
 
     table_index: np.ndarray
     input_rising: np.ndarray
     transition: np.ndarray
-    c_passive: np.ndarray
+    c_total: np.ndarray
     c_active: np.ndarray
     aiding: np.ndarray
     t_start: np.ndarray | None = None
@@ -158,16 +158,12 @@ class BatchArcColumns:
 
     @classmethod
     def from_specs(cls, specs: Sequence[BatchArcSpec]) -> "BatchArcColumns":
-        """The columns of a list of specs.  A load's passive coupling
-        counts as passive capacitance, as in the arc-cache key; the
-        calculator's loads carry none."""
+        """The columns of a list of specs."""
         return cls(
             table_index=np.array([s.table_index for s in specs], dtype=int),
             input_rising=np.array([s.input_direction == RISING for s in specs], dtype=bool),
             transition=np.array([s.transition for s in specs], dtype=float),
-            c_passive=np.array(
-                [s.load.c_ground + s.load.c_couple_passive for s in specs], dtype=float
-            ),
+            c_total=np.array([s.load.c_total for s in specs], dtype=float),
             c_active=np.array([s.load.c_couple_active for s in specs], dtype=float),
             aiding=np.array([s.aiding for s in specs], dtype=bool),
             t_start=np.array([s.t_start for s in specs], dtype=float),
@@ -284,7 +280,7 @@ class BatchStageSolver:
         in_rising = batch.input_rising
         out_rising = ~in_rising if batch.out_rising is None else batch.out_rising
         c_active = batch.c_active
-        c_total = batch.c_passive + c_active
+        c_total = batch.c_total
         if np.count_nonzero(c_total <= 0):
             raise StageSolverError("stage load must have positive capacitance")
         drive = self._drive[k, out_rising.astype(int)]

@@ -730,7 +730,9 @@ class GateDelayCalculator:
                 table_index=k,
                 input_rising=np.fromiter(map(RISING.__eq__, directions), bool, n),
                 transition=np.array(tt, dtype=float),
-                c_passive=np.array(c_passive, dtype=float),
+                # CouplingLoad(c_passive, c_active).c_total: adding its
+                # zero passive coupling is exact.
+                c_total=np.add(c_passive, c_active),
                 c_active=np.array(c_active, dtype=float),
                 aiding=np.array(aiding, dtype=bool),
             )

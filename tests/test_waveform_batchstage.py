@@ -660,7 +660,8 @@ def signature_bank(library, process):
 @st.composite
 def quantized_specs(draw, tables):
     """One arc-cache-like situation: a signature, a direction, a slew and
-    loads on the calculator's grids, uncoupled, opposing or aiding."""
+    loads on the calculator's grids, uncoupled, opposing or aiding, with
+    or without passive coupling (``aggregate_load`` fills both kinds)."""
     active = draw(st.one_of(st.just(0), st.integers(1, 200)))
     return BatchArcSpec(
         table_index=draw(st.integers(0, tables - 1)),
@@ -669,6 +670,7 @@ def quantized_specs(draw, tables):
         load=CouplingLoad(
             c_ground=draw(st.integers(1, 750)) * CAP_GRID,
             c_couple_active=active * CAP_GRID,
+            c_couple_passive=draw(st.one_of(st.just(0), st.integers(1, 200))) * CAP_GRID,
         ),
         aiding=active > 0 and draw(st.booleans()),
     )
@@ -723,6 +725,21 @@ class TestFusedLoopOracle:
         if zero_slew_lane:
             spec = data.draw(quantized_specs(tables))
             specs.append(dataclasses.replace(spec, transition=0.0))
+        assert_matches_reference(signature_bank, specs)
+
+    def test_load_sums_in_coupling_load_order(self, signature_bank):
+        """c_total is CouplingLoad.c_total, ground + active + passive in
+        that order: for these loads ground + passive + active differs in
+        the last bit."""
+        load = CouplingLoad(
+            c_ground=CAP_GRID, c_couple_active=CAP_GRID, c_couple_passive=4 * CAP_GRID
+        )
+        assert load.c_total != (load.c_ground + load.c_couple_passive) + load.c_couple_active
+        specs = [
+            BatchArcSpec(0, direction, 40 * TRANSITION_GRID, load, aiding=aiding)
+            for direction in (RISING, FALLING)
+            for aiding in (False, True)
+        ]
         assert_matches_reference(signature_bank, specs)
 
     def test_zero_derivative_redoes_the_row(self):
