@@ -19,6 +19,8 @@ model directly, without a table.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.devices.mosfet import Mosfet
@@ -30,25 +32,28 @@ def _cell_locate(f, n: int):
     """Clamped cell index and in-cell fraction for a fractional grid
     coordinate ``f`` on an axis of ``n`` points.
 
-    This is the *single* place the edge handling of every lookup flavour
-    (scalar, scalar-with-gradient, vectorized, banked) is defined, so the
-    scalar reference path and the batched path cannot drift apart: the
-    cell index is the truncation of ``f`` clamped to ``[0, n - 2]`` and
-    the fraction is ``f - index`` clamped to ``[0, 1]``.
+    This defines the edge handling of every lookup flavour (scalar,
+    scalar-with-gradient, vectorized, banked): the cell index is the
+    truncation of ``f`` clamped to ``[0, n - 2]`` and the fraction is
+    ``f - index`` clamped to ``[0, 1]``.
 
     Accepts a python float (returns ``(int, float)``) or a numpy array
-    (returns ``(int array, float array)``).  The scalar stage solver
-    calls the scalar branch once per solver and input rail, for its rail
-    columns; its step loop inlines the same clamp, for the input voltage
-    once per time step of the ramp and for the output voltage once per
-    Newton iteration, and
-    ``tests/test_waveform_stage.py::TestSettleLoopOracle`` holds that
-    copy bit for bit to :meth:`_BilinearGrid.lookup_with_dy`.
+    (returns ``(int array, float array)``).  Both stage solvers inline
+    the same clamp in their step loops, for the input voltage once per
+    time step and for the output voltage once per Newton iteration, and
+    a test holds each copy bit for bit to a reference built on this
+    function: ``tests/test_waveform_stage.py::TestSettleLoopOracle``
+    the scalar solver's to :meth:`_BilinearGrid.lookup_with_dy`, and
+    ``tests/test_waveform_batchstage.py::TestFusedLoopOracle`` the batch
+    solver's lockstep row to a copy of its loop over
+    :meth:`GridBank.prepare_x` and :meth:`GridBank.gradient_many_prepared`.
+    The scalar solver calls the scalar branch once per solver and input
+    rail, for its rail columns.
     """
     if isinstance(f, np.ndarray):
         # Explicit maximum/minimum rather than np.clip: same arithmetic
         # (clip is minimum(maximum(f, lo), hi)), none of the wrapper
-        # overhead -- this sits under every batched Newton iteration.
+        # overhead.
         i = f.astype(int)
         np.maximum(i, 0, out=i)
         np.minimum(i, n - 2, out=i)
@@ -172,6 +177,30 @@ class _BilinearGrid:
         return self.lookup_many(x, y)
 
 
+class BankLayout(NamedTuple):
+    """Where a :class:`GridBank` keeps its values, for a loop that inlines
+    :meth:`GridBank.gradient_many_prepared` (the batch stage solver's).
+
+    Corner ``(ix, iy)`` of table ``k``'s cell sits at flat index
+    ``base = (k * nx + ix) * ny + iy`` of ``flat``; the cell's other
+    three corners sit at ``base`` of the shifted views ``flat_x1``
+    (``ix + 1``), ``flat_y1`` (``iy + 1``) and ``flat_x1y1``.  An axis
+    value ``v`` has the fractional grid coordinate ``(v - x0) / dx``
+    (``(v - y0) / dy`` on the y axis), located by :func:`_cell_locate`.
+    """
+
+    flat: np.ndarray
+    flat_x1: np.ndarray
+    flat_y1: np.ndarray
+    flat_x1y1: np.ndarray
+    x0: float
+    dx: float
+    nx: int
+    y0: float
+    dy: float
+    ny: int
+
+
 class GridBank:
     """A stack of congruent :class:`_BilinearGrid` tables for per-element
     batched lookup.
@@ -207,6 +236,10 @@ class GridBank:
         self._flat_x1 = self._flat[self._ny:]
         self._flat_y1 = self._flat[1:]
         self._flat_x1y1 = self._flat[self._ny + 1:]
+        self.layout = BankLayout(
+            self._flat, self._flat_x1, self._flat_y1, self._flat_x1y1,
+            self._x0, self._dx, self._nx, self._y0, self._dy, self._ny,
+        )
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -238,9 +271,9 @@ class GridBank:
         """Precompute the x-side of :meth:`gradient_many` for a fixed
         ``(k, x)`` batch: the flattened row offset plus the x-cell
         fraction and its complement.  Within one Newton solve only ``y``
-        changes, so the stage solver hoists this out of the residual and
-        pays the x-side locate once per time step instead of once per
-        function evaluation."""
+        changes, so the x-side locate is paid once per time step instead
+        of once per function evaluation; the batch stage solver inlines
+        it in its lockstep row."""
         ix, tx = _cell_locate((np.asarray(x, float) - self._x0) / self._dx, self._nx)
         row = (k * self._nx + ix) * self._ny
         return row, tx, 1.0 - tx

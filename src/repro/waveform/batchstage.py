@@ -10,8 +10,8 @@ per-element handling of the coupling drop event and the extension phases
 via masking.  Tables of different cells are served by a
 :class:`repro.devices.tables.GridBank` so a single fancy-indexed lookup
 covers the whole batch.  A batch arrives as columns
-(:class:`BatchArcColumns`), the fields of the calculator's cache keys,
-and its setup is one vectorized pass over them.
+(:class:`BatchArcColumns`), one entry per element, and its setup is one
+vectorized pass over them.
 
 Each lockstep row runs :func:`repro.devices.newton.solve_newton_many`'s
 damped Newton update inline, with the table lookup of
@@ -389,27 +389,22 @@ class BatchStageSolver:
         stop = np.where(setup.has_trigger, np.inf, last)
         armed = bool(setup.has_trigger.any())
         newton = np.zeros(n, dtype=int)
-        # Input-ramp columns: InputRamp.voltage_at.  Every calculator key
-        # has a slew of at least one grid step, so frac is one divide;
-        # a zero-slew element (a step input) takes the general form.
-        bank = self.bank
-        ramp_start = setup.t_start
-        in_rising = setup.in_rising
-        k_offset = setup.k * (bank._nx * bank._ny)
-        sloped = bool((setup.tt > 0.0).all())
-        if sloped:
-            ramp = (ramp_start, setup.tt, in_rising, k_offset)
-        else:
-            tt_pos = setup.tt > 0.0
-            ramp = (ramp_start, np.where(tt_pos, setup.tt, 1.0), in_rising, k_offset, tt_pos)
+        # Input-ramp columns (InputRamp.voltage_at; a zero slew is a
+        # step input) and each element's table offset in the flat bank.
+        layout = self.bank.layout
+        tt_pos = setup.tt > 0.0
+        ramp = (
+            setup.t_start, np.where(tt_pos, setup.tt, 1.0), tt_pos, setup.in_rising,
+            setup.k * (layout.nx * layout.ny),
+        )
 
         # Table geometry and loop constants; 0-d arrays are the cheapest
         # scalar operands numpy takes, and the arithmetic is the same.
-        flat, flat_x1 = bank._flat, bank._flat_x1
-        flat_y1, flat_x1y1 = bank._flat_y1, bank._flat_x1y1
-        ny = bank._ny
-        x0, dx, nx2 = np.array(bank._x0), np.array(bank._dx), np.array(bank._nx - 2)
-        y0, dy, ny2 = np.array(bank._y0), np.array(bank._dy), np.array(ny - 2)
+        flat, flat_x1 = layout.flat, layout.flat_x1
+        flat_y1, flat_x1y1 = layout.flat_y1, layout.flat_x1y1
+        ny = layout.ny
+        x0, dx, nx2 = np.array(layout.x0), np.array(layout.dx), np.array(layout.nx - 2)
+        y0, dy, ny2 = np.array(layout.y0), np.array(layout.dy), np.array(ny - 2)
         zero, one, izero = np.array(0.0), np.array(1.0), np.array(0)
         vdd_a = np.array(vdd)
         lo, hi = -0.4, vdd + 0.4
@@ -445,19 +440,12 @@ class BatchStageSolver:
 
             t_next = t + dt
             # Input ramp voltage at t_next (saturated rail-to-rail).
-            if sloped:
-                t_start_r, tt_r, in_rising_r, k_offset_r = ramp
-                frac = subtract(t_next, t_start_r)
-                divide(frac, tt_r, out=frac)
-                maximum(frac, zero, out=frac)
-                minimum(frac, one, out=frac)
-            else:
-                t_start_r, tt_safe, in_rising_r, k_offset_r, tt_pos = ramp
-                frac = np.where(
-                    tt_pos,
-                    np.minimum(np.maximum((t_next - t_start_r) / tt_safe, 0.0), 1.0),
-                    (t_next >= t_start_r).astype(float),
-                )
+            t_start_r, tt_safe, tt_pos_r, in_rising_r, k_offset_r = ramp
+            frac = np.where(
+                tt_pos_r,
+                np.minimum(np.maximum((t_next - t_start_r) / tt_safe, 0.0), 1.0),
+                (t_next >= t_start_r).astype(float),
+            )
             vin = multiply(vdd_a, np.where(in_rising_r, frac, subtract(one, frac)))
             # vin is fixed across the Newton iterations of this step, so
             # its x-cell is located once: _cell_locate's clamp, inline.
@@ -475,12 +463,13 @@ class BatchStageSolver:
             v_prev = v
             m = idx.size
 
-            # solve_newton_many, inline: while no lane has converged every
-            # lane takes x_new; after that x holds each converged lane's
+            # solve_newton_many, inline: x holds each converged lane's
             # root, and only the active lanes move.
-            x = v_prev
+            x = v_prev.copy()
+            active = np.ones(m, dtype=bool)
+            remaining = m
+            iterations = np.zeros(m, dtype=int)
             it = 0
-            active = None
             redo = False
             while True:
                 it += 1
@@ -528,17 +517,6 @@ class BatchStageSolver:
                 gap = subtract(x_new, x)
                 np.abs(gap, out=gap)
                 conv = np.less_equal(gap, tol)
-                if active is None:
-                    converged = count_nonzero(conv)
-                    x = x_new
-                    if converged == m:
-                        newton += it
-                        break
-                    if converged:
-                        active = ~conv
-                        remaining = m - converged
-                        iterations = conv * it
-                    continue
                 conv &= active
                 np.copyto(x, x_new, where=active)
                 converged = count_nonzero(conv)
@@ -553,7 +531,9 @@ class BatchStageSolver:
                 # Zero derivative or budget exhausted: the reference
                 # redoes the whole row from v_prev and owns the bisection.
                 def residual(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-                    current, dcurrent = bank.gradient_many_prepared(row, tx, one_m_tx, y)
+                    current, dcurrent = self.bank.gradient_many_prepared(
+                        row, tx, one_m_tx, y
+                    )
                     np.multiply(current, coeff, out=current)
                     f = y - v_prev
                     f -= current
