@@ -24,7 +24,8 @@ exactly: ``solver.lockstep_iterations``, ``arc_cache.batched_solves``
 and the sum of the ``newton.iterations_per_arc`` histogram.  They do
 not depend on the host, and they move whenever the solver does more or
 less work for the same results -- a row the stop rule wastes moves no
-golden digest, but it moves these counts.
+golden digest, but it moves these counts.  A count missing on either
+side fails too.
 
 Exit status 0 when all hold, 1 otherwise.  Run from the repo root:
 
@@ -197,7 +198,12 @@ def main(argv: list[str] | None = None) -> int:
     for name, committed_count in _solver_counts(committed).items():
         fresh_count = fresh_counts[name]
         print(f"{name}: committed {committed_count}, fresh {fresh_count}")
-        if fresh_count != committed_count:
+        if committed_count is None or fresh_count is None:
+            # A renamed counter, or a row recorded without telemetry,
+            # would otherwise compare None with None and pass.
+            side = "committed row" if committed_count is None else "fresh run"
+            failures.append(f"{name} missing from the {side}")
+        elif fresh_count != committed_count:
             failures.append(
                 f"{name} drifted: fresh {fresh_count}, committed "
                 f"{committed_count} (the solver did different work for the "
